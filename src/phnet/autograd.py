@@ -52,18 +52,17 @@ class Tensor:
     across successive backward calls until reset).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_op", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_op", "_backward")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = _as_float_array(data, dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self.name = ""
         self._parents = ()
         self._op = "leaf"
         self._backward = None
 
-    # -- storage model -------------------------------------------------
+    # -- array metadata ------------------------------------------------
     @property
     def shape(self):
         return self.data.shape
@@ -80,36 +79,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def strides(self):
-        """Per-axis element steps into the underlying buffer."""
-        item = self.data.itemsize
-        return tuple(s // item for s in self.data.strides)
-
-    @property
-    def offset(self):
-        """Element offset of this view into its base buffer (0 if owning)."""
-        base = self.data.base
-        if base is None:
-            return 0
-        start = self.data.__array_interface__["data"][0]
-        base_start = base.__array_interface__["data"][0]
-        return (start - base_start) // self.data.itemsize
-
-    @property
-    def buffer(self):
-        """Flat view of the owning storage."""
-        base = self.data.base
-        return (base if base is not None else self.data).reshape(-1)
-
-    def is_contiguous(self):
-        return self.data.flags["C_CONTIGUOUS"]
-
     def item(self):
         return float(self.data.reshape(()))
-
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, op={self._op!r})"
@@ -167,19 +138,15 @@ class Tensor:
     def sqrt(self):
         return sqrt(self)
 
-    def materialize(self):
-        return materialize(self)
-
     def backward(self):
-        return backward(self)
+        backward(self)
 
 
 class Parameter(Tensor):
-    """Trainable leaf tensor with a unique name path and an always-present grad."""
+    """Trainable leaf tensor with an always-present grad."""
 
-    def __init__(self, data, name="", dtype=None):
+    def __init__(self, data, dtype=None):
         super().__init__(data, requires_grad=True, dtype=dtype)
-        self.name = name
         self.grad = np.zeros_like(self.data)
 
     def reset_grad(self):
@@ -270,20 +237,6 @@ def sqrt(t):
     return make_node(out, (t,), "sqrt", lambda g: (g * (0.5 / out),))
 
 
-_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul, "div": div,
-                "relu": relu, "gelu": gelu, "scale": scale}
-
-
-def elementwise(op, *operands):
-    """Dispatch by name: add/sub/mul/div take two tensors, relu/gelu one,
-    scale a tensor and a python scalar."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}") from None
-    return fn(*operands)
-
-
 # ---------------------------------------------------------------------------
 # shape ops
 # ---------------------------------------------------------------------------
@@ -303,7 +256,7 @@ def reshape(t, new_shape):
         raise ValueError(
             f"reshape: cannot view {t.shape} ({t.size} elements) as {new_shape}")
     old_shape = t.shape
-    # np.reshape materializes non-contiguous inputs before reinterpreting
+    # np.reshape copies non-contiguous inputs before reinterpreting
     return make_node(np.reshape(t.data, new_shape), (t,), "reshape",
                      lambda g: (np.reshape(g, old_shape),))
 
@@ -326,11 +279,6 @@ def broadcast_to(t, shape):
         return (g,)
 
     return make_node(out, (t,), "broadcast_to", bk)
-
-
-def materialize(t):
-    """Contiguous copy; identity for autodiff."""
-    return make_node(np.ascontiguousarray(t.data), (t,), "materialize", lambda g: (g,))
 
 
 def concat(tensors, axis):
@@ -391,21 +339,6 @@ def _mean(t, axes=None, keepdims=False):
     return scale(_sum(t, axes, keepdims), 1.0 / n)
 
 
-def reduce(t, axes, kind):
-    """Reduce over ``axes`` (dropped from the result). ``var`` is the
-    population variance, composed from mean/sub/mul so it stays differentiable."""
-    if kind == "sum":
-        return _sum(t, axes)
-    if kind == "mean":
-        return _mean(t, axes)
-    if kind == "var":
-        axes = _norm_axes(t, axes)
-        m = _mean(t, axes, keepdims=True).broadcast_to(t.shape)
-        d = sub(t, m)
-        return _mean(mul(d, d), axes)
-    raise ValueError(f"unknown reduction kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
@@ -459,7 +392,7 @@ def trace(root):
 
 def backward(loss):
     """Accumulate d(loss)/d(node) into ``.grad`` for every reachable node that
-    requires grad. Returns the gradient store (node -> array)."""
+    requires grad."""
     if loss.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     order = trace(loss)
@@ -472,8 +405,6 @@ def backward(loss):
             if g is None or not parent.requires_grad:
                 continue
             parent.grad = g if parent.grad is None else parent.grad + g
-    return {node: node.grad for node in order
-            if node.requires_grad and node.grad is not None}
 
 
 def grad_check(f, x, h=1e-5):

@@ -21,6 +21,7 @@ from .model import (
     PHNetConfig,
     config_from_dict,
     count_params,
+    hwd_to_dhw,
     read_checkpoint_meta,
 )
 from .optim import TrainingError
@@ -70,11 +71,6 @@ def _model_config_from_args(args):
         blocks_per_stage=args.blocks_per_stage,
         mlpp=MLPPDefaults(num_layers=args.mlpp_num_layers),
     )
-
-
-def _patch_dhw(patch_size_hwd):
-    h, w, d = patch_size_hwd
-    return int(d), int(h), int(w)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +169,7 @@ def cmd_bench(args):
 def cmd_flops(args):
     cfg = _model_config_from_args(args)
     net = PHNet(cfg, seed=0)
-    d, h, w = _patch_dhw(cfg.patch_size)
+    d, h, w = hwd_to_dhw(cfg.patch_size)
     shape = (args.batch_size, cfg.in_channels, d, h, w)
     flops, out_shape = net.count_flops(shape)
     print(json.dumps({

@@ -39,6 +39,7 @@ from .model import (
     config_from_dict,
     config_to_dict,
     count_params,
+    hwd_to_dhw,
     load_checkpoint,
     read_checkpoint_meta,
     save_checkpoint,
@@ -89,11 +90,6 @@ class TrainConfig:
     blocks_per_stage: int = 2
     mlpp_num_layers: int = 2
     mlpp_stages: tuple | None = None      # None -> deepest two stages
-
-
-def _patch_dhw(patch_size_hwd):
-    h, w, d = (int(p) for p in patch_size_hwd)
-    return d, h, w
 
 
 def _model_config(cfg, num_classes, spacing_mm):
@@ -169,21 +165,20 @@ def read_runlog(path):
 # dataset plumbing
 # ---------------------------------------------------------------------------
 
+def _read_case(root, entry):
+    """Read the case of one manifest entry."""
+    cid = entry["id"]
+    return {"id": cid, "split": entry.get("split", "train"),
+            "image": read_volume(root / f"{cid}_img"),
+            "labels": read_volume(root / f"{cid}_lbl")}
+
+
 def load_dataset(data_dir):
     """Read every case referenced by the manifest; returns (cases, manifest)
     where each case is {id, split, image: Volume, labels: LabelVolume}."""
     root = Path(data_dir)
     manifest = read_manifest(root / "manifest.json")
-    cases = []
-    for entry in manifest["cases"]:
-        cid = entry["id"]
-        cases.append({
-            "id": cid,
-            "split": entry.get("split", "train"),
-            "image": read_volume(root / f"{cid}_img"),
-            "labels": read_volume(root / f"{cid}_lbl"),
-        })
-    return cases, manifest
+    return [_read_case(root, e) for e in manifest["cases"]], manifest
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +216,7 @@ def stitch_windows(shape, windows):
     return acc / cnt[None]
 
 
-def sliding_window_logits(net, grid, patch_dhw, *, batch_free=True):
+def sliding_window_logits(net, grid, patch_dhw):
     """Averaged class logits (K, D, H, W) for a normalized (D, H, W) grid."""
     pd, ph, pw = patch_dhw
     starts = [window_starts(grid.shape[0], pd),
@@ -238,22 +233,30 @@ def sliding_window_logits(net, grid, patch_dhw, *, batch_free=True):
     return stitch_windows(grid.shape, windows)
 
 
+def _on_model_grid(vol, model_cfg):
+    """``vol`` resampled to the model spacing (``vol`` itself when already
+    there), and why it cannot be segmented: a message when the inference
+    window is larger than the resampled grid, else None."""
+    target = tuple(model_cfg.voxel_spacing_mm)
+    work = vol if tuple(vol.spacing_mm) == target else resample_to_spacing(vol, target)
+    patch = hwd_to_dhw(model_cfg.patch_size)
+    if any(p > s for p, s in zip(patch, work.grid.shape)):
+        return work, (f"patch {patch} larger than case grid {work.grid.shape} "
+                      f"after resampling to spacing {target}")
+    return work, None
+
+
 def predict_label_volume(net, vol, model_cfg):
     """Segment one case: resample to the model spacing, run the sliding
     window, argmax, and map labels back onto the case's native grid."""
-    target = tuple(model_cfg.voxel_spacing_mm)
-    native_spacing = tuple(vol.spacing_mm)
-    work = vol if native_spacing == target else resample_to_spacing(vol, target)
-    pd, ph, pw = _patch_dhw(model_cfg.patch_size)
-    if any(p > s for p, s in zip((pd, ph, pw), work.grid.shape)):
-        raise ValueError(
-            f"patch {(pd, ph, pw)} larger than case grid {work.grid.shape} "
-            f"after resampling to spacing {target}")
-    logits = sliding_window_logits(net, zscore(work.grid), (pd, ph, pw))
-    pred = LabelVolume(np.argmax(logits, axis=0).astype(np.uint8), target)
+    work, problem = _on_model_grid(vol, model_cfg)
+    if problem:
+        raise ValueError(problem)
+    logits = sliding_window_logits(net, zscore(work.grid), hwd_to_dhw(model_cfg.patch_size))
+    pred = LabelVolume(np.argmax(logits, axis=0).astype(np.uint8), work.spacing_mm)
     if work is vol:
         return pred
-    return resample_to_grid(pred, vol.grid.shape, native_spacing)
+    return resample_to_grid(pred, vol.grid.shape, vol.spacing_mm)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +311,7 @@ def train(cfg):
     ckpt_path = out_dir / "best.ckpt"
     best = None
     step = 0
-    patch_dhw = _patch_dhw(cfg.patch_size)
+    patch_dhw = hwd_to_dhw(cfg.patch_size)
     with RunLog(out_dir / "runlog.jsonl") as log:
         log.log_meta(planned_steps=planned_steps,
                      steps_per_epoch=steps_per_epoch,
@@ -364,8 +367,9 @@ def train(cfg):
 def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
              tolerance_mm=1.0, percentile=95):
     """Segment every case in ``split`` and compute all metrics per class on
-    the case's native grid.  A case whose resampled grid is smaller than the
-    inference window contributes an error row instead of metric rows."""
+    the case's native grid.  Only the cases of ``split`` are read.  A case
+    whose resampled grid is smaller than the inference window contributes an
+    error row instead of metric rows."""
     meta = read_checkpoint_meta(checkpoint_path)
     if "model_config" not in meta:
         raise ValueError(f"{checkpoint_path}: checkpoint has no model_config")
@@ -373,25 +377,24 @@ def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
     net = PHNet(model_cfg, seed=0)
     load_checkpoint(net, checkpoint_path)
 
-    cases, _ = load_dataset(data_dir)
-    chosen = [c for c in cases if c["split"] == split]
+    root = Path(data_dir)
+    chosen = [e for e in read_manifest(root / "manifest.json")["cases"]
+              if e.get("split", "train") == split]
     if not chosen:
         raise ValueError(f"{data_dir}: no cases with split {split!r}")
 
-    pd, ph, pw = _patch_dhw(model_cfg.patch_size)
-    target = tuple(model_cfg.voxel_spacing_mm)
     rows = []
-    for case in chosen:
+    for entry in chosen:
+        case = _read_case(root, entry)
         vol = case["image"]
-        work_shape = (vol.grid.shape if tuple(vol.spacing_mm) == target else
-                      resample_to_spacing(vol, target).grid.shape)
-        if any(p > s for p, s in zip((pd, ph, pw), work_shape)):
-            rows.append({"case": case["id"], "class": "",
-                         "error": (f"patch {(pd, ph, pw)} larger than case "
-                                   f"grid {tuple(work_shape)} after resampling "
-                                   f"to spacing {target}")})
+        work, problem = _on_model_grid(vol, model_cfg)
+        if problem:
+            rows.append({"case": case["id"], "class": "", "error": problem})
             continue
-        pred = predict_label_volume(net, vol, model_cfg)
+        # ``work`` is on the model spacing, so prediction does not resample it again
+        pred = predict_label_volume(net, work, model_cfg)
+        if work is not vol:
+            pred = resample_to_grid(pred, vol.grid.shape, vol.spacing_mm)
         for r in evaluate_case(pred, case["labels"], model_cfg.num_classes,
                                tolerance_mm=tolerance_mm, percentile=percentile):
             rows.append({"case": case["id"], **r})
@@ -540,7 +543,7 @@ def bench(model_cfg, batch_size=1, repeats=3, seed=0):
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     net = PHNet(model_cfg, seed=seed)
-    d, h, w = _patch_dhw(model_cfg.patch_size)
+    d, h, w = hwd_to_dhw(model_cfg.patch_size)
     shape = (batch_size, model_cfg.in_channels, d, h, w)
     flops, out_shape = net.count_flops(shape)
     x = np.zeros(shape, dtype=np.float32)

@@ -70,10 +70,6 @@ class Module:
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def reset_grads(self):
-        for p in self.parameters():
-            p.reset_grad()
-
     def count_flops(self, input_shape):
         """Return (counted FLOPs, output shape) for ``input_shape``.
 
@@ -123,7 +119,7 @@ def _check_conv_geometry(x_shape, k_shape, stride, padding, transposed=False):
     if len(k_shape) != 5:
         raise ValueError(f"conv: expected rank-5 kernel, got {k_shape}")
     if any(s < 1 for s in stride):
-        raise ValueError(f"conv: strides must be positive, got {stride}")
+        raise ValueError(f"conv: stride must be positive on every axis, got {stride}")
     if any(p < 0 for p in padding):
         raise ValueError(f"conv: padding must be non-negative, got {padding}")
     if any(k < 1 for k in k_shape[2:]):
@@ -305,10 +301,8 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(
-            kaiming_uniform(rng, (out_features, in_features), in_features, dtype),
-            name="weight")
-        self.bias = (Parameter(np.zeros(out_features, dtype=dtype), name="bias")
-                     if bias else None)
+            kaiming_uniform(rng, (out_features, in_features), in_features, dtype))
+        self.bias = Parameter(np.zeros(out_features, dtype=dtype)) if bias else None
 
     def forward(self, x):
         return linear(x, self.weight, self.bias)
@@ -329,8 +323,8 @@ class _AffineNorm(Module):
             raise ValueError(f"eps must be positive, got {eps}")
         self.channels = channels
         self.eps = float(eps)
-        self.gamma = Parameter(np.ones(channels, dtype=dtype), name="gamma") if affine else None
-        self.beta = Parameter(np.zeros(channels, dtype=dtype), name="beta") if affine else None
+        self.gamma = Parameter(np.ones(channels, dtype=dtype)) if affine else None
+        self.beta = Parameter(np.zeros(channels, dtype=dtype)) if affine else None
 
     def forward(self, x):
         if x.ndim != 5 or x.shape[1] != self.channels:
@@ -375,10 +369,8 @@ class Conv(Module):
         self.padding = same_padding(ks) if padding == "same" else _triple(padding, "padding")
         fan_in = in_channels * math.prod(ks)
         self.kernel = Parameter(
-            kaiming_uniform(rng, (out_channels, in_channels) + ks, fan_in, dtype),
-            name="kernel")
-        self.bias = (Parameter(np.zeros(out_channels, dtype=dtype), name="bias")
-                     if bias else None)
+            kaiming_uniform(rng, (out_channels, in_channels) + ks, fan_in, dtype))
+        self.bias = Parameter(np.zeros(out_channels, dtype=dtype)) if bias else None
 
     def forward(self, x):
         return conv_nd(x, self.kernel, self.stride, self.padding, self.bias)
@@ -402,10 +394,8 @@ class ConvTranspose(Module):
         self.padding = _triple(padding, "padding")
         fan_in = in_channels * math.prod(ks)
         self.kernel = Parameter(
-            kaiming_uniform(rng, (in_channels, out_channels) + ks, fan_in, dtype),
-            name="kernel")
-        self.bias = (Parameter(np.zeros(out_channels, dtype=dtype), name="bias")
-                     if bias else None)
+            kaiming_uniform(rng, (in_channels, out_channels) + ks, fan_in, dtype))
+        self.bias = Parameter(np.zeros(out_channels, dtype=dtype)) if bias else None
 
     def forward(self, x):
         return conv_transpose_nd(x, self.kernel, self.stride, self.padding, self.bias)

@@ -114,40 +114,53 @@ def iou(pred, gt, class_id):
 # distance metrics
 # ---------------------------------------------------------------------------
 
-def hausdorff(pred, gt, class_id, percentile=95):
-    """Percentile (95 or 100) of the pooled directed surface distances in mm,
-    both directions pooled together.  ``None`` when either mask is empty."""
-    if percentile not in (95, 100):
-        raise ValueError(f"percentile must be 95 or 100, got {percentile}")
+def _surface_distances(pred, gt, class_id):
+    """Directed surface distances in mm of one class, (pred -> gt, gt -> pred).
+    Two empty arrays when both masks are empty; ``None`` when exactly one is."""
     _check_pair(pred, gt, physical=True)
     p_pts = surface_points_mm(_class_mask(pred, class_id), pred.spacing_mm)
     g_pts = surface_points_mm(_class_mask(gt, class_id), gt.spacing_mm)
+    if len(p_pts) == 0 and len(g_pts) == 0:
+        return np.empty(0), np.empty(0)
     if len(p_pts) == 0 or len(g_pts) == 0:
         return None
-    pooled = np.concatenate([_directed_distances(p_pts, g_pts),
-                             _directed_distances(g_pts, p_pts)])
+    return _directed_distances(p_pts, g_pts), _directed_distances(g_pts, p_pts)
+
+
+def _hausdorff_of(dists, percentile):
+    if percentile not in (95, 100):
+        raise ValueError(f"percentile must be 95 or 100, got {percentile}")
+    if dists is None or len(dists[0]) == 0:
+        return None
+    pooled = np.concatenate(dists)
     if percentile == 100:
         return float(pooled.max())
     return float(np.percentile(pooled, 95))
+
+
+def _surface_dice_of(dists, tolerance_mm):
+    if tolerance_mm < 0:
+        raise ValueError(f"tolerance_mm must be >= 0, got {tolerance_mm}")
+    if dists is None:
+        return None
+    d_pg, d_gp = dists
+    if len(d_pg) == 0:
+        return 1.0
+    hits = int((d_pg <= tolerance_mm).sum()) + int((d_gp <= tolerance_mm).sum())
+    return hits / (len(d_pg) + len(d_gp))
+
+
+def hausdorff(pred, gt, class_id, percentile=95):
+    """Percentile (95 or 100) of the pooled directed surface distances in mm,
+    both directions pooled together.  ``None`` when either mask is empty."""
+    return _hausdorff_of(_surface_distances(pred, gt, class_id), percentile)
 
 
 def surface_dice(pred, gt, class_id, tolerance_mm):
     """Fraction of pooled surface points lying within ``tolerance_mm`` of the
     other surface.  1.0 when both masks are empty; ``None`` when exactly one
     is empty."""
-    if tolerance_mm < 0:
-        raise ValueError(f"tolerance_mm must be >= 0, got {tolerance_mm}")
-    _check_pair(pred, gt, physical=True)
-    p_pts = surface_points_mm(_class_mask(pred, class_id), pred.spacing_mm)
-    g_pts = surface_points_mm(_class_mask(gt, class_id), gt.spacing_mm)
-    if len(p_pts) == 0 and len(g_pts) == 0:
-        return 1.0
-    if len(p_pts) == 0 or len(g_pts) == 0:
-        return None
-    d_pg = _directed_distances(p_pts, g_pts)
-    d_gp = _directed_distances(g_pts, p_pts)
-    hits = int((d_pg <= tolerance_mm).sum()) + int((d_gp <= tolerance_mm).sum())
-    return hits / (len(d_pg) + len(d_gp))
+    return _surface_dice_of(_surface_distances(pred, gt, class_id), tolerance_mm)
 
 
 def nvd(pred, gt, class_id):
@@ -171,16 +184,19 @@ REPORT_COLUMNS = ("case", "class", "dice", "iou", "surface_dice",
 
 
 def evaluate_case(pred, gt, num_classes, tolerance_mm=1.0, percentile=95):
-    """All metrics for every foreground class; one dict per class."""
+    """All metrics for every foreground class; one dict per class.  Surface
+    Dice and Hausdorff share one surface extraction and one distance query
+    per direction."""
     rows = []
     for c in range(1, num_classes):
+        dists = _surface_distances(pred, gt, c)
         rows.append({
             "class": c,
             "dice": dice(pred, gt, c),
             "iou": iou(pred, gt, c),
-            "surface_dice": surface_dice(pred, gt, c, tolerance_mm),
+            "surface_dice": _surface_dice_of(dists, tolerance_mm),
             "nvd_percent": nvd(pred, gt, c),
-            "hausdorff_mm": hausdorff(pred, gt, c, percentile),
+            "hausdorff_mm": _hausdorff_of(dists, percentile),
         })
     return rows
 

@@ -17,6 +17,7 @@ downsampling first).
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "StagePlan",
     "PHNet",
     "plan_stages",
+    "hwd_to_dhw",
     "count_params",
     "save_checkpoint",
     "load_checkpoint",
@@ -95,6 +97,12 @@ class StagePlan:
     kernel: tuple
     channels_in: int
     channels_out: int
+
+
+def hwd_to_dhw(patch_size_hwd):
+    """A configuration patch size (H, W, D) as grid extents (D, H, W)."""
+    h, w, d = (int(n) for n in patch_size_hwd)
+    return d, h, w
 
 
 def _round_half_up(x):
@@ -233,7 +241,7 @@ class PHNet(Module):
         rng = np.random.default_rng(seed)
         self.cfg = cfg
         self.plan = plan_stages(cfg)
-        feat = self._feature_sizes(cfg.patch_size)  # validates the patch size
+        feat = self._feature_sizes(hwd_to_dhw(cfg.patch_size))  # validates the patch size
 
         self.stages = []
         for i, plan in enumerate(self.plan):
@@ -265,18 +273,17 @@ class PHNet(Module):
 
     # -- geometry ----------------------------------------------------------
 
-    def _feature_sizes(self, patch_size):
+    def _feature_sizes(self, input_dhw):
         """Per-stage (D, H, W) feature extents, index 0 = input; raises if
         any stage's stride does not divide its input extents."""
-        h, w, d = patch_size
-        sizes = [(d, h, w)]
+        sizes = [tuple(input_dhw)]
         for i, plan in enumerate(self.plan):
             cur = sizes[-1]
             for axis_name, extent, s in zip("DHW", cur, plan.stride):
                 if extent % s:
                     raise ValueError(
                         f"stage {i}: axis {axis_name} extent {extent} is not divisible "
-                        f"by stride {s} (patch (H,W,D)={tuple(patch_size)})")
+                        f"by stride {s} (input (D,H,W)={sizes[0]})")
             sizes.append(tuple(n // s for n, s in zip(cur, plan.stride)))
         return sizes
 
@@ -300,8 +307,7 @@ class PHNet(Module):
         if x.ndim != 5 or x.shape[1] != self.cfg.in_channels:
             raise ValueError(
                 f"expected input (B,{self.cfg.in_channels},D,H,W), got {x.shape}")
-        d, h, w = x.shape[2:]
-        feat = self._feature_sizes((h, w, d))
+        feat = self._feature_sizes(x.shape[2:])
         self._check_mlpp_divisibility(feat)
 
         skips = []
@@ -378,25 +384,43 @@ def save_checkpoint(net, path, meta=None):
         f.write(bytes(payload))
 
 
+def _read_checkpoint_header(f, path):
+    """Parse and validate the manifest line of checkpoint file ``f``, leaving
+    ``f`` at the start of the payload.  Raises ``ValueError`` for a foreign
+    or malformed header and for a payload whose length is not the total the
+    parameter entries declare (a truncated file or trailing bytes)."""
+    manifest = json.loads(f.readline().decode("utf-8"))
+    if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+    if not (isinstance(manifest.get("meta"), dict)
+            and isinstance(manifest.get("params"), list)):
+        raise ValueError(f"{path}: header needs a 'meta' object and a 'params' list")
+    declared = 0
+    for e in manifest["params"]:
+        if not (isinstance(e, dict) and {"name", "shape", "offset"} <= e.keys()
+                and isinstance(e["offset"], int) and isinstance(e["shape"], list)
+                and all(isinstance(n, int) and n >= 0 for n in e["shape"])):
+            raise ValueError(f"{path}: malformed parameter entry {e!r}")
+        declared += 4 * math.prod(e["shape"])
+    payload = os.fstat(f.fileno()).st_size - f.tell()
+    if payload != declared:
+        raise ValueError(
+            f"{path}: payload is {payload} bytes, parameter entries declare {declared}")
+    return manifest
+
+
 def read_checkpoint_meta(path):
     """Manifest metadata of a checkpoint without loading the payload."""
     with open(path, "rb") as f:
-        header = f.readline()
-    manifest = json.loads(header.decode("utf-8"))
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    return manifest["meta"]
+        return _read_checkpoint_header(f, path)["meta"]
 
 
 def load_checkpoint(net, path):
     """Load parameters saved by ``save_checkpoint`` into ``net`` (shapes are
     validated parameter by parameter); returns the manifest metadata."""
     with open(path, "rb") as f:
-        header = f.readline()
+        manifest = _read_checkpoint_header(f, path)
         payload = f.read()
-    manifest = json.loads(header.decode("utf-8"))
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     by_name = {e["name"]: e for e in manifest["params"]}
     params = dict(net.named_parameters())
     if set(by_name) != set(params):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -8,15 +6,17 @@ from phnet.autograd import (
     Parameter,
     backward,
     broadcast_to,
+    add,
     concat,
-    elementwise,
     grad_check,
     log_softmax,
     matmul,
+    mul,
     no_grad,
     permute,
-    reduce,
+    relu,
     reshape,
+    scale,
     trace,
 )
 
@@ -91,18 +91,6 @@ def test_reshape_of_permuted_view():
     np.testing.assert_array_equal(out.data, x.T.reshape(-1))
 
 
-def test_strides_and_offset_of_views():
-    t = Tensor(np.arange(24.0).reshape(2, 3, 4))
-    assert t.is_contiguous()
-    assert t.strides == (12, 4, 1)
-    assert t.offset == 0
-    assert math.prod(t.shape) <= t.buffer.size - t.offset
-    v = permute(t, (2, 0, 1))
-    assert v.strides == (1, 12, 4)
-    assert not v.is_contiguous()
-    assert v.materialize().is_contiguous()
-
-
 # ---------------------------------------------------------------------------
 # matmul
 # ---------------------------------------------------------------------------
@@ -159,18 +147,18 @@ def test_matmul_dim_mismatch():
 
 def test_add_identity():
     x = rand((4,), seed=9)
-    out = elementwise("add", Tensor(x), Tensor(np.zeros(4)))
+    out = add(Tensor(x), Tensor(np.zeros(4)))
     np.testing.assert_array_equal(out.data, x)
 
 
 def test_mul_identity():
     x = rand((4,), seed=10)
-    out = elementwise("mul", Tensor(x), Tensor(np.ones(4)))
+    out = mul(Tensor(x), Tensor(np.ones(4)))
     np.testing.assert_array_equal(out.data, x)
 
 
 def test_relu_definition():
-    out = elementwise("relu", Tensor([-1.0, 0.0, 2.0]))
+    out = relu(Tensor([-1.0, 0.0, 2.0]))
     np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
 
@@ -182,16 +170,11 @@ def test_relu_grad_zero_at_zero():
 
 def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
-        elementwise("add", Tensor(np.zeros(3)), Tensor(np.zeros(4)))
-
-
-def test_unknown_elementwise_op():
-    with pytest.raises(ValueError):
-        elementwise("xor", Tensor(np.zeros(3)))
+        add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
 
 def test_scale_preserves_float32():
-    out = elementwise("scale", Tensor(np.zeros(3, dtype=np.float32)), 0.5)
+    out = scale(Tensor(np.zeros(3, dtype=np.float32)), 0.5)
     assert out.dtype == np.float32
 
 
@@ -204,35 +187,41 @@ def test_gelu_values():
 
 
 # ---------------------------------------------------------------------------
-# reduce
+# reductions
 # ---------------------------------------------------------------------------
 
+def population_variance(t):
+    """Population variance composed from the differentiable tensor ops."""
+    d = t - t.mean(keepdims=True).broadcast_to(t.shape)
+    return (d * d).mean()
+
+
 def test_sum_all_axes():
-    assert reduce(Tensor(np.ones((2, 3))), None, "sum").item() == 6.0
+    assert Tensor(np.ones((2, 3))).sum().item() == 6.0
 
 
 def test_mean_and_var_of_constant():
     t = Tensor(np.full((3, 4), 2.5))
-    assert reduce(t, None, "mean").item() == 2.5
-    assert reduce(t, None, "var").item() == 0.0
+    assert t.mean().item() == 2.5
+    assert population_variance(t).item() == 0.0
 
 
 def test_var_hand_formula():
-    assert abs(reduce(Tensor([1.0, 2.0, 3.0]), None, "var").item() - 2.0 / 3.0) < 1e-15
+    assert abs(population_variance(Tensor([1.0, 2.0, 3.0])).item() - 2.0 / 3.0) < 1e-15
 
 
 def test_reduce_axis_subset():
     x = rand((2, 3, 4), seed=11)
-    out = reduce(Tensor(x), (0, 2), "sum")
+    out = Tensor(x).sum(axes=(0, 2))
     np.testing.assert_allclose(out.data, x.sum(axis=(0, 2)), atol=1e-12)
     assert out.shape == (3,)
 
 
 def test_reduce_invalid_axis():
     with pytest.raises(ValueError):
-        reduce(Tensor(np.zeros((2, 3))), (2,), "sum")
+        Tensor(np.zeros((2, 3))).sum(axes=(2,))
     with pytest.raises(ValueError):
-        reduce(Tensor(np.zeros((2, 3))), (0, 0), "mean")
+        Tensor(np.zeros((2, 3))).mean(axes=(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +362,7 @@ def test_grad_check_rejects_nonscalar():
 
 
 def test_parameter_reset():
-    p = Parameter(rand((3,), seed=26), name="w")
+    p = Parameter(rand((3,), seed=26))
     backward((p * p).sum())
     assert np.any(p.grad != 0)
     p.reset_grad()

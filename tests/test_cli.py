@@ -194,6 +194,58 @@ class TestEvalCLI:
 
 
 # ---------------------------------------------------------------------------
+# malformed checkpoints
+# ---------------------------------------------------------------------------
+
+def _drop_param_key(key):
+    def edit(header, payload):
+        del header["params"][0][key]
+        return header, payload
+    return edit
+
+
+def _drop_top_key(key):
+    def edit(header, payload):
+        del header[key]
+        return header, payload
+    return edit
+
+
+MALFORMED = {
+    "header_not_object": lambda h, p: ([1, 2], p),
+    "format_only": lambda h, p: ({"format": h["format"]}, p),
+    "no_meta": _drop_top_key("meta"),
+    "no_params": _drop_top_key("params"),
+    "entry_without_name": _drop_param_key("name"),
+    "entry_without_shape": _drop_param_key("shape"),
+    "entry_without_offset": _drop_param_key("offset"),
+    "truncated_payload": lambda h, p: (h, p[:-4]),
+    "trailing_bytes": lambda h, p: (h, p + bytes(4)),
+}
+
+
+class TestMalformedCheckpoint:
+    @pytest.fixture(params=sorted(MALFORMED))
+    def bad_checkpoint(self, request, trained, tmp_path):
+        raw = (trained / "best.ckpt").read_bytes()
+        line, payload = raw.split(b"\n", 1)
+        header, payload = MALFORMED[request.param](json.loads(line), payload)
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        return path
+
+    def test_eval_exits_2(self, bad_checkpoint, dataset, capsys):
+        code = main(["eval", "--checkpoint", str(bad_checkpoint),
+                     "--data-dir", str(dataset)])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_flops_exits_2(self, bad_checkpoint, capsys):
+        assert main(["flops", "--checkpoint", str(bad_checkpoint)]) == 2
+        assert "error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # bench and flops
 # ---------------------------------------------------------------------------
 

@@ -8,11 +8,13 @@ independent per-voxel gather-and-average oracle.
 import csv
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
 
 from phnet import autograd as ag
+from phnet import harness
 from phnet.data import (
     LabelVolume,
     SyntheticSpec,
@@ -408,6 +410,43 @@ class TestEvaluate:
             by_case.setdefault(r["case"], []).append(r)
         assert "error" not in by_case["case_000"][0]
         assert "larger than case" in by_case["case_001"][0]["error"]
+
+    def test_reads_only_the_requested_split(self, trained, dataset, tmp_path):
+        root = tmp_path / "d"
+        shutil.copytree(dataset, root)
+        (root / "case_000_img.raw").write_bytes(b"corrupt")   # a train case
+        rows = evaluate(trained["checkpoint"], root, split="val")
+        assert [r["case"] for r in rows] == ["case_003"]
+        assert "error" not in rows[0]
+
+    def test_resamples_each_off_spacing_case_once(self, trained, tmp_path,
+                                                 monkeypatch):
+        # two cases at half the model spacing, one at the model spacing
+        root = tmp_path / "d"
+        root.mkdir()
+        cases = []
+        for i, (shape, spacing) in enumerate([((16, 32, 32), (0.5, 0.5, 2.0)),
+                                              (SHAPE, SPACING),
+                                              ((16, 32, 32), (0.5, 0.5, 2.0))]):
+            spec = SyntheticSpec(shape=shape, spacing_mm=spacing,
+                                 radius_range_mm=(3.0, 5.0), seed=200 + i)
+            vol, lab = generate_synthetic_case(spec)
+            write_volume(root / f"case_{i:03d}_img", vol)
+            write_volume(root / f"case_{i:03d}_lbl", lab)
+            cases.append((f"case_{i:03d}", "val"))
+        write_manifest(root / "manifest.json", cases, extra={"num_classes": 2})
+        calls = []
+        orig = harness.resample_to_spacing
+
+        def counting(vol, target):
+            calls.append(tuple(vol.spacing_mm))
+            return orig(vol, target)
+
+        monkeypatch.setattr(harness, "resample_to_spacing", counting)
+        rows = evaluate(trained["checkpoint"], root)
+        assert sorted({r["case"] for r in rows}) == ["case_000", "case_001", "case_002"]
+        assert not any(r.get("error") for r in rows)
+        assert calls == [(0.5, 0.5, 2.0)] * 2
 
     def test_missing_split_rejected(self, trained, dataset):
         with pytest.raises(ValueError, match="split"):

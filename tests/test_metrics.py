@@ -330,6 +330,41 @@ class TestReport:
         assert rows[1]["dice"] == 1.0
         assert rows[1]["hausdorff_mm"] is None
 
+    @pytest.mark.parametrize("percentile", [95, 100])
+    def test_shared_surface_path_matches_standalone_metrics(self, percentile):
+        # classes 1-2 in both masks, 3 only in the reference, 4 only in the
+        # prediction, 5 in neither
+        rng = np.random.default_rng(14)
+        spacing = (0.7, 0.9, 2.5)
+        shape = (6, 14, 12)
+        pred = rng.integers(0, 3, size=shape).astype(np.uint8)
+        ref = rng.integers(0, 3, size=shape).astype(np.uint8)
+        ref[1:3, 2:6, 3:7] = 3
+        pred[3:5, 8:12, 1:4] = 4
+        a, b = lv(pred, spacing), lv(ref, spacing)
+        rows = evaluate_case(a, b, num_classes=6, tolerance_mm=1.2,
+                             percentile=percentile)
+        for r in rows:
+            c = r["class"]
+            assert r["surface_dice"] == surface_dice(a, b, c, 1.2)
+            assert r["hausdorff_mm"] == hausdorff(a, b, c, percentile)
+        by_class = {r["class"]: r for r in rows}
+        assert all(isinstance(by_class[c]["hausdorff_mm"], float) for c in (1, 2))
+        for c in (3, 4):
+            assert by_class[c]["surface_dice"] is None
+            assert by_class[c]["hausdorff_mm"] is None
+        assert by_class[5]["surface_dice"] == 1.0
+        assert by_class[5]["hausdorff_mm"] is None
+
+    def test_evaluate_case_rejects_bad_arguments(self):
+        a, b = random_label_pair(np.random.default_rng(15))
+        with pytest.raises(ValueError, match="tolerance"):
+            evaluate_case(a, b, num_classes=2, tolerance_mm=-0.5)
+        with pytest.raises(ValueError, match="percentile"):
+            evaluate_case(a, b, num_classes=2, percentile=90)
+        with pytest.raises(ValueError, match="spacing"):
+            evaluate_case(a, lv(b.grid, (1.0, 1.0, 2.0)), num_classes=2)
+
     def test_csv_layout_and_mean_row(self, tmp_path):
         rows = [
             {"case": "case_000", "class": 1, "dice": 0.8, "iou": 0.5,
