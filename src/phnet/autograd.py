@@ -7,8 +7,9 @@ on a scalar node walks the DAG in reverse topological order and accumulates
 gradients (summing where a node feeds several consumers).
 
 Shapes must match exactly for binary elementwise ops; the only implicit
-broadcast is multiplication by a python scalar (``scale``). Anything else
-goes through the explicit ``broadcast_to``.
+broadcasts are by a python scalar (``scale``, ``add_scalar``). Fused
+primitives that apply per-channel parameters (convolution bias, linear maps,
+normalization) broadcast them inside their own node.
 """
 
 from __future__ import annotations
@@ -117,9 +118,6 @@ class Tensor:
     def reshape(self, new_shape):
         return reshape(self, new_shape)
 
-    def broadcast_to(self, shape):
-        return broadcast_to(self, shape)
-
     def sum(self, axes=None, keepdims=False):
         return _sum(self, axes, keepdims)
 
@@ -134,9 +132,6 @@ class Tensor:
 
     def exp(self):
         return exp(self)
-
-    def sqrt(self):
-        return sqrt(self)
 
     def backward(self):
         backward(self)
@@ -232,11 +227,6 @@ def exp(t):
     return make_node(out, (t,), "exp", lambda g: (g * out,))
 
 
-def sqrt(t):
-    out = np.sqrt(t.data)
-    return make_node(out, (t,), "sqrt", lambda g: (g * (0.5 / out),))
-
-
 # ---------------------------------------------------------------------------
 # shape ops
 # ---------------------------------------------------------------------------
@@ -259,26 +249,6 @@ def reshape(t, new_shape):
     # np.reshape copies non-contiguous inputs before reinterpreting
     return make_node(np.reshape(t.data, new_shape), (t,), "reshape",
                      lambda g: (np.reshape(g, old_shape),))
-
-
-def broadcast_to(t, shape):
-    shape = tuple(int(n) for n in shape)
-    try:
-        out = np.broadcast_to(t.data, shape)
-    except ValueError:
-        raise ValueError(f"broadcast_to: cannot expand {t.shape} to {shape}") from None
-    old_shape = t.shape
-
-    def bk(g):
-        extra = g.ndim - len(old_shape)
-        if extra:
-            g = g.sum(axis=tuple(range(extra)))
-        axes = tuple(i for i, n in enumerate(old_shape) if n == 1 and g.shape[i] != 1)
-        if axes:
-            g = g.sum(axis=axes, keepdims=True)
-        return (g,)
-
-    return make_node(out, (t,), "broadcast_to", bk)
 
 
 def concat(tensors, axis):

@@ -11,17 +11,7 @@ import math
 
 import numpy as np
 
-from .autograd import (
-    Parameter,
-    Tensor,
-    add_scalar,
-    broadcast_to,
-    make_node,
-    matmul,
-    permute,
-    reshape,
-    sqrt,
-)
+from .autograd import Parameter, make_node
 
 __all__ = [
     "Module",
@@ -36,7 +26,7 @@ __all__ = [
     "conv_nd",
     "conv_transpose_nd",
     "linear",
-    "normalize",
+    "affine_norm",
     "kaiming_uniform",
     "same_padding",
     "conv_output_extent",
@@ -271,38 +261,78 @@ def conv_transpose_nd(x, kernel, stride=1, padding=0, bias=None):
 # ---------------------------------------------------------------------------
 
 def linear(x, weight, bias=None):
-    """Affine map along the last axis: x (..., in) -> (..., out).
+    """Affine map along the last axis: x (..., in) -> (..., out), computed as
+    ``x @ weight.T + bias`` in one tape node.
 
     ``weight`` is stored (out, in); ``bias`` is (out,).
     """
     if x.shape[-1] != weight.shape[1]:
         raise ValueError(
             f"linear: input feature size {x.shape[-1]} != weight input size {weight.shape[1]}")
-    lead = x.shape[:-1]
-    y = matmul(reshape(x, (math.prod(lead), x.shape[-1])), permute(weight, (1, 0)))
+    if bias is not None and bias.shape != (weight.shape[0],):
+        raise ValueError(f"linear: bias shape {bias.shape} != ({weight.shape[0]},)")
+    wd = weight.data
+    x2 = x.data.reshape(-1, x.shape[-1])
+    y = x2 @ wd.T
+    parents = (x, weight)
     if bias is not None:
-        if bias.shape != (weight.shape[0],):
-            raise ValueError(f"linear: bias shape {bias.shape} != ({weight.shape[0]},)")
-        y = y + broadcast_to(reshape(bias, (1, weight.shape[0])), y.shape)
-    return reshape(y, lead + (weight.shape[0],))
+        y += bias.data
+        parents += (bias,)
+
+    def bk(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        grads = ((g2 @ wd).reshape(x.shape), g2.T @ x2)
+        if bias is not None:
+            grads += (g2.sum(axis=0),)
+        return grads
+
+    return make_node(y.reshape(x.shape[:-1] + (wd.shape[0],)), parents, "linear", bk)
 
 
-def normalize(x, axes, eps):
-    """(x - mean) / sqrt(var + eps) over ``axes`` (population variance)."""
-    m = broadcast_to(x.mean(axes, keepdims=True), x.shape)
-    centered = x - m
-    v = (centered * centered).mean(axes, keepdims=True)
-    return centered / broadcast_to(sqrt(add_scalar(v, eps)), x.shape)
+_NORM_EPS = 1e-5
+
+
+def affine_norm(x, gamma, beta, axes):
+    """gamma * (x - mean) / sqrt(var + _NORM_EPS) + beta on a (B,C,D,H,W) map,
+    with mean and population variance over ``axes`` and per-channel
+    ``gamma``/``beta`` of shape (C,).
+
+    One tape node; the backward is the closed form of Ioffe & Szegedy (2015):
+    with x^ the normalized input and h = g * gamma,
+    dx = (h - mean(h) - x^ * mean(h * x^)) / sqrt(var + eps).
+    """
+    if x.ndim != 5 or gamma.shape != (x.shape[1],) or beta.shape != gamma.shape:
+        raise ValueError(f"norm: expected (B,C,D,H,W) input with (C,) gamma and beta, "
+                         f"got {x.shape}, {gamma.shape} and {beta.shape}")
+    # in-place updates keep fewer full-size temporaries alive at once
+    xhat = x.data - x.data.mean(axis=axes, keepdims=True)
+    inv_std = 1.0 / np.sqrt((xhat * xhat).mean(axis=axes, keepdims=True) + _NORM_EPS)
+    xhat *= inv_std
+    gd = gamma.data.reshape(1, -1, 1, 1, 1)
+    out = xhat * gd
+    out += beta.data.reshape(1, -1, 1, 1, 1)
+
+    def bk(g):
+        gx = g * xhat
+        dgamma = gx.sum(axis=(0, 2, 3, 4))
+        gx *= gd                                    # h * x^
+        dx = g * gd                                 # h
+        dx -= dx.mean(axis=axes, keepdims=True)
+        dx -= xhat * gx.mean(axis=axes, keepdims=True)
+        dx *= inv_std
+        return dx, dgamma, g.sum(axis=(0, 2, 3, 4))
+
+    return make_node(out, (x, gamma, beta), "affine_norm", bk)
 
 
 class Linear(Module):
-    def __init__(self, in_features, out_features, bias=True, rng=None, dtype=np.float32):
+    def __init__(self, in_features, out_features, rng=None, dtype=np.float32):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(
             kaiming_uniform(rng, (out_features, in_features), in_features, dtype))
-        self.bias = Parameter(np.zeros(out_features, dtype=dtype)) if bias else None
+        self.bias = Parameter(np.zeros(out_features, dtype=dtype))
 
     def forward(self, x):
         return linear(x, self.weight, self.bias)
@@ -314,28 +344,16 @@ class Linear(Module):
 
 
 class _AffineNorm(Module):
-    """Normalize over fixed axes of a (B,C,D,H,W) map, then per-channel affine."""
+    """``affine_norm`` over fixed axes of a (B,C,D,H,W) map."""
 
     axes = ()
 
-    def __init__(self, channels, eps=1e-5, affine=True, dtype=np.float32):
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        self.channels = channels
-        self.eps = float(eps)
-        self.gamma = Parameter(np.ones(channels, dtype=dtype)) if affine else None
-        self.beta = Parameter(np.zeros(channels, dtype=dtype)) if affine else None
+    def __init__(self, channels, dtype=np.float32):
+        self.gamma = Parameter(np.ones(channels, dtype=dtype))
+        self.beta = Parameter(np.zeros(channels, dtype=dtype))
 
     def forward(self, x):
-        if x.ndim != 5 or x.shape[1] != self.channels:
-            raise ValueError(
-                f"norm: expected (B,{self.channels},D,H,W), got {x.shape}")
-        y = normalize(x, self.axes, self.eps)
-        if self.gamma is not None:
-            cshape = (1, self.channels, 1, 1, 1)
-            y = y * broadcast_to(reshape(self.gamma, cshape), x.shape)
-            y = y + broadcast_to(reshape(self.beta, cshape), x.shape)
-        return y
+        return affine_norm(x, self.gamma, self.beta, self.axes)
 
     def count_flops(self, input_shape):
         return 0, input_shape

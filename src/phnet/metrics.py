@@ -88,43 +88,53 @@ def _directed_distances(src_pts, dst_pts):
 # overlap metrics
 # ---------------------------------------------------------------------------
 
+def _class_masks(pred, gt, class_id):
+    return _class_mask(pred, class_id), _class_mask(gt, class_id)
+
+
+def _overlap_metrics(p, g, spacing_mm):
+    """Dice, IoU and normalized volume difference of two boolean masks, all
+    from one set of voxel counts."""
+    n_p, n_g = int(p.sum()), int(g.sum())
+    n_pg = int(np.logical_and(p, g).sum())
+    voxel_mm3 = math.prod(spacing_mm)
+    v_p, v_g = n_p * voxel_mm3, n_g * voxel_mm3
+    return {"dice": 2.0 * n_pg / (n_p + n_g) if n_p + n_g else 1.0,
+            "iou": n_pg / (n_p + n_g - n_pg) if n_p + n_g - n_pg else 1.0,
+            "nvd_percent": 100.0 * abs(v_p - v_g) / v_g if v_g else None}
+
+
 def dice(pred, gt, class_id):
     """2|P∩G| / (|P|+|G|); 1.0 when both masks are empty."""
     _check_pair(pred, gt, physical=False)
-    p = _class_mask(pred, class_id)
-    g = _class_mask(gt, class_id)
-    denom = int(p.sum()) + int(g.sum())
-    if denom == 0:
-        return 1.0
-    return 2.0 * int(np.logical_and(p, g).sum()) / denom
+    return _overlap_metrics(*_class_masks(pred, gt, class_id), gt.spacing_mm)["dice"]
 
 
 def iou(pred, gt, class_id):
     """|P∩G| / |P∪G|; 1.0 when both masks are empty."""
     _check_pair(pred, gt, physical=False)
-    p = _class_mask(pred, class_id)
-    g = _class_mask(gt, class_id)
-    union = int(np.logical_or(p, g).sum())
-    if union == 0:
-        return 1.0
-    return int(np.logical_and(p, g).sum()) / union
+    return _overlap_metrics(*_class_masks(pred, gt, class_id), gt.spacing_mm)["iou"]
 
 
 # ---------------------------------------------------------------------------
 # distance metrics
 # ---------------------------------------------------------------------------
 
-def _surface_distances(pred, gt, class_id):
-    """Directed surface distances in mm of one class, (pred -> gt, gt -> pred).
+def _surface_distances_of(p, g, spacing_mm):
+    """Directed surface distances in mm between two masks, (p -> g, g -> p).
     Two empty arrays when both masks are empty; ``None`` when exactly one is."""
-    _check_pair(pred, gt, physical=True)
-    p_pts = surface_points_mm(_class_mask(pred, class_id), pred.spacing_mm)
-    g_pts = surface_points_mm(_class_mask(gt, class_id), gt.spacing_mm)
+    p_pts = surface_points_mm(p, spacing_mm)
+    g_pts = surface_points_mm(g, spacing_mm)
     if len(p_pts) == 0 and len(g_pts) == 0:
         return np.empty(0), np.empty(0)
     if len(p_pts) == 0 or len(g_pts) == 0:
         return None
     return _directed_distances(p_pts, g_pts), _directed_distances(g_pts, p_pts)
+
+
+def _surface_distances(pred, gt, class_id):
+    _check_pair(pred, gt, physical=True)
+    return _surface_distances_of(*_class_masks(pred, gt, class_id), gt.spacing_mm)
 
 
 def _hausdorff_of(dists, percentile):
@@ -167,12 +177,8 @@ def nvd(pred, gt, class_id):
     """Normalized volume difference: 100 * |V_pred - V_gt| / V_gt with
     volumes in mm^3.  ``None`` when the reference mask is empty."""
     _check_pair(pred, gt, physical=True)
-    voxel_mm3 = math.prod(gt.spacing_mm)
-    v_p = int(_class_mask(pred, class_id).sum()) * voxel_mm3
-    v_g = int(_class_mask(gt, class_id).sum()) * voxel_mm3
-    if v_g == 0:
-        return None
-    return 100.0 * abs(v_p - v_g) / v_g
+    return _overlap_metrics(*_class_masks(pred, gt, class_id),
+                            gt.spacing_mm)["nvd_percent"]
 
 
 # ---------------------------------------------------------------------------
@@ -184,18 +190,22 @@ REPORT_COLUMNS = ("case", "class", "dice", "iou", "surface_dice",
 
 
 def evaluate_case(pred, gt, num_classes, tolerance_mm=1.0, percentile=95):
-    """All metrics for every foreground class; one dict per class.  Surface
-    Dice and Hausdorff share one surface extraction and one distance query
-    per direction."""
+    """All metrics for every foreground class; one dict per class.  Each
+    class's two masks are built once; Dice, IoU and volume difference share one
+    set of voxel counts, and surface Dice and Hausdorff one surface extraction and
+    one distance query per direction."""
+    _check_pair(pred, gt, physical=True)
     rows = []
     for c in range(1, num_classes):
-        dists = _surface_distances(pred, gt, c)
+        p, g = _class_masks(pred, gt, c)
+        overlap = _overlap_metrics(p, g, gt.spacing_mm)
+        dists = _surface_distances_of(p, g, gt.spacing_mm)
         rows.append({
             "class": c,
-            "dice": dice(pred, gt, c),
-            "iou": iou(pred, gt, c),
+            "dice": overlap["dice"],
+            "iou": overlap["iou"],
             "surface_dice": _surface_dice_of(dists, tolerance_mm),
-            "nvd_percent": nvd(pred, gt, c),
+            "nvd_percent": overlap["nvd_percent"],
             "hausdorff_mm": _hausdorff_of(dists, percentile),
         })
     return rows
@@ -228,57 +238,58 @@ def write_report_csv(path, rows):
 # training loss
 # ---------------------------------------------------------------------------
 
-def _check_labels(labels, num_classes, batch_shape):
+def _log_probs_and_one_hot(logits, labels):
+    """Class log-probabilities (one ``log_softmax`` node) and the checked
+    labels as a one-hot array shaped like ``logits``."""
+    b, k, *spatial = logits.shape
     lab = np.asarray(labels)
-    if lab.shape != batch_shape:
-        raise ValueError(f"labels shape {lab.shape} != expected {batch_shape}")
-    if lab.min() < 0 or lab.max() >= num_classes:
+    if lab.shape != (b, *spatial):
+        raise ValueError(f"labels shape {lab.shape} != expected {(b, *spatial)}")
+    if lab.min() < 0 or lab.max() >= k:
         raise ValueError(
-            f"label ids must lie in [0, {num_classes}), got range "
+            f"label ids must lie in [0, {k}), got range "
             f"[{int(lab.min())}, {int(lab.max())}]")
-    return lab.astype(np.int64)
+    eye = np.eye(k, dtype=logits.dtype)
+    onehot = eye[lab.reshape(-1).astype(np.int64)].reshape(lab.shape + (k,))
+    return ag.log_softmax(logits, axis=1), np.moveaxis(onehot, -1, 1)
 
 
-def _one_hot(labels, num_classes, dtype):
-    b, d, h, w = labels.shape
-    eye = np.eye(num_classes, dtype=dtype)
-    return np.moveaxis(eye[labels.reshape(-1)].reshape(b, d, h, w, num_classes),
-                       -1, 1)
+def _cross_entropy_of(logp, onehot):
+    n_vox = onehot.size // onehot.shape[1]
+    return ag.scale((logp * ag.Tensor(onehot)).sum(), -1.0 / n_vox)
+
+
+def _soft_dice_loss_of(logp, onehot, smooth):
+    k = onehot.shape[1]
+    if k < 2:
+        raise ValueError(f"need at least 2 classes, got {k}")
+    probs = logp.exp()
+    reduce_axes = (0,) + tuple(range(2, onehot.ndim))
+    inter = (probs * ag.Tensor(onehot)).sum(axes=reduce_axes)   # (K,)
+    psum = probs.sum(axes=reduce_axes)                          # (K,)
+    gsum = ag.Tensor(onehot.sum(axis=reduce_axes))
+    dice_per_class = (ag.scale(inter, 2.0) + float(smooth)) \
+        / (psum + gsum + float(smooth))                         # (K,)
+    fg_weight = np.zeros(k, dtype=onehot.dtype)
+    fg_weight[1:] = 1.0 / (k - 1)
+    mean_fg = (dice_per_class * ag.Tensor(fg_weight)).sum()
+    return -mean_fg + 1.0
 
 
 def cross_entropy(logits, labels):
     """Mean voxel-wise negative log-likelihood of the true class."""
-    b, k, *spatial = logits.shape
-    lab = _check_labels(labels, k, (b, *spatial))
-    onehot = ag.Tensor(_one_hot(lab, k, logits.dtype), requires_grad=False)
-    logp = ag.log_softmax(logits, axis=1)
-    n_vox = lab.size
-    return ag.scale((logp * onehot).sum(), -1.0 / n_vox)
+    return _cross_entropy_of(*_log_probs_and_one_hot(logits, labels))
 
 
 def soft_dice_loss(logits, labels, smooth=1e-5):
     """1 - mean over foreground classes of the smoothed soft Dice between
     softmax probabilities and the one-hot reference, pooled over batch and
     space."""
-    b, k, *spatial = logits.shape
-    if k < 2:
-        raise ValueError(f"need at least 2 classes, got {k}")
-    lab = _check_labels(labels, k, (b, *spatial))
-    onehot_np = _one_hot(lab, k, logits.dtype)
-    onehot = ag.Tensor(onehot_np, requires_grad=False)
-    probs = ag.log_softmax(logits, axis=1).exp()
-    reduce_axes = (0,) + tuple(range(2, logits.data.ndim))
-    inter = (probs * onehot).sum(axes=reduce_axes)          # (K,)
-    psum = probs.sum(axes=reduce_axes)                      # (K,)
-    gsum = ag.Tensor(onehot_np.sum(axis=reduce_axes), requires_grad=False)
-    dice_per_class = (ag.scale(inter, 2.0) + float(smooth)) \
-        / (psum + gsum + float(smooth))                     # (K,)
-    fg_weight = np.zeros(k, dtype=logits.dtype)
-    fg_weight[1:] = 1.0 / (k - 1)
-    mean_fg = (dice_per_class * ag.Tensor(fg_weight, requires_grad=False)).sum()
-    return -mean_fg + 1.0
+    return _soft_dice_loss_of(*_log_probs_and_one_hot(logits, labels), smooth)
 
 
 def dice_ce_loss(logits, labels, smooth=1e-5):
-    """Soft-Dice loss over foreground classes plus mean cross-entropy."""
-    return soft_dice_loss(logits, labels, smooth) + cross_entropy(logits, labels)
+    """Soft-Dice loss over foreground classes plus mean cross-entropy, sharing
+    one label check, one one-hot and one ``log_softmax``."""
+    logp, onehot = _log_probs_and_one_hot(logits, labels)
+    return _soft_dice_loss_of(logp, onehot, smooth) + _cross_entropy_of(logp, onehot)

@@ -13,11 +13,11 @@ from phnet.layers import (
     Linear,
     ResidualConvBlock,
     SeparableConvBlock,
+    affine_norm,
     conv_nd,
     conv_output_extent,
     conv_transpose_nd,
     linear,
-    normalize,
     same_padding,
 )
 
@@ -257,7 +257,7 @@ def test_linear_matches_matmul_plus_bias_oracle():
     w = rng.normal(size=(3, 5))
     b = rng.normal(size=(3,))
     out = linear(Tensor(x), Tensor(w), Tensor(b))
-    np.testing.assert_allclose(out.data, x @ w.T + b, atol=1e-12)
+    np.testing.assert_allclose(out.data, x @ w.T + b, rtol=0, atol=1e-12)
     assert out.shape == (4, 2, 3)
 
 
@@ -275,6 +275,26 @@ def test_linear_module_shapes_and_grad():
         return lin(x).sum()
 
     assert grad_check(f, Tensor(rng.normal(size=(3, 6))), h=1e-5) < 1e-8
+
+
+def grad_check_each_input(fn, inputs, rng):
+    """Finite-difference check of ``(fn(*inputs) * probe).sum()`` with a random
+    probe, once per input with the others held constant; worst relative error."""
+    probe = Tensor(rng.normal(size=fn(*map(Tensor, inputs)).shape))
+    errs = []
+    for i in range(len(inputs)):
+        def f(t, i=i):
+            args = [t if j == i else Tensor(v) for j, v in enumerate(inputs)]
+            return (fn(*args) * probe).sum()
+
+        errs.append(grad_check(f, Tensor(inputs[i]), h=1e-5))
+    return max(errs)
+
+
+def test_linear_grad_of_input_weight_and_bias():
+    rng = np.random.default_rng(30)
+    inputs = [rng.normal(size=(2, 3, 5)), rng.normal(size=(4, 5)), rng.normal(size=4)]
+    assert grad_check_each_input(linear, inputs, rng) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +358,28 @@ def test_channel_norm_normalizes_channel_axis():
     np.testing.assert_allclose(out.var(axis=1), 1.0, atol=1e-3)
 
 
-def test_normalize_composition_matches_numpy():
-    x = rand((2, 3, 4), seed=23)
-    out = normalize(Tensor(x), (1,), 1e-5).data
-    want = (x - x.mean(1, keepdims=True)) / np.sqrt(x.var(1, keepdims=True) + 1e-5)
-    np.testing.assert_allclose(out, want, atol=1e-12)
+NORM_AXES = pytest.mark.parametrize("axes", [(2, 3, 4), (1,)], ids=["instance", "channel"])
+
+
+@NORM_AXES
+def test_affine_norm_matches_numpy(axes):
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(2, 4, 3, 4, 5))
+    gamma, beta = rng.normal(size=4), rng.normal(size=4)
+    out = affine_norm(Tensor(x), Tensor(gamma), Tensor(beta), axes).data
+    c = (1, -1, 1, 1, 1)
+    want = (gamma.reshape(c) * (x - x.mean(axes, keepdims=True))
+            / np.sqrt(x.var(axes, keepdims=True) + 1e-5) + beta.reshape(c))
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+
+
+@NORM_AXES
+def test_affine_norm_grad_of_input_gamma_and_beta(axes):
+    # 4 channels: channel norm over 2 is sign-like and FD-degenerate
+    rng = np.random.default_rng(31)
+    inputs = [rng.normal(size=(2, 4, 2, 3, 3)), rng.normal(size=4), rng.normal(size=4)]
+    assert grad_check_each_input(lambda x, g, b: affine_norm(x, g, b, axes),
+                                 inputs, rng) < 1e-5
 
 
 # ---------------------------------------------------------------------------

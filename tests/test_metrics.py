@@ -346,6 +346,9 @@ class TestReport:
                              percentile=percentile)
         for r in rows:
             c = r["class"]
+            assert r["dice"] == dice(a, b, c)
+            assert r["iou"] == iou(a, b, c)
+            assert r["nvd_percent"] == nvd(a, b, c)
             assert r["surface_dice"] == surface_dice(a, b, c, 1.2)
             assert r["hausdorff_mm"] == hausdorff(a, b, c, percentile)
         by_class = {r["class"]: r for r in rows}

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from phnet.autograd import Tensor, grad_check, no_grad
+from phnet.autograd import Tensor, grad_check, no_grad, trace
 from phnet.flops import count_flops, ip_mlp_flops, vanilla_token_mixing_flops
-from phnet.layers import Linear
+from phnet.layers import ChannelNorm, InstanceNorm, Linear, Module
+from phnet.metrics import dice_ce_loss
 from phnet.model import (
     MLPPDefaults,
     PHNet,
@@ -228,6 +229,36 @@ def test_gradients_reach_every_parameter():
     (out * Tensor(rng.normal(size=out.shape))).sum().backward()
     for name, p in net.named_parameters():
         assert p.grad is not None and np.any(p.grad != 0.0), name
+
+
+def submodules(m):
+    yield m
+    for v in vars(m).values():
+        for item in v if isinstance(v, (list, tuple)) else (v,):
+            if isinstance(item, Module):
+                yield from submodules(item)
+
+
+def test_tape_has_one_node_per_norm_and_linear():
+    cfg = PHNetConfig(num_stages=2, base_channels=4, max_channels=8,
+                      in_channels=1, num_classes=2, voxel_spacing_mm=(1, 1, 2),
+                      patch_size=(8, 8, 4), blocks_per_stage=1)
+    net = PHNet(cfg, seed=5)
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(2, 1, 4, 8, 8)).astype(np.float32))
+    nodes = trace(dice_ce_loss(net(x), rng.integers(0, 2, size=(2, 4, 8, 8))))
+    ops = [n._op for n in nodes]
+    assert "broadcast_to" not in ops and "sqrt" not in ops
+    mods = list(submodules(net))
+    norms = [m for m in mods if isinstance(m, (InstanceNorm, ChannelNorm))]
+    linears = [m for m in mods if isinstance(m, Linear)]
+    assert any(isinstance(m, ChannelNorm) for m in norms) and linears
+    assert ops.count("affine_norm") == len(norms)
+    assert ops.count("linear") == len(linears)
+    for m, op, param in ([(m, "affine_norm", m.gamma) for m in norms]
+                         + [(m, "linear", m.weight) for m in linears]):
+        users = [n for n in nodes if any(p is param for p in n._parents)]
+        assert [n._op for n in users] == [op], type(m).__name__
 
 
 # ---------------------------------------------------------------------------
