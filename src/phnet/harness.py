@@ -36,12 +36,10 @@ from .model import (
     PHNet,
     PHNetConfig,
     MLPPDefaults,
-    config_from_dict,
     config_to_dict,
     count_params,
     hwd_to_dhw,
-    load_checkpoint,
-    read_checkpoint_meta,
+    net_from_checkpoint,
     save_checkpoint,
 )
 from .optim import AdamW, TrainingError
@@ -370,12 +368,8 @@ def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
     the case's native grid.  Only the cases of ``split`` are read.  A case
     whose resampled grid is smaller than the inference window contributes an
     error row instead of metric rows."""
-    meta = read_checkpoint_meta(checkpoint_path)
-    if "model_config" not in meta:
-        raise ValueError(f"{checkpoint_path}: checkpoint has no model_config")
-    model_cfg = config_from_dict(meta["model_config"])
-    net = PHNet(model_cfg, seed=0)
-    load_checkpoint(net, checkpoint_path)
+    net = net_from_checkpoint(checkpoint_path)
+    model_cfg = net.cfg
 
     root = Path(data_dir)
     chosen = [e for e in read_manifest(root / "manifest.json")["cases"]

@@ -5,11 +5,24 @@ convolution), instance / channel normalization, linear maps, and the
 composite blocks used by the encoder and decoder: Conv-IN-ReLU residual
 blocks and the decoder's separated in-plane / through-plane convolution
 pair.  All operations are differentiable through the autograd tape.
+
+The three convolution kernels (forward, adjoint, kernel gradient) share one
+channels-last scheme for every stride.  The zero-padded input is copied once
+into rows of C channels, its padded extents rounded up to whole strides and
+split into stride phases, so that kernel tap (dz, dy, dx) reads one
+contiguous block of rows of phase (dz % sd, dy % sh, dx % sw) at a fixed row
+offset.  Each tap is then one (rows, C_in) @ (C_in, C_out) GEMM.  Rows near
+the end of a grid line read past it into the next line (or batch item);
+those rows only feed output positions that the forward crops, and in the
+adjoint and kernel gradient they meet the zeros that surround the embedded
+output, so they change nothing.
 """
 
+import itertools
 import math
 
 import numpy as np
+from scipy.linalg.blas import get_blas_funcs
 
 from .autograd import Parameter, make_node
 
@@ -125,60 +138,132 @@ def _check_conv_geometry(x_shape, k_shape, stride, padding, transposed=False):
                 f"{x_shape[2:]} with padding {padding}")
 
 
-def _conv_fwd(x, k, stride, padding):
-    """Direct strided cross-correlation, accumulated one kernel offset at a
-    time over strided views (at most prod(kernel) tensordot calls)."""
-    B = x.shape[0]
-    co = k.shape[0]
-    ks = k.shape[2:]
-    out_sp = tuple(conv_output_extent(n, kk, s, p)
-                   for n, kk, s, p in zip(x.shape[2:], ks, stride, padding))
-    xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
-    acc = np.zeros((B,) + out_sp + (co,), dtype=x.dtype)
+def _phase_layout(spatial, ks, stride, padding):
+    """Stride-phase grid of a conv input with extents ``spatial``.
+
+    Returns ``q``, the zero-padded extents in whole strides (rounded up), and
+    for each kernel tap (dz, dy, dx) in C order its phase index
+    (dz % sd, dy % sh, dx % sw) and flat row offset
+    ((dz // sd) * qh + dy // sh) * qw + dx // sw.  Offsets grow with the tap,
+    so the last one is the largest."""
+    q = tuple(-(-(n + 2 * p) // s) for n, p, s in zip(spatial, padding, stride))
     sd, sh, sw = stride
-    od, oh, ow = out_sp
-    for dz in range(ks[0]):
-        for dy in range(ks[1]):
-            for dx in range(ks[2]):
-                xs = xp[:, :, dz:dz + sd * od:sd, dy:dy + sh * oh:sh, dx:dx + sw * ow:sw]
-                acc += np.tensordot(xs, k[:, :, dz, dy, dx], axes=([1], [1]))
+    taps = [((dz % sd * sh + dy % sh) * sw + dx % sw,
+             ((dz // sd) * q[1] + dy // sh) * q[2] + dx // sw)
+            for dz in range(ks[0]) for dy in range(ks[1]) for dx in range(ks[2])]
+    return q, taps
+
+
+def _phase_slices(spatial, stride, padding):
+    """Yield, per stride phase in C order, an index into that phase's grid
+    (B, qd, qh, qw, C) and an index into the unpadded channels-last array
+    (B, D, H, W, C) that address the same real samples."""
+    per_axis = []
+    for n, s, p in zip(spatial, stride, padding):
+        pairs = []
+        for a in range(s):
+            lo = -(-(p - a) // s)                   # first q with q*s + a >= p
+            hi = -(-(p + n - a) // s)               # first q with q*s + a >= p + n
+            pairs.append((slice(lo, hi), slice(lo * s + a - p, n, s)))
+        per_axis.append(pairs)
+    for pairs in itertools.product(*per_axis):
+        yield ((slice(None),) + tuple(g for g, _ in pairs),
+               (slice(None),) + tuple(v for _, v in pairs))
+
+
+def _to_phase_rows(x, stride, padding, q):
+    """Copy (B, C, D, H, W) ``x`` once into zero-padded channels-last stride
+    phases: the padded grid (B, qd*sd, qh*sh, qw*sw, C), split as
+    (B, qd, sd, qh, sh, qw, sw, C) and ordered (sd*sh*sw, B*qd*qh*qw, C)."""
+    B, C = x.shape[:2]
+    rows = np.zeros((math.prod(stride), B) + q + (C,), dtype=x.dtype)
+    xl = x.transpose(0, 2, 3, 4, 1)
+    for ph, (gi, xi) in enumerate(_phase_slices(x.shape[2:], stride, padding)):
+        rows[ph][gi] = xl[xi]
+    return rows.reshape(rows.shape[0], -1, C)
+
+
+def _from_phase_rows(rows, stride, padding, q, shape):
+    """Inverse of ``_to_phase_rows``: interleave the phases, crop the padding
+    and return the (B, C, D, H, W) array of ``shape``."""
+    out = np.empty(shape, dtype=rows.dtype)
+    ol = out.transpose(0, 2, 3, 4, 1)
+    rows = rows.reshape((rows.shape[0], shape[0]) + q + (shape[1],))
+    for ph, (gi, xi) in enumerate(_phase_slices(shape[2:], stride, padding)):
+        ol[xi] = rows[ph][gi]
+    return out
+
+
+def _output_rows(y, q):
+    """(B, Co, od, oh, ow) ``y`` as (B*qd*qh*qw, Co) rows of the phase grid,
+    zero outside the output."""
+    return _to_phase_rows(y, (1, 1, 1), (0, 0, 0), q)[0]
+
+
+def _conv_fwd(x, k, stride, padding):
+    """Strided cross-correlation by one channels-last GEMM per kernel tap.
+
+    Each tap reads one contiguous block of ``n = rows - max offset`` rows of
+    its stride phase of ``_to_phase_rows(x)``; its ``(n, Ci) @ (Ci, Co)``
+    product is accumulated in place into a (rows, Co) buffer (BLAS gemm,
+    beta=1).  A row whose read wraps across a grid edge (or into the next
+    batch item) lands only at an output position past ``od``, ``oh`` or
+    ``ow``, which the final crop drops."""
+    B, ci = x.shape[:2]
+    co = k.shape[0]
+    out_sp = tuple(conv_output_extent(n, kk, s, p)
+                   for n, kk, s, p in zip(x.shape[2:], k.shape[2:], stride, padding))
+    q, taps = _phase_layout(x.shape[2:], k.shape[2:], stride, padding)
+    xr = _to_phase_rows(x, stride, padding, q)
+    n = xr.shape[1] - taps[-1][1]
+    kt = np.ascontiguousarray(k.reshape(co, ci, -1).transpose(2, 1, 0), dtype=x.dtype)
+    acc = np.zeros((xr.shape[1], co), dtype=x.dtype)
+    gemm = get_blas_funcs("gemm", dtype=x.dtype)
+    # BLAS is column-major: the transposes below are F-ordered views of
+    # C-ordered blocks, so acc^T += k_tap^T @ x_block^T runs without copies
+    for t, (ph, off) in enumerate(taps):
+        gemm(1.0, kt[t].T, xr[ph, off:off + n].T, beta=1.0, c=acc[:n].T, overwrite_c=True)
+    acc = acc.reshape((B,) + q + (co,))[:, :out_sp[0], :out_sp[1], :out_sp[2]]
     return np.ascontiguousarray(acc.transpose(0, 4, 1, 2, 3))
 
 
 def _conv_adjoint(y, k, stride, padding, out_spatial):
-    """Adjoint of ``_conv_fwd`` with identical geometry: scatters each kernel
-    offset's contribution back onto a padded canvas, then crops the padding."""
-    B = y.shape[0]
-    ci = k.shape[1]
-    ks = k.shape[2:]
-    ysp = y.shape[2:]
-    canvas = np.zeros((B, ci) + tuple(n + 2 * p for n, p in zip(out_spatial, padding)),
-                      dtype=y.dtype)
-    ym = y.transpose(0, 2, 3, 4, 1)
-    sd, sh, sw = stride
-    yd, yh, yw = ysp
-    for dz in range(ks[0]):
-        for dy in range(ks[1]):
-            for dx in range(ks[2]):
-                contrib = np.tensordot(ym, k[:, :, dz, dy, dx], axes=([4], [0]))
-                canvas[:, :, dz:dz + sd * yd:sd, dy:dy + sh * yh:sh,
-                       dx:dx + sw * yw:sw] += contrib.transpose(0, 4, 1, 2, 3)
-    crop = tuple(slice(p, p + n) for p, n in zip(padding, out_spatial))
-    return np.ascontiguousarray(canvas[(slice(None), slice(None)) + crop])
+    """Adjoint of ``_conv_fwd`` with identical geometry.
+
+    ``y`` is embedded in the phase grid of the conv input, zero outside the
+    output; each tap adds its ``(n, Co) @ (Co, Ci)`` product in place into
+    its phase of a channels-last canvas at the tap's row offset.  The phases
+    are then interleaved and the padding cropped.  Rows that wrap across a
+    grid edge carry zeros of the embedded ``y``, so they add nothing."""
+    co, ci = k.shape[:2]
+    q, taps = _phase_layout(out_spatial, k.shape[2:], stride, padding)
+    g = _output_rows(y, q)
+    n = g.shape[0] - taps[-1][1]
+    kt = np.ascontiguousarray(k.reshape(co, ci, -1).transpose(2, 0, 1), dtype=y.dtype)
+    canvas = np.zeros((math.prod(stride),) + g.shape[:1] + (ci,), dtype=y.dtype)
+    gemm = get_blas_funcs("gemm", dtype=y.dtype)
+    for t, (ph, off) in enumerate(taps):
+        gemm(1.0, kt[t].T, g[:n].T, beta=1.0, c=canvas[ph, off:off + n].T,
+             overwrite_c=True)
+    return _from_phase_rows(canvas, stride, padding, q, (y.shape[0], ci) + out_spatial)
 
 
 def _conv_kernel_grad(x, gy, k_shape, stride, padding):
-    """Gradient of the conv bilinear form with respect to the kernel."""
-    xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
-    gk = np.zeros(k_shape, dtype=x.dtype)
-    sd, sh, sw = stride
-    od, oh, ow = gy.shape[2:]
-    for dz in range(k_shape[2]):
-        for dy in range(k_shape[3]):
-            for dx in range(k_shape[4]):
-                xs = xp[:, :, dz:dz + sd * od:sd, dy:dy + sh * oh:sh, dx:dx + sw * ow:sw]
-                gk[:, :, dz, dy, dx] = np.tensordot(gy, xs, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
-    return gk
+    """Gradient of the conv bilinear form with respect to the kernel: one
+    ``(Co, n) @ (n, Ci)`` GEMM per tap between the embedded ``gy`` rows and
+    the tap's block of the phase rows of ``x``.  Wrapped rows meet zeros of
+    the embedded ``gy``, so they add nothing."""
+    co, ci = k_shape[:2]
+    q, taps = _phase_layout(x.shape[2:], k_shape[2:], stride, padding)
+    xr = _to_phase_rows(x, stride, padding, q)
+    g = _output_rows(gy, q)
+    n = g.shape[0] - taps[-1][1]
+    gk = np.zeros((len(taps), ci, co), dtype=x.dtype)
+    gemm = get_blas_funcs("gemm", dtype=x.dtype)
+    for t, (ph, off) in enumerate(taps):
+        gemm(1.0, g[:n].T, xr[ph, off:off + n].T, trans_b=True, c=gk[t].T,
+             overwrite_c=True)
+    return np.ascontiguousarray(gk.transpose(2, 1, 0)).reshape(k_shape)
 
 
 def conv_nd(x, kernel, stride=1, padding=0, bias=None):
@@ -186,7 +271,11 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None):
 
     ``x``: (B, C_in, D, H, W); ``kernel``: (C_out, C_in, k_d, k_h, k_w);
     optional ``bias``: (C_out,).  Output extent per axis is
-    floor((n + 2p - k)/s) + 1.  Differentiable in input, kernel, and bias.
+    floor((n + 2p - k)/s) + 1; the output has ``x``'s dtype.  Differentiable
+    in input, kernel, and bias.  Computed as one channels-last GEMM per
+    kernel tap over the stride phases of the padded input (see the module
+    docstring); the backward runs the adjoint and kernel-gradient GEMMs on
+    the same phase rows.
     """
     stride = _triple(stride, "stride")
     padding = _triple(padding, "padding")

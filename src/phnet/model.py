@@ -43,6 +43,7 @@ __all__ = [
     "count_params",
     "save_checkpoint",
     "load_checkpoint",
+    "net_from_checkpoint",
     "read_checkpoint_meta",
     "config_to_dict",
     "config_from_dict",
@@ -419,8 +420,25 @@ def load_checkpoint(net, path):
     """Load parameters saved by ``save_checkpoint`` into ``net`` (shapes are
     validated parameter by parameter); returns the manifest metadata."""
     with open(path, "rb") as f:
+        return _load_params(net, _read_checkpoint_header(f, path), f)
+
+
+def net_from_checkpoint(path):
+    """Build the PHNet that a checkpoint's ``model_config`` describes and load
+    its parameters, opening and validating the file once."""
+    with open(path, "rb") as f:
         manifest = _read_checkpoint_header(f, path)
-        payload = f.read()
+        if "model_config" not in manifest["meta"]:
+            raise ValueError(f"{path}: checkpoint has no model_config")
+        net = PHNet(config_from_dict(manifest["meta"]["model_config"]), seed=0)
+        _load_params(net, manifest, f)
+    return net
+
+
+def _load_params(net, manifest, f):
+    """Copy the payload that follows the validated header ``manifest`` in file
+    ``f`` into ``net``'s parameters; returns the manifest metadata."""
+    payload = f.read()
     by_name = {e["name"]: e for e in manifest["params"]}
     params = dict(net.named_parameters())
     if set(by_name) != set(params):

@@ -15,6 +15,7 @@ import pytest
 
 from phnet import autograd as ag
 from phnet import harness
+from phnet import model
 from phnet.data import (
     LabelVolume,
     SyntheticSpec,
@@ -36,7 +37,7 @@ from phnet.harness import (
     train,
     window_starts,
 )
-from phnet.model import PHNet, PHNetConfig, MLPPDefaults, read_checkpoint_meta
+from phnet.model import PHNet, PHNetConfig, MLPPDefaults, read_checkpoint_meta, save_checkpoint
 from phnet.optim import TrainingError
 
 SPACING = (1.0, 1.0, 4.0)
@@ -447,6 +448,24 @@ class TestEvaluate:
         assert sorted({r["case"] for r in rows}) == ["case_000", "case_001", "case_002"]
         assert not any(r.get("error") for r in rows)
         assert calls == [(0.5, 0.5, 2.0)] * 2
+
+    def test_reads_the_checkpoint_header_once(self, trained, dataset, monkeypatch):
+        calls = []
+        orig = model._read_checkpoint_header
+
+        def counting(f, path):
+            calls.append(path)
+            return orig(f, path)
+
+        monkeypatch.setattr(model, "_read_checkpoint_header", counting)
+        evaluate(trained["checkpoint"], dataset)
+        assert len(calls) == 1
+
+    def test_checkpoint_without_model_config_rejected(self, dataset, tmp_path):
+        path = tmp_path / "bare.ckpt"
+        save_checkpoint(PHNet(tiny_model_config(), seed=0), path, meta={})
+        with pytest.raises(ValueError, match="model_config"):
+            evaluate(path, dataset)
 
     def test_missing_split_rejected(self, trained, dataset):
         with pytest.raises(ValueError, match="split"):

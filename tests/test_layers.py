@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from phnet.autograd import Tensor, Parameter, backward, grad_check, no_grad
 from phnet.layers import (
@@ -153,7 +154,7 @@ def test_conv_gradients_finite_differences():
 
 
 def test_conv_grad_nonlinear_objective():
-    # squared objective exercises the scatter path with a non-constant cotangent
+    # squared objective exercises the adjoint with a non-constant cotangent
     rng = np.random.default_rng(8)
     kern = rng.normal(size=(2, 3, 2, 2, 2))
 
@@ -233,6 +234,107 @@ def test_transpose_channel_mismatch():
     with pytest.raises(ValueError):
         conv_transpose_nd(Tensor(np.zeros((1, 3, 4, 4, 4))),
                           Tensor(np.zeros((2, 3, 2, 2, 2))), 2, 0)
+
+
+# ---------------------------------------------------------------------------
+# conv kernels: generated geometries
+# ---------------------------------------------------------------------------
+
+@st.composite
+def conv_geometries(draw):
+    """(kernel, stride, padding, spatial, batch, c_in, c_out, seed) with every
+    spatial extent large enough for the padded kernel."""
+    ks = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    stride = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    padding = tuple(draw(st.integers(0, k)) for k in ks)
+    spatial = tuple(draw(st.integers(max(1, k - 2 * p), 8)) for k, p in zip(ks, padding))
+    return (ks, stride, padding, spatial, draw(st.integers(1, 2)), draw(st.integers(1, 3)),
+            draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 16)))
+
+
+# padded extents 7, 8 and 8 are no multiple of strides 2, 3 and 3
+PADDED_NOT_MULTIPLE = ((3, 3, 2), (2, 3, 3), (1, 1, 0), (5, 6, 8), 2, 2, 3, 1)
+# the strided 1x1x1 skip projection of a downsampling residual block
+KERNEL_BELOW_STRIDE = ((1, 1, 1), (1, 2, 2), (0, 0, 0), (3, 8, 7), 2, 3, 2, 2)
+# the decoder's transposed-conv upsampler
+KERNEL_EQUALS_STRIDE = ((1, 2, 2), (1, 2, 2), (0, 0, 0), (3, 6, 8), 1, 2, 3, 3)
+
+
+def geometry_arrays(geom, dtype=np.float64):
+    """Random input, kernel and output-space cotangent for ``geom``."""
+    ks, stride, padding, spatial, b, ci, co, seed = geom
+    rng = np.random.default_rng(seed)
+    out_sp = tuple(conv_output_extent(n, k, s, p)
+                   for n, k, s, p in zip(spatial, ks, stride, padding))
+    return (rng.normal(size=(b, ci) + spatial).astype(dtype),
+            rng.normal(size=(co, ci) + ks).astype(dtype),
+            rng.normal(size=(b, co) + out_sp).astype(dtype))
+
+
+@given(conv_geometries())
+@example(PADDED_NOT_MULTIPLE)
+@example(KERNEL_BELOW_STRIDE)
+@example(KERNEL_EQUALS_STRIDE)
+def test_conv_matches_oracle_on_generated_geometries(geom):
+    stride, padding = geom[1:3]
+    x, k, _ = geometry_arrays(geom)
+    got = conv_nd(Tensor(x), Tensor(k), stride, padding).data
+    np.testing.assert_allclose(got, conv_oracle(x, k, stride, padding), rtol=0, atol=1e-10)
+
+
+@given(conv_geometries())
+@example(PADDED_NOT_MULTIPLE)
+@example(KERNEL_BELOW_STRIDE)
+@example(KERNEL_EQUALS_STRIDE)
+def test_conv_transpose_is_adjoint_on_generated_geometries(geom):
+    # v takes the extents the transpose produces from y, (n - 1)*s + k - 2p
+    ks, stride, padding, _, b, ci = geom[:6]
+    _, k, y = geometry_arrays(geom)
+    spatial = tuple((n - 1) * s + kk - 2 * p
+                    for n, kk, s, p in zip(y.shape[2:], ks, stride, padding))
+    assume(min(spatial) >= 1)
+    v = np.random.default_rng(geom[-1] + 1).normal(size=(b, ci) + spatial)
+    lhs = float((conv_nd(Tensor(v), Tensor(k), stride, padding).data * y).sum())
+    vt = conv_transpose_nd(Tensor(y), Tensor(k), stride, padding).data
+    assert vt.shape == v.shape
+    assert abs(lhs - float((v * vt).sum())) <= 1e-10 * max(1.0, abs(lhs))
+
+
+@given(conv_geometries())
+@example(PADDED_NOT_MULTIPLE)
+@example(KERNEL_BELOW_STRIDE)
+@example(KERNEL_EQUALS_STRIDE)
+def test_conv_gradients_satisfy_bilinear_identities_on_generated_geometries(geom):
+    # L = <conv(x; k), y> is linear in x and in k, so <k, dL/dk> and
+    # <x, dL/dx> both equal L
+    stride, padding = geom[1:3]
+    x, k, y = geometry_arrays(geom)
+    xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+    loss = (conv_nd(xt, kt, stride, padding) * Tensor(y)).sum()
+    backward(loss)
+    lhs = loss.item()
+    assert abs(lhs - float((k * kt.grad).sum())) <= 1e-10 * max(1.0, abs(lhs))
+    assert abs(lhs - float((x * xt.grad).sum())) <= 1e-10 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("geom", [PADDED_NOT_MULTIPLE, KERNEL_BELOW_STRIDE,
+                                  KERNEL_EQUALS_STRIDE])
+@pytest.mark.parametrize("op", [conv_nd, conv_transpose_nd])
+def test_conv_float32_values_and_gradients_stay_float32(geom, op):
+    stride, padding = geom[1:3]
+    x, k, y = geometry_arrays(geom, np.float32)
+    inp = x if op is conv_nd else y
+    results = []
+    for dtype in (np.float32, np.float64):
+        it = Tensor(inp.astype(dtype), requires_grad=True)
+        kt = Tensor(k.astype(dtype), requires_grad=True)
+        out = op(it, kt, stride, padding)
+        probe = np.random.default_rng(geom[-1]).normal(size=out.shape).astype(dtype)
+        backward((out * Tensor(probe)).sum())
+        assert out.dtype == it.grad.dtype == kt.grad.dtype == dtype
+        results.append((out.data, it.grad, kt.grad))
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
 
 
 # ---------------------------------------------------------------------------
