@@ -11,6 +11,8 @@ x fastest — exactly the C-order bytes of the (D, H, W) grid).
 
 import json
 import math
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,7 @@ __all__ = [
     "write_volume",
     "write_manifest",
     "read_manifest",
+    "atomic_write",
     "zscore",
 ]
 
@@ -292,8 +295,34 @@ def write_manifest(path, cases, extra=None):
 
 
 def read_manifest(path):
+    """Read a dataset manifest; raises ``ValueError`` unless it is an object
+    with a 'cases' list whose entries are objects with a string 'id' and, if
+    present, a string 'split'."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    if "cases" not in doc:
-        raise ValueError(f"{path}: manifest has no 'cases' field")
+    if not (isinstance(doc, dict) and isinstance(doc.get("cases"), list)):
+        raise ValueError(f"{path}: manifest has no 'cases' list")
+    for e in doc["cases"]:
+        if not (isinstance(e, dict) and isinstance(e.get("id"), str)
+                and isinstance(e.get("split", ""), str)):
+            raise ValueError(f"{path}: malformed case entry {e!r}")
     return doc
+
+
+@contextmanager
+def atomic_write(path, mode, **open_kwargs):
+    """Write ``path`` through a temporary file beside it: a clean exit syncs
+    the file and moves it over ``path`` with one ``os.replace``, an exception
+    deletes it.  A reader never sees a partial file, and a failed write
+    leaves the previous ``path`` as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

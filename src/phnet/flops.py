@@ -1,9 +1,11 @@
-"""Analytic FLOP accounting.
+"""Closed-form FLOP counts of the MLP mixers.
 
-Convention: one multiply-add = 2 FLOPs; only matrix-multiply-type work
-(convolutions and fully-connected maps) is counted — normalization,
-activation, and bias adds are excluded.  Closed forms for the MLP mixers
-(per batch element, per depth slice unless noted):
+``PHNet.count_flops`` is the network's FLOP counter; the closed forms here
+are the oracles the tests check it against.  Convention: one multiply-add =
+2 FLOPs; only matrix-multiply-type work (convolutions and fully-connected
+maps) is counted — normalization, activation, and bias adds are excluded.
+Closed forms for the MLP mixers (per batch element, per depth slice unless
+noted):
 
 * in-plane spatial pathway:  2*H*W*C^2      (every flat segment has length
   L*g = C, and there are H*W/L segments x C/g groups = H*W rows)
@@ -20,7 +22,6 @@ __all__ = [
     "aa_mlp_flops",
     "tp_mlp_flops",
     "vanilla_token_mixing_flops",
-    "count_flops",
 ]
 
 
@@ -47,9 +48,3 @@ def tp_mlp_flops(d, h, w, c):
 def vanilla_token_mixing_flops(h, w, c):
     """Token-mixing FC over a flattened H*W slice, applied per channel."""
     return 2 * c * (h * w) ** 2
-
-
-def count_flops(module, input_shape):
-    """Total counted FLOPs of ``module`` on an input of ``input_shape``."""
-    flops, _ = module.count_flops(tuple(int(n) for n in input_shape))
-    return flops

@@ -73,13 +73,6 @@ class Module:
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def count_flops(self, input_shape):
-        """Return (counted FLOPs, output shape) for ``input_shape``.
-
-        The convention (see ``phnet.flops``) counts multiply-add work only:
-        1 MAC = 2 FLOPs; norms, activations, and bias adds are free.
-        """
-        raise NotImplementedError(type(self).__name__)
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
@@ -171,15 +164,19 @@ def _phase_slices(spatial, stride, padding):
                (slice(None),) + tuple(v for _, v in pairs))
 
 
-def _to_phase_rows(x, stride, padding, q):
+def _to_phase_rows(x, stride, padding, q, taps):
     """Copy (B, C, D, H, W) ``x`` once into zero-padded channels-last stride
     phases: the padded grid (B, qd*sd, qh*sh, qw*sw, C), split as
-    (B, qd, sd, qh, sh, qw, sw, C) and ordered (sd*sh*sw, B*qd*qh*qw, C)."""
+    (B, qd, sd, qh, sh, qw, sw, C) and ordered (sd*sh*sw, B*qd*qh*qw, C).
+    Only the phases that ``taps`` read are filled; the others stay zero
+    (a strided 1x1x1 conv reads phase 0 alone)."""
     B, C = x.shape[:2]
     rows = np.zeros((math.prod(stride), B) + q + (C,), dtype=x.dtype)
     xl = x.transpose(0, 2, 3, 4, 1)
+    read = {ph for ph, _ in taps}
     for ph, (gi, xi) in enumerate(_phase_slices(x.shape[2:], stride, padding)):
-        rows[ph][gi] = xl[xi]
+        if ph in read:
+            rows[ph][gi] = xl[xi]
     return rows.reshape(rows.shape[0], -1, C)
 
 
@@ -197,7 +194,7 @@ def _from_phase_rows(rows, stride, padding, q, shape):
 def _output_rows(y, q):
     """(B, Co, od, oh, ow) ``y`` as (B*qd*qh*qw, Co) rows of the phase grid,
     zero outside the output."""
-    return _to_phase_rows(y, (1, 1, 1), (0, 0, 0), q)[0]
+    return _to_phase_rows(y, (1, 1, 1), (0, 0, 0), q, [(0, 0)])[0]
 
 
 def _conv_fwd(x, k, stride, padding):
@@ -214,7 +211,7 @@ def _conv_fwd(x, k, stride, padding):
     out_sp = tuple(conv_output_extent(n, kk, s, p)
                    for n, kk, s, p in zip(x.shape[2:], k.shape[2:], stride, padding))
     q, taps = _phase_layout(x.shape[2:], k.shape[2:], stride, padding)
-    xr = _to_phase_rows(x, stride, padding, q)
+    xr = _to_phase_rows(x, stride, padding, q, taps)
     n = xr.shape[1] - taps[-1][1]
     kt = np.ascontiguousarray(k.reshape(co, ci, -1).transpose(2, 1, 0), dtype=x.dtype)
     acc = np.zeros((xr.shape[1], co), dtype=x.dtype)
@@ -255,7 +252,7 @@ def _conv_kernel_grad(x, gy, k_shape, stride, padding):
     the embedded ``gy``, so they add nothing."""
     co, ci = k_shape[:2]
     q, taps = _phase_layout(x.shape[2:], k_shape[2:], stride, padding)
-    xr = _to_phase_rows(x, stride, padding, q)
+    xr = _to_phase_rows(x, stride, padding, q, taps)
     g = _output_rows(gy, q)
     n = g.shape[0] - taps[-1][1]
     gk = np.zeros((len(taps), ci, co), dtype=x.dtype)
@@ -417,7 +414,6 @@ def affine_norm(x, gamma, beta, axes):
 class Linear(Module):
     def __init__(self, in_features, out_features, rng=None, dtype=np.float32):
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(
             kaiming_uniform(rng, (out_features, in_features), in_features, dtype))
@@ -426,10 +422,6 @@ class Linear(Module):
     def forward(self, x):
         return linear(x, self.weight, self.bias)
 
-    def count_flops(self, input_shape):
-        rows = math.prod(input_shape[:-1])
-        return (2 * self.in_features * self.out_features * rows,
-                input_shape[:-1] + (self.out_features,))
 
 
 class _AffineNorm(Module):
@@ -444,8 +436,6 @@ class _AffineNorm(Module):
     def forward(self, x):
         return affine_norm(x, self.gamma, self.beta, self.axes)
 
-    def count_flops(self, input_shape):
-        return 0, input_shape
 
 
 class InstanceNorm(_AffineNorm):
@@ -482,14 +472,6 @@ class Conv(Module):
     def forward(self, x):
         return conv_nd(x, self.kernel, self.stride, self.padding, self.bias)
 
-    def count_flops(self, input_shape):
-        B = input_shape[0]
-        co, ci = self.kernel.shape[:2]
-        ks = self.kernel.shape[2:]
-        out_sp = tuple(conv_output_extent(n, k, s, p)
-                       for n, k, s, p in zip(input_shape[2:], ks, self.stride, self.padding))
-        return (2 * co * ci * math.prod(ks) * B * math.prod(out_sp),
-                (B, co) + out_sp)
 
 
 class ConvTranspose(Module):
@@ -507,14 +489,6 @@ class ConvTranspose(Module):
     def forward(self, x):
         return conv_transpose_nd(x, self.kernel, self.stride, self.padding, self.bias)
 
-    def count_flops(self, input_shape):
-        B = input_shape[0]
-        ci, co = self.kernel.shape[:2]
-        ks = self.kernel.shape[2:]
-        out_sp = tuple((n - 1) * s + k - 2 * p
-                       for n, k, s, p in zip(input_shape[2:], ks, self.stride, self.padding))
-        return (2 * ci * co * math.prod(ks) * B * math.prod(input_shape[2:]),
-                (B, co) + out_sp)
 
 
 class ConvNormAct(Module):
@@ -529,8 +503,6 @@ class ConvNormAct(Module):
     def forward(self, x):
         return self.norm(self.conv(x)).relu()
 
-    def count_flops(self, input_shape):
-        return self.conv.count_flops(input_shape)
 
 
 class ResidualConvBlock(Module):
@@ -566,11 +538,6 @@ class ResidualConvBlock(Module):
         s = x if self.proj is None else self.proj_norm(self.proj(x))
         return (h + s).relu()
 
-    def count_flops(self, input_shape):
-        f1, mid = self.conv1.count_flops(input_shape)
-        f2, out = self.conv2.count_flops(mid)
-        fp = self.proj.count_flops(input_shape)[0] if self.proj is not None else 0
-        return f1 + f2 + fp, out
 
 
 class SeparableConvBlock(Module):
@@ -590,8 +557,3 @@ class SeparableConvBlock(Module):
     def forward(self, x):
         h = self.norm_ip(self.in_plane(x)).relu()
         return self.norm_tp(self.through_plane(h)).relu()
-
-    def count_flops(self, input_shape):
-        f1, mid = self.in_plane.count_flops(input_shape)
-        f2, out = self.through_plane.count_flops(mid)
-        return f1 + f2, out

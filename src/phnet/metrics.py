@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import autograd as ag
-from .data import LabelVolume
+from .data import LabelVolume, atomic_write
 
 __all__ = [
     "surface_mask",
@@ -214,9 +214,10 @@ def evaluate_case(pred, gt, num_classes, tolerance_mm=1.0, percentile=95):
 def write_report_csv(path, rows):
     """CSV with one row per (case, class) plus a final mean row averaging each
     metric over its defined values.  ``None`` renders as an empty cell; rows
-    carrying an ``error`` message contribute no metric values."""
+    carrying an ``error`` message contribute no metric values.  The file is
+    written atomically."""
     metric_cols = [c for c in REPORT_COLUMNS if c not in ("case", "class", "error")]
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=REPORT_COLUMNS, restval="")
         writer.writeheader()
         sums = {c: [] for c in metric_cols}

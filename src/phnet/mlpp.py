@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flops import aa_mlp_flops, ip_mlp_flops, tp_mlp_flops
 from .layers import ChannelNorm, Linear, Module
 
 __all__ = [
@@ -189,9 +188,6 @@ class IPMLP(Module):
         y_c = _channel_fc(x, self.fc_c)
         return _channel_fc(y_h + y_w + y_c, self.fc_fuse)
 
-    def count_flops(self, input_shape):
-        B, C, D, H, W = input_shape
-        return B * D * ip_mlp_flops(H, W, C), input_shape
 
 
 class AAMLP(Module):
@@ -206,9 +202,6 @@ class AAMLP(Module):
         rows = partition_windows(x, self.l)
         return merge_windows(self.fc(rows), x.shape, self.l)
 
-    def count_flops(self, input_shape):
-        B, C, D, H, W = input_shape
-        return B * D * aa_mlp_flops(H, W, C, self.l), input_shape
 
 
 class TPMLP(Module):
@@ -224,9 +217,6 @@ class TPMLP(Module):
         rows = segment_axis(x, "D", self.l)
         return unsegment_axis(self.fc(rows), x.shape, "D", self.l)
 
-    def count_flops(self, input_shape):
-        B, C, D, H, W = input_shape
-        return B * tp_mlp_flops(D, H, W, C), input_shape
 
 
 class MLPPLayer(Module):
@@ -245,10 +235,6 @@ class MLPPLayer(Module):
         u = x + residual_attention_fuse(self.ip(n1), self.aa(n1))
         return u + self.tp(self.norm2(u))
 
-    def count_flops(self, input_shape):
-        return (self.ip.count_flops(input_shape)[0]
-                + self.aa.count_flops(input_shape)[0]
-                + self.tp.count_flops(input_shape)[0], input_shape)
 
 
 class MLPPBlock(Module):
@@ -275,10 +261,3 @@ class MLPPBlock(Module):
         for layer in self.mlpp_layers:
             x = layer(x)
         return x
-
-    def count_flops(self, input_shape):
-        total = 0
-        for layer in self.mlpp_layers:
-            f, input_shape = layer.count_flops(input_shape)
-            total += f
-        return total, input_shape

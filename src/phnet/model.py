@@ -26,11 +26,13 @@ from .layers import (
     Conv,
     ConvNormAct,
     ConvTranspose,
+    Linear,
     Module,
     ResidualConvBlock,
     SeparableConvBlock,
 )
 from .autograd import concat
+from .data import atomic_write
 from .mlpp import MLPPBlock, MLPPConfig
 
 __all__ = [
@@ -168,13 +170,6 @@ class _ConvStage(Module):
             x = blk(x)
         return x
 
-    def count_flops(self, input_shape):
-        total = 0
-        for blk in self.blocks:
-            f, input_shape = blk.count_flops(input_shape)
-            total += f
-        return total, input_shape
-
 
 class _MLPPStage(Module):
     """Strided Conv-IN-ReLU downsampler followed by an MLPP block."""
@@ -186,11 +181,6 @@ class _MLPPStage(Module):
 
     def forward(self, x):
         return self.mlpp(self.down(x))
-
-    def count_flops(self, input_shape):
-        f1, mid = self.down.count_flops(input_shape)
-        f2, out = self.mlpp.count_flops(mid)
-        return f1 + f2, out
 
 
 class _DecoderStage(Module):
@@ -214,15 +204,6 @@ class _DecoderStage(Module):
                     f"skip shape {skip.shape} does not match upsampled {h.shape}")
             h = self.proj(concat((h, skip), axis=1))
         return self.sep(h)
-
-    def count_flops(self, input_shape):
-        f, shape = self.up.count_flops(input_shape)
-        if self.proj is not None:
-            skip_ch = self.proj.kernel.shape[1] - shape[1]
-            fp, shape = self.proj.count_flops((shape[0], shape[1] + skip_ch) + shape[2:])
-            f += fp
-        fs, shape = self.sep.count_flops(shape)
-        return f + fs, shape
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +302,54 @@ class PHNet(Module):
         return self.head(x)
 
     def count_flops(self, input_shape):
-        total = 0
-        shape = tuple(input_shape)
-        shapes = []
-        for stage in self.stages:
-            f, shape = stage.count_flops(shape)
-            shapes.append(shape)
-            total += f
-        shape = shapes.pop()
-        for dec in self.decoder:
-            f, shape = dec.count_flops(shape)
-            total += f
-        f, shape = self.head.count_flops(shape)
-        return total + f, shape
+        """Counted FLOPs of one forward on ``input_shape`` (1 multiply-add =
+        2 FLOPs, see ``phnet.flops``) and the shape of the logits, from the
+        parameter shapes and the stage grids alone: no op runs.  Encoder
+        stage i writes grid i+1, decoder stage i writes grid i, and the head
+        writes grid 0."""
+        b = input_shape[0]
+        grids = self._feature_sizes(input_shape[2:])
+        # channels of the maps on grid i: encoder stage i-1 and decoder stage
+        # i write the same number (base_channels on grid 0)
+        widths = [self.cfg.base_channels] + [p.channels_out for p in self.plan]
+        maps = [(b, c) + g for c, g in zip(widths, grids)]
+        macs = sum(_macs(stage, maps[i + 1]) for i, stage in enumerate(self.stages))
+        macs += sum(_macs(dec, maps[i])
+                    for i, dec in zip(reversed(range(len(self.plan))), self.decoder))
+        out_shape = (b, self.cfg.num_classes) + grids[0]
+        return 2 * (macs + _macs(self.head, out_shape)), out_shape
+
+
+def _macs(module, feature_shape):
+    """Multiply-adds of the ``Conv``, ``ConvTranspose`` and ``Linear`` layers
+    in ``module``, one PHNet stage that writes a feature map of
+    ``feature_shape`` (B, C, D, H, W), with n = B*D*H*W its batch voxels.
+
+    The three rules hold by how the stages are built:
+
+    * every ``Conv`` writes the stage's grid (a strided conv or skip
+      projection writes it from the finer grid before it), so it costs one
+      kernel per output voxel: n * kernel.size;
+    * every ``ConvTranspose`` has kernel = stride and no padding, so each of
+      its n / prod(stride) input voxels writes its own block of the grid:
+      n / prod(stride) * kernel.size;
+    * every ``Linear`` reads a reshape of a map of the stage's shape (token
+      segment rows, channel FCs and attention windows alike), so its rows
+      hold n*C elements and it costs n * C * out_features.
+
+    Norms, activations and bias adds are not counted."""
+    b, c, *grid = feature_shape
+    n = b * math.prod(grid)
+    if isinstance(module, Conv):
+        return n * module.kernel.size
+    if isinstance(module, ConvTranspose):
+        return n // math.prod(module.stride) * module.kernel.size
+    if isinstance(module, Linear):
+        return n * c * module.out_features
+    return sum(_macs(child, feature_shape)
+               for value in vars(module).values()
+               for child in (value if isinstance(value, (list, tuple)) else (value,))
+               if isinstance(child, Module))
 
 
 def count_params(net):
@@ -371,7 +387,7 @@ def config_from_dict(d):
 def save_checkpoint(net, path, meta=None):
     """Single-file checkpoint: a JSON manifest line (parameter name paths,
     shapes, byte offsets, plus caller metadata) followed by the raw
-    little-endian float32 parameter payload."""
+    little-endian float32 parameter payload, written atomically."""
     entries = []
     payload = bytearray()
     for name, p in net.named_parameters():
@@ -379,7 +395,7 @@ def save_checkpoint(net, path, meta=None):
         entries.append({"name": name, "shape": list(p.shape), "offset": len(payload)})
         payload.extend(raw)
     manifest = {"format": CHECKPOINT_FORMAT, "meta": meta or {}, "params": entries}
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(json.dumps(manifest).encode("utf-8"))
         f.write(b"\n")
         f.write(bytes(payload))

@@ -3,6 +3,7 @@ codes (0 success / 1 usage / 2 runtime), config-file merging, and the full
 gen-data -> train -> eval -> bench pipeline on a miniature dataset."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -246,6 +247,44 @@ class TestMalformedCheckpoint:
 
 
 # ---------------------------------------------------------------------------
+# malformed manifests
+# ---------------------------------------------------------------------------
+
+BAD_CASE_ENTRIES = {
+    "entry_without_id": lambda e: {"split": e["split"]},
+    "id_not_string": lambda e: {**e, "id": 2},
+    "split_not_string": lambda e: {**e, "split": [e["split"]]},
+    "entry_not_object": lambda e: e["id"],
+}
+
+
+class TestMalformedManifest:
+    @pytest.fixture(params=sorted(BAD_CASE_ENTRIES))
+    def bad_dataset(self, request, dataset, tmp_path):
+        # the last entry is the validation case, so eval reads it too
+        root = tmp_path / "data"
+        shutil.copytree(dataset, root)
+        doc = read_manifest(root / "manifest.json")
+        doc["cases"][-1] = BAD_CASE_ENTRIES[request.param](doc["cases"][-1])
+        (root / "manifest.json").write_text(json.dumps(doc))
+        return root
+
+    def test_train_exits_2(self, bad_dataset, tmp_path, capsys):
+        code = main(["train", "--data-dir", str(bad_dataset), "--out-dir",
+                     str(tmp_path / "run"), "--epochs", "1"] + TINY_MODEL)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+
+    def test_eval_exits_2(self, bad_dataset, trained, capsys):
+        code = main(["eval", "--checkpoint", str(trained / "best.ckpt"),
+                     "--data-dir", str(bad_dataset)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
 # bench and flops
 # ---------------------------------------------------------------------------
 
@@ -257,6 +296,16 @@ class TestBenchFlops:
         assert doc["flops_per_forward"] > 0
         assert doc["params"] > 0
         assert doc["input_shape"] == [1, 1, 8, 16, 16]
+
+    @pytest.mark.parametrize("batch,flops", [(1, 718929920), (4, 2875719680)])
+    def test_flops_of_the_readme_config_are_pinned(self, batch, flops, capsys):
+        assert main(["flops", "--patch-size", "64", "64", "32", "--spacing", "1", "1", "4",
+                     "--num-stages", "4", "--base-channels", "8",
+                     "--batch-size", str(batch)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["flops_per_forward"] == flops
+        assert doc["params"] == 174170
+        assert doc["output_shape"] == [batch, 2, 32, 64, 64]
 
     def test_bench_reports_same_flops(self, capsys):
         assert main(["flops", "--spacing", "1", "1", "4"] + TINY_MODEL) == 0

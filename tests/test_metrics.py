@@ -391,6 +391,19 @@ class TestReport:
         assert float(mean["surface_dice"]) == pytest.approx(0.9)
         assert float(mean["hausdorff_mm"]) == pytest.approx(2.0)
 
+    def test_failed_write_keeps_the_previous_report(self, tmp_path):
+        path = tmp_path / "report.csv"
+        write_report_csv(path, [{"case": "case_000", "class": 1, "dice": 0.8}])
+        before = path.read_bytes()
+        # the second row's dice is no number: the writer fails after the
+        # header and the first row are written
+        rows = [{"case": "case_000", "class": 1, "dice": 0.5},
+                {"case": "case_001", "class": 1, "dice": "n/a"}]
+        with pytest.raises(ValueError):
+            write_report_csv(path, rows)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
 
 # ---------------------------------------------------------------------------
 # training loss

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from phnet.autograd import Tensor, grad_check, no_grad, trace
-from phnet.flops import count_flops, ip_mlp_flops, vanilla_token_mixing_flops
+from phnet import layers
+from phnet.flops import ip_mlp_flops, vanilla_token_mixing_flops
 from phnet.layers import ChannelNorm, InstanceNorm, Linear, Module
 from phnet.metrics import dice_ce_loss
 from phnet.model import (
@@ -265,10 +266,6 @@ def test_tape_has_one_node_per_norm_and_linear():
 # FLOP counting
 # ---------------------------------------------------------------------------
 
-def test_flops_linear_example():
-    assert count_flops(Linear(4, 4), (1, 4)) == 32
-
-
 def test_ip_pathway_closed_form_and_linearity():
     # horizontal pathway at H=W=8, C=4: 2*64*16 = 2048; doubling H doubles it
     from phnet.flops import ip_pathway_flops
@@ -281,36 +278,115 @@ def test_vanilla_token_mixing_quadruples():
     assert vanilla_token_mixing_flops(16, 8, 4) == 4 * vanilla_token_mixing_flops(8, 8, 4)
 
 
-def test_mlpp_block_counter_matches_closed_forms():
+def _one_stage_net(mlpp_stages, num_layers=2):
+    # input (D,H,W) = (4,8,8); the one 3D stage writes (2,4,4) with 8 channels
+    cfg = PHNetConfig(num_stages=1, base_channels=8, max_channels=8, in_channels=1,
+                      num_classes=2, voxel_spacing_mm=(1, 1, 1), patch_size=(8, 8, 4),
+                      mlpp_stages=mlpp_stages, blocks_per_stage=1,
+                      mlpp=MLPPDefaults(l_ip=2, l_aa=2, l_tp=2, num_layers=num_layers))
+    return PHNet(cfg, seed=0)
+
+
+# decoder and head of ``_one_stage_net``, MACs per batch item: the (2,2,2)
+# transposed conv 8->8 (512 weights per coarse voxel, 32 voxels), the
+# separable (1,3,3) and (3,1,1) convs 8->8 and the 1x1x1 head 8->2 (256 voxels)
+_ONE_STAGE_DECODER_MACS = 32 * 8 * 8 * 8 + 256 * (8 * 8 * 9 + 8 * 8 * 3 + 8 * 2)
+
+
+def test_conv_net_flops_hand_sum():
+    net = _one_stage_net(mlpp_stages=())
+    # residual block on the coarse grid (32 voxels): strided 3x3x3 conv 1->8,
+    # 3x3x3 conv 8->8, strided 1x1x1 skip projection 1->8
+    encoder = 32 * (8 * 1 * 27 + 8 * 8 * 27 + 8 * 1)
+    flops, shape = net.count_flops((2, 1, 4, 8, 8))
+    assert flops == 2 * 2 * (encoder + _ONE_STAGE_DECODER_MACS)
+    assert shape == (2, 2, 4, 8, 8)
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_mlpp_net_flops_match_closed_forms(num_layers):
     from phnet.flops import aa_mlp_flops, tp_mlp_flops
-    from phnet.mlpp import MLPPBlock, MLPPConfig
-    cfg = MLPPConfig(channels=8, l_ip=2, l_aa=2, l_tp=2, num_layers=2)
-    blk = MLPPBlock(cfg)
-    B, C, D, H, W = 2, 8, 4, 8, 8
-    want = 2 * (B * D * ip_mlp_flops(H, W, C)
-                + B * D * aa_mlp_flops(H, W, C, 2)
-                + B * tp_mlp_flops(D, H, W, C))
-    assert count_flops(blk, (B, C, D, H, W)) == want
+    net = _one_stage_net(mlpp_stages=None, num_layers=num_layers)
+    assert [p.mode for p in net.plan] == ["mlpp"]
+    B, C, D, H, W = 3, 8, 2, 4, 4
+    per_layer = (B * D * ip_mlp_flops(H, W, C) + B * D * aa_mlp_flops(H, W, C, 2)
+                 + B * tp_mlp_flops(D, H, W, C))
+    # strided 3x3x3 Conv-IN-ReLU 1->8 before the MLPP block
+    convs = 2 * B * (D * H * W * 8 * 27 + _ONE_STAGE_DECODER_MACS)
+    assert net.count_flops((B, 1, 4, 8, 8))[0] == convs + num_layers * per_layer
 
 
 def test_network_flops_linear_in_batch():
     net = PHNet(ANISO, seed=0)
-    f1 = count_flops(net, (1, 1, 16, 32, 32))
-    f3 = count_flops(net, (3, 1, 16, 32, 32))
+    f1 = net.count_flops((1, 1, 16, 32, 32))[0]
+    f3 = net.count_flops((3, 1, 16, 32, 32))[0]
     assert f3 == 3 * f1
     assert f1 > 0
 
 
-def test_conv_flops_hand_example():
-    from phnet.layers import Conv
-    conv = Conv(3, 8, (1, 3, 3), stride=1, padding=(0, 1, 1))
-    # per output position: 2 * 8 * 3 * 9 MACs... = 432 FLOPs; 4*4*4 positions
-    assert count_flops(conv, (1, 3, 4, 4, 4)) == 2 * 8 * 3 * 9 * 64
+def _op_counting_forward(monkeypatch, net, x):
+    """Run ``net`` on ``x`` under no_grad with the conv, transposed-conv and
+    linear ops wrapped to count multiply-adds from the shapes they receive."""
+    macs = []
+
+    def conv(x, kernel, *args, **kwargs):
+        out = orig_conv(x, kernel, *args, **kwargs)
+        macs.append(out.size // kernel.shape[0] * kernel.size)
+        return out
+
+    def conv_transpose(x, kernel, *args, **kwargs):
+        macs.append(x.size // x.shape[1] * kernel.size)
+        return orig_conv_transpose(x, kernel, *args, **kwargs)
+
+    def linear(x, weight, *args, **kwargs):
+        macs.append(x.size // weight.shape[1] * weight.size)
+        return orig_linear(x, weight, *args, **kwargs)
+
+    orig_conv, orig_conv_transpose, orig_linear = (
+        layers.conv_nd, layers.conv_transpose_nd, layers.linear)
+    monkeypatch.setattr(layers, "conv_nd", conv)
+    monkeypatch.setattr(layers, "conv_transpose_nd", conv_transpose)
+    monkeypatch.setattr(layers, "linear", linear)
+    with no_grad():
+        out = net(Tensor(x))
+    return 2 * sum(macs), out.shape
+
+
+# (num_stages, through-plane spacing): 0, 1 or 2 in-plane-only stages
+_STAGE_GRID = [(1, 1.0), (2, 1.0), (2, 2.0), (3, 1.0), (3, 2.0), (3, 4.0),
+               (4, 1.0), (4, 2.0), (4, 4.0)]
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("mlpp_stages,num_layers", [(None, 1), (None, 2), ((), 2)])
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("num_stages,tp", _STAGE_GRID)
+def test_count_flops_equals_ops_of_a_forward(monkeypatch, num_stages, tp, blocks,
+                                             mlpp_stages, num_layers, batch):
+    cfg = PHNetConfig(num_stages=num_stages, base_channels=4, max_channels=32,
+                      in_channels=1, num_classes=2, voxel_spacing_mm=(1.0, 1.0, tp),
+                      patch_size=(16, 16, 16), mlpp_stages=mlpp_stages,
+                      mlpp=MLPPDefaults(num_layers=num_layers), blocks_per_stage=blocks)
+    net = PHNet(cfg, seed=0)
+    x = np.random.default_rng(0).normal(size=(batch, 1, 16, 16, 16)).astype(np.float32)
+    counted, out_shape = _op_counting_forward(monkeypatch, net, x)
+    assert net.count_flops(x.shape) == (counted, out_shape)
 
 
 # ---------------------------------------------------------------------------
 # checkpoint I/O
 # ---------------------------------------------------------------------------
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path):
+    net = PHNet(ANISO, seed=11)
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(net, path, meta={"epoch": 1})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):                 # meta is not JSON-serializable
+        save_checkpoint(PHNet(ANISO, seed=12), path, meta={"epoch": object()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+
 
 def test_checkpoint_roundtrip(tmp_path):
     net = PHNet(ANISO, seed=11)
