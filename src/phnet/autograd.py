@@ -10,6 +10,10 @@ Shapes must match exactly for binary elementwise ops; the only implicit
 broadcasts are by a python scalar (``scale``, ``add_scalar``). Fused
 primitives that apply per-channel parameters (convolution bias, linear maps,
 normalization) broadcast them inside their own node.
+
+Every change of shape or axis order is one ``regroup`` node: view as a
+split shape, transpose, read row-major as the result shape.  The MLPP token
+segments and attention windows are built this way.
 """
 
 from __future__ import annotations
@@ -18,10 +22,6 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _grad_enabled = True
 
@@ -112,12 +112,6 @@ class Tensor:
         return matmul(self, other)
 
     # -- method sugar ------------------------------------------------------
-    def permute(self, axes):
-        return permute(self, axes)
-
-    def reshape(self, new_shape):
-        return reshape(self, new_shape)
-
     def sum(self, axes=None, keepdims=False):
         return _sum(self, axes, keepdims)
 
@@ -126,9 +120,6 @@ class Tensor:
 
     def relu(self):
         return relu(self)
-
-    def gelu(self):
-        return gelu(self)
 
     def exp(self):
         return exp(self)
@@ -210,18 +201,6 @@ def relu(t):
     return make_node(np.maximum(x, 0.0), (t,), "relu", lambda g: (g * (x > 0),))
 
 
-def gelu(t):
-    x = t.data
-    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = x * phi
-
-    def bk(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        return (g * (phi + x * pdf),)
-
-    return make_node(out, (t,), "gelu", bk)
-
-
 def exp(t):
     out = np.exp(t.data)
     return make_node(out, (t,), "exp", lambda g: (g * out,))
@@ -231,24 +210,29 @@ def exp(t):
 # shape ops
 # ---------------------------------------------------------------------------
 
-def permute(t, axes):
+def regroup(t, split, axes, shape):
+    """View ``t`` as ``split``, reorder those axes by ``axes`` (as
+    ``np.transpose``) and read the result row-major as ``shape``.
+
+    One node for a reshape -> permute -> reshape chain.  It only moves
+    elements, so the backward applies the inverse move to the gradient.
+    """
+    split = tuple(int(n) for n in split)
     axes = tuple(int(a) for a in axes)
-    if sorted(axes) != list(range(t.ndim)):
-        raise ValueError(f"permute: axes {axes} is not a permutation of 0..{t.ndim - 1}")
-    inv = np.argsort(axes)
-    return make_node(np.transpose(t.data, axes), (t,), "permute",
-                     lambda g: (np.transpose(g, inv),))
-
-
-def reshape(t, new_shape):
-    new_shape = tuple(int(n) for n in new_shape)
-    if math.prod(new_shape) != t.size:
-        raise ValueError(
-            f"reshape: cannot view {t.shape} ({t.size} elements) as {new_shape}")
-    old_shape = t.shape
-    # np.reshape copies non-contiguous inputs before reinterpreting
-    return make_node(np.reshape(t.data, new_shape), (t,), "reshape",
-                     lambda g: (np.reshape(g, old_shape),))
+    shape = tuple(int(n) for n in shape)
+    if sorted(axes) != list(range(len(split))):
+        raise ValueError(f"regroup: axes {axes} is not a permutation of 0..{len(split) - 1}")
+    for name, s in (("split", split), ("shape", shape)):
+        if math.prod(s) != t.size:
+            raise ValueError(
+                f"regroup: {name} {s} does not hold the {t.size} elements of {t.shape}")
+    in_shape = t.shape
+    moved = tuple(split[a] for a in axes)
+    inv = tuple(np.argsort(axes))
+    # np.reshape copies a non-contiguous array before reinterpreting it
+    out = np.reshape(np.transpose(np.reshape(t.data, split), axes), shape)
+    return make_node(out, (t,), "regroup",
+                     lambda g: (np.reshape(np.transpose(np.reshape(g, moved), inv), in_shape),))
 
 
 def concat(tensors, axis):

@@ -254,22 +254,32 @@ def write_volume(base_path, v):
         f.write(grid.tobytes())
 
 
+def _is_triple(value, types):
+    """A JSON list of 3 values of ``types`` (bools, which are ints, excluded)."""
+    return (isinstance(value, list) and len(value) == 3
+            and all(isinstance(v, types) and not isinstance(v, bool) for v in value))
+
+
 def read_volume(base_path):
     """Read a volume pair; returns Volume (f32) or LabelVolume (u8)."""
     base = str(base_path)
     with open(base + ".hdr", "r", encoding="utf-8") as f:
         header = json.load(f)
+    if not isinstance(header, dict):
+        raise ValueError(f"{base}.hdr: header is not a JSON object")
     for key in ("dims", "spacing_mm", "dtype", "byte_order"):
         if key not in header:
             raise ValueError(f"{base}.hdr: missing field {key!r}")
     if header["byte_order"] != "little":
         raise ValueError(f"{base}.hdr: unsupported byte_order {header['byte_order']!r}")
-    if header["dtype"] not in _DTYPES:
+    if not isinstance(header["dtype"], str) or header["dtype"] not in _DTYPES:
         raise ValueError(f"{base}.hdr: unknown dtype {header['dtype']!r}")
-    dims = header["dims"]
-    if len(dims) != 3 or any(int(n) < 1 for n in dims):
-        raise ValueError(f"{base}.hdr: dims must be 3 positive ints, got {dims}")
-    w, h, d = (int(n) for n in dims)
+    dims, spacing = header["dims"], header["spacing_mm"]
+    if not (_is_triple(dims, (int,)) and all(n >= 1 for n in dims)):
+        raise ValueError(f"{base}.hdr: dims must be 3 positive ints, got {dims!r}")
+    if not _is_triple(spacing, (int, float)):
+        raise ValueError(f"{base}.hdr: spacing_mm must be 3 numbers, got {spacing!r}")
+    w, h, d = dims
     dt = _DTYPES[header["dtype"]]
     with open(base + ".raw", "rb") as f:
         payload = f.read()
@@ -278,7 +288,6 @@ def read_volume(base_path):
             f"{base}.raw: payload is {len(payload)} bytes, dims {dims} require "
             f"{w * h * d * dt.itemsize}")
     grid = np.frombuffer(payload, dtype=dt).reshape(d, h, w)
-    spacing = tuple(header["spacing_mm"])
     if header["dtype"] == "u8":
         return LabelVolume(grid.copy(), spacing)
     return Volume(grid.copy(), spacing)

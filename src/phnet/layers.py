@@ -54,21 +54,29 @@ class Module:
     """Minimal parameter container.
 
     Subclasses assign ``Parameter``s, sub-``Module``s, or lists of
-    sub-``Module``s as plain attributes; ``named_parameters`` walks them in
-    attribute-insertion order, which makes parameter naming (used by the
-    checkpoint format) deterministic.
+    sub-``Module``s as plain attributes.  ``named_parameters`` yields a
+    module's own ``Parameter``s, then those of each child from
+    ``named_children``, each in attribute-insertion order, which makes
+    parameter naming (used by the checkpoint format) deterministic.
     """
+
+    def named_children(self):
+        """Direct sub-``Module``s with their dotted names: each attribute that
+        is a ``Module``, and each ``Module`` item of a list or tuple."""
+        for name, value in vars(self).items():
+            if isinstance(value, Module):
+                yield name, value
+            elif isinstance(value, (list, tuple)):
+                for i, item in enumerate(value):
+                    if isinstance(item, Module):
+                        yield f"{name}.{i}", item
 
     def named_parameters(self, prefix=""):
         for name, value in vars(self).items():
             if isinstance(value, Parameter):
                 yield prefix + name, value
-            elif isinstance(value, Module):
-                yield from value.named_parameters(f"{prefix}{name}.")
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        yield from item.named_parameters(f"{prefix}{name}.{i}.")
+        for name, child in self.named_children():
+            yield from child.named_parameters(f"{prefix}{name}.")
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]

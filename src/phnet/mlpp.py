@@ -18,12 +18,15 @@ layers whose shapes are independent of the spatial resolution:
 ``u = x + fuse(ip(norm1(x)), aa(norm1(x)))`` then ``y = u + tp(norm2(u))``.
 All pathway maps are affine, so zeroed weights make the block an exact
 identity; nonlinearity enters through the attention product and the norms.
+Each segment or window view, and each channel FC's move of the channel
+axis to the end and back, is one ``regroup`` tape node.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .autograd import regroup
 from .layers import ChannelNorm, Linear, Module
 
 __all__ = [
@@ -112,17 +115,13 @@ def segment_axis(x, axis, L):
     channel ``group*g + c`` at the segment's ``l``-th position.
     """
     pre, perm, g = _segment_geometry(x.shape, axis, L)
-    rows = x.reshape(pre).permute(perm)
-    n = x.size // (L * g)
-    return rows.reshape((n, L * g))
+    return regroup(x, pre, perm, (x.size // (L * g), L * g))
 
 
 def unsegment_axis(rows, shape, axis, L):
     """Inverse of ``segment_axis`` for an original feature map ``shape``."""
     pre, perm, _ = _segment_geometry(shape, axis, L)
-    permuted_shape = tuple(pre[a] for a in perm)
-    x = rows.reshape(permuted_shape).permute(tuple(np.argsort(perm)))
-    return x.reshape(shape)
+    return regroup(rows, tuple(pre[a] for a in perm), np.argsort(perm), shape)
 
 
 def partition_windows(x, L):
@@ -134,16 +133,15 @@ def partition_windows(x, L):
     B, C, D, H, W = x.shape
     if H % L or W % L:
         raise ValueError(f"window side {L} must divide H={H} and W={W}")
-    x7 = x.reshape((B, C, D, H // L, L, W // L, L))
-    xp = x7.permute((0, 1, 2, 3, 5, 4, 6))
-    return xp.reshape((B * C * D * (H // L) * (W // L), L * L))
+    return regroup(x, (B, C, D, H // L, L, W // L, L), (0, 1, 2, 3, 5, 4, 6),
+                   (B * C * D * (H // L) * (W // L), L * L))
 
 
 def merge_windows(rows, shape, L):
     """Inverse of ``partition_windows``."""
     B, C, D, H, W = shape
-    x7 = rows.reshape((B, C, D, H // L, W // L, L, L))
-    return x7.permute((0, 1, 2, 3, 5, 4, 6)).reshape(shape)
+    return regroup(rows, (B, C, D, H // L, W // L, L, L), (0, 1, 2, 3, 5, 4, 6),
+                   shape)
 
 
 def residual_attention_fuse(y_ip, y_a):
@@ -155,8 +153,9 @@ def residual_attention_fuse(y_ip, y_a):
 
 def _channel_fc(x, fc):
     """Apply an FC over the channel axis of a (B,C,D,H,W) map."""
-    y = fc(x.permute((0, 2, 3, 4, 1)))
-    return y.permute((0, 4, 1, 2, 3))
+    B, C, D, H, W = x.shape
+    y = fc(regroup(x, x.shape, (0, 2, 3, 4, 1), (B, D, H, W, C)))
+    return regroup(y, y.shape, (0, 4, 1, 2, 3), (B, y.shape[-1], D, H, W))
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +247,6 @@ class MLPPBlock(Module):
                             for _ in range(cfg.num_layers)]
 
     def forward(self, x):
-        c = self.cfg
-        B, C, D, H, W = x.shape
-        if C != c.channels:
-            raise ValueError(f"expected {c.channels} channels, got {C}")
-        if H % c.l_ip or W % c.l_ip:
-            raise ValueError(f"H={H}, W={W} must be divisible by l_ip={c.l_ip}")
-        if H % c.l_aa or W % c.l_aa:
-            raise ValueError(f"H={H}, W={W} must be divisible by l_aa={c.l_aa}")
-        if D % c.l_tp:
-            raise ValueError(f"D={D} must be divisible by l_tp={c.l_tp}")
         for layer in self.mlpp_layers:
             x = layer(x)
         return x

@@ -346,10 +346,7 @@ def _macs(module, feature_shape):
         return n // math.prod(module.stride) * module.kernel.size
     if isinstance(module, Linear):
         return n * c * module.out_features
-    return sum(_macs(child, feature_shape)
-               for value in vars(module).values()
-               for child in (value if isinstance(value, (list, tuple)) else (value,))
-               if isinstance(child, Module))
+    return sum(_macs(child, feature_shape) for _, child in module.named_children())
 
 
 def count_params(net):

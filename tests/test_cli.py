@@ -284,6 +284,39 @@ class TestMalformedManifest:
         assert "error:" in err and "Traceback" not in err
 
 
+BAD_HEADERS = {
+    "header_not_object": lambda h: [h],
+    "dims_not_list": lambda h: {**h, "dims": 4},
+    "dims_not_ints": lambda h: {**h, "dims": [str(n) for n in h["dims"]]},
+    "spacing_is_number": lambda h: {**h, "spacing_mm": 4.0},
+}
+
+
+class TestMalformedVolumeHeader:
+    @pytest.fixture(params=sorted(BAD_HEADERS))
+    def bad_dataset(self, request, dataset, tmp_path):
+        # the validation case, which both train and eval read
+        root = tmp_path / "data"
+        shutil.copytree(dataset, root)
+        hdr = root / f"{read_manifest(root / 'manifest.json')['cases'][-1]['id']}_img.hdr"
+        hdr.write_text(json.dumps(BAD_HEADERS[request.param](json.loads(hdr.read_text()))))
+        return root
+
+    def test_train_exits_2(self, bad_dataset, tmp_path, capsys):
+        code = main(["train", "--data-dir", str(bad_dataset), "--out-dir",
+                     str(tmp_path / "run"), "--epochs", "1"] + TINY_MODEL)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+
+    def test_eval_exits_2(self, bad_dataset, trained, capsys):
+        code = main(["eval", "--checkpoint", str(trained / "best.ckpt"),
+                     "--data-dir", str(bad_dataset)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # bench and flops
 # ---------------------------------------------------------------------------

@@ -414,6 +414,20 @@ class TestVolumeIO:
         with pytest.raises(ValueError, match="dims"):
             read_volume(base)
 
+        (tmp_path / "vol.hdr").write_text(json.dumps([header]))
+        with pytest.raises(ValueError, match="object"):
+            read_volume(base)
+
+        for field, value in (("dims", 24), ("dims", {"x": 4}), ("dims", [4, 3]),
+                             ("dims", [4.0, 3, 2]), ("dims", ["4", "3", "2"]),
+                             ("dims", [4, 3, True]), ("dims", [4, 3, 0]),
+                             ("spacing_mm", 4.0), ("spacing_mm", [1.0, 1.0]),
+                             ("spacing_mm", ["1", 1.0, 1.0]), ("spacing_mm", None),
+                             ("dtype", ["f32"])):
+            (tmp_path / "vol.hdr").write_text(json.dumps({**header, field: value}))
+            with pytest.raises(ValueError, match=field):
+                read_volume(base)
+
     def test_manifest_round_trip(self, tmp_path):
         path = tmp_path / "manifest.json"
         cases = [("case_000", "train"), ("case_001", "val")]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from phnet.autograd import Tensor, grad_check, no_grad
 from phnet.mlpp import (
@@ -124,6 +125,33 @@ def test_window_layout_row_major():
 def test_window_divisibility_error():
     with pytest.raises(ValueError):
         partition_windows(Tensor(np.zeros((1, 1, 1, 4, 5))), 2)
+
+
+# ---------------------------------------------------------------------------
+# generated geometries
+# ---------------------------------------------------------------------------
+
+def feature_map(draw, channels, spatial):
+    shape = (draw(st.integers(1, 2)), channels) + tuple(spatial)
+    return np.random.default_rng(draw(st.integers(0, 2 ** 16))).normal(size=shape)
+
+
+@given(st.data(), st.sampled_from("DHW"), st.integers(1, 3), st.integers(1, 3))
+def test_generated_segment_roundtrip_bitwise(data, axis, L, g):
+    extents = [data.draw(st.integers(1, 4)) for _ in range(3)]
+    extents["DHW".index(axis)] = L * data.draw(st.integers(1, 3))
+    x = feature_map(data.draw, L * g, extents)
+    back = unsegment_axis(segment_axis(Tensor(x), axis, L), x.shape, axis, L)
+    assert np.array_equal(back.data, x)
+
+
+@given(st.data(), st.integers(1, 3))
+def test_generated_window_roundtrip_bitwise(data, L):
+    spatial = (data.draw(st.integers(1, 3)), L * data.draw(st.integers(1, 3)),
+               L * data.draw(st.integers(1, 3)))
+    x = feature_map(data.draw, data.draw(st.integers(1, 3)), spatial)
+    back = merge_windows(partition_windows(Tensor(x), L), x.shape, L)
+    assert np.array_equal(back.data, x)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ import pytest
 from phnet.autograd import Tensor, grad_check, no_grad, trace
 from phnet import layers
 from phnet.flops import ip_mlp_flops, vanilla_token_mixing_flops
-from phnet.layers import ChannelNorm, InstanceNorm, Linear, Module
+from phnet.layers import ChannelNorm, InstanceNorm, Linear
 from phnet.metrics import dice_ce_loss
+from phnet.mlpp import MLPPLayer
 from phnet.model import (
     MLPPDefaults,
     PHNet,
@@ -234,20 +235,23 @@ def test_gradients_reach_every_parameter():
 
 def submodules(m):
     yield m
-    for v in vars(m).values():
-        for item in v if isinstance(v, (list, tuple)) else (v,):
-            if isinstance(item, Module):
-                yield from submodules(item)
+    for _, child in m.named_children():
+        yield from submodules(child)
 
 
-def test_tape_has_one_node_per_norm_and_linear():
+@pytest.fixture(scope="module")
+def small_train_tape():
     cfg = PHNetConfig(num_stages=2, base_channels=4, max_channels=8,
                       in_channels=1, num_classes=2, voxel_spacing_mm=(1, 1, 2),
                       patch_size=(8, 8, 4), blocks_per_stage=1)
     net = PHNet(cfg, seed=5)
     rng = np.random.default_rng(8)
     x = Tensor(rng.normal(size=(2, 1, 4, 8, 8)).astype(np.float32))
-    nodes = trace(dice_ce_loss(net(x), rng.integers(0, 2, size=(2, 4, 8, 8))))
+    return net, trace(dice_ce_loss(net(x), rng.integers(0, 2, size=(2, 4, 8, 8))))
+
+
+def test_tape_has_one_node_per_norm_and_linear(small_train_tape):
+    net, nodes = small_train_tape
     ops = [n._op for n in nodes]
     assert "broadcast_to" not in ops and "sqrt" not in ops
     mods = list(submodules(net))
@@ -260,6 +264,22 @@ def test_tape_has_one_node_per_norm_and_linear():
                          + [(m, "linear", m.weight) for m in linears]):
         users = [n for n in nodes if any(p is param for p in n._parents)]
         assert [n._op for n in users] == [op], type(m).__name__
+
+
+def test_tape_has_one_regroup_node_per_mlpp_view(small_train_tape):
+    # IP: segment and unsegment along H and W, and two channel FCs, each
+    # moving the channel axis last and back; AA: partition and merge
+    # windows; TP: segment and unsegment along D
+    net, nodes = small_train_tape
+    ops = [n._op for n in nodes]
+    assert "permute" not in ops and "reshape" not in ops
+    mlpp_layers = [m for m in submodules(net) if isinstance(m, MLPPLayer)]
+    assert mlpp_layers and ops.count("regroup") == 12 * len(mlpp_layers)
+    layer = mlpp_layers[0]
+    x = Tensor(np.ones((1, layer.ip.fc_c.out_features, 2, 4, 4), np.float32),
+               requires_grad=True)
+    for pathway, views in ((layer.ip, 8), (layer.aa, 2), (layer.tp, 2)):
+        assert [n._op for n in trace(pathway(x).sum())].count("regroup") == views
 
 
 # ---------------------------------------------------------------------------
