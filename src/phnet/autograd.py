@@ -6,6 +6,13 @@ backward closure, so the computation DAG is the tape: calling ``backward``
 on a scalar node walks the DAG in reverse topological order and accumulates
 gradients (summing where a node feeds several consumers).
 
+A graph is walked once.  As the walk passes a node it runs the node's
+closure and then releases the node: its ``grad`` (unless it is the loss),
+its closure and its parents, so the arrays the closures captured are freed
+during the walk rather than after it.  Leaves (``Parameter``s and inputs
+made with ``requires_grad``) have no closure; they keep their ``grad`` and
+accumulate into it across walks until it is reset.
+
 Shapes must match exactly for binary elementwise ops; the only implicit
 broadcasts are by a python scalar (``scale``, ``add_scalar``). Fused
 primitives that apply per-channel parameters (convolution bias, linear maps,
@@ -49,8 +56,10 @@ class Tensor:
     """A node of the computation graph holding a numpy array.
 
     ``data`` is treated as immutable once the tensor participates in an op.
-    ``grad`` is populated by ``backward`` (accumulated across consumers and
-    across successive backward calls until reset).
+    ``grad`` is populated by ``backward``.  On a leaf it accumulates across
+    consumers and across successive backward calls until reset.  An op
+    result keeps its ``grad``, closure and parents only until ``backward``
+    has walked it (the loss keeps its ``grad``); it cannot be walked again.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_op", "_backward")
@@ -345,20 +354,38 @@ def trace(root):
 
 
 def backward(loss):
-    """Accumulate d(loss)/d(node) into ``.grad`` for every reachable node that
-    requires grad."""
+    """Accumulate d(loss)/d(node) into ``.grad`` of every leaf reachable from
+    ``loss`` that requires grad, walking the graph once.
+
+    Each op result is released as soon as its closure has run: its ``grad``
+    is set to None (``loss`` keeps its own), and its closure and parents are
+    dropped, so the walk frees the tape as it goes.  Leaf grads, such as
+    those of ``Parameter``s, keep accumulating across walks until reset.
+    Walking a graph a second time raises ``ValueError``.
+    """
     if loss.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     order = trace(loss)
+    # an op result without a closure has been walked (a leaf never had one)
+    if any(node._backward is None and node._op != "leaf" for node in order):
+        raise ValueError("backward: this graph was already walked, and a graph "
+                         "can be walked only once; build it again for another gradient")
     loss.grad = np.ones_like(loss.data) if loss.grad is None \
         else loss.grad + np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is None or node.grad is None:
+    # popping drops the walk's own reference to each node
+    while order:
+        node = order.pop()
+        if node._backward is None:
             continue
-        for parent, g in zip(node._parents, node._backward(node.grad)):
-            if g is None or not parent.requires_grad:
-                continue
-            parent.grad = g if parent.grad is None else parent.grad + g
+        if node.grad is not None:
+            for parent, g in zip(node._parents, node._backward(node.grad)):
+                if g is None or not parent.requires_grad:
+                    continue
+                parent.grad = g if parent.grad is None else parent.grad + g
+        if node is not loss:
+            node.grad = None
+        node._backward = None
+        node._parents = ()
 
 
 def grad_check(f, x, h=1e-5):

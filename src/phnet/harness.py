@@ -2,8 +2,9 @@
 
 Training samples foreground-biased patches per case each epoch, optimizes the
 Dice+CE loss with AdamW under the batch-proportional learning-rate rule, logs
-one line-delimited JSON record per optimizer step, and checkpoints whenever
-the validation Dice improves.
+one line-delimited JSON record per optimizer step (with the step's forward,
+backward and optimizer seconds, gradient norm and peak RSS so far), and
+checkpoints whenever the validation Dice improves.
 
 Inference runs a sliding window at the training patch size with 50% overlap
 and uniform logit averaging; windows are stitched in a canonical sorted order
@@ -112,13 +113,14 @@ def _model_config(cfg, num_classes, spacing_mm):
 class RunLog:
     """Line-delimited JSON training log.  Step records must arrive with
     strictly increasing step ids; every record carries a wall-clock timestamp
-    and elapsed seconds since the log was opened."""
+    and elapsed seconds since the log was opened (``time.monotonic``)."""
 
     def __init__(self, path):
         self.path = str(path)
         self._f = open(self.path, "w", encoding="utf-8")
         self._t0 = time.monotonic()
         self._last_step = 0
+        self._step_fields = {}
 
     def _emit(self, record):
         record = {"timestamp": time.time(),
@@ -130,13 +132,19 @@ class RunLog:
     def log_meta(self, **fields):
         self._emit({"kind": "meta", **fields})
 
+    def note_step(self, **fields):
+        """Add ``fields`` to the next step record.  ``log_step`` keeps its
+        four arguments, so code that wraps it passes them on unchanged."""
+        self._step_fields.update(fields)
+
     def log_step(self, step, epoch, loss, lr):
         if step != self._last_step + 1:
             raise ValueError(
                 f"step ids must increase by 1: got {step} after {self._last_step}")
         self._last_step = step
+        fields, self._step_fields = self._step_fields, {}
         self._emit({"kind": "step", "step": step, "epoch": epoch,
-                    "loss": float(loss), "lr": float(lr)})
+                    "loss": float(loss), "lr": float(lr), **fields})
 
     def log_epoch(self, epoch, val_dice, best_val_dice):
         self._emit({"kind": "epoch", "epoch": epoch,
@@ -274,9 +282,19 @@ def _validation_dice(net, model_cfg, val_cases):
     return sum(scores) / len(scores)
 
 
+def _peak_rss_bytes():
+    """Lifetime peak RSS of this process (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+
 def train(cfg):
     """Full training run; returns a summary dict with the checkpoint path,
-    best validation Dice, and total step count."""
+    best validation Dice, and total step count.
+
+    Each step record holds, besides the loss and learning rate, the step's
+    ``forward_s`` (forward and loss), ``backward_s`` and ``optim_s`` on the
+    run log's clock, the global ``grad_norm`` and the ``peak_rss_mb`` so
+    far."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cases, manifest = load_dataset(cfg.data_dir)
@@ -329,16 +347,24 @@ def train(cfg):
                 x = np.stack([pool[i][0] for i in idx])[:, None]
                 y = np.stack([pool[i][1] for i in idx]).astype(np.int64)
                 opt.zero_grad()
+                t0 = time.monotonic()
                 logits = net(ag.Tensor(x))
                 loss = dice_ce_loss(logits, y)
                 loss_val = loss.item()
+                t1 = time.monotonic()
                 step += 1
                 if not math.isfinite(loss_val):
                     raise TrainingError(
                         f"non-finite loss {loss_val} at step {step} "
                         f"(epoch {epoch})")
+                # the walk releases the tape, so ``logits`` and ``loss`` no
+                # longer hold it while the next step's forward runs
                 ag.backward(loss)
-                opt.step()
+                t2 = time.monotonic()
+                grad_norm = opt.step()
+                t3 = time.monotonic()
+                log.note_step(forward_s=t1 - t0, backward_s=t2 - t1, optim_s=t3 - t2,
+                              grad_norm=grad_norm, peak_rss_mb=_peak_rss_bytes() / 1e6)
                 log.log_step(step, epoch, loss_val, opt.lr)
             if epoch % cfg.val_interval == 0 or epoch == cfg.epochs:
                 val = _validation_dice(net, model_cfg, val_cases)
@@ -556,5 +582,5 @@ def bench(model_cfg, batch_size=1, repeats=3, seed=0):
         "repeats": repeats,
         "seconds_per_forward": elapsed / repeats,
         "voxels_per_second": voxels / elapsed if elapsed > 0 else float("inf"),
-        "peak_rss_bytes": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,
+        "peak_rss_bytes": _peak_rss_bytes(),
     }

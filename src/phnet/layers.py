@@ -205,66 +205,61 @@ def _output_rows(y, q):
     return _to_phase_rows(y, (1, 1, 1), (0, 0, 0), q, [(0, 0)])[0]
 
 
-def _conv_fwd(x, k, stride, padding):
+def _conv_fwd(xr, k, q, taps, out_spatial):
     """Strided cross-correlation by one channels-last GEMM per kernel tap.
 
-    Each tap reads one contiguous block of ``n = rows - max offset`` rows of
-    its stride phase of ``_to_phase_rows(x)``; its ``(n, Ci) @ (Ci, Co)``
-    product is accumulated in place into a (rows, Co) buffer (BLAS gemm,
-    beta=1).  A row whose read wraps across a grid edge (or into the next
-    batch item) lands only at an output position past ``od``, ``oh`` or
-    ``ow``, which the final crop drops."""
-    B, ci = x.shape[:2]
-    co = k.shape[0]
-    out_sp = tuple(conv_output_extent(n, kk, s, p)
-                   for n, kk, s, p in zip(x.shape[2:], k.shape[2:], stride, padding))
-    q, taps = _phase_layout(x.shape[2:], k.shape[2:], stride, padding)
-    xr = _to_phase_rows(x, stride, padding, q, taps)
+    ``xr`` is ``_to_phase_rows(x)`` for the layout ``q, taps`` of
+    ``_phase_layout``.  Each tap reads one contiguous block of
+    ``n = rows - max offset`` rows of its stride phase; its
+    ``(n, Ci) @ (Ci, Co)`` product is accumulated in place into a (rows, Co)
+    buffer (BLAS gemm, beta=1).  A row whose read wraps across a grid edge
+    (or into the next batch item) lands only at an output position past
+    ``od``, ``oh`` or ``ow``, which the final crop to ``out_spatial`` drops."""
+    co, ci = k.shape[:2]
     n = xr.shape[1] - taps[-1][1]
-    kt = np.ascontiguousarray(k.reshape(co, ci, -1).transpose(2, 1, 0), dtype=x.dtype)
-    acc = np.zeros((xr.shape[1], co), dtype=x.dtype)
-    gemm = get_blas_funcs("gemm", dtype=x.dtype)
+    kt = np.ascontiguousarray(k.reshape(co, ci, -1).transpose(2, 1, 0), dtype=xr.dtype)
+    acc = np.zeros((xr.shape[1], co), dtype=xr.dtype)
+    gemm = get_blas_funcs("gemm", dtype=xr.dtype)
     # BLAS is column-major: the transposes below are F-ordered views of
     # C-ordered blocks, so acc^T += k_tap^T @ x_block^T runs without copies
     for t, (ph, off) in enumerate(taps):
         gemm(1.0, kt[t].T, xr[ph, off:off + n].T, beta=1.0, c=acc[:n].T, overwrite_c=True)
-    acc = acc.reshape((B,) + q + (co,))[:, :out_sp[0], :out_sp[1], :out_sp[2]]
+    od, oh, ow = out_spatial
+    acc = acc.reshape((-1,) + q + (co,))[:, :od, :oh, :ow]
     return np.ascontiguousarray(acc.transpose(0, 4, 1, 2, 3))
 
 
-def _conv_adjoint(y, k, stride, padding, out_spatial):
-    """Adjoint of ``_conv_fwd`` with identical geometry.
+def _conv_adjoint(g, k, stride, padding, q, taps, shape):
+    """Adjoint of ``_conv_fwd`` with identical geometry, returning the
+    (B, Ci, D, H, W) array of ``shape``.
 
-    ``y`` is embedded in the phase grid of the conv input, zero outside the
-    output; each tap adds its ``(n, Co) @ (Co, Ci)`` product in place into
-    its phase of a channels-last canvas at the tap's row offset.  The phases
-    are then interleaved and the padding cropped.  Rows that wrap across a
-    grid edge carry zeros of the embedded ``y``, so they add nothing."""
+    ``g`` is ``_output_rows(y, q)``: the cotangent embedded in the phase
+    grid of the conv input, zero outside the output.  Each tap adds its
+    ``(n, Co) @ (Co, Ci)`` product in place into its phase of a
+    channels-last canvas at the tap's row offset.  The phases are then
+    interleaved and the padding cropped.  Rows that wrap across a grid edge
+    carry zeros of the embedded ``y``, so they add nothing."""
     co, ci = k.shape[:2]
-    q, taps = _phase_layout(out_spatial, k.shape[2:], stride, padding)
-    g = _output_rows(y, q)
     n = g.shape[0] - taps[-1][1]
-    kt = np.ascontiguousarray(k.reshape(co, ci, -1).transpose(2, 0, 1), dtype=y.dtype)
-    canvas = np.zeros((math.prod(stride),) + g.shape[:1] + (ci,), dtype=y.dtype)
-    gemm = get_blas_funcs("gemm", dtype=y.dtype)
+    kt = np.ascontiguousarray(k.reshape(co, ci, -1).transpose(2, 0, 1), dtype=g.dtype)
+    canvas = np.zeros((math.prod(stride),) + g.shape[:1] + (ci,), dtype=g.dtype)
+    gemm = get_blas_funcs("gemm", dtype=g.dtype)
     for t, (ph, off) in enumerate(taps):
         gemm(1.0, kt[t].T, g[:n].T, beta=1.0, c=canvas[ph, off:off + n].T,
              overwrite_c=True)
-    return _from_phase_rows(canvas, stride, padding, q, (y.shape[0], ci) + out_spatial)
+    return _from_phase_rows(canvas, stride, padding, q, shape)
 
 
-def _conv_kernel_grad(x, gy, k_shape, stride, padding):
+def _conv_kernel_grad(xr, g, k_shape, taps):
     """Gradient of the conv bilinear form with respect to the kernel: one
-    ``(Co, n) @ (n, Ci)`` GEMM per tap between the embedded ``gy`` rows and
-    the tap's block of the phase rows of ``x``.  Wrapped rows meet zeros of
-    the embedded ``gy``, so they add nothing."""
+    ``(Co, n) @ (n, Ci)`` GEMM per tap between the cotangent rows ``g``
+    (``_output_rows``) and the tap's block of the phase rows ``xr`` of the
+    input (``_to_phase_rows``).  Wrapped rows meet zeros of the embedded
+    cotangent, so they add nothing."""
     co, ci = k_shape[:2]
-    q, taps = _phase_layout(x.shape[2:], k_shape[2:], stride, padding)
-    xr = _to_phase_rows(x, stride, padding, q, taps)
-    g = _output_rows(gy, q)
     n = g.shape[0] - taps[-1][1]
-    gk = np.zeros((len(taps), ci, co), dtype=x.dtype)
-    gemm = get_blas_funcs("gemm", dtype=x.dtype)
+    gk = np.zeros((len(taps), ci, co), dtype=xr.dtype)
+    gemm = get_blas_funcs("gemm", dtype=xr.dtype)
     for t, (ph, off) in enumerate(taps):
         gemm(1.0, g[:n].T, xr[ph, off:off + n].T, trans_b=True, c=gk[t].T,
              overwrite_c=True)
@@ -279,8 +274,9 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None):
     floor((n + 2p - k)/s) + 1; the output has ``x``'s dtype.  Differentiable
     in input, kernel, and bias.  Computed as one channels-last GEMM per
     kernel tap over the stride phases of the padded input (see the module
-    docstring); the backward runs the adjoint and kernel-gradient GEMMs on
-    the same phase rows.
+    docstring); the backward builds the cotangent's phase rows once for the
+    adjoint and kernel-gradient GEMMs, and skips the adjoint when ``x`` does
+    not require grad.
     """
     stride = _triple(stride, "stride")
     padding = _triple(padding, "padding")
@@ -291,9 +287,13 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None):
     if bias is not None and bias.shape != (kernel.shape[0],):
         raise ValueError(f"conv: bias shape {bias.shape} != ({kernel.shape[0]},)")
 
-    out = _conv_fwd(x.data, kernel.data, stride, padding)
     xd, kd = x.data, kernel.data
-    x_spatial, k_shape = x.shape[2:], kernel.shape
+    k_shape = kernel.shape
+    q, taps = _phase_layout(x.shape[2:], k_shape[2:], stride, padding)
+    out_spatial = tuple(conv_output_extent(n, kk, s, p)
+                        for n, kk, s, p in zip(x.shape[2:], k_shape[2:], stride, padding))
+    out = _conv_fwd(_to_phase_rows(xd, stride, padding, q, taps), kd, q, taps, out_spatial)
+    input_grad = x.requires_grad
     parents = (x, kernel)
     if bias is not None:
         out = out + bias.data.reshape(1, -1, 1, 1, 1)
@@ -301,8 +301,11 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None):
 
     def bk(g):
         g = np.ascontiguousarray(g)
-        grads = (_conv_adjoint(g, kd, stride, padding, x_spatial),
-                 _conv_kernel_grad(xd, g, k_shape, stride, padding))
+        gr = _output_rows(g, q)
+        grads = ((_conv_adjoint(gr, kd, stride, padding, q, taps, xd.shape)
+                  if input_grad else None),
+                 _conv_kernel_grad(_to_phase_rows(xd, stride, padding, q, taps),
+                                   gr, k_shape, taps))
         if bias is not None:
             grads += (g.sum(axis=(0, 2, 3, 4)),)
         return grads
@@ -317,6 +320,8 @@ def conv_transpose_nd(x, kernel, stride=1, padding=0, bias=None):
     ``x``: (B, C_in, D, H, W); ``kernel``: (C_in, C_out, k_d, k_h, k_w);
     output extent per axis is (n - 1)*s + k - 2p.  The adjoint identity
     <conv(v), x> = <v, conv_transpose(x)> holds whenever the geometries match.
+    The backward builds the cotangent's phase rows once for the conv and
+    kernel-gradient GEMMs.
     """
     stride = _triple(stride, "stride")
     padding = _triple(padding, "padding")
@@ -331,9 +336,11 @@ def conv_transpose_nd(x, kernel, stride=1, padding=0, bias=None):
     if any(n < 1 for n in out_spatial):
         raise ValueError(f"conv_transpose: non-positive output extent {out_spatial}")
 
-    out = _conv_adjoint(x.data, kernel.data, stride, padding, out_spatial)
     xd, kd = x.data, kernel.data
     k_shape = kernel.shape
+    q, taps = _phase_layout(out_spatial, k_shape[2:], stride, padding)
+    out = _conv_adjoint(_output_rows(xd, q), kd, stride, padding, q, taps,
+                        (x.shape[0], k_shape[1]) + out_spatial)
     parents = (x, kernel)
     if bias is not None:
         out = out + bias.data.reshape(1, -1, 1, 1, 1)
@@ -341,8 +348,9 @@ def conv_transpose_nd(x, kernel, stride=1, padding=0, bias=None):
 
     def bk(g):
         g = np.ascontiguousarray(g)
-        grads = (_conv_fwd(g, kd, stride, padding),
-                 _conv_kernel_grad(g, xd, k_shape, stride, padding))
+        gr = _to_phase_rows(g, stride, padding, q, taps)
+        grads = (_conv_fwd(gr, kd, q, taps, xd.shape[2:]),
+                 _conv_kernel_grad(gr, _output_rows(xd, q), k_shape, taps))
         if bias is not None:
             grads += (g.sum(axis=(0, 2, 3, 4)),)
         return grads

@@ -72,17 +72,20 @@ class AdamW:
 
     def step(self):
         """Apply one update using each parameter's accumulated ``.grad``
-        (missing gradients count as zero)."""
+        (missing gradients count as zero).  Returns the global L2 norm of
+        the gradients, summed in float64."""
         self.t += 1
         b1, b2 = self.betas
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
+        sq = 0.0
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if not np.all(np.isfinite(g)):
                 raise TrainingError(
                     f"non-finite gradient encountered at step {self.t} "
                     f"(parameter {i}, shape {p.data.shape})")
+            sq += float(np.square(g, dtype=np.float64).sum())
             self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
             m_hat = self.m[i] / bc1
@@ -96,3 +99,4 @@ class AdamW:
                 raise TrainingError(
                     f"non-finite parameter value after step {self.t} "
                     f"(parameter {i}, shape {p.data.shape})")
+        return math.sqrt(sq)

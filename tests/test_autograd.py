@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,7 @@ from phnet.autograd import (
     concat,
     grad_check,
     log_softmax,
+    make_node,
     matmul,
     mul,
     no_grad,
@@ -298,6 +301,74 @@ def test_gradient_accumulation_fan_out():
     backward(((x2 * x2) * Tensor(np.full(4, 3.0))).sum())
 
     np.testing.assert_allclose(xt.grad, x1.grad + x2.grad, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# one walk per graph
+# ---------------------------------------------------------------------------
+
+def test_backward_releases_op_results_and_keeps_loss_and_leaf_grads():
+    x = Tensor(rand((4,), seed=30), requires_grad=True)
+    y = x * x
+    z = y.relu()
+    loss = z.sum()
+    backward(loss)
+    for node in (y, z):
+        assert node.grad is None
+        assert node._backward is None and node._parents == ()
+    np.testing.assert_array_equal(loss.grad, np.ones(()))
+    assert loss._backward is None and loss._parents == ()
+    np.testing.assert_array_equal(x.grad, 2 * x.data * (x.data * x.data > 0))
+
+
+def test_walk_frees_each_op_result_before_reaching_its_inputs():
+    # when the first op's closure runs, the results downstream of it have
+    # been walked and nothing, not even the walk's own list, still holds them
+    x = Tensor(rand((3,), seed=33), requires_grad=True)
+    alive = []
+
+    def first_bk(g):
+        alive.append([r() is not None for r in refs])
+        return (g,)
+
+    h = make_node(x.data * 1.0, (x,), "first", first_bk)
+    a = h * h
+    b = a.exp()
+    loss = b.sum()
+    refs = [weakref.ref(a.data), weakref.ref(b.data)]
+    del a, b
+    backward(loss)
+    assert alive == [[False, False]]
+    np.testing.assert_allclose(x.grad, 2 * x.data * np.exp(x.data ** 2), rtol=1e-14)
+
+
+def test_second_walk_of_a_graph_raises():
+    x = Tensor(rand((4,), seed=31), requires_grad=True)
+    y = x * x
+    loss = y.sum()
+    backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(ValueError, match="walked only once"):
+        backward(loss)
+    # a walked node inside a new graph is refused too, before any grad moves
+    with pytest.raises(ValueError, match="walked only once"):
+        backward((y * y).sum())
+    np.testing.assert_array_equal(x.grad, first)
+
+
+def test_a_leaf_loss_can_be_walked_again():
+    # a leaf has no closure to release, so it is not a walked graph
+    p = Tensor(np.array(2.0), requires_grad=True)
+    backward(p)
+    backward(p)
+    np.testing.assert_array_equal(p.grad, np.array(2.0))
+
+
+def test_two_graphs_accumulate_into_a_shared_leaf():
+    p = Parameter(rand((3,), seed=32))
+    backward((p * p).sum())
+    backward((p * Tensor(np.full(3, 3.0))).sum())
+    np.testing.assert_allclose(p.grad, 2 * p.data + 3.0, rtol=0, atol=1e-15)
 
 
 def test_trace_topological_order():

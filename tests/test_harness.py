@@ -37,6 +37,7 @@ from phnet.harness import (
     train,
     window_starts,
 )
+from phnet.metrics import dice_ce_loss
 from phnet.model import PHNet, PHNetConfig, MLPPDefaults, read_checkpoint_meta, save_checkpoint
 from phnet.optim import TrainingError
 
@@ -340,6 +341,41 @@ class TestTrain:
         l1 = [r["loss"] for r in read_runlog(r1["runlog"]) if r["kind"] == "step"]
         l2 = [r["loss"] for r in read_runlog(r2["runlog"]) if r["kind"] == "step"]
         assert l1 != l2
+
+    def test_step_records_say_where_time_and_memory_went(self, dataset, tmp_path):
+        result = train(tiny_config(dataset, tmp_path / "run", epochs=1))
+        records = read_runlog(result["runlog"])
+        steps = [r for r in records if r["kind"] == "step"]
+        assert len(steps) == 3
+        phases = ("forward_s", "backward_s", "optim_s")
+        peak = 0.0
+        for prev, rec in zip(records, records[1:]):
+            if rec["kind"] != "step":
+                continue
+            assert set(rec) == {"timestamp", "wall_time_s", "kind", "step", "epoch",
+                                "loss", "lr", *phases, "grad_norm", "peak_rss_mb"}
+            assert all(isinstance(rec[k], float) and rec[k] > 0 for k in phases)
+            # the phases are disjoint parts of the interval between records
+            assert sum(rec[k] for k in phases) <= rec["wall_time_s"] - prev["wall_time_s"]
+            assert math.isfinite(rec["grad_norm"]) and rec["grad_norm"] > 0
+            assert rec["peak_rss_mb"] >= peak and rec["peak_rss_mb"] > 0
+            peak = rec["peak_rss_mb"]
+
+    def test_a_step_leaves_no_tape_behind(self, dataset, tmp_path, monkeypatch):
+        # the loop still names the last step's logits while the next forward
+        # runs, so backward must have released them
+        seen = []
+
+        def loss_of(logits, labels):
+            seen.append(logits)
+            return dice_ce_loss(logits, labels)
+
+        monkeypatch.setattr(harness, "dice_ce_loss", loss_of)
+        train(tiny_config(dataset, tmp_path / "run", epochs=1))
+        assert len(seen) == 3
+        for logits in seen:
+            assert logits._parents == () and logits._backward is None
+            assert logits.grad is None
 
     def test_checkpoint_meta_records_run(self, dataset, tmp_path):
         result = train(tiny_config(dataset, tmp_path / "run"))

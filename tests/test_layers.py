@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from scipy.linalg.blas import get_blas_funcs
+
+from phnet import layers
 from phnet.autograd import Tensor, Parameter, backward, grad_check, no_grad
 from phnet.layers import (
     ChannelNorm,
@@ -335,6 +338,114 @@ def test_conv_float32_values_and_gradients_stay_float32(geom, op):
         results.append((out.data, it.grad, kt.grad))
     for got, want in zip(*results):
         np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# conv kernels: shared cotangent rows against per-call rows
+# ---------------------------------------------------------------------------
+
+# The three kernels as they ran before the backward shared the cotangent's
+# phase rows: each builds its own rows from NCDHW arrays.  The kernels on
+# shared rows must give the same bits.
+
+def per_call_fwd(x, k, stride, padding):
+    co, ci = k.shape[:2]
+    out_sp = tuple(conv_output_extent(n, kk, s, p)
+                   for n, kk, s, p in zip(x.shape[2:], k.shape[2:], stride, padding))
+    q, taps = layers._phase_layout(x.shape[2:], k.shape[2:], stride, padding)
+    xr = layers._to_phase_rows(x, stride, padding, q, taps)
+    n = xr.shape[1] - taps[-1][1]
+    kt = np.ascontiguousarray(k.reshape(co, ci, -1).transpose(2, 1, 0), dtype=x.dtype)
+    acc = np.zeros((xr.shape[1], co), dtype=x.dtype)
+    gemm = get_blas_funcs("gemm", dtype=x.dtype)
+    for t, (ph, off) in enumerate(taps):
+        gemm(1.0, kt[t].T, xr[ph, off:off + n].T, beta=1.0, c=acc[:n].T, overwrite_c=True)
+    acc = acc.reshape((x.shape[0],) + q + (co,))[:, :out_sp[0], :out_sp[1], :out_sp[2]]
+    return np.ascontiguousarray(acc.transpose(0, 4, 1, 2, 3))
+
+
+def per_call_adjoint(y, k, stride, padding, out_spatial):
+    co, ci = k.shape[:2]
+    q, taps = layers._phase_layout(out_spatial, k.shape[2:], stride, padding)
+    g = layers._output_rows(y, q)
+    n = g.shape[0] - taps[-1][1]
+    kt = np.ascontiguousarray(k.reshape(co, ci, -1).transpose(2, 0, 1), dtype=y.dtype)
+    canvas = np.zeros((math.prod(stride),) + g.shape[:1] + (ci,), dtype=y.dtype)
+    gemm = get_blas_funcs("gemm", dtype=y.dtype)
+    for t, (ph, off) in enumerate(taps):
+        gemm(1.0, kt[t].T, g[:n].T, beta=1.0, c=canvas[ph, off:off + n].T, overwrite_c=True)
+    return layers._from_phase_rows(canvas, stride, padding, q,
+                                   (y.shape[0], ci) + out_spatial)
+
+
+def per_call_kernel_grad(x, gy, k_shape, stride, padding):
+    co, ci = k_shape[:2]
+    q, taps = layers._phase_layout(x.shape[2:], k_shape[2:], stride, padding)
+    xr = layers._to_phase_rows(x, stride, padding, q, taps)
+    g = layers._output_rows(gy, q)
+    n = g.shape[0] - taps[-1][1]
+    gk = np.zeros((len(taps), ci, co), dtype=x.dtype)
+    gemm = get_blas_funcs("gemm", dtype=x.dtype)
+    for t, (ph, off) in enumerate(taps):
+        gemm(1.0, g[:n].T, xr[ph, off:off + n].T, trans_b=True, c=gk[t].T, overwrite_c=True)
+    return np.ascontiguousarray(gk.transpose(2, 1, 0)).reshape(k_shape)
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_conv_kernels_on_shared_rows_match_per_call_rows_bitwise(k, s, dtype):
+    rng = np.random.default_rng(10 * k + s)
+    ks, stride, padding = (k, k, 3 - k + 1), (s, 1, s), (k // 2, k - 1, 0)
+    x = rng.normal(size=(2, 3, 5, 7, 6)).astype(dtype)
+    kern = rng.normal(size=(4, 3) + ks).astype(dtype)
+    bias = rng.normal(size=4).astype(dtype)
+    xt, kt, bt = Tensor(x, requires_grad=True), Parameter(kern), Parameter(bias)
+    out = conv_nd(xt, kt, stride, padding, bias=bt)
+    y = rng.normal(size=out.shape).astype(dtype)
+    backward((out * Tensor(y)).sum())
+    assert_bitwise(out.data, per_call_fwd(x, kern, stride, padding) + bias.reshape(1, -1, 1, 1, 1))
+    assert_bitwise(xt.grad, per_call_adjoint(y, kern, stride, padding, x.shape[2:]))
+    assert_bitwise(kt.grad, per_call_kernel_grad(x, y, kern.shape, stride, padding))
+    assert_bitwise(bt.grad, y.sum(axis=(0, 2, 3, 4)))
+
+    # transposed: (B, 4, ...) -> (B, 3, ...) with the same kernel and geometry
+    v = rng.normal(size=out.shape).astype(dtype)
+    b3 = rng.normal(size=3).astype(dtype)
+    vt, kt, bt = Tensor(v, requires_grad=True), Parameter(kern), Parameter(b3)
+    up = conv_transpose_nd(vt, kt, stride, padding, bias=bt)
+    w = rng.normal(size=up.shape).astype(dtype)
+    backward((up * Tensor(w)).sum())
+    assert_bitwise(up.data, per_call_adjoint(v, kern, stride, padding, up.shape[2:])
+                   + b3.reshape(1, -1, 1, 1, 1))
+    assert_bitwise(vt.grad, per_call_fwd(w, kern, stride, padding))
+    assert_bitwise(kt.grad, per_call_kernel_grad(w, v, kern.shape, stride, padding))
+    assert_bitwise(bt.grad, w.sum(axis=(0, 2, 3, 4)))
+
+
+def test_conv_skips_the_input_adjoint_when_the_input_needs_no_grad(monkeypatch):
+    calls = []
+    adjoint = layers._conv_adjoint
+    monkeypatch.setattr(layers, "_conv_adjoint",
+                        lambda *args: calls.append(1) or adjoint(*args))
+    stride, padding = PADDED_NOT_MULTIPLE[1:3]
+    x, k, y = geometry_arrays(PADDED_NOT_MULTIPLE, np.float32)
+    bias = np.arange(k.shape[0], dtype=np.float32)
+    grads = []
+    for input_grad in (False, True):
+        calls.clear()
+        xt, kt, bt = Tensor(x, requires_grad=input_grad), Parameter(k), Parameter(bias)
+        backward((conv_nd(xt, kt, stride, padding, bias=bt) * Tensor(y)).sum())
+        assert len(calls) == int(input_grad)
+        assert (xt.grad is not None) == input_grad
+        grads.append((kt.grad, bt.grad))
+    for got, want in zip(*grads):
+        assert_bitwise(got, want)
 
 
 # ---------------------------------------------------------------------------

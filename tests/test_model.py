@@ -1,7 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from phnet.autograd import Tensor, grad_check, no_grad, trace
+from phnet.autograd import Tensor, backward, grad_check, no_grad, trace
 from phnet import layers
 from phnet.flops import ip_mlp_flops, vanilla_token_mixing_flops
 from phnet.layers import ChannelNorm, InstanceNorm, Linear
@@ -280,6 +283,33 @@ def test_tape_has_one_regroup_node_per_mlpp_view(small_train_tape):
                requires_grad=True)
     for pathway, views in ((layer.ip, 8), (layer.aa, 2), (layer.tp, 2)):
         assert [n._op for n in trace(pathway(x).sum())].count("regroup") == views
+
+
+def test_no_part_of_the_tape_outlives_backward():
+    # the logits stay referenced, as in a training loop; the walk must still
+    # free every other op result (gc is off, so only refcounts free them)
+    cfg = PHNetConfig(num_stages=2, base_channels=4, max_channels=8,
+                      in_channels=1, num_classes=2, voxel_spacing_mm=(1, 1, 2),
+                      patch_size=(8, 8, 4), blocks_per_stage=1)
+    net = PHNet(cfg, seed=5)
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=(2, 1, 4, 8, 8)).astype(np.float32))
+    gc.disable()
+    try:
+        logits = net(x)
+        loss = dice_ce_loss(logits, rng.integers(0, 2, size=(2, 4, 8, 8)))
+        refs = [weakref.ref(n.data) for n in trace(loss)
+                if n._op != "leaf" and n is not logits and n is not loss]
+        assert len(refs) > 100 and all(r() is not None for r in refs)
+        backward(loss)
+        assert [r for r in refs if r() is not None] == []
+        assert logits._parents == () and logits._backward is None and logits.grad is None
+        loss_data = weakref.ref(loss.data)
+        del loss
+        assert loss_data() is None
+    finally:
+        gc.enable()
+    assert all(p.grad is not None for p in net.parameters())
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,15 @@ class TestAdamW:
         with pytest.raises(TrainingError, match="non-finite"):
             opt.step()
 
+    def test_step_returns_the_global_gradient_norm(self):
+        rng = np.random.default_rng(3)
+        params = [make_param(rng.normal(size=s)) for s in ((3,), (2, 4), (5,))]
+        for p in params[:2]:
+            p.grad = rng.normal(size=p.data.shape)
+        grads = np.concatenate([p.grad.ravel() for p in params])
+        norm = AdamW(params, lr=1e-3).step()
+        assert norm == pytest.approx(float(np.linalg.norm(grads)), rel=1e-14)
+
     def test_zero_grad_resets(self):
         p = make_param([1.0])
         p.grad = np.array([5.0])
