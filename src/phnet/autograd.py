@@ -14,9 +14,11 @@ made with ``requires_grad``) have no closure; they keep their ``grad`` and
 accumulate into it across walks until it is reset.
 
 Shapes must match exactly for binary elementwise ops; the only implicit
-broadcasts are by a python scalar (``scale``, ``add_scalar``). Fused
-primitives that apply per-channel parameters (convolution bias, linear maps,
-normalization) broadcast them inside their own node.
+broadcasts are by a python scalar (``scale``, ``add_scalar``).  Fused
+primitives are one node each, with a closed-form backward: convolution with
+its bias, linear maps and normalization, which broadcast their per-channel
+parameters inside the node, and the Dice+CE training loss
+(``metrics.dice_ce_loss``).
 
 Every change of shape or axis order is one ``regroup`` node: view as a
 split shape, transpose, read row-major as the result shape.  The MLPP token
@@ -112,7 +114,7 @@ class Tensor:
         return scale(self, other)
 
     def __truediv__(self, other):
-        return div(self, other) if isinstance(other, Tensor) else scale(self, 1.0 / other)
+        return scale(self, 1.0 / other)
 
     def __neg__(self):
         return scale(self, -1.0)
@@ -186,12 +188,6 @@ def mul(a, b):
     _check_same_shape(a, b, "mul")
     ad, bd = a.data, b.data
     return make_node(ad * bd, (a, b), "mul", lambda g: (g * bd, g * ad))
-
-
-def div(a, b):
-    _check_same_shape(a, b, "div")
-    ad, bd = a.data, b.data
-    return make_node(ad / bd, (a, b), "div", lambda g: (g / bd, -g * ad / (bd * bd)))
 
 
 def scale(t, s):
@@ -314,19 +310,6 @@ def matmul(a, b):
     ad, bd = a.data, b.data
     return make_node(ad @ bd, (a, b), "matmul",
                      lambda g: (g @ bd.T, ad.T @ g))
-
-
-def log_softmax(t, axis):
-    z = t.data
-    m = z.max(axis=axis, keepdims=True)
-    s = np.log(np.exp(z - m).sum(axis=axis, keepdims=True)) + m
-    out = z - s
-    p = np.exp(out)
-
-    def bk(g):
-        return (g - p * g.sum(axis=axis, keepdims=True),)
-
-    return make_node(out, (t,), "log_softmax", bk)
 
 
 # ---------------------------------------------------------------------------

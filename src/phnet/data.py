@@ -288,6 +288,8 @@ def read_volume(base_path):
             f"{base}.raw: payload is {len(payload)} bytes, dims {dims} require "
             f"{w * h * d * dt.itemsize}")
     grid = np.frombuffer(payload, dtype=dt).reshape(d, h, w)
+    if header["dtype"] == "f32" and not np.isfinite(grid).all():
+        raise ValueError(f"{base}.raw: volume grid contains non-finite values")
     if header["dtype"] == "u8":
         return LabelVolume(grid.copy(), spacing)
     return Volume(grid.copy(), spacing)

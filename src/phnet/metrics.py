@@ -8,7 +8,8 @@ scaled by the physical spacing.  Undefined values (e.g. distances against an
 empty mask) are reported as ``None`` rather than a sentinel number.
 
 The training loss combines a smoothed soft-Dice term over foreground classes
-with voxel-wise cross-entropy, both differentiable through the tensor engine.
+with voxel-wise cross-entropy in one tape node of the tensor engine, whose
+backward is the closed-form gradient of both terms.
 """
 
 import csv
@@ -31,8 +32,6 @@ __all__ = [
     "evaluate_case",
     "write_report_csv",
     "REPORT_COLUMNS",
-    "cross_entropy",
-    "soft_dice_loss",
     "dice_ce_loss",
 ]
 
@@ -239,9 +238,17 @@ def write_report_csv(path, rows):
 # training loss
 # ---------------------------------------------------------------------------
 
-def _log_probs_and_one_hot(logits, labels):
-    """Class log-probabilities (one ``log_softmax`` node) and the checked
-    labels as a one-hot array shaped like ``logits``."""
+def dice_ce_loss(logits, labels, smooth=1e-5):
+    """Soft-Dice loss over foreground classes plus mean voxel-wise
+    cross-entropy, as one tape node.
+
+    With p the softmax of ``logits`` over axis 1, y the one-hot labels, N the
+    number of voxels, w_k = 1/(K-1) for each foreground class and sums over
+    batch and space, I_k = sum p*y and S_k = sum p + sum y + smooth:
+    loss = 1 - sum_k w_k (2 I_k + smooth) / S_k - sum y*log p / N.
+    The backward is the closed form: with dp = w (2I + smooth) / S^2 - 2 w y / S,
+    dlogits = p * (dp - sum_k p*dp) + (p - y) / N.
+    """
     b, k, *spatial = logits.shape
     lab = np.asarray(labels)
     if lab.shape != (b, *spatial):
@@ -250,47 +257,32 @@ def _log_probs_and_one_hot(logits, labels):
         raise ValueError(
             f"label ids must lie in [0, {k}), got range "
             f"[{int(lab.min())}, {int(lab.max())}]")
-    eye = np.eye(k, dtype=logits.dtype)
-    onehot = eye[lab.reshape(-1).astype(np.int64)].reshape(lab.shape + (k,))
-    return ag.log_softmax(logits, axis=1), np.moveaxis(onehot, -1, 1)
-
-
-def _cross_entropy_of(logp, onehot):
-    n_vox = onehot.size // onehot.shape[1]
-    return ag.scale((logp * ag.Tensor(onehot)).sum(), -1.0 / n_vox)
-
-
-def _soft_dice_loss_of(logp, onehot, smooth):
-    k = onehot.shape[1]
     if k < 2:
         raise ValueError(f"need at least 2 classes, got {k}")
-    probs = logp.exp()
-    reduce_axes = (0,) + tuple(range(2, onehot.ndim))
-    inter = (probs * ag.Tensor(onehot)).sum(axes=reduce_axes)   # (K,)
-    psum = probs.sum(axes=reduce_axes)                          # (K,)
-    gsum = ag.Tensor(onehot.sum(axis=reduce_axes))
-    dice_per_class = (ag.scale(inter, 2.0) + float(smooth)) \
-        / (psum + gsum + float(smooth))                         # (K,)
-    fg_weight = np.zeros(k, dtype=onehot.dtype)
-    fg_weight[1:] = 1.0 / (k - 1)
-    mean_fg = (dice_per_class * ag.Tensor(fg_weight)).sum()
-    return -mean_fg + 1.0
+    z = logits.data
+    dt = z.dtype
+    class_shape = (1, k) + (1,) * len(spatial)
+    m = z.max(axis=1, keepdims=True)
+    logp = z - (np.log(np.exp(z - m).sum(axis=1, keepdims=True)) + m)
+    p = np.exp(logp)
+    y = (lab[:, None] == np.arange(k).reshape(class_shape)).astype(dt)
+    n_vox = lab.size
+    axes = (0,) + tuple(range(2, z.ndim))
+    s = float(smooth)
+    inter = (p * y).sum(axis=axes)
+    denom = p.sum(axis=axes) + y.sum(axis=axes) + s
+    w = np.full(k, 1.0 / (k - 1), dtype=dt)
+    w[0] = 0.0
+    dice_fg = ((2.0 * inter + s) / denom * w).sum()
+    loss = np.asarray(1.0 - dice_fg - (logp * y).sum() / n_vox, dtype=dt)
 
+    def bk(g):
+        dp = y * (-2.0 * w / denom).reshape(class_shape)
+        dp += (w * (2.0 * inter + s) / (denom * denom)).reshape(class_shape)
+        dz = dp - (p * dp).sum(axis=1, keepdims=True)
+        dz *= p
+        dz += (p - y) / n_vox
+        dz *= g
+        return (dz,)
 
-def cross_entropy(logits, labels):
-    """Mean voxel-wise negative log-likelihood of the true class."""
-    return _cross_entropy_of(*_log_probs_and_one_hot(logits, labels))
-
-
-def soft_dice_loss(logits, labels, smooth=1e-5):
-    """1 - mean over foreground classes of the smoothed soft Dice between
-    softmax probabilities and the one-hot reference, pooled over batch and
-    space."""
-    return _soft_dice_loss_of(*_log_probs_and_one_hot(logits, labels), smooth)
-
-
-def dice_ce_loss(logits, labels, smooth=1e-5):
-    """Soft-Dice loss over foreground classes plus mean cross-entropy, sharing
-    one label check, one one-hot and one ``log_softmax``."""
-    logp, onehot = _log_probs_and_one_hot(logits, labels)
-    return _soft_dice_loss_of(logp, onehot, smooth) + _cross_entropy_of(logp, onehot)
+    return ag.make_node(loss, (logits,), "dice_ce_loss", bk)

@@ -11,7 +11,6 @@ from phnet.autograd import (
     add,
     concat,
     grad_check,
-    log_softmax,
     make_node,
     matmul,
     mul,
@@ -403,16 +402,6 @@ def test_concat_grad_splits():
     backward((out * out).sum())
     np.testing.assert_allclose(a.grad, 2 * a.data, atol=1e-15)
     np.testing.assert_allclose(b.grad, 2 * b.data, atol=1e-15)
-
-
-def test_log_softmax_grad():
-    rng = np.random.default_rng(21)
-    w = rng.normal(size=(4,))
-
-    def f(x):
-        return (log_softmax(x, axis=1) * Tensor(np.tile(w, (2, 1)))).sum()
-
-    assert grad_check(f, Tensor(rng.normal(size=(2, 4))), h=1e-5) < 1e-7
 
 
 def test_no_grad_disables_recording():

@@ -317,6 +317,43 @@ class TestMalformedVolumeHeader:
         assert "error:" in err and "Traceback" not in err
 
 
+def _nan_at_voxel_7(raw):
+    return raw[:28] + np.array([np.nan], dtype="<f4").tobytes() + raw[32:]
+
+
+DAMAGED_PAYLOADS = {
+    "nan_voxel": _nan_at_voxel_7,
+    "shorter_than_dims": lambda raw: raw[:-4],
+}
+
+
+class TestDamagedVolumePayload:
+    @pytest.fixture(params=sorted(DAMAGED_PAYLOADS))
+    def bad_dataset(self, request, dataset, tmp_path):
+        # the validation case's image, which both train and eval read
+        root = tmp_path / "data"
+        shutil.copytree(dataset, root)
+        raw = root / f"{read_manifest(root / 'manifest.json')['cases'][-1]['id']}_img.raw"
+        raw.write_bytes(DAMAGED_PAYLOADS[request.param](raw.read_bytes()))
+        return root, raw.name
+
+    def test_train_exits_2_naming_the_file(self, bad_dataset, tmp_path, capsys):
+        root, raw_name = bad_dataset
+        code = main(["train", "--data-dir", str(root), "--out-dir",
+                     str(tmp_path / "run"), "--epochs", "1"] + TINY_MODEL)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and raw_name in err and "Traceback" not in err
+
+    def test_eval_exits_2_naming_the_file(self, bad_dataset, trained, capsys):
+        root, raw_name = bad_dataset
+        code = main(["eval", "--checkpoint", str(trained / "best.ckpt"),
+                     "--data-dir", str(root)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and raw_name in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # bench and flops
 # ---------------------------------------------------------------------------

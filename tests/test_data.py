@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from phnet.data import (
     LabelVolume,
@@ -175,6 +177,20 @@ class TestResample:
                           (1.0, 1.0, 3.0))
         out = resample_to_spacing(lab, (1.0, 1.0, 3.0))
         assert np.array_equal(out.grid, lab.grid)
+
+    @given(st.data())
+    def test_generated_equal_spacing_is_identity(self, data):
+        dims = tuple(data.draw(st.integers(1, 6)) for _ in range(3))
+        spacing = tuple(data.draw(st.floats(0.05, 20.0)) for _ in range(3))
+        image = data.draw(arrays(np.float32, dims, elements=st.floats(
+            allow_nan=False, allow_infinity=False, width=32)))
+        labels = data.draw(arrays(np.uint8, dims))
+        for v in (Volume(image, spacing), LabelVolume(labels, spacing)):
+            out = resample_to_spacing(v, spacing)
+            assert out.grid.dtype == v.grid.dtype and out.spacing_mm == v.spacing_mm
+            # not bytes: the trilinear sum adds +0.0 terms, which turn -0.0
+            # into 0.0
+            assert np.array_equal(out.grid, v.grid)
 
     def test_output_dims_round_rule(self):
         v = Volume(np.zeros((10, 20, 30), np.float32), (1.0, 1.0, 4.0))
@@ -389,6 +405,18 @@ class TestVolumeIO:
         (tmp_path / "vol.raw").write_bytes(raw[:-5])
         with pytest.raises(ValueError, match="bytes"):
             read_volume(base)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_voxel_rejected_naming_the_file(self, tmp_path, value):
+        v = Volume(np.zeros((2, 3, 4), np.float32), (1.0, 1.0, 1.0))
+        base = tmp_path / "vol"
+        write_volume(base, v)
+        raw = bytearray((tmp_path / "vol.raw").read_bytes())
+        raw[20:24] = np.array([value], dtype="<f4").tobytes()
+        (tmp_path / "vol.raw").write_bytes(bytes(raw))
+        with pytest.raises(ValueError) as info:
+            read_volume(base)
+        assert str(info.value) == f"{base}.raw: volume grid contains non-finite values"
 
     def test_bad_header_fields_rejected(self, tmp_path):
         v = Volume(np.zeros((2, 3, 4), np.float32), (1.0, 1.0, 1.0))

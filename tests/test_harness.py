@@ -12,6 +12,7 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from phnet import autograd as ag
 from phnet import harness
@@ -108,6 +109,18 @@ class TestWindowStarts:
             window_starts(4, 8)
 
 
+@given(st.integers(1, 300), st.data())
+def test_generated_window_starts_cover_the_extent(extent, data):
+    patch = data.draw(st.integers(1, extent))
+    starts = window_starts(extent, patch)
+    assert starts == sorted(set(starts))
+    assert starts[0] == 0 and starts[-1] == extent - patch
+    covered = np.zeros(extent, dtype=bool)
+    for s in starts:
+        covered[s:s + patch] = True
+    assert covered.all()
+
+
 def gather_mean_oracle(shape, windows):
     """Per-voxel gather: collect every window's contribution, then average."""
     k = windows[0][1].shape[0]
@@ -172,6 +185,23 @@ class TestStitchWindows:
         const = [(pos, np.full_like(lg, 2.5)) for pos, lg in windows]
         out = stitch_windows(shape, const)
         assert np.allclose(out, 2.5)
+
+
+@given(st.data())
+def test_generated_stitch_is_bitwise_independent_of_window_order(data):
+    shape = tuple(data.draw(st.integers(1, 7)) for _ in range(3))
+    patch = tuple(data.draw(st.integers(1, n)) for n in shape)
+    k = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # float64 logits: the rounding of each overlap's sum depends on the order
+    # in which the windows are added
+    windows = [((z, y, x), rng.normal(size=(k,) + patch))
+               for z in window_starts(shape[0], patch[0])
+               for y in window_starts(shape[1], patch[1])
+               for x in window_starts(shape[2], patch[2])]
+    base = stitch_windows(shape, windows)
+    shuffled = data.draw(st.permutations(windows))
+    assert stitch_windows(shape, shuffled).tobytes() == base.tobytes()
 
 
 class TestSlidingWindow:

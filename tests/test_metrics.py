@@ -13,14 +13,12 @@ import pytest
 from phnet import autograd as ag
 from phnet.data import LabelVolume
 from phnet.metrics import (
-    cross_entropy,
     dice,
     dice_ce_loss,
     evaluate_case,
     hausdorff,
     iou,
     nvd,
-    soft_dice_loss,
     surface_dice,
     surface_mask,
     surface_points_mm,
@@ -413,28 +411,58 @@ def rand_logits(rng, shape, dtype=np.float64):
     return ag.Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
 
 
+def loss_oracle(x, labels, smooth=1e-5):
+    """(soft-Dice term, cross-entropy term) of the Dice+CE loss in float64,
+    class by class: 1 - mean over foreground classes c of
+    (2 sum p_c y_c + s) / (sum p_c + sum y_c + s), and the mean over voxels of
+    -log p of the true class."""
+    x = np.asarray(x, dtype=np.float64)
+    labels = np.asarray(labels)
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    ce = -np.log(np.take_along_axis(p, labels[:, None], axis=1)).mean()
+    dices = []
+    for c in range(1, x.shape[1]):
+        pc, yc = p[:, c], (labels == c).astype(np.float64)
+        dices.append((2.0 * (pc * yc).sum() + smooth) / (pc.sum() + yc.sum() + smooth))
+    return 1.0 - float(np.mean(dices)), float(ce)
+
+
+def uniform_dice_term(labels, k, smooth=1e-5):
+    """Hand value of the soft-Dice term for uniform probabilities 1/k: class
+    c with n_c of N voxels has Dice (2 n_c / k + s) / (N / k + n_c + s)."""
+    n = labels.size
+    return 1.0 - np.mean([(2.0 * (labels == c).sum() / k + smooth)
+                          / (n / k + (labels == c).sum() + smooth)
+                          for c in range(1, k)])
+
+
 class TestLoss:
     def test_uniform_two_class_ce_is_ln2(self):
         logits = ag.Tensor(np.zeros((2, 2, 3, 4, 4), dtype=np.float64))
         labels = np.random.default_rng(0).integers(0, 2, size=(2, 3, 4, 4))
-        ce = cross_entropy(logits, labels).item()
-        assert abs(ce - math.log(2.0)) <= 1e-9
+        total = dice_ce_loss(logits, labels).item()
+        assert abs(total - (math.log(2.0) + uniform_dice_term(labels, 2))) <= 1e-9
+        assert abs(total - sum(loss_oracle(logits.data, labels))) <= 1e-12
 
     def test_uniform_k_class_ce_is_lnk(self):
         for k in (3, 5):
             logits = ag.Tensor(np.zeros((1, k, 2, 2, 2), dtype=np.float64))
             labels = np.random.default_rng(1).integers(0, k, size=(1, 2, 2, 2))
-            assert abs(cross_entropy(logits, labels).item() - math.log(k)) <= 1e-9
+            total = dice_ce_loss(logits, labels).item()
+            assert abs(total - (math.log(k) + uniform_dice_term(labels, k))) <= 1e-9
+            assert abs(total - sum(loss_oracle(logits.data, labels))) <= 1e-12
 
     def test_ce_matches_manual(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 3, 2, 2, 2))
         labels = rng.integers(0, 3, size=(2, 2, 2, 2))
-        got = cross_entropy(ag.Tensor(x), labels).item()
+        total = dice_ce_loss(ag.Tensor(x), labels).item()
         e = np.exp(x - x.max(axis=1, keepdims=True))
         logp = np.log(e / e.sum(axis=1, keepdims=True))
         want = -np.take_along_axis(logp, labels[:, None], axis=1).mean()
-        assert got == pytest.approx(float(want), abs=1e-12)
+        dice_term, _ = loss_oracle(x, labels)
+        assert total - dice_term == pytest.approx(float(want), abs=1e-12)
 
     def test_confident_correct_prediction_near_zero(self):
         rng = np.random.default_rng(3)
@@ -454,33 +482,38 @@ class TestLoss:
     def test_absent_class_near_zero_loss(self):
         # all-background labels with confident all-background prediction:
         # smoothed dice for the absent class is s/(psum+s) with
-        # psum = 8 * sigmoid(-20), so the loss is psum/(psum+s)
+        # psum = 8 * sigmoid(-20), so the Dice term is psum/(psum+s); the
+        # cross-entropy is -log sigmoid(20) = log1p(exp(-20)) at every voxel
         labels = np.zeros((1, 2, 2, 2), dtype=np.int64)
         onehot = np.moveaxis(np.eye(2)[labels], -1, 1)
         logits = ag.Tensor(onehot * 20.0)
         psum = 8.0 / (1.0 + math.exp(20.0))
-        want = psum / (psum + 1e-5)
-        got = soft_dice_loss(logits, labels).item()
+        want = psum / (psum + 1e-5) + math.log1p(math.exp(-20.0))
+        got = dice_ce_loss(logits, labels).item()
         assert got == pytest.approx(want, rel=1e-9)
+        assert abs(got - sum(loss_oracle(logits.data, labels))) <= 1e-12
         assert got < 0.01
 
     def test_soft_dice_uniform_hand_value(self):
         # uniform 2-class probs (0.5 everywhere), n fg of N voxels:
-        # dice_1 = (2*0.5*n + s) / (0.5*N + n + s)
+        # dice_1 = (2*0.5*n + s) / (0.5*N + n + s); the cross-entropy is ln 2
         labels = np.zeros((1, 2, 2, 2), dtype=np.int64)
         labels[0, 0, 0, :] = 1                         # n=2 of N=8
         logits = ag.Tensor(np.zeros((1, 2, 2, 2, 2), dtype=np.float64))
         s = 1e-5
-        want = 1.0 - (2 * 0.5 * 2 + s) / (0.5 * 8 + 2 + s)
-        assert soft_dice_loss(logits, labels).item() == pytest.approx(want, abs=1e-12)
+        want = 1.0 - (2 * 0.5 * 2 + s) / (0.5 * 8 + 2 + s) + math.log(2.0)
+        got = dice_ce_loss(logits, labels).item()
+        assert got == pytest.approx(want, abs=1e-12)
+        assert abs(got - sum(loss_oracle(logits.data, labels))) <= 1e-12
 
     def test_total_is_sum_of_parts(self):
         rng = np.random.default_rng(4)
-        x = rand_logits(rng, (2, 3, 2, 3, 3))
-        labels = rng.integers(0, 3, size=(2, 2, 3, 3))
-        total = dice_ce_loss(x, labels).item()
-        parts = soft_dice_loss(x, labels).item() + cross_entropy(x, labels).item()
-        assert total == pytest.approx(parts, abs=1e-12)
+        for k in (2, 3, 4):
+            x = rand_logits(rng, (2, k, 2, 3, 3))
+            labels = rng.integers(0, k, size=(2, 2, 3, 3))
+            total = dice_ce_loss(x, labels).item()
+            dice_term, ce_term = loss_oracle(x.data, labels)
+            assert total == pytest.approx(dice_term + ce_term, abs=1e-12)
 
     def test_label_out_of_range_rejected(self):
         logits = ag.Tensor(np.zeros((1, 2, 2, 2, 2)))

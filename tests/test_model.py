@@ -269,6 +269,13 @@ def test_tape_has_one_node_per_norm_and_linear(small_train_tape):
         assert [n._op for n in users] == [op], type(m).__name__
 
 
+def test_loss_is_one_node_over_the_logits_tape(small_train_tape):
+    _, nodes = small_train_tape
+    loss = nodes[-1]
+    assert loss._op == "dice_ce_loss" and len(loss._parents) == 1
+    assert len(nodes) == len(trace(loss._parents[0])) + 1
+
+
 def test_tape_has_one_regroup_node_per_mlpp_view(small_train_tape):
     # IP: segment and unsegment along H and W, and two channel FCs, each
     # moving the channel axis last and back; AA: partition and merge
