@@ -277,8 +277,9 @@ def read_volume(base_path):
     dims, spacing = header["dims"], header["spacing_mm"]
     if not (_is_triple(dims, (int,)) and all(n >= 1 for n in dims)):
         raise ValueError(f"{base}.hdr: dims must be 3 positive ints, got {dims!r}")
-    if not _is_triple(spacing, (int, float)):
-        raise ValueError(f"{base}.hdr: spacing_mm must be 3 numbers, got {spacing!r}")
+    if not (_is_triple(spacing, (int, float)) and all(0 < s < math.inf for s in spacing)):
+        raise ValueError(
+            f"{base}.hdr: spacing_mm must be 3 positive finite numbers, got {spacing!r}")
     w, h, d = dims
     dt = _DTYPES[header["dtype"]]
     with open(base + ".raw", "rb") as f:

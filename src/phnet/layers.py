@@ -7,15 +7,19 @@ blocks and the decoder's separated in-plane / through-plane convolution
 pair.  All operations are differentiable through the autograd tape.
 
 The three convolution kernels (forward, adjoint, kernel gradient) share one
-channels-last scheme for every stride.  The zero-padded input is copied once
-into rows of C channels, its padded extents rounded up to whole strides and
-split into stride phases, so that kernel tap (dz, dy, dx) reads one
-contiguous block of rows of phase (dz % sd, dy % sh, dx % sw) at a fixed row
-offset.  Each tap is then one (rows, C_in) @ (C_in, C_out) GEMM.  Rows near
-the end of a grid line read past it into the next line (or batch item);
-those rows only feed output positions that the forward crops, and in the
-adjoint and kernel gradient they meet the zeros that surround the embedded
-output, so they change nothing.
+channel-major scheme for every stride.  The zero-padded input is copied once
+into rows of shape (stride phases, C, rows), its padded extents rounded up to
+whole strides and split into stride phases, so that kernel tap (dz, dy, dx)
+reads one contiguous block of rows of phase (dz % sd, dy % sh, dx % sw) at a
+fixed row offset.  The copy keeps W as its inner axis, as does the crop back
+to (B, C, D, H, W); no array is transposed to channels-last.  Each tap is a
+(C_out, C_in) @ (C_in, rows) product, issued as BLAS GEMM calls over chunks of
+rows small enough for OpenBLAS to skip packing its operands (see
+``_SMALL_GEMM_MNK``).  The adjoint is the same gather run on the cotangent's
+rows with mirrored offsets.  Rows near the end of a grid line read past it
+into the next line (or batch item); those rows only feed output positions
+that the forward crops, and in the adjoint and kernel gradient they meet the
+zeros that surround the embedded output, so they change nothing.
 """
 
 import itertools
@@ -139,26 +143,44 @@ def _check_conv_geometry(x_shape, k_shape, stride, padding, transposed=False):
                 f"{x_shape[2:]} with padding {padding}")
 
 
-def _phase_layout(spatial, ks, stride, padding):
-    """Stride-phase grid of a conv input with extents ``spatial``.
+# OpenBLAS runs a GEMM call with M * N * K <= 100**3 on its small-matrix
+# kernels, which read the operands in place; a larger call first packs them
+# into blocked panels.  A per-tap conv GEMM is large only through its row
+# count, so the rows are cut into chunks that keep every call within this
+# limit.  Measured with OpenBLAS 0.3.30 on one thread of an AVX-512 Xeon: an
+# (L, 8) @ (8, 8) call ran at 52 GFLOP/s for L = 15625 (M * N * K = 10**6)
+# and at 26 GFLOP/s for L = 15626; a tap over 557k rows of 8 -> 8 channels ran
+# at 11 GFLOP/s as one call and at 21 GFLOP/s in chunks, counting the copy
+# f2py makes of each strided row block (16 channels: 23 -> 35 GFLOP/s).
+_SMALL_GEMM_MNK = 10 ** 6
 
-    Returns ``q``, the zero-padded extents in whole strides (rounded up), and
-    for each kernel tap (dz, dy, dx) in C order its phase index
+
+def _phase_layout(x_shape, k_shape, stride, padding):
+    """Stride-phase grid and GEMM chunking of a conv whose input has shape
+    ``x_shape`` and whose kernel has shape ``k_shape`` (either channel order).
+
+    Returns ``q``, the zero-padded extents in whole strides (rounded up); for
+    each kernel tap (dz, dy, dx) in C order its phase index
     (dz % sd, dy % sh, dx % sw) and flat row offset
-    ((dz // sd) * qh + dy // sh) * qw + dx // sw.  Offsets grow with the tap,
-    so the last one is the largest."""
-    q = tuple(-(-(n + 2 * p) // s) for n, p, s in zip(spatial, padding, stride))
+    ((dz // sd) * qh + dy // sh) * qw + dx // sw (offsets grow with the tap,
+    so the last one is the largest); and ``nch`` chunks of balanced length
+    ``L`` that cover the B*qd*qh*qw rows of a phase (the last one may reach
+    past them), each GEMM call within ``_SMALL_GEMM_MNK``."""
+    q = tuple(-(-(n + 2 * p) // s) for n, p, s in zip(x_shape[2:], padding, stride))
     sd, sh, sw = stride
+    kd, kh, kw = k_shape[2:]
     taps = [((dz % sd * sh + dy % sh) * sw + dx % sw,
              ((dz // sd) * q[1] + dy // sh) * q[2] + dx // sw)
-            for dz in range(ks[0]) for dy in range(ks[1]) for dx in range(ks[2])]
-    return q, taps
+            for dz in range(kd) for dy in range(kh) for dx in range(kw)]
+    rows = x_shape[0] * math.prod(q)
+    nch = -(-rows // max(1, _SMALL_GEMM_MNK // (k_shape[0] * k_shape[1])))
+    return q, taps, nch, -(-rows // nch)
 
 
 def _phase_slices(spatial, stride, padding):
     """Yield, per stride phase in C order, an index into that phase's grid
-    (B, qd, qh, qw, C) and an index into the unpadded channels-last array
-    (B, D, H, W, C) that address the same real samples."""
+    (..., qd, qh, qw) and an index into the unpadded extents (..., D, H, W)
+    that address the same real samples."""
     per_axis = []
     for n, s, p in zip(spatial, stride, padding):
         pairs = []
@@ -168,102 +190,116 @@ def _phase_slices(spatial, stride, padding):
             pairs.append((slice(lo, hi), slice(lo * s + a - p, n, s)))
         per_axis.append(pairs)
     for pairs in itertools.product(*per_axis):
-        yield ((slice(None),) + tuple(g for g, _ in pairs),
-               (slice(None),) + tuple(v for _, v in pairs))
+        yield ((Ellipsis,) + tuple(g for g, _ in pairs),
+               (Ellipsis,) + tuple(v for _, v in pairs))
 
 
-def _to_phase_rows(x, stride, padding, q, taps):
-    """Copy (B, C, D, H, W) ``x`` once into zero-padded channels-last stride
-    phases: the padded grid (B, qd*sd, qh*sh, qw*sw, C), split as
-    (B, qd, sd, qh, sh, qw, sw, C) and ordered (sd*sh*sw, B*qd*qh*qw, C).
-    Only the phases that ``taps`` read are filled; the others stay zero
-    (a strided 1x1x1 conv reads phase 0 alone)."""
+def _to_rows(x, stride, padding, q, phases, width, lead=0):
+    """Copy (B, C, D, H, W) ``x`` into zero-padded channel-major stride-phase
+    rows (sd*sh*sw, C, width).  Phase (a, b, c) holds the samples at padded
+    positions (a, b, c) + stride * (qd, qh, qw) in the row-major order of its
+    grid (B, qd, qh, qw), starting at row ``lead``; only the phases in
+    ``phases`` are filled, the others stay zero (a strided 1x1x1 conv reads
+    phase 0 alone).  The copy keeps W as the inner axis."""
     B, C = x.shape[:2]
-    rows = np.zeros((math.prod(stride), B) + q + (C,), dtype=x.dtype)
-    xl = x.transpose(0, 2, 3, 4, 1)
-    read = {ph for ph, _ in taps}
+    n = B * math.prod(q)
+    rows = np.zeros((math.prod(stride), C, width), dtype=x.dtype)
+    xc = x.transpose(1, 0, 2, 3, 4)
     for ph, (gi, xi) in enumerate(_phase_slices(x.shape[2:], stride, padding)):
-        if ph in read:
-            rows[ph][gi] = xl[xi]
-    return rows.reshape(rows.shape[0], -1, C)
+        if ph in phases:
+            rows[ph, :, lead:lead + n].reshape((C, B) + q)[gi] = xc[xi]
+    return rows
 
 
-def _from_phase_rows(rows, stride, padding, q, shape):
-    """Inverse of ``_to_phase_rows``: interleave the phases, crop the padding
-    and return the (B, C, D, H, W) array of ``shape``."""
+def _from_rows(rows, stride, padding, q, shape):
+    """Inverse of ``_to_rows`` with ``lead=0``: interleave the phases of the
+    (sd*sh*sw, C, >= B*qd*qh*qw) ``rows``, crop the padding and return the
+    (B, C, D, H, W) array of ``shape``."""
+    B, C = shape[:2]
+    n = B * math.prod(q)
     out = np.empty(shape, dtype=rows.dtype)
-    ol = out.transpose(0, 2, 3, 4, 1)
-    rows = rows.reshape((rows.shape[0], shape[0]) + q + (shape[1],))
+    oc = out.transpose(1, 0, 2, 3, 4)
     for ph, (gi, xi) in enumerate(_phase_slices(shape[2:], stride, padding)):
-        ol[xi] = rows[ph][gi]
+        oc[xi] = rows[ph, :, :n].reshape((C, B) + q)[gi]
     return out
 
 
-def _output_rows(y, q):
-    """(B, Co, od, oh, ow) ``y`` as (B*qd*qh*qw, Co) rows of the phase grid,
-    zero outside the output."""
-    return _to_phase_rows(y, (1, 1, 1), (0, 0, 0), q, [(0, 0)])[0]
+def _tap_gemms(src, kt, reads, n_out, nch, L):
+    """Sum of per-tap products on channel-major rows, in small GEMM calls.
+
+    ``src`` is (phases, K, width) rows and ``kt`` holds one (N, K) matrix per
+    tap.  Tap t with ``reads[t] = (i, off, j)`` adds ``kt[t] @ src[i, :, off + r]``
+    to row r of output phase j, for r < nch * L; ``width`` must be at least
+    ``nch * L + off``.  Returns the (n_out, N, nch * L) rows.  Each chunk of
+    ``L`` rows is summed in a contiguous (N, L) block that BLAS accumulates
+    into in place (gemm, beta=1) and that stays in cache over the taps."""
+    gemm = get_blas_funcs("gemm", dtype=src.dtype)
+    n = kt.shape[1]
+    out = np.empty((n_out, n, nch * L), dtype=src.dtype)
+    block = np.empty((n_out, n, L), dtype=src.dtype)
+    for c in range(nch):
+        r = c * L
+        block.fill(0)
+        for t, (i, off, j) in enumerate(reads):
+            # column-major BLAS sees block[j].T (L, N) += rows (L, K) @ kt[t].T (K, N)
+            gemm(1.0, src[i, :, off + r:off + r + L].T, kt[t].T, beta=1.0,
+                 c=block[j].T, overwrite_c=True)
+        out[:, :, r:r + L] = block
+    return out
 
 
-def _conv_fwd(xr, k, q, taps, out_spatial):
-    """Strided cross-correlation by one channels-last GEMM per kernel tap.
+def _conv_fwd(xr, k, q, taps, nch, L, shape):
+    """Strided cross-correlation by per-tap GEMMs, returning the
+    (B, Co, od, oh, ow) array of ``shape``.
 
-    ``xr`` is ``_to_phase_rows(x)`` for the layout ``q, taps`` of
-    ``_phase_layout``.  Each tap reads one contiguous block of
-    ``n = rows - max offset`` rows of its stride phase; its
-    ``(n, Ci) @ (Ci, Co)`` product is accumulated in place into a (rows, Co)
-    buffer (BLAS gemm, beta=1).  A row whose read wraps across a grid edge
-    (or into the next batch item) lands only at an output position past
-    ``od``, ``oh`` or ``ow``, which the final crop to ``out_spatial`` drops."""
+    ``xr`` is ``_to_rows(x)`` for the layout ``q, taps, nch, L`` of
+    ``_phase_layout``.  Output row r sums, over the taps,
+    ``k_tap @ xr[phase, :, offset + r]``.  A row whose read wraps across a
+    grid edge (or into the next batch item) lands only at an output position
+    past ``od``, ``oh`` or ``ow``, which the final crop drops."""
     co, ci = k.shape[:2]
-    n = xr.shape[1] - taps[-1][1]
-    kt = np.ascontiguousarray(k.reshape(co, ci, -1).transpose(2, 1, 0), dtype=xr.dtype)
-    acc = np.zeros((xr.shape[1], co), dtype=xr.dtype)
-    gemm = get_blas_funcs("gemm", dtype=xr.dtype)
-    # BLAS is column-major: the transposes below are F-ordered views of
-    # C-ordered blocks, so acc^T += k_tap^T @ x_block^T runs without copies
-    for t, (ph, off) in enumerate(taps):
-        gemm(1.0, kt[t].T, xr[ph, off:off + n].T, beta=1.0, c=acc[:n].T, overwrite_c=True)
-    od, oh, ow = out_spatial
-    acc = acc.reshape((-1,) + q + (co,))[:, :od, :oh, :ow]
-    return np.ascontiguousarray(acc.transpose(0, 4, 1, 2, 3))
+    kt = np.ascontiguousarray(k.reshape(co, ci, -1).transpose(2, 0, 1), dtype=xr.dtype)
+    acc = _tap_gemms(xr, kt, [(ph, off, 0) for ph, off in taps], 1, nch, L)
+    return _from_rows(acc, (1, 1, 1), (0, 0, 0), q, shape)
 
 
-def _conv_adjoint(g, k, stride, padding, q, taps, shape):
+def _conv_adjoint(gr, k, stride, padding, q, taps, nch, L, shape):
     """Adjoint of ``_conv_fwd`` with identical geometry, returning the
     (B, Ci, D, H, W) array of ``shape``.
 
-    ``g`` is ``_output_rows(y, q)``: the cotangent embedded in the phase
-    grid of the conv input, zero outside the output.  Each tap adds its
-    ``(n, Co) @ (Co, Ci)`` product in place into its phase of a
-    channels-last canvas at the tap's row offset.  The phases are then
-    interleaved and the padding cropped.  Rows that wrap across a grid edge
-    carry zeros of the embedded ``y``, so they add nothing."""
+    ``gr`` is the cotangent's rows ``_to_rows(y, ..., lead=maxoff)``: the
+    cotangent embedded in the phase grid of the conv input, zero outside the
+    output, after ``maxoff`` (the largest tap offset) leading zero rows.  The
+    adjoint is a gather: row p of the input's phase gains
+    ``k_tap.T @ y[p - offset]`` from each tap of that phase, which reads
+    ``gr`` at row p + maxoff - offset.  Rows outside the output (and the
+    leading ones) are zero, so they add nothing."""
     co, ci = k.shape[:2]
-    n = g.shape[0] - taps[-1][1]
-    kt = np.ascontiguousarray(k.reshape(co, ci, -1).transpose(2, 0, 1), dtype=g.dtype)
-    canvas = np.zeros((math.prod(stride),) + g.shape[:1] + (ci,), dtype=g.dtype)
-    gemm = get_blas_funcs("gemm", dtype=g.dtype)
-    for t, (ph, off) in enumerate(taps):
-        gemm(1.0, kt[t].T, g[:n].T, beta=1.0, c=canvas[ph, off:off + n].T,
-             overwrite_c=True)
-    return _from_phase_rows(canvas, stride, padding, q, shape)
+    maxoff = taps[-1][1]
+    kt = np.ascontiguousarray(k.reshape(co, ci, -1).transpose(2, 1, 0), dtype=gr.dtype)
+    acc = _tap_gemms(gr, kt, [(0, maxoff - off, ph) for ph, off in taps],
+                     math.prod(stride), nch, L)
+    return _from_rows(acc, stride, padding, q, shape)
 
 
-def _conv_kernel_grad(xr, g, k_shape, taps):
-    """Gradient of the conv bilinear form with respect to the kernel: one
-    ``(Co, n) @ (n, Ci)`` GEMM per tap between the cotangent rows ``g``
-    (``_output_rows``) and the tap's block of the phase rows ``xr`` of the
-    input (``_to_phase_rows``).  Wrapped rows meet zeros of the embedded
-    cotangent, so they add nothing."""
+def _conv_kernel_grad(xr, g, k_shape, taps, nch, L):
+    """Gradient of the conv bilinear form with respect to the kernel.
+
+    ``xr`` is the input's ``_to_rows`` and ``g`` the cotangent's (Co, >= nch*L)
+    grid rows, zero outside the output.  Per chunk of L rows, each tap adds
+    the ``(Co, L) @ (L, Ci)`` product of the cotangent chunk and the tap's
+    block of ``xr``.  Wrapped rows meet zeros of the embedded cotangent, so
+    they add nothing."""
     co, ci = k_shape[:2]
-    n = g.shape[0] - taps[-1][1]
-    gk = np.zeros((len(taps), ci, co), dtype=xr.dtype)
+    gk = np.zeros((len(taps), co, ci), dtype=xr.dtype)
     gemm = get_blas_funcs("gemm", dtype=xr.dtype)
-    for t, (ph, off) in enumerate(taps):
-        gemm(1.0, g[:n].T, xr[ph, off:off + n].T, trans_b=True, c=gk[t].T,
-             overwrite_c=True)
-    return np.ascontiguousarray(gk.transpose(2, 1, 0)).reshape(k_shape)
+    for c in range(nch):
+        r = c * L
+        gc = np.ascontiguousarray(g[:, r:r + L]).T      # one copy per chunk, not per tap
+        for t, (ph, off) in enumerate(taps):
+            gemm(1.0, xr[ph, :, off + r:off + r + L].T, gc, trans_a=True, beta=1.0,
+                 c=gk[t].T, overwrite_c=True)
+    return np.ascontiguousarray(gk.transpose(1, 2, 0)).reshape(k_shape)
 
 
 def conv_nd(x, kernel, stride=1, padding=0, bias=None):
@@ -272,11 +308,11 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None):
     ``x``: (B, C_in, D, H, W); ``kernel``: (C_out, C_in, k_d, k_h, k_w);
     optional ``bias``: (C_out,).  Output extent per axis is
     floor((n + 2p - k)/s) + 1; the output has ``x``'s dtype.  Differentiable
-    in input, kernel, and bias.  Computed as one channels-last GEMM per
-    kernel tap over the stride phases of the padded input (see the module
-    docstring); the backward builds the cotangent's phase rows once for the
-    adjoint and kernel-gradient GEMMs, and skips the adjoint when ``x`` does
-    not require grad.
+    in input, kernel, and bias.  Computed as per-tap GEMMs over the
+    channel-major stride phases of the padded input (see the module
+    docstring); the backward builds the cotangent's rows once for the adjoint
+    and kernel-gradient GEMMs, and skips the adjoint when ``x`` does not
+    require grad.
     """
     stride = _triple(stride, "stride")
     padding = _triple(padding, "padding")
@@ -289,10 +325,15 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None):
 
     xd, kd = x.data, kernel.data
     k_shape = kernel.shape
-    q, taps = _phase_layout(x.shape[2:], k_shape[2:], stride, padding)
-    out_spatial = tuple(conv_output_extent(n, kk, s, p)
-                        for n, kk, s, p in zip(x.shape[2:], k_shape[2:], stride, padding))
-    out = _conv_fwd(_to_phase_rows(xd, stride, padding, q, taps), kd, q, taps, out_spatial)
+    q, taps, nch, L = _phase_layout(x.shape, k_shape, stride, padding)
+    maxoff = taps[-1][1]
+    width = nch * L + maxoff
+    phases = {ph for ph, _ in taps}
+    out_shape = (x.shape[0], k_shape[0]) + tuple(
+        conv_output_extent(n, kk, s, p)
+        for n, kk, s, p in zip(x.shape[2:], k_shape[2:], stride, padding))
+    out = _conv_fwd(_to_rows(xd, stride, padding, q, phases, width), kd, q, taps, nch, L,
+                    out_shape)
     input_grad = x.requires_grad
     parents = (x, kernel)
     if bias is not None:
@@ -300,12 +341,11 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None):
         parents += (bias,)
 
     def bk(g):
-        g = np.ascontiguousarray(g)
-        gr = _output_rows(g, q)
-        grads = ((_conv_adjoint(gr, kd, stride, padding, q, taps, xd.shape)
+        gr = _to_rows(g, (1, 1, 1), (0, 0, 0), q, {0}, width, lead=maxoff)
+        grads = ((_conv_adjoint(gr, kd, stride, padding, q, taps, nch, L, xd.shape)
                   if input_grad else None),
-                 _conv_kernel_grad(_to_phase_rows(xd, stride, padding, q, taps),
-                                   gr, k_shape, taps))
+                 _conv_kernel_grad(_to_rows(xd, stride, padding, q, phases, width),
+                                   gr[0, :, maxoff:], k_shape, taps, nch, L))
         if bias is not None:
             grads += (g.sum(axis=(0, 2, 3, 4)),)
         return grads
@@ -320,8 +360,8 @@ def conv_transpose_nd(x, kernel, stride=1, padding=0, bias=None):
     ``x``: (B, C_in, D, H, W); ``kernel``: (C_in, C_out, k_d, k_h, k_w);
     output extent per axis is (n - 1)*s + k - 2p.  The adjoint identity
     <conv(v), x> = <v, conv_transpose(x)> holds whenever the geometries match.
-    The backward builds the cotangent's phase rows once for the conv and
-    kernel-gradient GEMMs.
+    The forward is ``conv_nd``'s adjoint kernel; the backward builds the
+    cotangent's phase rows once for the conv and kernel-gradient GEMMs.
     """
     stride = _triple(stride, "stride")
     padding = _triple(padding, "padding")
@@ -338,8 +378,12 @@ def conv_transpose_nd(x, kernel, stride=1, padding=0, bias=None):
 
     xd, kd = x.data, kernel.data
     k_shape = kernel.shape
-    q, taps = _phase_layout(out_spatial, k_shape[2:], stride, padding)
-    out = _conv_adjoint(_output_rows(xd, q), kd, stride, padding, q, taps,
+    q, taps, nch, L = _phase_layout((x.shape[0], k_shape[1]) + out_spatial, k_shape,
+                                    stride, padding)
+    maxoff = taps[-1][1]
+    width = nch * L + maxoff
+    out = _conv_adjoint(_to_rows(xd, (1, 1, 1), (0, 0, 0), q, {0}, width, lead=maxoff),
+                        kd, stride, padding, q, taps, nch, L,
                         (x.shape[0], k_shape[1]) + out_spatial)
     parents = (x, kernel)
     if bias is not None:
@@ -347,10 +391,10 @@ def conv_transpose_nd(x, kernel, stride=1, padding=0, bias=None):
         parents += (bias,)
 
     def bk(g):
-        g = np.ascontiguousarray(g)
-        gr = _to_phase_rows(g, stride, padding, q, taps)
-        grads = (_conv_fwd(gr, kd, q, taps, xd.shape[2:]),
-                 _conv_kernel_grad(gr, _output_rows(xd, q), k_shape, taps))
+        gr = _to_rows(g, stride, padding, q, {ph for ph, _ in taps}, width)
+        grads = (_conv_fwd(gr, kd, q, taps, nch, L, xd.shape),
+                 _conv_kernel_grad(gr, _to_rows(xd, (1, 1, 1), (0, 0, 0), q, {0}, width)[0],
+                                   k_shape, taps, nch, L))
         if bias is not None:
             grads += (g.sum(axis=(0, 2, 3, 4)),)
         return grads

@@ -317,6 +317,17 @@ class TestMalformedVolumeHeader:
         assert "error:" in err and "Traceback" not in err
 
 
+def test_eval_exits_2_naming_a_header_with_zero_spacing(dataset, trained, tmp_path, capsys):
+    root = tmp_path / "data"
+    shutil.copytree(dataset, root)
+    hdr = root / f"{read_manifest(root / 'manifest.json')['cases'][-1]['id']}_img.hdr"
+    hdr.write_text(json.dumps({**json.loads(hdr.read_text()), "spacing_mm": [0, 1, 1]}))
+    code = main(["eval", "--checkpoint", str(trained / "best.ckpt"), "--data-dir", str(root)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and hdr.name in err and "Traceback" not in err
+
+
 def _nan_at_voxel_7(raw):
     return raw[:28] + np.array([np.nan], dtype="<f4").tobytes() + raw[32:]
 

@@ -456,6 +456,18 @@ class TestVolumeIO:
             with pytest.raises(ValueError, match=field):
                 read_volume(base)
 
+    @pytest.mark.parametrize("spacing", [[0.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1, 1, 0],
+                                         [1.0, float("nan"), 1.0], [1.0, 1.0, float("inf")]])
+    def test_non_positive_or_non_finite_spacing_rejected_naming_the_file(self, tmp_path,
+                                                                         spacing):
+        base = tmp_path / "vol"
+        write_volume(base, LabelVolume(np.zeros((2, 3, 4), np.uint8), (1.0, 1.0, 1.0)))
+        header = json.loads((tmp_path / "vol.hdr").read_text())
+        (tmp_path / "vol.hdr").write_text(json.dumps({**header, "spacing_mm": spacing}))
+        with pytest.raises(ValueError) as info:
+            read_volume(base)
+        assert str(info.value).startswith(f"{base}.hdr: spacing_mm must be 3 positive")
+
     def test_manifest_round_trip(self, tmp_path):
         path = tmp_path / "manifest.json"
         cases = [("case_000", "train"), ("case_001", "val")]

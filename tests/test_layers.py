@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -341,19 +342,66 @@ def test_conv_float32_values_and_gradients_stay_float32(geom, op):
 
 
 # ---------------------------------------------------------------------------
-# conv kernels: shared cotangent rows against per-call rows
+# conv kernels against the per-call channels-last kernels
 # ---------------------------------------------------------------------------
 
-# The three kernels as they ran before the backward shared the cotangent's
-# phase rows: each builds its own rows from NCDHW arrays.  The kernels on
-# shared rows must give the same bits.
+# Reference copies of the earlier channels-last stride-phase kernels: each
+# builds its own (rows, C) phase rows from NCDHW arrays and runs one GEMM per
+# kernel tap over all rows.  The chunked channel-major kernels must give the
+# same bits for the conv values and input gradients.  Their kernel gradient
+# sums the rows chunk by chunk, so it is compared at a tolerance set by the
+# dtype.
+
+def per_call_layout(spatial, ks, stride, padding):
+    q = tuple(-(-(n + 2 * p) // s) for n, p, s in zip(spatial, padding, stride))
+    sd, sh, sw = stride
+    taps = [((dz % sd * sh + dy % sh) * sw + dx % sw,
+             ((dz // sd) * q[1] + dy // sh) * q[2] + dx // sw)
+            for dz in range(ks[0]) for dy in range(ks[1]) for dx in range(ks[2])]
+    return q, taps
+
+
+def per_call_phase_slices(spatial, stride, padding):
+    per_axis = []
+    for n, s, p in zip(spatial, stride, padding):
+        pairs = []
+        for a in range(s):
+            lo, hi = -(-(p - a) // s), -(-(p + n - a) // s)
+            pairs.append((slice(lo, hi), slice(lo * s + a - p, n, s)))
+        per_axis.append(pairs)
+    for pairs in itertools.product(*per_axis):
+        yield ((slice(None),) + tuple(g for g, _ in pairs),
+               (slice(None),) + tuple(v for _, v in pairs))
+
+
+def per_call_to_rows(x, stride, padding, q):
+    B, C = x.shape[:2]
+    rows = np.zeros((math.prod(stride), B) + q + (C,), dtype=x.dtype)
+    xl = x.transpose(0, 2, 3, 4, 1)
+    for ph, (gi, xi) in enumerate(per_call_phase_slices(x.shape[2:], stride, padding)):
+        rows[ph][gi] = xl[xi]
+    return rows.reshape(rows.shape[0], -1, C)
+
+
+def per_call_from_rows(rows, stride, padding, q, shape):
+    out = np.empty(shape, dtype=rows.dtype)
+    ol = out.transpose(0, 2, 3, 4, 1)
+    rows = rows.reshape((rows.shape[0], shape[0]) + q + (shape[1],))
+    for ph, (gi, xi) in enumerate(per_call_phase_slices(shape[2:], stride, padding)):
+        ol[xi] = rows[ph][gi]
+    return out
+
+
+def per_call_output_rows(y, q):
+    return per_call_to_rows(y, (1, 1, 1), (0, 0, 0), q)[0]
+
 
 def per_call_fwd(x, k, stride, padding):
     co, ci = k.shape[:2]
     out_sp = tuple(conv_output_extent(n, kk, s, p)
                    for n, kk, s, p in zip(x.shape[2:], k.shape[2:], stride, padding))
-    q, taps = layers._phase_layout(x.shape[2:], k.shape[2:], stride, padding)
-    xr = layers._to_phase_rows(x, stride, padding, q, taps)
+    q, taps = per_call_layout(x.shape[2:], k.shape[2:], stride, padding)
+    xr = per_call_to_rows(x, stride, padding, q)
     n = xr.shape[1] - taps[-1][1]
     kt = np.ascontiguousarray(k.reshape(co, ci, -1).transpose(2, 1, 0), dtype=x.dtype)
     acc = np.zeros((xr.shape[1], co), dtype=x.dtype)
@@ -366,23 +414,22 @@ def per_call_fwd(x, k, stride, padding):
 
 def per_call_adjoint(y, k, stride, padding, out_spatial):
     co, ci = k.shape[:2]
-    q, taps = layers._phase_layout(out_spatial, k.shape[2:], stride, padding)
-    g = layers._output_rows(y, q)
+    q, taps = per_call_layout(out_spatial, k.shape[2:], stride, padding)
+    g = per_call_output_rows(y, q)
     n = g.shape[0] - taps[-1][1]
     kt = np.ascontiguousarray(k.reshape(co, ci, -1).transpose(2, 0, 1), dtype=y.dtype)
     canvas = np.zeros((math.prod(stride),) + g.shape[:1] + (ci,), dtype=y.dtype)
     gemm = get_blas_funcs("gemm", dtype=y.dtype)
     for t, (ph, off) in enumerate(taps):
         gemm(1.0, kt[t].T, g[:n].T, beta=1.0, c=canvas[ph, off:off + n].T, overwrite_c=True)
-    return layers._from_phase_rows(canvas, stride, padding, q,
-                                   (y.shape[0], ci) + out_spatial)
+    return per_call_from_rows(canvas, stride, padding, q, (y.shape[0], ci) + out_spatial)
 
 
 def per_call_kernel_grad(x, gy, k_shape, stride, padding):
     co, ci = k_shape[:2]
-    q, taps = layers._phase_layout(x.shape[2:], k_shape[2:], stride, padding)
-    xr = layers._to_phase_rows(x, stride, padding, q, taps)
-    g = layers._output_rows(gy, q)
+    q, taps = per_call_layout(x.shape[2:], k_shape[2:], stride, padding)
+    xr = per_call_to_rows(x, stride, padding, q)
+    g = per_call_output_rows(gy, q)
     n = g.shape[0] - taps[-1][1]
     gk = np.zeros((len(taps), ci, co), dtype=x.dtype)
     gemm = get_blas_funcs("gemm", dtype=x.dtype)
@@ -394,6 +441,17 @@ def per_call_kernel_grad(x, gy, k_shape, stride, padding):
 def assert_bitwise(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+# tolerance, relative to the largest entry, where the sums are the same but
+# their order may differ
+ROUNDING_RTOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+
+def assert_close(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    rtol = ROUNDING_RTOL[got.dtype.type]
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * float(np.abs(want).max()))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -411,7 +469,7 @@ def test_conv_kernels_on_shared_rows_match_per_call_rows_bitwise(k, s, dtype):
     backward((out * Tensor(y)).sum())
     assert_bitwise(out.data, per_call_fwd(x, kern, stride, padding) + bias.reshape(1, -1, 1, 1, 1))
     assert_bitwise(xt.grad, per_call_adjoint(y, kern, stride, padding, x.shape[2:]))
-    assert_bitwise(kt.grad, per_call_kernel_grad(x, y, kern.shape, stride, padding))
+    assert_close(kt.grad, per_call_kernel_grad(x, y, kern.shape, stride, padding))
     assert_bitwise(bt.grad, y.sum(axis=(0, 2, 3, 4)))
 
     # transposed: (B, 4, ...) -> (B, 3, ...) with the same kernel and geometry
@@ -424,8 +482,50 @@ def test_conv_kernels_on_shared_rows_match_per_call_rows_bitwise(k, s, dtype):
     assert_bitwise(up.data, per_call_adjoint(v, kern, stride, padding, up.shape[2:])
                    + b3.reshape(1, -1, 1, 1, 1))
     assert_bitwise(vt.grad, per_call_fwd(w, kern, stride, padding))
-    assert_bitwise(kt.grad, per_call_kernel_grad(w, v, kern.shape, stride, padding))
+    assert_close(kt.grad, per_call_kernel_grad(w, v, kern.shape, stride, padding))
     assert_bitwise(bt.grad, w.sum(axis=(0, 2, 3, 4)))
+
+
+# (c_in, c_out, kernel, stride, padding, spatial) whose phase rows split into
+# three GEMM chunks, the last one shorter: 32 -> 32 channels give chunks of at
+# most 976 rows, 1 -> 32 channels chunks of at most 31250
+MULTI_CHUNK = [
+    (32, 32, (3, 3, 3), (1, 1, 1), (1, 1, 1), (5, 11, 9)),
+    (32, 32, (3, 3, 3), (2, 2, 2), (1, 1, 1), (7, 25, 25)),
+    (32, 32, (1, 3, 3), (1, 2, 2), (0, 1, 1), (5, 25, 25)),
+    (1, 32, (3, 3, 3), (1, 1, 1), (1, 1, 1), (15, 41, 41)),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ci,co,ks,stride,padding,spatial", MULTI_CHUNK)
+def test_conv_kernels_across_gemm_chunks_match_per_call_kernels(ci, co, ks, stride, padding,
+                                                                 spatial, dtype):
+    rng = np.random.default_rng(ci + stride[-1])
+    x = rng.normal(size=(2, ci) + spatial).astype(dtype)
+    kern = rng.normal(size=(co, ci) + ks).astype(dtype)
+    q, _, nch, L = layers._phase_layout(x.shape, kern.shape, stride, padding)
+    rows = x.shape[0] * math.prod(q)
+    assert nch >= 3 and rows - (nch - 1) * L < L
+    # compared at a tolerance: the chunked and the per-call GEMMs may run
+    # different BLAS kernels, which sum each channel dot product in their own
+    # order
+
+    xt, kt = Tensor(x, requires_grad=True), Parameter(kern)
+    out = conv_nd(xt, kt, stride, padding)
+    y = rng.normal(size=out.shape).astype(dtype)
+    backward((out * Tensor(y)).sum())
+    assert_close(out.data, per_call_fwd(x, kern, stride, padding))
+    assert_close(xt.grad, per_call_adjoint(y, kern, stride, padding, x.shape[2:]))
+    assert_close(kt.grad, per_call_kernel_grad(x, y, kern.shape, stride, padding))
+
+    vt, kt = Tensor(y, requires_grad=True), Parameter(kern)
+    up = conv_transpose_nd(vt, kt, stride, padding)
+    w = rng.normal(size=up.shape).astype(dtype)
+    backward((up * Tensor(w)).sum())
+    assert_close(up.data, per_call_adjoint(y, kern, stride, padding, up.shape[2:]))
+    assert_close(vt.grad, per_call_fwd(w, kern, stride, padding))
+    assert_close(kt.grad, per_call_kernel_grad(w, y, kern.shape, stride, padding))
 
 
 def test_conv_skips_the_input_adjoint_when_the_input_needs_no_grad(monkeypatch):
