@@ -293,8 +293,9 @@ def train(cfg):
 
     Each step record holds, besides the loss and learning rate, the step's
     ``forward_s`` (forward and loss), ``backward_s`` and ``optim_s`` on the
-    run log's clock, the global ``grad_norm`` and the ``peak_rss_mb`` so
-    far."""
+    run log's clock, the global ``grad_norm``, the ``peak_rss_mb`` so far,
+    and the step's ``minor_faults`` and system time ``sys_s`` (``getrusage``
+    deltas from the forward to the end of the optimizer step)."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cases, manifest = load_dataset(cfg.data_dir)
@@ -347,6 +348,7 @@ def train(cfg):
                 x = np.stack([pool[i][0] for i in idx])[:, None]
                 y = np.stack([pool[i][1] for i in idx]).astype(np.int64)
                 opt.zero_grad()
+                usage0 = resource.getrusage(resource.RUSAGE_SELF)
                 t0 = time.monotonic()
                 logits = net(ag.Tensor(x))
                 loss = dice_ce_loss(logits, y)
@@ -363,8 +365,11 @@ def train(cfg):
                 t2 = time.monotonic()
                 grad_norm = opt.step()
                 t3 = time.monotonic()
+                usage1 = resource.getrusage(resource.RUSAGE_SELF)
                 log.note_step(forward_s=t1 - t0, backward_s=t2 - t1, optim_s=t3 - t2,
-                              grad_norm=grad_norm, peak_rss_mb=_peak_rss_bytes() / 1e6)
+                              grad_norm=grad_norm, peak_rss_mb=_peak_rss_bytes() / 1e6,
+                              minor_faults=usage1.ru_minflt - usage0.ru_minflt,
+                              sys_s=usage1.ru_stime - usage0.ru_stime)
                 log.log_step(step, epoch, loss_val, opt.lr)
             if epoch % cfg.val_interval == 0 or epoch == cfg.epochs:
                 val = _validation_dice(net, model_cfg, val_cases)

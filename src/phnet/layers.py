@@ -15,18 +15,22 @@ fixed row offset.  The copy keeps W as its inner axis, as does the crop back
 to (B, C, D, H, W); no array is transposed to channels-last.  Each tap is a
 (C_out, C_in) @ (C_in, rows) product, issued as BLAS GEMM calls over chunks of
 rows small enough for OpenBLAS to skip packing its operands (see
-``_SMALL_GEMM_MNK``).  The adjoint is the same gather run on the cotangent's
-rows with mirrored offsets.  Rows near the end of a grid line read past it
-into the next line (or batch item); those rows only feed output positions
-that the forward crops, and in the adjoint and kernel gradient they meet the
-zeros that surround the embedded output, so they change nothing.
+``_SMALL_GEMM_MNK``).  Each call reads its block of rows where it lies, with
+the row length as BLAS's leading dimension, and adds into the output rows in
+place, so no operand is copied (see ``_bound_gemm``).  The adjoint is the
+same gather run on the cotangent's rows with mirrored offsets.  Rows near the
+end of a grid line read past it into the next line (or batch item); those
+rows only feed output positions that the forward crops, and in the adjoint
+and kernel gradient they meet the zeros that surround the embedded output,
+so they change nothing.
 """
 
+import ctypes
 import itertools
 import math
 
 import numpy as np
-from scipy.linalg.blas import get_blas_funcs
+from scipy.linalg import cython_blas
 
 from .autograd import Parameter, make_node
 
@@ -149,10 +153,50 @@ def _check_conv_geometry(x_shape, k_shape, stride, padding, transposed=False):
 # count, so the rows are cut into chunks that keep every call within this
 # limit.  Measured with OpenBLAS 0.3.30 on one thread of an AVX-512 Xeon: an
 # (L, 8) @ (8, 8) call ran at 52 GFLOP/s for L = 15625 (M * N * K = 10**6)
-# and at 26 GFLOP/s for L = 15626; a tap over 557k rows of 8 -> 8 channels ran
-# at 11 GFLOP/s as one call and at 21 GFLOP/s in chunks, counting the copy
-# f2py makes of each strided row block (16 channels: 23 -> 35 GFLOP/s).
+# and at 26 GFLOP/s for L = 15626.  Each call reads its row block where it
+# lies in the phase rows, at the rows' own leading dimension (``_bound_gemm``).
 _SMALL_GEMM_MNK = 10 ** 6
+
+
+def _blas_function(name):
+    """The Fortran-convention BLAS routine ``name`` of the library scipy
+    links, as a ctypes function of 13 addresses (sgemm and dgemm take every
+    argument by reference).  ``scipy.linalg.blas`` cannot pass a leading
+    dimension, so it copies every strided operand; the pointer exported by
+    ``scipy.linalg.cython_blas`` reaches the same routine without that
+    copy."""
+    capsule = cython_blas.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    pointer = get_pointer(capsule, get_name(capsule))
+    return ctypes.CFUNCTYPE(None, *(ctypes.c_void_p,) * 13)(pointer)
+
+
+# per dtype: the GEMM routine and the ctypes type of its alpha and beta
+_GEMMS = {np.dtype(np.float32): (_blas_function("sgemm"), ctypes.c_float),
+          np.dtype(np.float64): (_blas_function("dgemm"), ctypes.c_double)}
+
+
+def _bound_gemm(dtype, trans_a, m, n, k, lda, ldb, ldc):
+    """GEMM of fixed shape and leading dimensions on raw addresses.
+
+    Returns ``gemm(a, b, c, accumulate)``, which computes, in column-major
+    BLAS terms, C (m, n) = op(A) @ B (+ C when ``accumulate``), with
+    op(A) = A.T if ``trans_a`` else A, for the operands at addresses ``a``,
+    ``b`` and ``c``.  BLAS checks no bounds: the caller checks that every
+    address it passes lies in an array that stays alive during the call."""
+    fn, scalar = _GEMMS[np.dtype(dtype)]
+    cells = ([ctypes.c_char(b"T" if trans_a else b"N"), ctypes.c_char(b"N")]
+             + [ctypes.c_int(v) for v in (m, n, k, lda, ldb, ldc)]
+             + [scalar(1.0), scalar(0.0)])
+    ta, tb, pm, pn, pk, plda, pldb, pldc, one, zero = map(ctypes.addressof, cells)
+
+    def gemm(a, b, c, accumulate, _cells=cells):      # the default keeps the cells alive
+        fn(ta, tb, pm, pn, pk, one, a, plda, b, pldb, one if accumulate else zero, c, pldc)
+
+    return gemm
 
 
 def _phase_layout(x_shape, k_shape, stride, padding):
@@ -199,15 +243,26 @@ def _to_rows(x, stride, padding, q, phases, width, lead=0):
     rows (sd*sh*sw, C, width).  Phase (a, b, c) holds the samples at padded
     positions (a, b, c) + stride * (qd, qh, qw) in the row-major order of its
     grid (B, qd, qh, qw), starting at row ``lead``; only the phases in
-    ``phases`` are filled, the others stay zero (a strided 1x1x1 conv reads
-    phase 0 alone).  The copy keeps W as the inner axis."""
+    ``phases`` are filled, the others are zero (a strided 1x1x1 conv reads
+    phase 0 alone).  The copy keeps W as the inner axis.  Each row is written
+    once: the samples, or a zero for the lead and tail rows, the padding
+    around each filled grid and the unfilled phases."""
     B, C = x.shape[:2]
     n = B * math.prod(q)
-    rows = np.zeros((math.prod(stride), C, width), dtype=x.dtype)
+    rows = np.empty((math.prod(stride), C, width), dtype=x.dtype)
+    rows[:, :, :lead] = 0
+    rows[:, :, lead + n:] = 0
     xc = x.transpose(1, 0, 2, 3, 4)
     for ph, (gi, xi) in enumerate(_phase_slices(x.shape[2:], stride, padding)):
-        if ph in phases:
-            rows[ph, :, lead:lead + n].reshape((C, B) + q)[gi] = xc[xi]
+        if ph not in phases:
+            rows[ph] = 0
+            continue
+        grid = rows[ph, :, lead:lead + n].reshape((C, B) + q)
+        grid[gi] = xc[xi]
+        for axis in range(3):
+            inner = (slice(None),) * (2 - axis)
+            grid[gi[:1 + axis] + (slice(None, gi[1 + axis].start),) + inner] = 0
+            grid[gi[:1 + axis] + (slice(gi[1 + axis].stop, None),) + inner] = 0
     return rows
 
 
@@ -224,27 +279,58 @@ def _from_rows(rows, stride, padding, q, shape):
     return out
 
 
+def _check_rows(rows, ndim, name):
+    """``rows`` must be float32 or float64 of rank ``ndim``, each row contiguous."""
+    if rows.dtype not in _GEMMS or rows.ndim != ndim or rows.strides[-1] != rows.itemsize:
+        raise ValueError(f"{name}: expected rank-{ndim} float32 or float64 rows with "
+                         f"contiguous last axis, got {rows.dtype} {rows.shape} "
+                         f"with strides {rows.strides}")
+
+
+def _check_reads(src, reads, count, name):
+    """Every read of ``count`` rows at (phase, offset) must lie within ``src``."""
+    for ph, off in reads:
+        if not (0 <= ph < src.shape[0] and off >= 0 and off + count <= src.shape[2]):
+            raise ValueError(f"{name}: read of {count} rows at phase {ph}, offset {off} "
+                             f"is outside the {src.shape} rows")
+
+
 def _tap_gemms(src, kt, reads, n_out, nch, L):
     """Sum of per-tap products on channel-major rows, in small GEMM calls.
 
     ``src`` is (phases, K, width) rows and ``kt`` holds one (N, K) matrix per
     tap.  Tap t with ``reads[t] = (i, off, j)`` adds ``kt[t] @ src[i, :, off + r]``
     to row r of output phase j, for r < nch * L; ``width`` must be at least
-    ``nch * L + off``.  Returns the (n_out, N, nch * L) rows.  Each chunk of
-    ``L`` rows is summed in a contiguous (N, L) block that BLAS accumulates
-    into in place (gemm, beta=1) and that stays in cache over the taps."""
-    gemm = get_blas_funcs("gemm", dtype=src.dtype)
+    ``nch * L + off``.  Returns the (n_out, N, nch * L) rows.  Per chunk of
+    ``L`` rows, each call reads the tap's (K, L) block of ``src`` in place and
+    adds it into the chunk of ``out[j]``, which stays in cache over the taps;
+    the first tap of each output phase overwrites the chunk instead, and
+    output phases that no tap reaches are zero."""
+    _check_rows(src, 3, "tap gemms")
+    P, K, width = src.shape
     n = kt.shape[1]
+    if not (src.flags.c_contiguous and kt.flags.c_contiguous and kt.dtype == src.dtype
+            and kt.shape == (len(reads), n, K)):
+        raise ValueError(f"tap gemms: expected contiguous {src.dtype} rows and "
+                         f"({len(reads)}, N, {K}) tap matrices, got {kt.dtype} {kt.shape}")
+    _check_reads(src, [(i, off) for i, off, _ in reads], nch * L, "tap gemms")
+    if any(not 0 <= j < n_out for _, _, j in reads):
+        raise ValueError(f"tap gemms: output phase outside range({n_out})")
     out = np.empty((n_out, n, nch * L), dtype=src.dtype)
-    block = np.empty((n_out, n, L), dtype=src.dtype)
+    for j in set(range(n_out)) - {j for _, _, j in reads}:
+        out[j] = 0
+    gemm = _bound_gemm(src.dtype, False, L, n, K, width, K, nch * L)
+    size = src.itemsize
+    s0, k0, o0 = src.ctypes.data, kt.ctypes.data, out.ctypes.data
+    first = {}
+    calls = [(s0 + (i * K * width + off) * size, k0 + t * n * K * size,
+              o0 + j * n * nch * L * size, first.setdefault(j, t) != t)
+             for t, (i, off, j) in enumerate(reads)]
     for c in range(nch):
-        r = c * L
-        block.fill(0)
-        for t, (i, off, j) in enumerate(reads):
-            # column-major BLAS sees block[j].T (L, N) += rows (L, K) @ kt[t].T (K, N)
-            gemm(1.0, src[i, :, off + r:off + r + L].T, kt[t].T, beta=1.0,
-                 c=block[j].T, overwrite_c=True)
-        out[:, :, r:r + L] = block
+        r = c * L * size
+        for a, b, o, accumulate in calls:
+            # column-major BLAS sees out[j] chunk (L, N) = rows (L, K) @ kt[t].T (K, N)
+            gemm(a + r, b, o + r, accumulate)
     return out
 
 
@@ -286,19 +372,32 @@ def _conv_kernel_grad(xr, g, k_shape, taps, nch, L):
     """Gradient of the conv bilinear form with respect to the kernel.
 
     ``xr`` is the input's ``_to_rows`` and ``g`` the cotangent's (Co, >= nch*L)
-    grid rows, zero outside the output.  Per chunk of L rows, each tap adds
-    the ``(Co, L) @ (L, Ci)`` product of the cotangent chunk and the tap's
-    block of ``xr``.  Wrapped rows meet zeros of the embedded cotangent, so
-    they add nothing."""
+    grid rows, zero outside the output, with a contiguous last axis.  Per
+    chunk of L rows, each tap adds the ``(Co, L) @ (L, Ci)`` product of the
+    cotangent chunk and the tap's block of ``xr``, both read in place.
+    Wrapped rows meet zeros of the embedded cotangent, so they add nothing."""
     co, ci = k_shape[:2]
+    _check_rows(xr, 3, "kernel grad")
+    _check_rows(g, 2, "kernel grad")
+    if not (xr.flags.c_contiguous and g.dtype == xr.dtype and xr.shape[1] == ci
+            and g.shape[0] == co and g.shape[1] >= nch * L
+            and g.strides[0] >= g.shape[1] * g.itemsize):
+        raise ValueError(f"kernel grad: expected contiguous ({ci}-channel) input rows and "
+                         f"({co}, >= {nch * L}) cotangent rows of one dtype, got "
+                         f"{xr.dtype} {xr.shape} and {g.dtype} {g.shape}")
+    _check_reads(xr, taps, nch * L, "kernel grad")
     gk = np.zeros((len(taps), co, ci), dtype=xr.dtype)
-    gemm = get_blas_funcs("gemm", dtype=xr.dtype)
+    size = xr.itemsize
+    width = xr.shape[2]
+    # column-major BLAS sees gk[t].T (Ci, Co) += xr block.T (Ci, L) @ g chunk.T (L, Co)
+    gemm = _bound_gemm(xr.dtype, True, ci, co, L, width, g.strides[0] // size, ci)
+    x0, g0, k0 = xr.ctypes.data, g.ctypes.data, gk.ctypes.data
+    calls = [(x0 + (ph * ci * width + off) * size, k0 + t * co * ci * size)
+             for t, (ph, off) in enumerate(taps)]
     for c in range(nch):
-        r = c * L
-        gc = np.ascontiguousarray(g[:, r:r + L]).T      # one copy per chunk, not per tap
-        for t, (ph, off) in enumerate(taps):
-            gemm(1.0, xr[ph, :, off + r:off + r + L].T, gc, trans_a=True, beta=1.0,
-                 c=gk[t].T, overwrite_c=True)
+        r = c * L * size
+        for a, o in calls:
+            gemm(a + r, g0 + r, o, True)
     return np.ascontiguousarray(gk.transpose(1, 2, 0)).reshape(k_shape)
 
 
@@ -444,29 +543,39 @@ def affine_norm(x, gamma, beta, axes):
     ``gamma``/``beta`` of shape (C,).
 
     One tape node; the backward is the closed form of Ioffe & Szegedy (2015):
-    with x^ the normalized input and h = g * gamma,
-    dx = (h - mean(h) - x^ * mean(h * x^)) / sqrt(var + eps).
+    with x^ the normalized input, a = mean(gamma * g) and
+    b = mean(gamma * g * x^), dx = (gamma * g - a - x^ * b) / sqrt(var + eps).
+    The reductions over ``axes`` are ``np.einsum`` contractions, so that no
+    full-size product is built only to be summed.
     """
     if x.ndim != 5 or gamma.shape != (x.shape[1],) or beta.shape != gamma.shape:
         raise ValueError(f"norm: expected (B,C,D,H,W) input with (C,) gamma and beta, "
                          f"got {x.shape}, {gamma.shape} and {beta.shape}")
+    axes = {a % x.ndim for a in axes}
+    full = "bcdhw"
+    kept = "".join(ax for i, ax in enumerate(full) if i not in axes)
+    reduced = tuple(1 if i in axes else n for i, n in enumerate(x.shape))
+    count = math.prod(x.shape[i] for i in axes)
+
+    def mean_of(subscripts, *operands):
+        return (np.einsum(subscripts + "->" + kept, *operands) / count).reshape(reduced)
+
     # in-place updates keep fewer full-size temporaries alive at once
-    xhat = x.data - x.data.mean(axis=axes, keepdims=True)
-    inv_std = 1.0 / np.sqrt((xhat * xhat).mean(axis=axes, keepdims=True) + _NORM_EPS)
+    xhat = x.data - x.data.mean(axis=tuple(axes), keepdims=True)
+    inv_std = 1.0 / np.sqrt(mean_of(f"{full},{full}", xhat, xhat) + _NORM_EPS)
     xhat *= inv_std
     gd = gamma.data.reshape(1, -1, 1, 1, 1)
     out = xhat * gd
     out += beta.data.reshape(1, -1, 1, 1, 1)
 
     def bk(g):
-        gx = g * xhat
-        dgamma = gx.sum(axis=(0, 2, 3, 4))
-        gx *= gd                                    # h * x^
-        dx = g * gd                                 # h
-        dx -= dx.mean(axis=axes, keepdims=True)
-        dx -= xhat * gx.mean(axis=axes, keepdims=True)
+        dx = g * gd                                 # gamma * g
+        a = mean_of(full, dx)
+        b = mean_of(f"{full},{full}", dx, xhat)
+        dx -= a
+        dx -= xhat * b
         dx *= inv_std
-        return dx, dgamma, g.sum(axis=(0, 2, 3, 4))
+        return dx, np.einsum(f"{full},{full}->c", g, xhat), g.sum(axis=(0, 2, 3, 4))
 
     return make_node(out, (x, gamma, beta), "affine_norm", bk)
 

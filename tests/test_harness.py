@@ -383,13 +383,17 @@ class TestTrain:
             if rec["kind"] != "step":
                 continue
             assert set(rec) == {"timestamp", "wall_time_s", "kind", "step", "epoch",
-                                "loss", "lr", *phases, "grad_norm", "peak_rss_mb"}
+                                "loss", "lr", *phases, "grad_norm", "peak_rss_mb",
+                                "minor_faults", "sys_s"}
             assert all(isinstance(rec[k], float) and rec[k] > 0 for k in phases)
             # the phases are disjoint parts of the interval between records
             assert sum(rec[k] for k in phases) <= rec["wall_time_s"] - prev["wall_time_s"]
             assert math.isfinite(rec["grad_norm"]) and rec["grad_norm"] > 0
             assert rec["peak_rss_mb"] >= peak and rec["peak_rss_mb"] > 0
             peak = rec["peak_rss_mb"]
+            # getrusage deltas over the step
+            assert isinstance(rec["minor_faults"], int) and rec["minor_faults"] >= 0
+            assert isinstance(rec["sys_s"], float) and rec["sys_s"] >= 0
 
     def test_a_step_leaves_no_tape_behind(self, dataset, tmp_path, monkeypatch):
         # the loop still names the last step's logits while the next forward

@@ -488,12 +488,15 @@ def test_conv_kernels_on_shared_rows_match_per_call_rows_bitwise(k, s, dtype):
 
 # (c_in, c_out, kernel, stride, padding, spatial) whose phase rows split into
 # three GEMM chunks, the last one shorter: 32 -> 32 channels give chunks of at
-# most 976 rows, 1 -> 32 channels chunks of at most 31250
+# most 976 rows, 1 -> 32 channels chunks of at most 31250, 16 -> 2 channels
+# chunks of at most 31250, and the 8 -> 2 head conv chunks of at most 62500
 MULTI_CHUNK = [
     (32, 32, (3, 3, 3), (1, 1, 1), (1, 1, 1), (5, 11, 9)),
     (32, 32, (3, 3, 3), (2, 2, 2), (1, 1, 1), (7, 25, 25)),
     (32, 32, (1, 3, 3), (1, 2, 2), (0, 1, 1), (5, 25, 25)),
     (1, 32, (3, 3, 3), (1, 1, 1), (1, 1, 1), (15, 41, 41)),
+    (16, 2, (3, 3, 3), (1, 1, 1), (1, 1, 1), (15, 41, 41)),
+    (8, 2, (1, 1, 1), (1, 1, 1), (0, 0, 0), (17, 61, 61)),
 ]
 
 
@@ -546,6 +549,139 @@ def test_conv_skips_the_input_adjoint_when_the_input_needs_no_grad(monkeypatch):
         grads.append((kt.grad, bt.grad))
     for got, want in zip(*grads):
         assert_bitwise(got, want)
+
+
+def gemm_operands(dtype=np.float32):
+    """A 2 x 2 x 3 conv's layout with its phase rows, tap matrices and
+    embedded cotangent rows, all exactly as wide as the GEMMs read."""
+    stride, padding = (1, 2, 2), (0, 1, 1)
+    x, k, y = geometry_arrays(((2, 2, 3), stride, padding, (4, 7, 9), 2, 3, 2, 5), dtype)
+    q, taps, nch, L = layers._phase_layout(x.shape, k.shape, stride, padding)
+    width = nch * L + taps[-1][1]
+    xr = layers._to_rows(x, stride, padding, q, {ph for ph, _ in taps}, width)
+    kt = np.ascontiguousarray(k.reshape(2, 3, -1).transpose(2, 0, 1))
+    g = np.zeros((2, nch * L), dtype)
+    g[:, :y.size // 2] = y.transpose(1, 0, 2, 3, 4).reshape(2, -1)
+    return xr, kt, g, k.shape, taps, nch, L
+
+
+def no_gemm(*args):
+    raise AssertionError("a BLAS call was bound for rows that failed their check")
+
+
+def narrower(rows):
+    """``rows`` one row narrower, in a fresh array that ends where they end."""
+    return np.ascontiguousarray(rows[..., :-1])
+
+
+def strided(rows):
+    """The same values as ``rows`` on every other element of a wider array."""
+    wide = np.zeros(rows.shape[:-1] + (2 * rows.shape[-1],), rows.dtype)
+    wide[..., ::2] = rows
+    return wide[..., ::2]
+
+
+def channel_strided(rows):
+    """The same values with a gap between channels: rows whose last axis is
+    contiguous but whose channels are not adjacent."""
+    wide = np.zeros(rows.shape[:1] + (2 * rows.shape[1],) + rows.shape[2:], rows.dtype)
+    wide[:, ::2] = rows
+    return wide[:, ::2]
+
+
+def reversed_rows(rows):
+    """The rows in reverse order: a negative leading stride."""
+    return rows[::-1]
+
+
+def test_gemm_operands_pass_the_checks_as_built():
+    xr, kt, g, k_shape, taps, nch, L = gemm_operands()
+    reads = [(ph, off, 0) for ph, off in taps]
+    assert xr.shape[2] == nch * L + max(off for _, off in taps)
+    assert layers._tap_gemms(xr, kt, reads, 1, nch, L).shape == (1, 2, nch * L)
+    assert layers._conv_kernel_grad(xr, g, k_shape, taps, nch, L).shape == k_shape
+
+
+@pytest.mark.parametrize("damage", [narrower, strided, channel_strided, reversed_rows])
+def test_tap_gemms_reject_rows_they_would_read_past(damage, monkeypatch):
+    xr, kt, _, _, taps, nch, L = gemm_operands()
+    monkeypatch.setattr(layers, "_bound_gemm", no_gemm)
+    with pytest.raises(ValueError, match="tap gemms"):
+        layers._tap_gemms(damage(xr), kt, [(ph, off, 0) for ph, off in taps], 1, nch, L)
+
+
+@pytest.mark.parametrize("damage", [narrower, strided, channel_strided, reversed_rows])
+def test_kernel_grad_rejects_rows_it_would_read_past(damage, monkeypatch):
+    xr, _, g, k_shape, taps, nch, L = gemm_operands()
+    monkeypatch.setattr(layers, "_bound_gemm", no_gemm)
+    with pytest.raises(ValueError, match="kernel grad"):
+        layers._conv_kernel_grad(damage(xr), g, k_shape, taps, nch, L)
+    if damage is not channel_strided:           # a cotangent row gap is a leading dimension
+        with pytest.raises(ValueError, match="kernel grad"):
+            layers._conv_kernel_grad(xr, damage(g), k_shape, taps, nch, L)
+
+
+def test_gemm_entry_points_reject_mixed_dtypes(monkeypatch):
+    xr, kt, g, k_shape, taps, nch, L = gemm_operands()
+    monkeypatch.setattr(layers, "_bound_gemm", no_gemm)
+    with pytest.raises(ValueError, match="tap gemms"):
+        layers._tap_gemms(xr, kt.astype(np.float64), [(ph, off, 0) for ph, off in taps],
+                          1, nch, L)
+    with pytest.raises(ValueError, match="kernel grad"):
+        layers._conv_kernel_grad(xr, g.astype(np.float64), k_shape, taps, nch, L)
+
+
+# ---------------------------------------------------------------------------
+# phase rows: every row written once
+# ---------------------------------------------------------------------------
+
+def zero_filled_rows(x, stride, padding, phases, width, lead):
+    """Phase rows from a zero-filled array: pad ``x`` with zeros to whole
+    strides, then take every stride-th sample of each filled phase."""
+    B, C = x.shape[:2]
+    q = tuple(-(-(n + 2 * p) // s) for n, p, s in zip(x.shape[2:], padding, stride))
+    padded = np.zeros((C, B) + tuple(n * s for n, s in zip(q, stride)), x.dtype)
+    padded[(Ellipsis,) + tuple(slice(p, p + n) for p, n in zip(padding, x.shape[2:]))] = \
+        x.transpose(1, 0, 2, 3, 4)
+    rows = np.zeros((math.prod(stride), C, width), x.dtype)
+    for ph, (a, b, c) in enumerate(itertools.product(*map(range, stride))):
+        if ph in phases:
+            rows[ph, :, lead:lead + B * math.prod(q)] = \
+                padded[..., a::stride[0], b::stride[1], c::stride[2]].reshape(C, -1)
+    return rows
+
+
+@st.composite
+def row_layouts(draw):
+    """(shape, stride, padding, filled phases, lead, tail rows, seed)."""
+    stride = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    padding = tuple(draw(st.integers(0, 2)) for _ in range(3))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3))) + tuple(
+        draw(st.integers(1, 6)) for _ in range(3))
+    phases = draw(st.sets(st.integers(0, math.prod(stride) - 1)))
+    return (shape, stride, padding, phases, draw(st.integers(1, 4)), draw(st.integers(0, 4)),
+            draw(st.integers(0, 2 ** 16)))
+
+
+@given(row_layouts())
+@example(((2, 3, 5, 6, 8), (2, 3, 3), (1, 1, 0), {0, 5, 17}, 3, 0, 1))
+def test_to_rows_writes_every_row_of_uninitialized_memory(layout):
+    shape, stride, padding, phases, lead, tail, seed = layout
+    x = np.random.default_rng(seed).normal(size=shape).astype(np.float32)
+    q = tuple(-(-(n + 2 * p) // s) for n, p, s in zip(shape[2:], padding, stride))
+    width = lead + shape[0] * math.prod(q) + tail
+    want = zero_filled_rows(x, stride, padding, phases, width, lead)
+    empty = np.empty
+
+    def nan_filled(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "empty", nan_filled)
+        got = layers._to_rows(x, stride, padding, q, phases, width, lead=lead)
+    assert_bitwise(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +829,52 @@ def test_affine_norm_grad_of_input_gamma_and_beta(axes):
     inputs = [rng.normal(size=(2, 4, 2, 3, 3)), rng.normal(size=4), rng.normal(size=4)]
     assert grad_check_each_input(lambda x, g, b: affine_norm(x, g, b, axes),
                                  inputs, rng) < 1e-5
+
+
+def norm_oracle(x, gamma, beta, axes, g):
+    """The value and the (x, gamma, beta) grads of ``affine_norm`` against
+    cotangent ``g``, in the closed form that builds every product at full
+    size before reducing it."""
+    xhat = x - x.mean(axis=axes, keepdims=True)
+    inv_std = 1.0 / np.sqrt((xhat * xhat).mean(axis=axes, keepdims=True) + 1e-5)
+    xhat = xhat * inv_std
+    gd = gamma.reshape(1, -1, 1, 1, 1)
+    h = g * gd
+    dx = (h - h.mean(axis=axes, keepdims=True)
+          - xhat * (h * xhat).mean(axis=axes, keepdims=True)) * inv_std
+    return (xhat * gd + beta.reshape(1, -1, 1, 1, 1), dx,
+            (g * xhat).sum(axis=(0, 2, 3, 4)), g.sum(axis=(0, 2, 3, 4)))
+
+
+def norm_value_and_grads(x, gamma, beta, axes, g):
+    xt, gt, bt = Tensor(x, requires_grad=True), Parameter(gamma), Parameter(beta)
+    out = affine_norm(xt, gt, bt, axes)
+    backward((out * Tensor(g)).sum())
+    return out.data, xt.grad, gt.grad, bt.grad
+
+
+@NORM_AXES
+def test_affine_norm_value_and_grads_match_the_full_size_closed_form(axes):
+    rng = np.random.default_rng(37)
+    x = 3.0 * rng.normal(size=(2, 5, 3, 4, 6)) + 1.5
+    gamma, beta, g = rng.normal(size=5), rng.normal(size=5), rng.normal(size=x.shape)
+    got = norm_value_and_grads(x, gamma, beta, axes, g)
+    for got_, want in zip(got, norm_oracle(x, gamma, beta, axes, g)):
+        assert got_.dtype == np.float64 and got_.shape == want.shape
+        np.testing.assert_allclose(got_, want, rtol=0, atol=1e-12)
+
+
+@NORM_AXES
+def test_affine_norm_float32_value_and_grads_stay_float32(axes):
+    rng = np.random.default_rng(41)
+    x, g = (rng.normal(size=(2, 5, 3, 4, 6)).astype(np.float32) for _ in range(2))
+    gamma, beta = (rng.normal(size=5).astype(np.float32) for _ in range(2))
+    got = norm_value_and_grads(x, gamma, beta, axes, g)
+    want = norm_oracle(*(a.astype(np.float64) for a in (x, gamma, beta)), axes,
+                       g.astype(np.float64))
+    for got_, want_ in zip(got, want):
+        assert got_.dtype == np.float32
+        np.testing.assert_allclose(got_, want_, rtol=1e-4, atol=1e-4)
 
 
 # ---------------------------------------------------------------------------
