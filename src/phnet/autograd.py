@@ -14,11 +14,10 @@ made with ``requires_grad``) have no closure; they keep their ``grad`` and
 accumulate into it across walks until it is reset.
 
 Shapes must match exactly for binary elementwise ops; the only implicit
-broadcasts are by a python scalar (``scale``, ``add_scalar``).  Fused
-primitives are one node each, with a closed-form backward: convolution with
-its bias, linear maps and normalization, which broadcast their per-channel
-parameters inside the node, and the Dice+CE training loss
-(``metrics.dice_ce_loss``).
+broadcast is by a python scalar (``add_scalar``).  Fused primitives are one
+node each, with a closed-form backward: convolution with its bias, linear
+maps and normalization, which broadcast their per-channel parameters inside
+the node, and the Dice+CE training loss (``metrics.dice_ce_loss``).
 
 Every change of shape or axis order is one ``regroup`` node: view as a
 split shape, transpose, read row-major as the result shape.  The MLPP token
@@ -101,42 +100,17 @@ class Tensor:
     def __add__(self, other):
         return add(self, other) if isinstance(other, Tensor) else add_scalar(self, other)
 
-    def __radd__(self, other):
-        return add_scalar(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Tensor) else add_scalar(self, -other)
-
     def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else scale(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, other)
-
-    def __truediv__(self, other):
-        return scale(self, 1.0 / other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+        return mul(self, other)
 
     # -- method sugar ------------------------------------------------------
-    def sum(self, axes=None, keepdims=False):
-        return _sum(self, axes, keepdims)
-
-    def mean(self, axes=None, keepdims=False):
-        return _mean(self, axes, keepdims)
+    def sum(self):
+        shape = self.shape
+        return make_node(self.data.sum(), (self,), "sum",
+                         lambda g: (np.broadcast_to(g, shape),))
 
     def relu(self):
         return relu(self)
-
-    def exp(self):
-        return exp(self)
-
-    def backward(self):
-        backward(self)
 
 
 class Parameter(Tensor):
@@ -179,20 +153,10 @@ def add(a, b):
     return make_node(a.data + b.data, (a, b), "add", lambda g: (g, g))
 
 
-def sub(a, b):
-    _check_same_shape(a, b, "sub")
-    return make_node(a.data - b.data, (a, b), "sub", lambda g: (g, -g))
-
-
 def mul(a, b):
     _check_same_shape(a, b, "mul")
     ad, bd = a.data, b.data
     return make_node(ad * bd, (a, b), "mul", lambda g: (g * bd, g * ad))
-
-
-def scale(t, s):
-    s = float(s)
-    return make_node(t.data * s, (t,), "scale", lambda g: (g * s,))
 
 
 def add_scalar(t, c):
@@ -204,11 +168,6 @@ def relu(t):
     x = t.data
     # subgradient at exactly 0 is 0
     return make_node(np.maximum(x, 0.0), (t,), "relu", lambda g: (g * (x > 0),))
-
-
-def exp(t):
-    out = np.exp(t.data)
-    return make_node(out, (t,), "exp", lambda g: (g * out,))
 
 
 # ---------------------------------------------------------------------------
@@ -255,61 +214,6 @@ def concat(tensors, axis):
 
     return make_node(np.concatenate([t.data for t in tensors], axis=axis),
                      tensors, "concat", bk)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-# ---------------------------------------------------------------------------
-
-def _norm_axes(t, axes):
-    if axes is None:
-        return tuple(range(t.ndim))
-    if isinstance(axes, int):
-        axes = (axes,)
-    axes = tuple(int(a) for a in axes)
-    if len(set(axes)) != len(axes):
-        raise ValueError(f"reduce: duplicate axes {axes}")
-    for a in axes:
-        if not 0 <= a < t.ndim:
-            raise ValueError(f"reduce: axis {a} out of range for rank {t.ndim}")
-    return axes
-
-
-def _restore_shape(t_shape, axes):
-    return tuple(1 if i in axes else n for i, n in enumerate(t_shape))
-
-
-def _sum(t, axes=None, keepdims=False):
-    axes = _norm_axes(t, axes)
-    in_shape = t.shape
-    out = t.data.sum(axis=axes, keepdims=keepdims)
-
-    def bk(g):
-        if not keepdims:
-            g = g.reshape(_restore_shape(in_shape, axes))
-        return (np.broadcast_to(g, in_shape),)
-
-    return make_node(out, (t,), "sum", bk)
-
-
-def _mean(t, axes=None, keepdims=False):
-    axes = _norm_axes(t, axes)
-    n = math.prod(t.shape[a] for a in axes)
-    return scale(_sum(t, axes, keepdims), 1.0 / n)
-
-
-# ---------------------------------------------------------------------------
-# linear algebra
-# ---------------------------------------------------------------------------
-
-def matmul(a, b):
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul: expected rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: inner dimensions {a.shape} x {b.shape} do not match")
-    ad, bd = a.data, b.data
-    return make_node(ad @ bd, (a, b), "matmul",
-                     lambda g: (g @ bd.T, ad.T @ g))
 
 
 # ---------------------------------------------------------------------------

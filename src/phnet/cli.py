@@ -19,10 +19,9 @@ from .model import (
     MLPPDefaults,
     PHNet,
     PHNetConfig,
-    config_from_dict,
     count_params,
     hwd_to_dhw,
-    read_checkpoint_meta,
+    net_from_checkpoint,
 )
 from .optim import TrainingError
 
@@ -57,10 +56,7 @@ def _add_model_flags(p):
 
 def _model_config_from_args(args):
     if getattr(args, "checkpoint", None):
-        meta = read_checkpoint_meta(args.checkpoint)
-        if "model_config" not in meta:
-            raise ValueError(f"{args.checkpoint}: checkpoint has no model_config")
-        return config_from_dict(meta["model_config"])
+        return net_from_checkpoint(args.checkpoint).cfg
     return PHNetConfig(
         num_stages=args.num_stages,
         base_channels=args.base_channels,

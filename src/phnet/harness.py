@@ -296,6 +296,11 @@ def train(cfg):
     run log's clock, the global ``grad_norm``, the ``peak_rss_mb`` so far,
     and the step's ``minor_faults`` and system time ``sys_s`` (``getrusage``
     deltas from the forward to the end of the optimizer step)."""
+    for name in ("batch_size", "epochs", "patches_per_case", "val_interval"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+    if not 0.0 <= cfg.fg_bias <= 1.0:
+        raise ValueError(f"fg_bias must lie in [0, 1], got {cfg.fg_bias}")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cases, manifest = load_dataset(cfg.data_dir)
@@ -502,7 +507,7 @@ def grad_check_suite(seed=0):
         BLOCK_GRAD_TOL)
 
     add("conv_transpose_input",
-        probed(ConvTranspose(2, 2, 2, stride=2, rng=mk, dtype=f64),
+        probed(ConvTranspose(2, 2, 2, rng=mk, dtype=f64),
                (1, 2, 2, 3, 3)),
         BLOCK_GRAD_TOL)
 

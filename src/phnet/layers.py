@@ -452,7 +452,7 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None):
     return make_node(out, parents, "conv_nd", bk)
 
 
-def conv_transpose_nd(x, kernel, stride=1, padding=0, bias=None):
+def conv_transpose_nd(x, kernel, stride=1, padding=0):
     """Transpose convolution: the exact adjoint of ``conv_nd`` with the same
     geometry.
 
@@ -468,8 +468,6 @@ def conv_transpose_nd(x, kernel, stride=1, padding=0, bias=None):
     if x.shape[1] != kernel.shape[0]:
         raise ValueError(
             f"conv_transpose: input has {x.shape[1]} channels, kernel expects {kernel.shape[0]}")
-    if bias is not None and bias.shape != (kernel.shape[1],):
-        raise ValueError(f"conv_transpose: bias shape {bias.shape} != ({kernel.shape[1]},)")
     out_spatial = tuple((n - 1) * s + k - 2 * p
                         for n, k, s, p in zip(x.shape[2:], kernel.shape[2:], stride, padding))
     if any(n < 1 for n in out_spatial):
@@ -484,21 +482,14 @@ def conv_transpose_nd(x, kernel, stride=1, padding=0, bias=None):
     out = _conv_adjoint(_to_rows(xd, (1, 1, 1), (0, 0, 0), q, {0}, width, lead=maxoff),
                         kd, stride, padding, q, taps, nch, L,
                         (x.shape[0], k_shape[1]) + out_spatial)
-    parents = (x, kernel)
-    if bias is not None:
-        out = out + bias.data.reshape(1, -1, 1, 1, 1)
-        parents += (bias,)
 
     def bk(g):
         gr = _to_rows(g, stride, padding, q, {ph for ph, _ in taps}, width)
-        grads = (_conv_fwd(gr, kd, q, taps, nch, L, xd.shape),
-                 _conv_kernel_grad(gr, _to_rows(xd, (1, 1, 1), (0, 0, 0), q, {0}, width)[0],
-                                   k_shape, taps, nch, L))
-        if bias is not None:
-            grads += (g.sum(axis=(0, 2, 3, 4)),)
-        return grads
+        return (_conv_fwd(gr, kd, q, taps, nch, L, xd.shape),
+                _conv_kernel_grad(gr, _to_rows(xd, (1, 1, 1), (0, 0, 0), q, {0}, width)[0],
+                                  k_shape, taps, nch, L))
 
-    return make_node(out, parents, "conv_transpose_nd", bk)
+    return make_node(out, (x, kernel), "conv_transpose_nd", bk)
 
 
 # ---------------------------------------------------------------------------
@@ -644,19 +635,19 @@ class Conv(Module):
 
 
 class ConvTranspose(Module):
-    def __init__(self, in_channels, out_channels, kernel_size, stride=1,
-                 padding=0, bias=False, rng=None, dtype=np.float32):
+    """Upsampling by ``stride``: a transpose convolution whose kernel equals
+    its stride, without padding or bias, so each input voxel writes its own
+    block of the output."""
+
+    def __init__(self, in_channels, out_channels, stride, rng=None, dtype=np.float32):
         rng = rng if rng is not None else np.random.default_rng(0)
-        ks = _triple(kernel_size, "kernel_size")
         self.stride = _triple(stride, "stride")
-        self.padding = _triple(padding, "padding")
-        fan_in = in_channels * math.prod(ks)
+        fan_in = in_channels * math.prod(self.stride)
         self.kernel = Parameter(
-            kaiming_uniform(rng, (in_channels, out_channels) + ks, fan_in, dtype))
-        self.bias = Parameter(np.zeros(out_channels, dtype=dtype)) if bias else None
+            kaiming_uniform(rng, (in_channels, out_channels) + self.stride, fan_in, dtype))
 
     def forward(self, x):
-        return conv_transpose_nd(x, self.kernel, self.stride, self.padding, self.bias)
+        return conv_transpose_nd(x, self.kernel, self.stride)
 
 
 
@@ -664,9 +655,9 @@ class ConvNormAct(Module):
     """Conv -> InstanceNorm -> ReLU."""
 
     def __init__(self, in_channels, out_channels, kernel_size, stride=1,
-                 padding="same", rng=None, dtype=np.float32):
+                 rng=None, dtype=np.float32):
         self.conv = Conv(in_channels, out_channels, kernel_size, stride,
-                         padding, bias=False, rng=rng, dtype=dtype)
+                         rng=rng, dtype=dtype)
         self.norm = InstanceNorm(out_channels, dtype=dtype)
 
     def forward(self, x):

@@ -119,8 +119,12 @@ def plan_stages(cfg):
     ip0, ip1, tp = cfg.voxel_spacing_mm
     if ip0 <= 0 or ip1 <= 0 or tp <= 0:
         raise ValueError(f"voxel spacing must be positive, got {cfg.voxel_spacing_mm}")
-    if cfg.num_stages < 1:
-        raise ValueError(f"num_stages must be >= 1, got {cfg.num_stages}")
+    for name in ("num_stages", "in_channels", "base_channels", "max_channels",
+                 "blocks_per_stage"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+    if cfg.num_classes < 2:
+        raise ValueError(f"num_classes must be >= 2, got {cfg.num_classes}")
     ratio = tp / math.sqrt(ip0 * ip1)
     s2 = min(max(_round_half_up(math.log2(ratio)), 0), cfg.num_stages - 1)
 
@@ -189,8 +193,7 @@ class _DecoderStage(Module):
     separable conv block."""
 
     def __init__(self, in_channels, skip_channels, out_channels, stride, rng, dtype):
-        self.up = ConvTranspose(in_channels, out_channels, kernel_size=stride,
-                                stride=stride, rng=rng, dtype=dtype)
+        self.up = ConvTranspose(in_channels, out_channels, stride, rng=rng, dtype=dtype)
         self.proj = (Conv(out_channels + skip_channels, out_channels, 1, 1, 0,
                           rng=rng, dtype=dtype)
                      if skip_channels else None)
@@ -257,8 +260,11 @@ class PHNet(Module):
 
     def _feature_sizes(self, input_dhw):
         """Per-stage (D, H, W) feature extents, index 0 = input; raises if
-        any stage's stride does not divide its input extents."""
+        any extent is below 1 or a stage's stride does not divide its input
+        extents."""
         sizes = [tuple(input_dhw)]
+        if min(sizes[0]) < 1:
+            raise ValueError(f"input extents (D,H,W)={sizes[0]} must all be >= 1")
         for i, plan in enumerate(self.plan):
             cur = sizes[-1]
             for axis_name, extent, s in zip("DHW", cur, plan.stride):
@@ -325,14 +331,14 @@ def _macs(module, feature_shape):
     in ``module``, one PHNet stage that writes a feature map of
     ``feature_shape`` (B, C, D, H, W), with n = B*D*H*W its batch voxels.
 
-    The three rules hold by how the stages are built:
+    The three rules hold by how the stages and layers are built:
 
     * every ``Conv`` writes the stage's grid (a strided conv or skip
       projection writes it from the finer grid before it), so it costs one
       kernel per output voxel: n * kernel.size;
-    * every ``ConvTranspose`` has kernel = stride and no padding, so each of
-      its n / prod(stride) input voxels writes its own block of the grid:
-      n / prod(stride) * kernel.size;
+    * a ``ConvTranspose`` has kernel = stride and no padding by
+      construction, so each of its n / prod(stride) input voxels writes its
+      own block of the grid: n / prod(stride) * kernel.size;
     * every ``Linear`` reads a reshape of a map of the stage's shape (token
       segment rows, channel FCs and attention windows alike), so its rows
       hold n*C elements and it costs n * C * out_features.

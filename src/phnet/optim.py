@@ -51,6 +51,8 @@ class AdamW:
             if batch_size is None:
                 raise ValueError("provide batch_size (for the lr rule) or lr")
             lr = lr_for_batch(batch_size)
+        if not lr > 0:
+            raise ValueError(f"lr must be positive, got {lr}")
         if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
             raise ValueError(f"betas must lie in [0, 1), got {betas}")
         if eps <= 0:

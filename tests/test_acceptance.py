@@ -35,7 +35,7 @@ from phnet.harness import (
     train,
     window_starts,
 )
-from phnet.layers import conv_nd, conv_output_extent, conv_transpose_nd
+from phnet.layers import conv_nd, conv_output_extent, conv_transpose_nd, linear
 from phnet.metrics import dice, hausdorff, iou, nvd, surface_dice
 from phnet.mlpp import AAMLP, IPMLP, TPMLP, residual_attention_fuse
 from phnet.model import MLPPDefaults, PHNet, PHNetConfig, count_params, plan_stages
@@ -163,7 +163,7 @@ def test_criterion_02_brute_force_oracles(capfd):
         m, k, n = rng.integers(1, 17, size=3)
         a = rng.normal(size=(m, k))
         b = rng.normal(size=(k, n))
-        got = (Tensor(a) @ Tensor(b)).data
+        got = linear(Tensor(a), Tensor(b.T)).data
         mm_err = max(mm_err, float(np.abs(got - _matmul_oracle(a, b)).max()))
 
     conv_err = 0.0
@@ -218,7 +218,7 @@ def test_criterion_02_brute_force_oracles(capfd):
     ok = (mm_err <= 1e-12 and conv_err <= 1e-10 and adj_err <= 1e-10
           and aa_err <= 1e-10 and stitch_err <= 1e-6)
     _report(capfd, 2, "brute-force numeric oracles", ok,
-            f"matmul {mm_err:.1e} <= 1e-12, conv {conv_err:.1e} <= 1e-10, "
+            f"linear {mm_err:.1e} <= 1e-12, conv {conv_err:.1e} <= 1e-10, "
             f"transpose adjoint {adj_err:.1e} <= 1e-10, "
             f"window mixing {aa_err:.1e} <= 1e-10, "
             f"stitching {stitch_err:.1e} <= 1e-6")

@@ -9,17 +9,17 @@ from phnet.autograd import (
     Parameter,
     backward,
     add,
+    add_scalar,
     concat,
     grad_check,
     make_node,
-    matmul,
     mul,
     no_grad,
     regroup,
     relu,
-    scale,
     trace,
 )
+from phnet.layers import linear
 
 
 def rand(shape, seed=0, dtype=np.float64):
@@ -125,56 +125,6 @@ def test_regroup_backward_is_the_inverse_move(case):
 
 
 # ---------------------------------------------------------------------------
-# matmul
-# ---------------------------------------------------------------------------
-
-def matmul_oracle(a, b):
-    n, k = a.shape
-    _, m = b.shape
-    out = np.zeros((n, m), dtype=a.dtype)
-    for i in range(n):
-        for j in range(m):
-            for l in range(k):
-                out[i, j] += a[i, l] * b[l, j]
-    return out
-
-
-def test_matmul_identity():
-    a = rand((3, 3), seed=5)
-    out = matmul(Tensor(np.eye(3)), Tensor(a))
-    np.testing.assert_allclose(out.data, a, atol=1e-15)
-
-
-def test_matmul_scalar_case():
-    out = matmul(Tensor([[2.0]]), Tensor([[3.0]]))
-    assert out.data[0, 0] == 6.0
-
-
-def test_matmul_against_loop_oracle():
-    rng = np.random.default_rng(6)
-    a = rng.normal(size=(3, 4))
-    b = rng.normal(size=(4, 5))
-    out = matmul(Tensor(a), Tensor(b))
-    np.testing.assert_allclose(out.data, matmul_oracle(a, b), atol=1e-12)
-
-
-def test_matmul_all_shapes_vs_oracle():
-    rng = np.random.default_rng(8)
-    for n in range(1, 9):
-        for k in range(1, 9):
-            for m in range(1, 9):
-                a = rng.normal(size=(n, k))
-                b = rng.normal(size=(k, m))
-                got = matmul(Tensor(a), Tensor(b)).data
-                np.testing.assert_allclose(got, matmul_oracle(a, b), atol=1e-12)
-
-
-def test_matmul_dim_mismatch():
-    with pytest.raises(ValueError):
-        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
-
-
-# ---------------------------------------------------------------------------
 # elementwise
 # ---------------------------------------------------------------------------
 
@@ -206,8 +156,8 @@ def test_shape_mismatch_raises():
         add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
 
-def test_scale_preserves_float32():
-    out = scale(Tensor(np.zeros(3, dtype=np.float32)), 0.5)
+def test_add_scalar_preserves_float32():
+    out = add_scalar(Tensor(np.zeros(3, dtype=np.float32)), 0.5)
     assert out.dtype == np.float32
 
 
@@ -215,40 +165,8 @@ def test_scale_preserves_float32():
 # reductions
 # ---------------------------------------------------------------------------
 
-def population_variance(t):
-    """Population variance composed from the differentiable tensor ops; a
-    column of ones times the mean spreads it over every element."""
-    col = regroup(t, t.shape, range(t.ndim), (t.size, 1))
-    d = col - Tensor(np.ones((t.size, 1))) @ regroup(t.mean(), (), (), (1, 1))
-    return (d * d).mean()
-
-
 def test_sum_all_axes():
     assert Tensor(np.ones((2, 3))).sum().item() == 6.0
-
-
-def test_mean_and_var_of_constant():
-    t = Tensor(np.full((3, 4), 2.5))
-    assert t.mean().item() == 2.5
-    assert population_variance(t).item() == 0.0
-
-
-def test_var_hand_formula():
-    assert abs(population_variance(Tensor([1.0, 2.0, 3.0])).item() - 2.0 / 3.0) < 1e-15
-
-
-def test_reduce_axis_subset():
-    x = rand((2, 3, 4), seed=11)
-    out = Tensor(x).sum(axes=(0, 2))
-    np.testing.assert_allclose(out.data, x.sum(axis=(0, 2)), atol=1e-12)
-    assert out.shape == (3,)
-
-
-def test_reduce_invalid_axis():
-    with pytest.raises(ValueError):
-        Tensor(np.zeros((2, 3))).sum(axes=(2,))
-    with pytest.raises(ValueError):
-        Tensor(np.zeros((2, 3))).mean(axes=(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +197,8 @@ def test_matmul_chain_finite_differences():
     W2 = rng.normal(size=(6, 2))
 
     def f(x):
-        return matmul(matmul(x, Tensor(W1)).exp(), Tensor(W2)).sum()
+        h = linear(x, Tensor(W1.T))
+        return linear(h * h, Tensor(W2.T)).sum()
 
     err = grad_check(f, Tensor(rng.normal(size=(3, 4))), h=1e-5)
     assert err < 1e-6
@@ -332,13 +251,13 @@ def test_walk_frees_each_op_result_before_reaching_its_inputs():
 
     h = make_node(x.data * 1.0, (x,), "first", first_bk)
     a = h * h
-    b = a.exp()
+    b = a * a
     loss = b.sum()
     refs = [weakref.ref(a.data), weakref.ref(b.data)]
     del a, b
     backward(loss)
     assert alive == [[False, False]]
-    np.testing.assert_allclose(x.grad, 2 * x.data * np.exp(x.data ** 2), rtol=1e-14)
+    np.testing.assert_allclose(x.grad, 4 * x.data ** 3, rtol=1e-14)
 
 
 def test_second_walk_of_a_graph_raises():
@@ -382,13 +301,13 @@ def test_trace_topological_order():
 
 
 def test_composite_gradients_at_random_points():
-    # mixed regroup/reduce/exp composition, many random points
+    # mixed regroup/linear/square/reduce composition, many random points
     rng = np.random.default_rng(17)
     W = rng.normal(size=(6, 3))
 
     def f(x):
-        v = regroup(x, (6, 2), (1, 0), (2, 6))
-        return matmul(v, Tensor(W)).exp().mean()
+        y = linear(regroup(x, (6, 2), (1, 0), (2, 6)), Tensor(W.T))
+        return (y * y).sum()
 
     for i in range(100):
         pt = rng.normal(size=(6, 2)) + 0.1
@@ -430,7 +349,8 @@ def test_grad_check_exp_network():
     W2 = rng.normal(size=(8, 1))
 
     def f(x):
-        return matmul(matmul(x, Tensor(W1)).exp(), Tensor(W2)).sum()
+        h = linear(x, Tensor(W1.T))
+        return linear(h * h, Tensor(W2.T)).sum()
 
     assert grad_check(f, Tensor(rng.normal(size=(2, 3))), h=1e-5) < 1e-6
 

@@ -85,6 +85,44 @@ class TestRuntimeErrors:
                      "--out-dir", str(tmp_path / "run")])
         assert code == 2
 
+    @pytest.mark.parametrize("flags,field", [
+        (["--batch-size", "0"], "batch_size"),
+        (["--epochs", "0"], "epochs"),
+        (["--patches-per-case", "0"], "patches_per_case"),
+        (["--val-interval", "0"], "val_interval"),
+        (["--fg-bias", "2"], "fg_bias"),
+        (["--fg-bias", "-0.5"], "fg_bias"),
+        (["--lr", "-1"], "lr"),
+        (["--lr", "0"], "lr"),
+    ])
+    def test_bad_train_config_exits_2_naming_the_field(self, flags, field, dataset,
+                                                       tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["train", "--data-dir", str(dataset), "--out-dir", str(out),
+                     "--epochs", "1", "--batch-size", "2", "--patches-per-case", "2"]
+                    + TINY_MODEL + flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {field} " in err and "Traceback" not in err
+        # the run's counts and fg_bias are checked before the out dir is made
+        # or any data read; lr is checked where the optimizer is built
+        assert out.exists() == (field == "lr")
+        assert not (out / "best.ckpt").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--base-channels", "0"], "base_channels must be >= 1"),
+        (["--max-channels", "0"], "max_channels must be >= 1"),
+        (["--blocks-per-stage", "0"], "blocks_per_stage must be >= 1"),
+        (["--classes", "1"], "num_classes must be >= 2"),
+        (["--patch-size", "0", "64", "32"], "input extents (D,H,W)=(32, 0, 64)"),
+    ], ids=["base_channels", "max_channels", "blocks_per_stage", "num_classes",
+            "patch_size"])
+    def test_bad_model_config_exits_2_naming_the_field(self, flags, message, capsys):
+        code = main(["flops"] + flags)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"error: {message}" in captured.err and "Traceback" not in captured.err
+
     def test_invalid_generation_exits_2(self, tmp_path, capsys):
         # default 10-16 mm blobs cannot fit a 16 mm-extent volume
         code = main(["gen-data", "--out", str(tmp_path / "d"),
@@ -217,6 +255,8 @@ MALFORMED = {
     "format_only": lambda h, p: ({"format": h["format"]}, p),
     "no_meta": _drop_top_key("meta"),
     "no_params": _drop_top_key("params"),
+    "no_model_config": lambda h, p: (
+        {**h, "meta": {k: v for k, v in h["meta"].items() if k != "model_config"}}, p),
     "entry_without_name": _drop_param_key("name"),
     "entry_without_shape": _drop_param_key("shape"),
     "entry_without_offset": _drop_param_key("offset"),

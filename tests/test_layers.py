@@ -183,10 +183,6 @@ def test_transpose_zero_input():
     k = Tensor(rand((2, 3, 2, 2, 2), seed=11))
     out = conv_transpose_nd(Tensor(np.zeros((1, 2, 3, 3, 3))), k, 2, 0)
     np.testing.assert_array_equal(out.data, np.zeros((1, 3, 6, 6, 6)))
-    b = np.array([1.0, 2.0, 3.0])
-    out_b = conv_transpose_nd(Tensor(np.zeros((1, 2, 3, 3, 3))), k, 2, 0, Tensor(b))
-    np.testing.assert_array_equal(out_b.data, np.broadcast_to(b.reshape(1, 3, 1, 1, 1),
-                                                              (1, 3, 6, 6, 6)))
 
 
 @pytest.mark.parametrize("ks,stride,pad,xsp", [
@@ -474,16 +470,13 @@ def test_conv_kernels_on_shared_rows_match_per_call_rows_bitwise(k, s, dtype):
 
     # transposed: (B, 4, ...) -> (B, 3, ...) with the same kernel and geometry
     v = rng.normal(size=out.shape).astype(dtype)
-    b3 = rng.normal(size=3).astype(dtype)
-    vt, kt, bt = Tensor(v, requires_grad=True), Parameter(kern), Parameter(b3)
-    up = conv_transpose_nd(vt, kt, stride, padding, bias=bt)
+    vt, kt = Tensor(v, requires_grad=True), Parameter(kern)
+    up = conv_transpose_nd(vt, kt, stride, padding)
     w = rng.normal(size=up.shape).astype(dtype)
     backward((up * Tensor(w)).sum())
-    assert_bitwise(up.data, per_call_adjoint(v, kern, stride, padding, up.shape[2:])
-                   + b3.reshape(1, -1, 1, 1, 1))
+    assert_bitwise(up.data, per_call_adjoint(v, kern, stride, padding, up.shape[2:]))
     assert_bitwise(vt.grad, per_call_fwd(w, kern, stride, padding))
     assert_close(kt.grad, per_call_kernel_grad(w, v, kern.shape, stride, padding))
-    assert_bitwise(bt.grad, w.sum(axis=(0, 2, 3, 4)))
 
 
 # (c_in, c_out, kernel, stride, padding, spatial) whose phase rows split into
@@ -794,7 +787,7 @@ def test_instance_norm_grad():
 
     def f(x):
         y = norm(x)
-        return (y * y * y).mean()
+        return (y * y * y).sum()
 
     assert grad_check(f, Tensor(rng.normal(size=(1, 2, 3, 4, 4))), h=1e-5) < 1e-5
 
@@ -992,7 +985,7 @@ def test_every_layer_gradient_matches_finite_differences():
         cout = int(rng.integers(1, 3))
         layer = [
             lambda: Conv(cin, cout, (1, 3, 3), rng=rng, dtype=np.float64),
-            lambda: ConvTranspose(cin, cout, 2, stride=2, rng=rng, dtype=np.float64),
+            lambda: ConvTranspose(cin, cout, 2, rng=rng, dtype=np.float64),
             lambda: InstanceNorm(cin, dtype=np.float64),
             lambda: Linear(cin * 4, cout * 4, rng=rng, dtype=np.float64),
             # 2-channel ChannelNorm is sign-like (FD-degenerate); use >= 4

@@ -231,7 +231,7 @@ def test_gradients_reach_every_parameter():
     net = PHNet(cfg, seed=5, dtype=np.float64)
     rng = np.random.default_rng(7)
     out = net(Tensor(rng.normal(size=(1, 1, 4, 8, 8))))
-    (out * Tensor(rng.normal(size=out.shape))).sum().backward()
+    backward((out * Tensor(rng.normal(size=out.shape))).sum())
     for name, p in net.named_parameters():
         assert p.grad is not None and np.any(p.grad != 0.0), name
 

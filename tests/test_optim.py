@@ -194,6 +194,9 @@ class TestAdamW:
             AdamW(p, lr=0.1, eps=0.0)
         with pytest.raises(ValueError, match="weight_decay"):
             AdamW(p, lr=0.1, weight_decay=-0.1)
+        for lr in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="lr must be positive"):
+                AdamW(p, lr=lr)
 
     def test_descends_quadratic(self):
         # sanity: 200 steps on f(p) = 0.5*|p|^2 moves p toward zero
