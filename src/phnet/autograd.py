@@ -15,9 +15,13 @@ accumulate into it across walks until it is reset.
 
 Shapes must match exactly for binary elementwise ops; the only implicit
 broadcast is by a python scalar (``add_scalar``).  Fused primitives are one
-node each, with a closed-form backward: convolution with its bias, linear
-maps and normalization, which broadcast their per-channel parameters inside
-the node, and the Dice+CE training loss (``metrics.dice_ce_loss``).
+node each, with a closed-form backward: convolution with its bias or with
+its instance-norm, residual-add and ReLU epilogue (``layers.conv_nd``),
+linear maps and normalization, which broadcast their per-channel parameters
+inside the node, and the Dice+CE training loss (``metrics.dice_ce_loss``).
+So the engine has no activation op of its own.  An op can ask
+``will_record`` whether its node will be kept, and if not, write its result
+over the arrays that only its backward would need.
 
 Every change of shape or axis order is one ``regroup`` node: view as a
 split shape, transpose, read row-major as the result shape.  The MLPP token
@@ -109,9 +113,6 @@ class Tensor:
         return make_node(self.data.sum(), (self,), "sum",
                          lambda g: (np.broadcast_to(g, shape),))
 
-    def relu(self):
-        return relu(self)
-
 
 class Parameter(Tensor):
     """Trainable leaf tensor with an always-present grad."""
@@ -124,14 +125,21 @@ class Parameter(Tensor):
         self.grad = np.zeros_like(self.data)
 
 
+def will_record(parents):
+    """Whether ``make_node`` records a node over ``parents``: not inside
+    ``no_grad``, and some parent requires grad.  An op whose node will not be
+    recorded may write its result over arrays that only its backward needs."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def make_node(data, parents, op, backward_fn):
     """Wrap an op result as a graph node.
 
     ``backward_fn(gout)`` must return one gradient array (or None) per parent.
-    Recording is skipped when no parent requires grad or inside ``no_grad``.
+    Recording is skipped when ``will_record(parents)`` is false.
     """
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if will_record(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._op = op
@@ -162,12 +170,6 @@ def mul(a, b):
 def add_scalar(t, c):
     c = float(c)
     return make_node(t.data + c, (t,), "add_scalar", lambda g: (g,))
-
-
-def relu(t):
-    x = t.data
-    # subgradient at exactly 0 is 0
-    return make_node(np.maximum(x, 0.0), (t,), "relu", lambda g: (g * (x > 0),))
 
 
 # ---------------------------------------------------------------------------

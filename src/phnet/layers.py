@@ -23,6 +23,18 @@ end of a grid line read past it into the next line (or batch item); those
 rows only feed output positions that the forward crops, and in the adjoint
 and kernel gradient they meet the zeros that surround the embedded output,
 so they change nothing.
+
+A conv that feeds an instance norm runs the norm, an optional residual add
+and an optional ReLU as its epilogue, in the same tape node
+(``conv_nd(..., norm=(gamma, beta), skip=..., relu=...)``, in the manner of
+in-place activated BN, Rota Bulo et al. 2018).  The forward reads the norm
+statistics from the output rows in place, writes the centred output once
+into NCDHW ``xhat`` and finishes the output there, so the node keeps
+``xhat`` as its one full-size array (its own output is held by the next
+node anyway).  The backward takes the ReLU mask from that output, and its
+last pass writes the norm's input gradient straight into the embedded
+output of zero-framed cotangent rows (``_framed_rows``, whose zero frame
+``_to_rows`` shares), ready for the adjoint and kernel-gradient GEMMs.
 """
 
 import ctypes
@@ -32,7 +44,7 @@ import math
 import numpy as np
 from scipy.linalg import cython_blas
 
-from .autograd import Parameter, make_node
+from .autograd import Parameter, make_node, will_record
 
 __all__ = [
     "Module",
@@ -238,31 +250,45 @@ def _phase_slices(spatial, stride, padding):
                (Ellipsis,) + tuple(v for _, v in pairs))
 
 
-def _to_rows(x, stride, padding, q, phases, width, lead=0):
-    """Copy (B, C, D, H, W) ``x`` into zero-padded channel-major stride-phase
-    rows (sd*sh*sw, C, width).  Phase (a, b, c) holds the samples at padded
-    positions (a, b, c) + stride * (qd, qh, qw) in the row-major order of its
-    grid (B, qd, qh, qw), starting at row ``lead``; only the phases in
-    ``phases`` are filled, the others are zero (a strided 1x1x1 conv reads
-    phase 0 alone).  The copy keeps W as the inner axis.  Each row is written
-    once: the samples, or a zero for the lead and tail rows, the padding
-    around each filled grid and the unfilled phases."""
-    B, C = x.shape[:2]
+def _framed_rows(shape, dtype, stride, padding, q, phases, width, lead=0):
+    """Zero-padded channel-major stride-phase rows (sd*sh*sw, C, width) for a
+    (B, C, D, H, W) array of ``shape``, with only their zero frame written.
+
+    Phase (a, b, c) holds the samples at padded positions
+    (a, b, c) + stride * (qd, qh, qw) in the row-major order of its grid
+    (B, qd, qh, qw), starting at row ``lead``; only the phases in ``phases``
+    are filled, the others are zero (a strided 1x1x1 conv reads phase 0
+    alone).  Zeros are written to the lead and tail rows, the padding around
+    each filled grid and the unfilled phases, and to nothing else.  Returns
+    the rows and, per filled phase, the (C, B, ...) view of the rows that the
+    samples fill and the index of those samples in the (C, B, D, H, W) order
+    of the array; writing every view once completes the rows."""
+    B, C = shape[:2]
     n = B * math.prod(q)
-    rows = np.empty((math.prod(stride), C, width), dtype=x.dtype)
+    rows = np.empty((math.prod(stride), C, width), dtype=dtype)
     rows[:, :, :lead] = 0
     rows[:, :, lead + n:] = 0
-    xc = x.transpose(1, 0, 2, 3, 4)
-    for ph, (gi, xi) in enumerate(_phase_slices(x.shape[2:], stride, padding)):
+    fills = []
+    for ph, (gi, xi) in enumerate(_phase_slices(shape[2:], stride, padding)):
         if ph not in phases:
             rows[ph] = 0
             continue
         grid = rows[ph, :, lead:lead + n].reshape((C, B) + q)
-        grid[gi] = xc[xi]
         for axis in range(3):
             inner = (slice(None),) * (2 - axis)
             grid[gi[:1 + axis] + (slice(None, gi[1 + axis].start),) + inner] = 0
             grid[gi[:1 + axis] + (slice(gi[1 + axis].stop, None),) + inner] = 0
+        fills.append((grid[gi], xi))
+    return rows, fills
+
+
+def _to_rows(x, stride, padding, q, phases, width, lead=0):
+    """Copy (B, C, D, H, W) ``x`` into the rows of ``_framed_rows``.  The copy
+    keeps W as the inner axis, and each row is written once."""
+    rows, fills = _framed_rows(x.shape, x.dtype, stride, padding, q, phases, width, lead)
+    xc = x.transpose(1, 0, 2, 3, 4)
+    for view, xi in fills:
+        view[...] = xc[xi]
     return rows
 
 
@@ -334,23 +360,22 @@ def _tap_gemms(src, kt, reads, n_out, nch, L):
     return out
 
 
-def _conv_fwd(xr, k, q, taps, nch, L, shape):
-    """Strided cross-correlation by per-tap GEMMs, returning the
-    (B, Co, od, oh, ow) array of ``shape``.
+def _conv_rows(xr, k, taps, nch, L):
+    """Strided cross-correlation by per-tap GEMMs, as (1, Co, nch*L) rows on
+    the input's phase grid (B, qd, qh, qw).
 
     ``xr`` is ``_to_rows(x)`` for the layout ``q, taps, nch, L`` of
     ``_phase_layout``.  Output row r sums, over the taps,
     ``k_tap @ xr[phase, :, offset + r]``.  A row whose read wraps across a
     grid edge (or into the next batch item) lands only at an output position
-    past ``od``, ``oh`` or ``ow``, which the final crop drops."""
+    past ``od``, ``oh`` or ``ow``, which the crop to the output drops."""
     co, ci = k.shape[:2]
     kt = np.ascontiguousarray(k.reshape(co, ci, -1).transpose(2, 0, 1), dtype=xr.dtype)
-    acc = _tap_gemms(xr, kt, [(ph, off, 0) for ph, off in taps], 1, nch, L)
-    return _from_rows(acc, (1, 1, 1), (0, 0, 0), q, shape)
+    return _tap_gemms(xr, kt, [(ph, off, 0) for ph, off in taps], 1, nch, L)
 
 
 def _conv_adjoint(gr, k, stride, padding, q, taps, nch, L, shape):
-    """Adjoint of ``_conv_fwd`` with identical geometry, returning the
+    """Adjoint of ``_conv_rows`` with identical geometry, returning the
     (B, Ci, D, H, W) array of ``shape``.
 
     ``gr`` is the cotangent's rows ``_to_rows(y, ..., lead=maxoff)``: the
@@ -401,17 +426,24 @@ def _conv_kernel_grad(xr, g, k_shape, taps, nch, L):
     return np.ascontiguousarray(gk.transpose(1, 2, 0)).reshape(k_shape)
 
 
-def conv_nd(x, kernel, stride=1, padding=0, bias=None):
-    """Strided zero-padded cross-correlation.
+def conv_nd(x, kernel, stride=1, padding=0, bias=None, norm=None, skip=None, relu=False):
+    """Strided zero-padded cross-correlation, with an optional instance-norm
+    epilogue: relu(IN(conv(x)) + skip) in one tape node.
 
     ``x``: (B, C_in, D, H, W); ``kernel``: (C_out, C_in, k_d, k_h, k_w);
     optional ``bias``: (C_out,).  Output extent per axis is
-    floor((n + 2p - k)/s) + 1; the output has ``x``'s dtype.  Differentiable
-    in input, kernel, and bias.  Computed as per-tap GEMMs over the
-    channel-major stride phases of the padded input (see the module
-    docstring); the backward builds the cotangent's rows once for the adjoint
-    and kernel-gradient GEMMs, and skips the adjoint when ``x`` does not
-    require grad.
+    floor((n + 2p - k)/s) + 1; the output has ``x``'s dtype.  Computed as
+    per-tap GEMMs over the channel-major stride phases of the padded input
+    (see the module docstring); the backward builds the cotangent's rows
+    once for the adjoint and kernel-gradient GEMMs, and skips the adjoint
+    when ``x`` does not require grad.
+
+    ``norm=(gamma, beta)``, each (C_out,), normalizes each (batch, channel)
+    of the conv output over its positions as ``affine_norm`` over (2, 3, 4)
+    does; then ``skip``, of the output's shape, is added, and ``relu``
+    clamps the sum at 0.  ``skip`` and ``relu`` need ``norm``, and ``bias``
+    excludes it (the norm would cancel the bias).  Differentiable in every
+    tensor argument.
     """
     stride = _triple(stride, "stride")
     padding = _triple(padding, "padding")
@@ -419,8 +451,23 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None):
     if x.shape[1] != kernel.shape[1]:
         raise ValueError(
             f"conv: input has {x.shape[1]} channels, kernel expects {kernel.shape[1]}")
-    if bias is not None and bias.shape != (kernel.shape[0],):
-        raise ValueError(f"conv: bias shape {bias.shape} != ({kernel.shape[0]},)")
+    co = kernel.shape[0]
+    if bias is not None and bias.shape != (co,):
+        raise ValueError(f"conv: bias shape {bias.shape} != ({co},)")
+    out_shape = (x.shape[0], co) + tuple(
+        conv_output_extent(n, kk, s, p)
+        for n, kk, s, p in zip(x.shape[2:], kernel.shape[2:], stride, padding))
+    if norm is None:
+        if skip is not None or relu:
+            raise ValueError("conv: skip and relu are parts of the norm epilogue; pass norm")
+    else:
+        if bias is not None:
+            raise ValueError("conv: a bias before the norm cancels out; pass bias or norm")
+        if any(p.shape != (co,) for p in norm):
+            raise ValueError(f"conv: norm gamma and beta must be ({co},), got "
+                             f"{[p.shape for p in norm]}")
+        if skip is not None and skip.shape != out_shape:
+            raise ValueError(f"conv: skip shape {skip.shape} != output shape {out_shape}")
 
     xd, kd = x.data, kernel.data
     k_shape = kernel.shape
@@ -428,26 +475,80 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None):
     maxoff = taps[-1][1]
     width = nch * L + maxoff
     phases = {ph for ph, _ in taps}
-    out_shape = (x.shape[0], k_shape[0]) + tuple(
-        conv_output_extent(n, kk, s, p)
-        for n, kk, s, p in zip(x.shape[2:], k_shape[2:], stride, padding))
-    out = _conv_fwd(_to_rows(xd, stride, padding, q, phases, width), kd, q, taps, nch, L,
-                    out_shape)
+    acc = _conv_rows(_to_rows(xd, stride, padding, q, phases, width), kd, taps, nch, L)
     input_grad = x.requires_grad
-    parents = (x, kernel)
-    if bias is not None:
-        out = out + bias.data.reshape(1, -1, 1, 1, 1)
-        parents += (bias,)
+
+    def conv_grads(gr):
+        """(dx, dkernel) from the cotangent's rows ``gr`` (see ``_conv_adjoint``)."""
+        return ((_conv_adjoint(gr, kd, stride, padding, q, taps, nch, L, xd.shape)
+                 if input_grad else None),
+                _conv_kernel_grad(_to_rows(xd, stride, padding, q, phases, width),
+                                  gr[0, :, maxoff:], k_shape, taps, nch, L))
+
+    if norm is None:
+        out = _from_rows(acc, (1, 1, 1), (0, 0, 0), q, out_shape)
+        parents = (x, kernel)
+        if bias is not None:
+            out += bias.data.reshape(1, -1, 1, 1, 1)
+            parents += (bias,)
+
+        def bk(g):
+            grads = conv_grads(_to_rows(g, (1, 1, 1), (0, 0, 0), q, {0}, width, lead=maxoff))
+            if bias is not None:
+                grads += (g.sum(axis=(0, 2, 3, 4)),)
+            return grads
+
+        return make_node(out, parents, "conv_nd", bk)
+
+    gamma, beta = norm
+    parents = (x, kernel, gamma, beta) + (() if skip is None else (skip,))
+    gd = gamma.data.reshape(1, -1, 1, 1, 1)
+    count = math.prod(out_shape[2:])
+    per_map = out_shape[:2] + (1, 1, 1)     # one statistic per (batch, channel)
+    # the (B, Co, od, oh, ow) output, read in place from the grid rows
+    n = out_shape[0] * math.prod(q)
+    crop = acc[0, :, :n].reshape((co, out_shape[0]) + q)[
+        (Ellipsis,) + tuple(slice(0, m) for m in out_shape[2:])].transpose(1, 0, 2, 3, 4)
+    xhat = np.empty(out_shape, dtype=acc.dtype)
+    np.subtract(crop, np.einsum("bcdhw->bc", crop).reshape(per_map) / count, out=xhat)
+    del acc, crop                   # free the rows before the output is allocated
+    inv_std = 1.0 / np.sqrt(np.einsum("bcdhw,bcdhw->bc", xhat, xhat).reshape(per_map) / count
+                            + _NORM_EPS)
+    xhat *= inv_std
+    # an unrecorded node keeps no xhat, so its output takes xhat's memory;
+    # both write with the same ufuncs in the same order, so bitwise alike
+    out = np.multiply(xhat, gd, out=None if will_record(parents) else xhat)
+    out += beta.data.reshape(1, -1, 1, 1, 1)
+    if skip is not None:
+        out += skip.data
+    if relu:
+        np.maximum(out, 0, out=out)
 
     def bk(g):
-        gr = _to_rows(g, (1, 1, 1), (0, 0, 0), q, {0}, width, lead=maxoff)
-        grads = ((_conv_adjoint(gr, kd, stride, padding, q, taps, nch, L, xd.shape)
-                  if input_grad else None),
-                 _conv_kernel_grad(_to_rows(xd, stride, padding, q, phases, width),
-                                   gr[0, :, maxoff:], k_shape, taps, nch, L))
-        if bias is not None:
-            grads += (g.sum(axis=(0, 2, 3, 4)),)
-        return grads
+        # subgradient of the ReLU at exactly 0 is 0
+        gm = g * (out > 0) if relu else g
+        # per (batch, channel): the sums of gm and of gm * xhat, which give
+        # the closed form of ``affine_norm``'s backward with h = gamma * gm,
+        # dx = (h - mean(h) - xhat * mean(h * xhat)) * inv_std, and the
+        # gamma and beta grads
+        s0 = np.einsum("bcdhw->bc", gm).reshape(per_map)
+        s1 = np.einsum("bcdhw,bcdhw->bc", gm, xhat).reshape(per_map)
+        scale = gd * inv_std
+        # fresh full-size arrays cost page faults, so dx reuses gm when the
+        # masked gm is this closure's own, and xhat, which a graph walked
+        # once never reads again, takes xhat * mean(h * xhat) * inv_std
+        dx = np.multiply(gm, scale, out=gm if relu and skip is None else None)
+        dx -= s0 * scale / count
+        np.multiply(xhat, s1 * scale / count, out=xhat)
+        # the last pass writes dx straight into the embedded output of the
+        # cotangent rows, whose zero frame the conv backward needs
+        gr, ((grid, _),) = _framed_rows(out_shape, g.dtype, (1, 1, 1), (0, 0, 0), q, {0},
+                                        width, lead=maxoff)
+        np.subtract(dx, xhat, out=grid.transpose(1, 0, 2, 3, 4))
+        grads = ((s1.sum(axis=0).reshape(-1), s0.sum(axis=0).reshape(-1))
+                 + (() if skip is None else (gm,)))
+        del dx, gm
+        return conv_grads(gr) + grads
 
     return make_node(out, parents, "conv_nd", bk)
 
@@ -485,7 +586,8 @@ def conv_transpose_nd(x, kernel, stride=1, padding=0):
 
     def bk(g):
         gr = _to_rows(g, stride, padding, q, {ph for ph, _ in taps}, width)
-        return (_conv_fwd(gr, kd, q, taps, nch, L, xd.shape),
+        return (_from_rows(_conv_rows(gr, kd, taps, nch, L), (1, 1, 1), (0, 0, 0), q,
+                           xd.shape),
                 _conv_kernel_grad(gr, _to_rows(xd, (1, 1, 1), (0, 0, 0), q, {0}, width)[0],
                                   k_shape, taps, nch, L))
 
@@ -629,8 +731,12 @@ class Conv(Module):
             kaiming_uniform(rng, (out_channels, in_channels) + ks, fan_in, dtype))
         self.bias = Parameter(np.zeros(out_channels, dtype=dtype)) if bias else None
 
-    def forward(self, x):
-        return conv_nd(x, self.kernel, self.stride, self.padding, self.bias)
+    def forward(self, x, norm=None, skip=None, relu=False):
+        """``conv_nd`` of ``x``; with an ``InstanceNorm`` module as ``norm``,
+        its epilogue relu(norm(conv(x)) + skip) in the same node."""
+        return conv_nd(x, self.kernel, self.stride, self.padding, self.bias,
+                       norm=None if norm is None else (norm.gamma, norm.beta),
+                       skip=skip, relu=relu)
 
 
 
@@ -652,7 +758,8 @@ class ConvTranspose(Module):
 
 
 class ConvNormAct(Module):
-    """Conv -> InstanceNorm -> ReLU."""
+    """Conv -> InstanceNorm -> ReLU, one ``conv_nd`` node; ``norm`` holds the
+    norm's gamma and beta."""
 
     def __init__(self, in_channels, out_channels, kernel_size, stride=1,
                  rng=None, dtype=np.float32):
@@ -661,7 +768,7 @@ class ConvNormAct(Module):
         self.norm = InstanceNorm(out_channels, dtype=dtype)
 
     def forward(self, x):
-        return self.norm(self.conv(x)).relu()
+        return self.conv(x, norm=self.norm, relu=True)
 
 
 
@@ -671,7 +778,9 @@ class ResidualConvBlock(Module):
 
     ``conv1`` carries the (optional) downsampling stride.  The skip path is
     the identity when shapes allow it, otherwise a strided 1x1x1
-    projection followed by IN.
+    projection followed by IN.  Each conv is one ``conv_nd`` node with its
+    norm, the skip add and the ReLU; the ``InstanceNorm`` modules hold the
+    norms' gamma and beta.
     """
 
     def __init__(self, in_channels, out_channels, kernel_size=(3, 3, 3),
@@ -693,17 +802,16 @@ class ResidualConvBlock(Module):
             self.proj_norm = None
 
     def forward(self, x):
-        h = self.norm1(self.conv1(x)).relu()
-        h = self.norm2(self.conv2(h))
-        s = x if self.proj is None else self.proj_norm(self.proj(x))
-        return (h + s).relu()
+        h = self.conv1(x, norm=self.norm1, relu=True)
+        s = x if self.proj is None else self.proj(x, norm=self.proj_norm)
+        return self.conv2(h, norm=self.norm2, skip=s, relu=True)
 
 
 
 class SeparableConvBlock(Module):
     """Decoder convolution split into an in-plane (1,3,3) stage and a
-    through-plane (3,1,1) stage, IN + ReLU after each; 12 C^2 kernel weights
-    versus 27 C^2 for a full 3x3x3 conv."""
+    through-plane (3,1,1) stage, IN + ReLU after each (one ``conv_nd`` node
+    per stage); 12 C^2 kernel weights versus 27 C^2 for a full 3x3x3 conv."""
 
     def __init__(self, channels, rng=None, dtype=np.float32):
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -715,5 +823,5 @@ class SeparableConvBlock(Module):
         self.norm_tp = InstanceNorm(channels, dtype=dtype)
 
     def forward(self, x):
-        h = self.norm_ip(self.in_plane(x)).relu()
-        return self.norm_tp(self.through_plane(h)).relu()
+        h = self.in_plane(x, norm=self.norm_ip, relu=True)
+        return self.through_plane(h, norm=self.norm_tp, relu=True)

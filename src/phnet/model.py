@@ -46,7 +46,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "net_from_checkpoint",
-    "read_checkpoint_meta",
     "config_to_dict",
     "config_from_dict",
 ]
@@ -312,8 +311,10 @@ class PHNet(Module):
         2 FLOPs, see ``phnet.flops``) and the shape of the logits, from the
         parameter shapes and the stage grids alone: no op runs.  Encoder
         stage i writes grid i+1, decoder stage i writes grid i, and the head
-        writes grid 0."""
+        writes grid 0.  Raises ``ValueError`` for a batch below 1."""
         b = input_shape[0]
+        if b < 1:
+            raise ValueError(f"batch size must be >= 1, got {b}")
         grids = self._feature_sizes(input_shape[2:])
         # channels of the maps on grid i: encoder stage i-1 and decoder stage
         # i write the same number (base_channels on grid 0)
@@ -427,12 +428,6 @@ def _read_checkpoint_header(f, path):
         raise ValueError(
             f"{path}: payload is {payload} bytes, parameter entries declare {declared}")
     return manifest
-
-
-def read_checkpoint_meta(path):
-    """Manifest metadata of a checkpoint without loading the payload."""
-    with open(path, "rb") as f:
-        return _read_checkpoint_header(f, path)["meta"]
 
 
 def load_checkpoint(net, path):

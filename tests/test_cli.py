@@ -438,6 +438,16 @@ class TestBenchFlops:
         assert bench_doc["seconds_per_forward"] > 0
         assert bench_doc["peak_rss_bytes"] > 0
 
+    @pytest.mark.parametrize("command", ["flops", "bench"])
+    @pytest.mark.parametrize("batch", ["0", "-1"])
+    def test_batch_size_below_1_exits_2(self, command, batch, capsys):
+        code = main([command, "--spacing", "1", "1", "4", "--batch-size", batch]
+                    + TINY_MODEL)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "batch size must be >= 1" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_bench_from_checkpoint(self, trained, capsys):
         code = main(["bench", "--checkpoint", str(trained / "best.ckpt"),
                      "--repeats", "1"])

@@ -39,7 +39,14 @@ from phnet.harness import (
     window_starts,
 )
 from phnet.metrics import dice_ce_loss
-from phnet.model import PHNet, PHNetConfig, MLPPDefaults, read_checkpoint_meta, save_checkpoint
+from phnet.model import (
+    PHNet,
+    PHNetConfig,
+    MLPPDefaults,
+    load_checkpoint,
+    net_from_checkpoint,
+    save_checkpoint,
+)
 from phnet.optim import TrainingError
 
 SPACING = (1.0, 1.0, 4.0)
@@ -413,7 +420,8 @@ class TestTrain:
 
     def test_checkpoint_meta_records_run(self, dataset, tmp_path):
         result = train(tiny_config(dataset, tmp_path / "run"))
-        meta = read_checkpoint_meta(result["checkpoint"])
+        p = result["checkpoint"]
+        meta = load_checkpoint(net_from_checkpoint(p), p)
         assert meta["model_config"]["num_classes"] == 2
         assert meta["model_config"]["voxel_spacing_mm"] == list(SPACING)
         assert meta["val_dice"] == result["best_val_dice"]
@@ -544,14 +552,10 @@ class TestEvaluate:
     def test_perfect_checkpoint_self_consistency(self, trained, dataset, tmp_path):
         # evaluating a prediction against itself (use predictions as labels)
         # must give dice 1: write predicted labels as a new dataset
-        meta = read_checkpoint_meta(trained["checkpoint"])
-        from phnet.model import config_from_dict, PHNet, load_checkpoint
-        cfg = config_from_dict(meta["model_config"])
-        net = PHNet(cfg, seed=0)
-        load_checkpoint(net, trained["checkpoint"])
+        net = net_from_checkpoint(trained["checkpoint"])
         cases, _ = load_dataset(dataset)
         case = cases[-1]
-        pred = predict_label_volume(net, case["image"], cfg)
+        pred = predict_label_volume(net, case["image"], net.cfg)
         root = tmp_path / "self"
         root.mkdir()
         write_volume(root / "case_000_img", case["image"])

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, strategies as st
 from scipy.linalg.blas import get_blas_funcs
 
 from phnet import layers
-from phnet.autograd import Tensor, Parameter, backward, grad_check, no_grad
+from phnet.autograd import Tensor, Parameter, backward, grad_check, make_node, no_grad
 from phnet.layers import (
     ChannelNorm,
     Conv,
@@ -868,6 +868,131 @@ def test_affine_norm_float32_value_and_grads_stay_float32(axes):
     for got_, want_ in zip(got, want):
         assert got_.dtype == np.float32
         np.testing.assert_allclose(got_, want_, rtol=1e-4, atol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# conv_nd with its norm epilogue: relu(IN(conv(x)) + skip) in one node
+# ---------------------------------------------------------------------------
+
+def relu_node(t):
+    """A ReLU node of its own, as the oracle composition needs one."""
+    x = t.data
+    return make_node(np.maximum(x, 0.0), (t,), "relu", lambda g: (g * (x > 0),))
+
+
+def composed_epilogue(x, k, stride, gamma, beta, skip=None, relu=False):
+    """The oracle: conv_nd -> affine_norm -> (+ skip) -> relu, one node each."""
+    h = affine_norm(conv_nd(x, k, stride, same_padding(k.shape[2:])), gamma, beta, (2, 3, 4))
+    if skip is not None:
+        h = h + skip
+    return relu_node(h) if relu else h
+
+
+def fused_epilogue(x, k, stride, gamma, beta, skip=None, relu=False):
+    return conv_nd(x, k, stride, same_padding(k.shape[2:]), norm=(gamma, beta), skip=skip,
+                   relu=relu)
+
+
+def epilogue_inputs(ks, stride, with_skip, x_shape=(2, 3, 4, 6, 5), co=4, seed=0,
+                    dtype=np.float64):
+    """x, kernel, gamma, beta and (if ``with_skip``) skip, then a cotangent."""
+    rng = np.random.default_rng(seed)
+    out_shape = (x_shape[0], co) + tuple(
+        conv_output_extent(n, kk, s, (kk - 1) // 2)
+        for n, kk, s in zip(x_shape[2:], ks, stride))
+    arrays = [rng.normal(size=x_shape), rng.normal(size=(co, x_shape[1]) + ks),
+              1.0 + 0.5 * rng.normal(size=co), rng.normal(size=co)]
+    if with_skip:
+        arrays.append(rng.normal(size=out_shape))
+    return [a.astype(dtype) for a in arrays], rng.normal(size=out_shape).astype(dtype)
+
+
+def epilogue_value_and_grads(fn, arrays, g, stride, relu):
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(tensors[0], tensors[1], stride, *tensors[2:4],
+             skip=tensors[4] if len(tensors) > 4 else None, relu=relu)
+    backward((out * Tensor(g)).sum())
+    return [out.data] + [t.grad for t in tensors]
+
+
+EPILOGUE_KERNELS = pytest.mark.parametrize(
+    "ks", [(1, 1, 1), (1, 3, 3), (3, 1, 1), (3, 3, 3)], ids=lambda k: "x".join(map(str, k)))
+EPILOGUE_VARIANTS = pytest.mark.parametrize(
+    "with_skip,relu", [(False, False), (False, True), (True, False), (True, True)],
+    ids=["norm", "norm-relu", "norm-skip", "norm-skip-relu"])
+
+
+@EPILOGUE_VARIANTS
+@pytest.mark.parametrize("stride", [(1, 1, 1), (1, 2, 2), (2, 2, 2)],
+                         ids=lambda s: "s" + "".join(map(str, s)))
+@EPILOGUE_KERNELS
+def test_conv_norm_epilogue_matches_the_composition(ks, stride, with_skip, relu):
+    arrays, g = epilogue_inputs(ks, stride, with_skip, seed=sum(ks) + stride[0])
+    got = epilogue_value_and_grads(fused_epilogue, arrays, g, stride, relu)
+    want = epilogue_value_and_grads(composed_epilogue, arrays, g, stride, relu)
+    # value, then the grads of x, kernel, gamma, beta and skip
+    assert len(got) == len(arrays) + 1
+    for got_, want_ in zip(got, want):
+        assert got_.dtype == np.float64 and got_.shape == want_.shape
+        np.testing.assert_allclose(got_, want_, rtol=0, atol=1e-10)
+
+
+@EPILOGUE_VARIANTS
+@EPILOGUE_KERNELS
+def test_conv_norm_epilogue_gradients_match_finite_differences(ks, with_skip, relu):
+    rng = np.random.default_rng(sum(ks))
+    arrays, _ = epilogue_inputs(ks, (1, 2, 2), with_skip, x_shape=(1, 2, 3, 4, 4), co=3,
+                                seed=sum(ks) + 7)
+
+    def fn(x, k, gamma, beta, skip=None):
+        return fused_epilogue(x, k, (1, 2, 2), gamma, beta, skip=skip, relu=relu)
+
+    assert grad_check_each_input(fn, arrays, rng) < 1e-5
+
+
+@EPILOGUE_VARIANTS
+@EPILOGUE_KERNELS
+def test_conv_norm_epilogue_float32_values_and_grads_stay_float32(ks, with_skip, relu):
+    arrays, g = epilogue_inputs(ks, (1, 2, 2), with_skip, seed=sum(ks) + 11, dtype=np.float32)
+    got = epilogue_value_and_grads(fused_epilogue, arrays, g, (1, 2, 2), relu)
+    want = epilogue_value_and_grads(composed_epilogue, [a.astype(np.float64) for a in arrays],
+                                    g.astype(np.float64), (1, 2, 2), relu)
+    for got_, want_ in zip(got, want):
+        assert got_.dtype == np.float32
+        np.testing.assert_allclose(got_, want_, rtol=1e-4, atol=1e-4)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@EPILOGUE_VARIANTS
+def test_conv_norm_epilogue_unrecorded_output_is_bitwise_the_recorded_one(with_skip, relu,
+                                                                          dtype):
+    arrays, _ = epilogue_inputs((3, 3, 3), (1, 2, 2), with_skip, seed=5, dtype=dtype)
+    recorded = [Tensor(a, requires_grad=True) for a in arrays]
+    args = lambda ts: (ts[0], ts[1], (1, 2, 2), ts[2], ts[3])
+    skip = lambda ts: ts[4] if with_skip else None
+    want = fused_epilogue(*args(recorded), skip=skip(recorded), relu=relu)
+    assert want._op == "conv_nd" and want._backward is not None
+    with no_grad():
+        under_no_grad = fused_epilogue(*args(recorded), skip=skip(recorded), relu=relu)
+    plain = [Tensor(a) for a in arrays]
+    no_parent_grad = fused_epilogue(*args(plain), skip=skip(plain), relu=relu)
+    for got in (under_no_grad, no_parent_grad):
+        assert got._backward is None
+        assert_bitwise(got.data, want.data)
+
+
+def test_conv_norm_epilogue_rejects_bad_arguments():
+    arrays, _ = epilogue_inputs((1, 3, 3), (1, 1, 1), True)
+    x, k, gamma, beta, skip = map(Tensor, arrays)
+    with pytest.raises(ValueError, match="bias"):
+        conv_nd(x, k, 1, (0, 1, 1), bias=beta, norm=(gamma, beta))
+    for kwargs in ({"skip": skip}, {"relu": True}):
+        with pytest.raises(ValueError, match="norm"):
+            conv_nd(x, k, 1, (0, 1, 1), **kwargs)
+    with pytest.raises(ValueError, match="skip shape"):
+        conv_nd(x, k, (1, 2, 2), (0, 1, 1), norm=(gamma, beta), skip=skip)
+    with pytest.raises(ValueError, match="gamma and beta"):
+        conv_nd(x, k, 1, (0, 1, 1), norm=(Tensor(arrays[2][:2]), beta))
 
 
 # ---------------------------------------------------------------------------

@@ -254,19 +254,46 @@ def small_train_tape():
 
 
 def test_tape_has_one_node_per_norm_and_linear(small_train_tape):
+    # an InstanceNorm runs inside the conv_nd node of the conv before it,
+    # with its ReLU; a ChannelNorm is its own affine_norm node
     net, nodes = small_train_tape
     ops = [n._op for n in nodes]
-    assert "broadcast_to" not in ops and "sqrt" not in ops
+    assert "broadcast_to" not in ops and "sqrt" not in ops and "relu" not in ops
     mods = list(submodules(net))
-    norms = [m for m in mods if isinstance(m, (InstanceNorm, ChannelNorm))]
+    instance_norms = [m for m in mods if isinstance(m, InstanceNorm)]
+    channel_norms = [m for m in mods if isinstance(m, ChannelNorm)]
     linears = [m for m in mods if isinstance(m, Linear)]
-    assert any(isinstance(m, ChannelNorm) for m in norms) and linears
-    assert ops.count("affine_norm") == len(norms)
+    assert instance_norms and channel_norms and linears
+    assert ops.count("affine_norm") == len(channel_norms)
     assert ops.count("linear") == len(linears)
-    for m, op, param in ([(m, "affine_norm", m.gamma) for m in norms]
+    for m, op, param in ([(m, "conv_nd", m.gamma) for m in instance_norms]
+                         + [(m, "affine_norm", m.gamma) for m in channel_norms]
                          + [(m, "linear", m.weight) for m in linears]):
         users = [n for n in nodes if any(p is param for p in n._parents)]
         assert [n._op for n in users] == [op], type(m).__name__
+
+
+def test_forward_calls_the_module_level_conv_nd_once_per_conv(monkeypatch):
+    # perfbench's --trace 1 counts conv MACs by rebinding layers.conv_nd at
+    # module level and reading (x, kernel) from the positional arguments
+    calls = []
+    conv_nd = layers.conv_nd
+
+    def counting(*args, **kwargs):
+        out = conv_nd(*args, **kwargs)
+        calls.append((args, out.shape))
+        return out
+
+    monkeypatch.setattr(layers, "conv_nd", counting)
+    net = PHNet(ANISO, seed=0)
+    x = Tensor(np.zeros((2, 1, 16, 32, 32), np.float32))
+    net(x)
+    convs = [m for m in submodules(net) if isinstance(m, layers.Conv)]
+    assert len(calls) == len(convs)
+    assert sorted(id(args[1]) for args, _ in calls) == sorted(id(m.kernel) for m in convs)
+    for args, shape in calls:
+        assert isinstance(args[0], Tensor) and args[0].shape[:2] == (2, args[1].shape[1])
+        assert shape[:2] == (2, args[1].shape[0])
 
 
 def test_loss_is_one_node_over_the_logits_tape(small_train_tape):
