@@ -11,18 +11,19 @@ channel-major scheme for every stride.  The zero-padded input is copied once
 into rows of shape (stride phases, C, rows), its padded extents rounded up to
 whole strides and split into stride phases, so that kernel tap (dz, dy, dx)
 reads one contiguous block of rows of phase (dz % sd, dy % sh, dx % sw) at a
-fixed row offset.  The copy keeps W as its inner axis, as does the crop back
-to (B, C, D, H, W); no array is transposed to channels-last.  Each tap is a
-(C_out, C_in) @ (C_in, rows) product, issued as BLAS GEMM calls over chunks of
-rows small enough for OpenBLAS to skip packing its operands (see
+fixed row offset.  Only the phases that some tap reads are copied (a strided
+1x1x1 conv reads one of them).  The copy keeps W as its inner axis, as does the
+crop back to (B, C, D, H, W); no array is transposed to channels-last.  Each tap
+is a (C_out, C_in) @ (C_in, rows) product, issued as BLAS GEMM calls over
+chunks of rows small enough for OpenBLAS to skip packing its operands (see
 ``_SMALL_GEMM_MNK``).  Each call reads its block of rows where it lies, with
 the row length as BLAS's leading dimension, and adds into the output rows in
-place, so no operand is copied (see ``_bound_gemm``).  The adjoint is the
-same gather run on the cotangent's rows with mirrored offsets.  Rows near the
-end of a grid line read past it into the next line (or batch item); those
-rows only feed output positions that the forward crops, and in the adjoint
-and kernel gradient they meet the zeros that surround the embedded output,
-so they change nothing.
+place, so no operand is copied (see ``_bound_gemm``).  The adjoint is the same
+gather run on the cotangent's rows with mirrored offsets.  Rows near the end of
+a grid line read past it into the next line (or batch item); those rows only
+feed output positions that the forward crops, and in the adjoint and kernel
+gradient they meet the zeros that surround the embedded output, so they change
+nothing.
 
 A conv that feeds an instance norm runs the norm, an optional residual add
 and an optional ReLU as its epilogue, in the same tape node
@@ -250,30 +251,40 @@ def _phase_slices(spatial, stride, padding):
                (Ellipsis,) + tuple(v for _, v in pairs))
 
 
-def _framed_rows(shape, dtype, stride, padding, q, phases, width, lead=0):
-    """Zero-padded channel-major stride-phase rows (sd*sh*sw, C, width) for a
-    (B, C, D, H, W) array of ``shape``, with only their zero frame written.
+def _packed_taps(taps):
+    """The stride phases that ``taps`` read, in order, and the taps with each
+    phase index replaced by its position among them, which is where
+    ``_to_rows`` puts that phase."""
+    phases = sorted({ph for ph, _ in taps})
+    return phases, [(phases.index(ph), off) for ph, off in taps]
 
-    Phase (a, b, c) holds the samples at padded positions
-    (a, b, c) + stride * (qd, qh, qw) in the row-major order of its grid
-    (B, qd, qh, qw), starting at row ``lead``; only the phases in ``phases``
-    are filled, the others are zero (a strided 1x1x1 conv reads phase 0
-    alone).  Zeros are written to the lead and tail rows, the padding around
-    each filled grid and the unfilled phases, and to nothing else.  Returns
-    the rows and, per filled phase, the (C, B, ...) view of the rows that the
-    samples fill and the index of those samples in the (C, B, D, H, W) order
-    of the array; writing every view once completes the rows."""
+
+def _framed_rows(shape, dtype, stride, padding, q, phases, width, lead=0):
+    """Zero-padded channel-major rows (len(phases), C, width) of the stride
+    phases ``phases`` of a (B, C, D, H, W) array of ``shape``, with only their
+    zero frame written.
+
+    Phase (a, b, c), with flat index (a * sh + b) * sw + c, holds the samples
+    at padded positions (a, b, c) + stride * (qd, qh, qw) in the row-major
+    order of its grid (B, qd, qh, qw), starting at row ``lead``.  The rows
+    hold the phases in ``phases`` alone, in increasing order (a strided
+    1x1x1 conv reads phase 0 alone, see ``_packed_taps``).  Zeros are
+    written to the lead and tail rows and to the padding around each grid,
+    and to nothing else.  Returns the rows and, per phase, the (C, B, ...)
+    view of the rows that the samples fill and the index of those samples in
+    the (C, B, D, H, W) order of the array; writing every view once completes
+    the rows."""
     B, C = shape[:2]
     n = B * math.prod(q)
-    rows = np.empty((math.prod(stride), C, width), dtype=dtype)
+    phases = sorted(phases)
+    rows = np.empty((len(phases), C, width), dtype=dtype)
     rows[:, :, :lead] = 0
     rows[:, :, lead + n:] = 0
+    slices = list(_phase_slices(shape[2:], stride, padding))
     fills = []
-    for ph, (gi, xi) in enumerate(_phase_slices(shape[2:], stride, padding)):
-        if ph not in phases:
-            rows[ph] = 0
-            continue
-        grid = rows[ph, :, lead:lead + n].reshape((C, B) + q)
+    for i, ph in enumerate(phases):
+        gi, xi = slices[ph]
+        grid = rows[i, :, lead:lead + n].reshape((C, B) + q)
         for axis in range(3):
             inner = (slice(None),) * (2 - axis)
             grid[gi[:1 + axis] + (slice(None, gi[1 + axis].start),) + inner] = 0
@@ -365,7 +376,8 @@ def _conv_rows(xr, k, taps, nch, L):
     the input's phase grid (B, qd, qh, qw).
 
     ``xr`` is ``_to_rows(x)`` for the layout ``q, taps, nch, L`` of
-    ``_phase_layout``.  Output row r sums, over the taps,
+    ``_phase_layout``, with ``taps`` indexing its phases as ``_packed_taps``
+    gives them.  Output row r sums, over the taps,
     ``k_tap @ xr[phase, :, offset + r]``.  A row whose read wraps across a
     grid edge (or into the next batch item) lands only at an output position
     past ``od``, ``oh`` or ``ow``, which the crop to the output drops."""
@@ -396,7 +408,8 @@ def _conv_adjoint(gr, k, stride, padding, q, taps, nch, L, shape):
 def _conv_kernel_grad(xr, g, k_shape, taps, nch, L):
     """Gradient of the conv bilinear form with respect to the kernel.
 
-    ``xr`` is the input's ``_to_rows`` and ``g`` the cotangent's (Co, >= nch*L)
+    ``xr`` is the input's ``_to_rows``, with ``taps`` from ``_packed_taps``
+    as for ``_conv_rows``, and ``g`` the cotangent's (Co, >= nch*L)
     grid rows, zero outside the output, with a contiguous last axis.  Per
     chunk of L rows, each tap adds the ``(Co, L) @ (L, Ci)`` product of the
     cotangent chunk and the tap's block of ``xr``, both read in place.
@@ -474,8 +487,8 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None, norm=None, skip=None, rel
     q, taps, nch, L = _phase_layout(x.shape, k_shape, stride, padding)
     maxoff = taps[-1][1]
     width = nch * L + maxoff
-    phases = {ph for ph, _ in taps}
-    acc = _conv_rows(_to_rows(xd, stride, padding, q, phases, width), kd, taps, nch, L)
+    phases, row_taps = _packed_taps(taps)
+    acc = _conv_rows(_to_rows(xd, stride, padding, q, phases, width), kd, row_taps, nch, L)
     input_grad = x.requires_grad
 
     def conv_grads(gr):
@@ -483,7 +496,7 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None, norm=None, skip=None, rel
         return ((_conv_adjoint(gr, kd, stride, padding, q, taps, nch, L, xd.shape)
                  if input_grad else None),
                 _conv_kernel_grad(_to_rows(xd, stride, padding, q, phases, width),
-                                  gr[0, :, maxoff:], k_shape, taps, nch, L))
+                                  gr[0, :, maxoff:], k_shape, row_taps, nch, L))
 
     if norm is None:
         out = _from_rows(acc, (1, 1, 1), (0, 0, 0), q, out_shape)
@@ -585,11 +598,12 @@ def conv_transpose_nd(x, kernel, stride=1, padding=0):
                         (x.shape[0], k_shape[1]) + out_spatial)
 
     def bk(g):
-        gr = _to_rows(g, stride, padding, q, {ph for ph, _ in taps}, width)
-        return (_from_rows(_conv_rows(gr, kd, taps, nch, L), (1, 1, 1), (0, 0, 0), q,
+        phases, row_taps = _packed_taps(taps)
+        gr = _to_rows(g, stride, padding, q, phases, width)
+        return (_from_rows(_conv_rows(gr, kd, row_taps, nch, L), (1, 1, 1), (0, 0, 0), q,
                            xd.shape),
                 _conv_kernel_grad(gr, _to_rows(xd, (1, 1, 1), (0, 0, 0), q, {0}, width)[0],
-                                  k_shape, taps, nch, L))
+                                  k_shape, row_taps, nch, L))
 
     return make_node(out, (x, kernel), "conv_transpose_nd", bk)
 

@@ -457,8 +457,30 @@ def test_conv_kernels_on_shared_rows_match_per_call_rows_bitwise(k, s, dtype):
     rng = np.random.default_rng(10 * k + s)
     ks, stride, padding = (k, k, 3 - k + 1), (s, 1, s), (k // 2, k - 1, 0)
     x = rng.normal(size=(2, 3, 5, 7, 6)).astype(dtype)
-    kern = rng.normal(size=(4, 3) + ks).astype(dtype)
-    bias = rng.normal(size=4).astype(dtype)
+    check_kernels_match_per_call_kernels_bitwise(x, rng.normal(size=(4, 3) + ks).astype(dtype),
+                                                 stride, padding, rng)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [(1, 2, 2), (2, 2, 2)])
+def test_strided_1x1x1_conv_packs_the_one_phase_it_reads(stride, dtype):
+    # the skip projection of a downsampling residual block reads phase 0 of
+    # the 4 or 8 stride phases; its rows hold that phase alone
+    rng = np.random.default_rng(sum(stride))
+    x = rng.normal(size=(2, 3, 5, 8, 7)).astype(dtype)
+    kern = rng.normal(size=(4, 3, 1, 1, 1)).astype(dtype)
+    q, taps, nch, L = layers._phase_layout(x.shape, kern.shape, stride, (0, 0, 0))
+    phases, row_taps = layers._packed_taps(taps)
+    assert (phases, row_taps) == ([0], [(0, 0)])
+    assert layers._to_rows(x, stride, (0, 0, 0), q, phases, nch * L).shape == (1, 3, nch * L)
+    check_kernels_match_per_call_kernels_bitwise(x, kern, stride, (0, 0, 0), rng)
+
+
+def check_kernels_match_per_call_kernels_bitwise(x, kern, stride, padding, rng):
+    """Conv and transposed-conv values and input gradients bitwise equal to
+    the per-call kernels, kernel gradients within rounding."""
+    dtype = x.dtype
+    bias = rng.normal(size=kern.shape[0]).astype(dtype)
     xt, kt, bt = Tensor(x, requires_grad=True), Parameter(kern), Parameter(bias)
     out = conv_nd(xt, kt, stride, padding, bias=bt)
     y = rng.normal(size=out.shape).astype(dtype)
@@ -630,17 +652,19 @@ def test_gemm_entry_points_reject_mixed_dtypes(monkeypatch):
 
 def zero_filled_rows(x, stride, padding, phases, width, lead):
     """Phase rows from a zero-filled array: pad ``x`` with zeros to whole
-    strides, then take every stride-th sample of each filled phase."""
+    strides, then take every stride-th sample of each phase in ``phases``, in
+    increasing phase order."""
     B, C = x.shape[:2]
     q = tuple(-(-(n + 2 * p) // s) for n, p, s in zip(x.shape[2:], padding, stride))
     padded = np.zeros((C, B) + tuple(n * s for n, s in zip(q, stride)), x.dtype)
     padded[(Ellipsis,) + tuple(slice(p, p + n) for p, n in zip(padding, x.shape[2:]))] = \
         x.transpose(1, 0, 2, 3, 4)
-    rows = np.zeros((math.prod(stride), C, width), x.dtype)
-    for ph, (a, b, c) in enumerate(itertools.product(*map(range, stride))):
-        if ph in phases:
-            rows[ph, :, lead:lead + B * math.prod(q)] = \
-                padded[..., a::stride[0], b::stride[1], c::stride[2]].reshape(C, -1)
+    rows = np.zeros((len(phases), C, width), x.dtype)
+    starts = list(itertools.product(*map(range, stride)))
+    for i, ph in enumerate(sorted(phases)):
+        a, b, c = starts[ph]
+        rows[i, :, lead:lead + B * math.prod(q)] = \
+            padded[..., a::stride[0], b::stride[1], c::stride[2]].reshape(C, -1)
     return rows
 
 

@@ -5,12 +5,17 @@ a per-voxel neighbor loop, distances via the all-pairs broadcast minimum.
 """
 
 import csv
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial import cKDTree
 
 from phnet import autograd as ag
+from phnet import metrics
 from phnet.data import LabelVolume
 from phnet.metrics import (
     dice,
@@ -107,6 +112,189 @@ class TestSurface:
         pts = surface_points_mm(m, (0.5, 2.0, 4.0))
         # grid (z,y,x)=(1,2,3) scaled by (sz,sy,sx)=(4.0,2.0,0.5)
         assert np.allclose(pts, [[4.0, 4.0, 1.5]])
+
+
+# ---------------------------------------------------------------------------
+# surface points on the bounding box against the full grid
+# ---------------------------------------------------------------------------
+
+def full_grid_points(mask, spacing):
+    """Surface points as extracted on the whole grid, before the bounding-box
+    crop: the oracle's boundary voxels in raster order, then scaled."""
+    scale = np.array([spacing[2], spacing[1], spacing[0]])
+    return np.argwhere(surface_oracle(mask)).astype(np.float64) * scale
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# anisotropic, and with values that no binary fraction holds exactly
+SPACINGS = [UNIT, (0.7, 0.9, 2.5), (0.7, 0.7, 0.7), (3.0, 0.3, 1.1), (0.1, 2.0, 0.7)]
+
+
+@st.composite
+def boxed_masks(draw):
+    """A mask of one of three kinds: arbitrary bits (Hypothesis also draws
+    all-empty and all-full ones), a solid box anywhere in the volume (it
+    touches a face whenever a bound is drawn at the edge), or a few scattered
+    voxels; with a spacing."""
+    shape = tuple(draw(st.integers(1, 7)) for _ in range(3))
+    kind = draw(st.sampled_from(["bits", "box", "islands"]))
+    if kind == "bits":
+        mask = draw(arrays(bool, shape))
+    else:
+        mask = np.zeros(shape, bool)
+        if kind == "box":
+            lo = [draw(st.integers(0, n - 1)) for n in shape]
+            hi = [draw(st.integers(a + 1, n)) for a, n in zip(lo, shape)]
+            mask[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
+        else:
+            for _ in range(draw(st.integers(1, 5))):
+                mask[tuple(draw(st.integers(0, n - 1)) for n in shape)] = True
+    return mask, draw(st.sampled_from(SPACINGS))
+
+
+def face_and_corner_masks():
+    """A blob touching each face, and a voxel and a 2x2x2 cube in each
+    corner, of a (6, 7, 5) volume; plus masks of whole-volume extent."""
+    shape = (6, 7, 5)
+    out = []
+    for axis, end in itertools.product(range(3), (0, -1)):
+        m = np.zeros(shape, bool)
+        m[2:4, 2:5, 1:4] = True
+        face = [slice(2, 4), slice(2, 5), slice(1, 4)]
+        face[axis] = end
+        m[tuple(face)] = True
+        out.append((f"face{axis}{'+' if end else '-'}", m))
+    for corner in itertools.product((0, -1), repeat=3):
+        voxel, cube = np.zeros(shape, bool), np.zeros(shape, bool)
+        voxel[corner] = True
+        cube[tuple(slice(0, 2) if c == 0 else slice(-2, None) for c in corner)] = True
+        out += [(f"voxel{corner}", voxel), (f"cube{corner}", cube)]
+    spread = np.zeros(shape, bool)
+    spread[0, 0, 0] = spread[-1, -1, -1] = spread[2, 3, 1] = True
+    out += [("empty", np.zeros(shape, bool)), ("full", np.ones(shape, bool)),
+            ("islands", spread), ("single", np.eye(1, 6 * 7 * 5, 100, dtype=bool).reshape(shape))]
+    return out
+
+
+class TestSurfacePointsCrop:
+    @given(boxed_masks())
+    @example((np.zeros((3, 4, 5), bool), (0.7, 0.9, 2.5)))
+    @example((np.ones((3, 4, 5), bool), (0.7, 0.9, 2.5)))
+    def test_bitwise_equal_to_the_full_grid_path(self, case):
+        mask, spacing = case
+        assert_bitwise(surface_points_mm(mask, spacing), full_grid_points(mask, spacing))
+
+    @pytest.mark.parametrize("spacing", SPACINGS)
+    @pytest.mark.parametrize("name,mask", face_and_corner_masks())
+    def test_faces_corners_and_extremes_match_the_full_grid_path(self, name, mask, spacing):
+        assert_bitwise(surface_points_mm(mask, spacing), full_grid_points(mask, spacing))
+
+    @pytest.mark.parametrize("shape", [(5, 5), (2, 3, 4, 5), ()])
+    def test_non_3d_mask_rejected(self, shape):
+        with pytest.raises(ValueError, match="3D"):
+            surface_points_mm(np.ones(shape, bool), UNIT)
+
+
+# ---------------------------------------------------------------------------
+# nearest-surface distances on the KD-tree
+# ---------------------------------------------------------------------------
+
+def brute_force_nearest(src, dst):
+    return np.sqrt(((src[:, None, :] - dst[None, :, :]) ** 2).sum(-1)).min(axis=1)
+
+
+def tree_cases():
+    """(name, src, dst) point sets with many equidistant nearest points."""
+    out = []
+    for spacing in SPACINGS:
+        src = full_grid_points(np.ones((5, 6, 4), bool), spacing)     # every voxel
+        shell = full_grid_points(np.pad(np.ones((3, 4, 2), bool), 1), spacing)
+        corners = np.array([[0, 0, 0], [4, 5, 3]]) * np.array(spacing[::-1])
+        sparse = src[::7]
+        out += [
+            (f"lattice-to-shell{spacing}", src, shell),
+            (f"lattice-to-every-7th{spacing}", src, sparse),
+            (f"lattice-to-itself{spacing}", src, src),
+            (f"duplicates{spacing}", src, np.concatenate([sparse, sparse[::-1], sparse])),
+            (f"single-point{spacing}", src, src[17:18]),
+            (f"shell-to-opposite-corners{spacing}", shell, corners),
+        ]
+    return out
+
+
+def assert_nearest_distances(src, dst):
+    """Bitwise the default tree's distances, and the brute-force minimum
+    within rounding."""
+    got = metrics._directed_distances(src, dst)
+    assert_bitwise(got, np.asarray(cKDTree(dst).query(src, k=1)[0], dtype=np.float64))
+    np.testing.assert_allclose(got, brute_force_nearest(src, dst), rtol=0, atol=1e-12)
+
+
+class TestDirectedDistances:
+    @pytest.mark.parametrize("name,src,dst", tree_cases())
+    def test_equals_the_default_tree_bitwise_and_brute_force(self, name, src, dst):
+        assert_nearest_distances(src, dst)
+
+    @given(boxed_masks(), boxed_masks())
+    def test_equals_the_default_tree_on_generated_surfaces(self, a, b):
+        (ma, spacing), (mb, _) = a, b
+        src, dst = full_grid_points(ma, spacing), full_grid_points(mb, spacing)
+        if len(src) and len(dst):
+            assert_nearest_distances(src, dst)
+
+
+def full_grid_report_rows(pred, gt, num_classes, tolerance_mm, percentile):
+    """``evaluate_case`` rows with the distances of the full-grid path: the
+    whole grid's boundary voxels and a default ``cKDTree`` per direction."""
+    scale = np.array(gt.spacing_mm[::-1])
+    rows = []
+    for c in range(1, num_classes):
+        p_pts = np.argwhere(surface_mask(pred.grid == c)).astype(np.float64) * scale
+        g_pts = np.argwhere(surface_mask(gt.grid == c)).astype(np.float64) * scale
+        if len(p_pts) == 0 and len(g_pts) == 0:
+            dists = np.empty(0), np.empty(0)
+        elif len(p_pts) == 0 or len(g_pts) == 0:
+            dists = None
+        else:
+            dists = (cKDTree(g_pts).query(p_pts, k=1)[0], cKDTree(p_pts).query(g_pts, k=1)[0])
+        rows.append({"class": c, "dice": dice(pred, gt, c), "iou": iou(pred, gt, c),
+                     "surface_dice": metrics._surface_dice_of(dists, tolerance_mm),
+                     "nvd_percent": nvd(pred, gt, c),
+                     "hausdorff_mm": metrics._hausdorff_of(dists, percentile)})
+    return rows
+
+
+def multi_class_case():
+    """A (12, 30, 26) case at (0.7, 0.9, 2.5) mm: classes 1-3 are ellipsoids
+    in both volumes, shifted between them; class 1 reaches three faces of
+    the volume; class 4 lies only in the reference, 5 only in the prediction, and
+    6 in neither."""
+    z, y, x = np.meshgrid(np.arange(12), np.arange(30), np.arange(26), indexing="ij")
+    gt = np.zeros((12, 30, 26), np.uint8)
+    pred = np.zeros_like(gt)
+    for c, (cz, cy, cx), (rz, ry, rx) in [(1, (2, 3, 20), (4, 6, 7)),
+                                          (2, (6, 15, 10), (3, 7, 5)),
+                                          (3, (9, 24, 4), (2, 4, 3))]:
+        for vol, shift in ((gt, 0), (pred, c)):
+            inside = (((z - cz) / rz) ** 2 + ((y - cy - shift) / ry) ** 2
+                      + ((x - cx + shift) / rx) ** 2) <= 1
+            vol[inside] = c
+    gt[10:12, 0:3, 0:2] = 4
+    pred[0:2, 27:30, 24:26] = 5
+    return lv(pred, (0.7, 0.9, 2.5)), lv(gt, (0.7, 0.9, 2.5))
+
+
+@pytest.mark.parametrize("percentile", [95, 100])
+def test_evaluate_case_rows_equal_the_full_grid_path(percentile):
+    pred, gt = multi_class_case()
+    rows = evaluate_case(pred, gt, num_classes=7, tolerance_mm=1.0, percentile=percentile)
+    assert rows == full_grid_report_rows(pred, gt, 7, 1.0, percentile)
+    assert [r["hausdorff_mm"] is None for r in rows] == [False] * 3 + [True] * 3
+    assert all(0 < rows[c]["surface_dice"] < 1 for c in (0, 1, 2))
 
 
 # ---------------------------------------------------------------------------
