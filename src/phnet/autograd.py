@@ -201,23 +201,6 @@ def regroup(t, split, axes, shape):
                      lambda g: (np.reshape(np.transpose(np.reshape(g, moved), inv), in_shape),))
 
 
-def concat(tensors, axis):
-    tensors = tuple(tensors)
-    axis = int(axis)
-    rank = tensors[0].ndim
-    for t in tensors[1:]:
-        if t.ndim != rank:
-            raise ValueError("concat: rank mismatch")
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bk(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return make_node(np.concatenate([t.data for t in tensors], axis=axis),
-                     tensors, "concat", bk)
-
-
 # ---------------------------------------------------------------------------
 # backward pass
 # ---------------------------------------------------------------------------

@@ -260,6 +260,11 @@ def _is_triple(value, types):
             and all(isinstance(v, types) and not isinstance(v, bool) for v in value))
 
 
+def _is_spacing(value):
+    """A JSON list of 3 positive finite numbers."""
+    return _is_triple(value, (int, float)) and all(0 < s < math.inf for s in value)
+
+
 def read_volume(base_path):
     """Read a volume pair; returns Volume (f32) or LabelVolume (u8)."""
     base = str(base_path)
@@ -277,7 +282,7 @@ def read_volume(base_path):
     dims, spacing = header["dims"], header["spacing_mm"]
     if not (_is_triple(dims, (int,)) and all(n >= 1 for n in dims)):
         raise ValueError(f"{base}.hdr: dims must be 3 positive ints, got {dims!r}")
-    if not (_is_triple(spacing, (int, float)) and all(0 < s < math.inf for s in spacing)):
+    if not _is_spacing(spacing):
         raise ValueError(
             f"{base}.hdr: spacing_mm must be 3 positive finite numbers, got {spacing!r}")
     w, h, d = dims
@@ -308,8 +313,8 @@ def write_manifest(path, cases, extra=None):
 
 def read_manifest(path):
     """Read a dataset manifest; raises ``ValueError`` unless it is an object
-    with a 'cases' list whose entries are objects with a string 'id' and, if
-    present, a string 'split'."""
+    with a 'cases' list of objects with a string 'id' and an optional string
+    'split', and its optional 'spacing_mm' and 'num_classes' are valid."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     if not (isinstance(doc, dict) and isinstance(doc.get("cases"), list)):
@@ -318,6 +323,10 @@ def read_manifest(path):
         if not (isinstance(e, dict) and isinstance(e.get("id"), str)
                 and isinstance(e.get("split", ""), str)):
             raise ValueError(f"{path}: malformed case entry {e!r}")
+    for key, valid, want in (("spacing_mm", _is_spacing, "3 positive finite numbers"),
+                             ("num_classes", lambda n: type(n) is int and n >= 2, "an int >= 2")):
+        if key in doc and not valid(doc[key]):
+            raise ValueError(f"{path}: {key} must be {want}, got {doc[key]!r}")
     return doc
 
 

@@ -309,9 +309,6 @@ def train(cfg):
     if not train_cases:
         raise ValueError(f"{cfg.data_dir}: no cases with split 'train'")
 
-    num_classes = int(manifest.get("num_classes", 2))
-    spacing = tuple(manifest.get("spacing_mm")
-                    or train_cases[0]["image"].spacing_mm)
     per_epoch_patches = len(train_cases) * cfg.patches_per_case
     if per_epoch_patches % cfg.batch_size != 0:
         raise ValueError(
@@ -320,7 +317,9 @@ def train(cfg):
     steps_per_epoch = per_epoch_patches // cfg.batch_size
     planned_steps = cfg.epochs * steps_per_epoch
 
-    model_cfg = _model_config(cfg, num_classes, spacing)
+    # read_manifest has checked both fields, when present
+    model_cfg = _model_config(cfg, manifest.get("num_classes", 2),
+                              manifest.get("spacing_mm", train_cases[0]["image"].spacing_mm))
     net = PHNet(model_cfg, seed=cfg.seed)
     opt = AdamW(net.parameters(), batch_size=cfg.batch_size, lr=cfg.lr,
                 betas=(cfg.beta1, cfg.beta2), eps=cfg.eps,

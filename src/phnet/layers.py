@@ -7,23 +7,25 @@ blocks and the decoder's separated in-plane / through-plane convolution
 pair.  All operations are differentiable through the autograd tape.
 
 The three convolution kernels (forward, adjoint, kernel gradient) share one
-channel-major scheme for every stride.  The zero-padded input is copied once
-into rows of shape (stride phases, C, rows), its padded extents rounded up to
-whole strides and split into stride phases, so that kernel tap (dz, dy, dx)
-reads one contiguous block of rows of phase (dz % sd, dy % sh, dx % sw) at a
-fixed row offset.  Only the phases that some tap reads are copied (a strided
-1x1x1 conv reads one of them).  The copy keeps W as its inner axis, as does the
-crop back to (B, C, D, H, W); no array is transposed to channels-last.  Each tap
-is a (C_out, C_in) @ (C_in, rows) product, issued as BLAS GEMM calls over
-chunks of rows small enough for OpenBLAS to skip packing its operands (see
-``_SMALL_GEMM_MNK``).  Each call reads its block of rows where it lies, with
-the row length as BLAS's leading dimension, and adds into the output rows in
-place, so no operand is copied (see ``_bound_gemm``).  The adjoint is the same
-gather run on the cotangent's rows with mirrored offsets.  Rows near the end of
-a grid line read past it into the next line (or batch item); those rows only
-feed output positions that the forward crops, and in the adjoint and kernel
-gradient they meet the zeros that surround the embedded output, so they change
-nothing.
+channel-major scheme for every stride.  The input is copied once into
+zero-filled rows of shape (stride phases, C, rows), its padded extents rounded
+up to whole strides and split into stride phases, so that kernel tap (dz, dy,
+dx) reads one contiguous block of rows of phase (dz % sd, dy % sh, dx % sw) at
+a fixed row offset.  Only the phases that some tap reads are copied (a strided
+1x1x1 conv reads one of them).  An input given in parts along C (the decoder's
+upsampled map and its skip) is copied part by part into the channel blocks of
+the same rows, so it is never joined first.  The copy keeps W as its inner
+axis, as does the crop back to (B, C, D, H, W); no array is transposed to
+channels-last.  Each tap is a (C_out, C_in) @ (C_in, rows) product, issued as
+BLAS GEMM calls over chunks of rows small enough for OpenBLAS to skip packing
+its operands (see ``_SMALL_GEMM_MNK``).  Each call reads its block of rows
+where it lies, with the row length as BLAS's leading dimension, and adds into
+the output rows in place, so no operand is copied (see ``_bound_gemm``).  The
+adjoint is the same gather run on the cotangent's rows with mirrored offsets.
+Rows near the end of a grid line read past it into the next line (or batch
+item); those rows only feed output positions that the forward crops, and in the
+adjoint and kernel gradient they meet the zeros that surround the embedded
+output, so they change nothing.
 
 A conv that feeds an instance norm runs the norm, an optional residual add
 and an optional ReLU as its epilogue, in the same tape node
@@ -34,8 +36,8 @@ into NCDHW ``xhat`` and finishes the output there, so the node keeps
 ``xhat`` as its one full-size array (its own output is held by the next
 node anyway).  The backward takes the ReLU mask from that output, and its
 last pass writes the norm's input gradient straight into the embedded
-output of zero-framed cotangent rows (``_framed_rows``, whose zero frame
-``_to_rows`` shares), ready for the adjoint and kernel-gradient GEMMs.
+output of zero-filled cotangent rows (``_framed_rows``, which ``_to_rows``
+fills too), ready for the adjoint and kernel-gradient GEMMs.
 """
 
 import ctypes
@@ -260,46 +262,40 @@ def _packed_taps(taps):
 
 
 def _framed_rows(shape, dtype, stride, padding, q, phases, width, lead=0):
-    """Zero-padded channel-major rows (len(phases), C, width) of the stride
-    phases ``phases`` of a (B, C, D, H, W) array of ``shape``, with only their
-    zero frame written.
+    """Zero-filled channel-major rows (len(phases), C, width) for the stride
+    phases ``phases`` of a (B, C, D, H, W) array of ``shape``.
 
     Phase (a, b, c), with flat index (a * sh + b) * sw + c, holds the samples
     at padded positions (a, b, c) + stride * (qd, qh, qw) in the row-major
     order of its grid (B, qd, qh, qw), starting at row ``lead``.  The rows
     hold the phases in ``phases`` alone, in increasing order (a strided
-    1x1x1 conv reads phase 0 alone, see ``_packed_taps``).  Zeros are
-    written to the lead and tail rows and to the padding around each grid,
-    and to nothing else.  Returns the rows and, per phase, the (C, B, ...)
-    view of the rows that the samples fill and the index of those samples in
-    the (C, B, D, H, W) order of the array; writing every view once completes
-    the rows."""
+    1x1x1 conv reads phase 0 alone, see ``_packed_taps``).  Returns the rows
+    and, per phase, the (C, B, ...) view of the rows that the samples fill
+    and the index of those samples in the (C, B, D, H, W) order of the array;
+    every other row stays zero."""
     B, C = shape[:2]
     n = B * math.prod(q)
     phases = sorted(phases)
-    rows = np.empty((len(phases), C, width), dtype=dtype)
-    rows[:, :, :lead] = 0
-    rows[:, :, lead + n:] = 0
+    rows = np.zeros((len(phases), C, width), dtype=dtype)
     slices = list(_phase_slices(shape[2:], stride, padding))
     fills = []
     for i, ph in enumerate(phases):
         gi, xi = slices[ph]
-        grid = rows[i, :, lead:lead + n].reshape((C, B) + q)
-        for axis in range(3):
-            inner = (slice(None),) * (2 - axis)
-            grid[gi[:1 + axis] + (slice(None, gi[1 + axis].start),) + inner] = 0
-            grid[gi[:1 + axis] + (slice(gi[1 + axis].stop, None),) + inner] = 0
-        fills.append((grid[gi], xi))
+        fills.append((rows[i, :, lead:lead + n].reshape((C, B) + q)[gi], xi))
     return rows, fills
 
 
-def _to_rows(x, stride, padding, q, phases, width, lead=0):
-    """Copy (B, C, D, H, W) ``x`` into the rows of ``_framed_rows``.  The copy
-    keeps W as the inner axis, and each row is written once."""
-    rows, fills = _framed_rows(x.shape, x.dtype, stride, padding, q, phases, width, lead)
-    xc = x.transpose(1, 0, 2, 3, 4)
+def _to_rows(parts, stride, padding, q, phases, width, lead=0):
+    """Copy the (B, C_i, D, H, W) arrays ``parts``, joined along C in order
+    and promoted to one dtype as ``np.concatenate`` does, into the rows of
+    ``_framed_rows``, each sample once, W as inner axis."""
+    bounds = [0, *itertools.accumulate(p.shape[1] for p in parts)]
+    shape = parts[0].shape[:1] + (bounds[-1],) + parts[0].shape[2:]
+    rows, fills = _framed_rows(shape, np.result_type(*parts), stride, padding, q, phases,
+                               width, lead)
     for view, xi in fills:
-        view[...] = xc[xi]
+        for p, lo, hi in zip(parts, bounds, bounds[1:]):
+            view[lo:hi] = p.transpose(1, 0, 2, 3, 4)[xi]
     return rows
 
 
@@ -375,7 +371,7 @@ def _conv_rows(xr, k, taps, nch, L):
     """Strided cross-correlation by per-tap GEMMs, as (1, Co, nch*L) rows on
     the input's phase grid (B, qd, qh, qw).
 
-    ``xr`` is ``_to_rows(x)`` for the layout ``q, taps, nch, L`` of
+    ``xr`` is ``_to_rows((x,))`` for the layout ``q, taps, nch, L`` of
     ``_phase_layout``, with ``taps`` indexing its phases as ``_packed_taps``
     gives them.  Output row r sums, over the taps,
     ``k_tap @ xr[phase, :, offset + r]``.  A row whose read wraps across a
@@ -390,7 +386,7 @@ def _conv_adjoint(gr, k, stride, padding, q, taps, nch, L, shape):
     """Adjoint of ``_conv_rows`` with identical geometry, returning the
     (B, Ci, D, H, W) array of ``shape``.
 
-    ``gr`` is the cotangent's rows ``_to_rows(y, ..., lead=maxoff)``: the
+    ``gr`` is the cotangent's rows ``_to_rows((y,), ..., lead=maxoff)``: the
     cotangent embedded in the phase grid of the conv input, zero outside the
     output, after ``maxoff`` (the largest tap offset) leading zero rows.  The
     adjoint is a gather: row p of the input's phase gains
@@ -439,17 +435,20 @@ def _conv_kernel_grad(xr, g, k_shape, taps, nch, L):
     return np.ascontiguousarray(gk.transpose(1, 2, 0)).reshape(k_shape)
 
 
-def conv_nd(x, kernel, stride=1, padding=0, bias=None, norm=None, skip=None, relu=False):
+def conv_nd(x, kernel, stride=1, padding=0, bias=None, norm=None, skip=None, relu=False,
+            concat=None):
     """Strided zero-padded cross-correlation, with an optional instance-norm
     epilogue: relu(IN(conv(x)) + skip) in one tape node.
 
     ``x``: (B, C_in, D, H, W); ``kernel``: (C_out, C_in, k_d, k_h, k_w);
-    optional ``bias``: (C_out,).  Output extent per axis is
-    floor((n + 2p - k)/s) + 1; the output has ``x``'s dtype.  Computed as
-    per-tap GEMMs over the channel-major stride phases of the padded input
-    (see the module docstring); the backward builds the cotangent's rows
-    once for the adjoint and kernel-gradient GEMMs, and skips the adjoint
-    when ``x`` does not require grad.
+    optional ``bias``: (C_out,).  With ``concat``, a (B, C_c, D, H, W) map,
+    the input is ``x`` and ``concat`` joined along C as by ``np.concatenate``
+    (with no joined copy) and the kernel takes C_in + C_c channels.  Output
+    extent per axis is floor((n + 2p - k)/s) + 1; the output has the input's
+    dtype.  Computed as per-tap GEMMs over the channel-major stride phases of
+    the padded input (see the module docstring); the backward builds the
+    cotangent's rows once for the adjoint and kernel-gradient GEMMs, and
+    skips the adjoint when no input requires grad.
 
     ``norm=(gamma, beta)``, each (C_out,), normalizes each (batch, channel)
     of the conv output over its positions as ``affine_norm`` over (2, 3, 4)
@@ -460,16 +459,21 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None, norm=None, skip=None, rel
     """
     stride = _triple(stride, "stride")
     padding = _triple(padding, "padding")
-    _check_conv_geometry(x.shape, kernel.shape, stride, padding)
-    if x.shape[1] != kernel.shape[1]:
+    inputs = (x,) if concat is None else (x, concat)
+    if concat is not None and concat.shape[:1] + concat.shape[2:] != x.shape[:1] + x.shape[2:]:
+        raise ValueError(f"conv: concat shape {concat.shape} does not match input shape "
+                         f"{x.shape} outside the channel axis")
+    in_shape = x.shape[:1] + (sum(t.shape[1] for t in inputs),) + x.shape[2:]
+    _check_conv_geometry(in_shape, kernel.shape, stride, padding)
+    if in_shape[1] != kernel.shape[1]:
         raise ValueError(
-            f"conv: input has {x.shape[1]} channels, kernel expects {kernel.shape[1]}")
+            f"conv: input has {in_shape[1]} channels, kernel expects {kernel.shape[1]}")
     co = kernel.shape[0]
     if bias is not None and bias.shape != (co,):
         raise ValueError(f"conv: bias shape {bias.shape} != ({co},)")
     out_shape = (x.shape[0], co) + tuple(
         conv_output_extent(n, kk, s, p)
-        for n, kk, s, p in zip(x.shape[2:], kernel.shape[2:], stride, padding))
+        for n, kk, s, p in zip(in_shape[2:], kernel.shape[2:], stride, padding))
     if norm is None:
         if skip is not None or relu:
             raise ValueError("conv: skip and relu are parts of the norm epilogue; pass norm")
@@ -482,31 +486,34 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None, norm=None, skip=None, rel
         if skip is not None and skip.shape != out_shape:
             raise ValueError(f"conv: skip shape {skip.shape} != output shape {out_shape}")
 
-    xd, kd = x.data, kernel.data
+    xs, kd = tuple(t.data for t in inputs), kernel.data
     k_shape = kernel.shape
-    q, taps, nch, L = _phase_layout(x.shape, k_shape, stride, padding)
+    q, taps, nch, L = _phase_layout(in_shape, k_shape, stride, padding)
     maxoff = taps[-1][1]
     width = nch * L + maxoff
     phases, row_taps = _packed_taps(taps)
-    acc = _conv_rows(_to_rows(xd, stride, padding, q, phases, width), kd, row_taps, nch, L)
-    input_grad = x.requires_grad
+    acc = _conv_rows(_to_rows(xs, stride, padding, q, phases, width), kd, row_taps, nch, L)
+    input_grad = any(t.requires_grad for t in inputs)
+    splits = np.cumsum([t.shape[1] for t in inputs])[:-1]
 
     def conv_grads(gr):
-        """(dx, dkernel) from the cotangent's rows ``gr`` (see ``_conv_adjoint``)."""
-        return ((_conv_adjoint(gr, kd, stride, padding, q, taps, nch, L, xd.shape)
-                 if input_grad else None),
-                _conv_kernel_grad(_to_rows(xd, stride, padding, q, phases, width),
-                                  gr[0, :, maxoff:], k_shape, row_taps, nch, L))
+        """One gradient per input (views of one array, split along C), then
+        dkernel, from the cotangent's rows ``gr`` (see ``_conv_adjoint``)."""
+        dxs = (np.split(_conv_adjoint(gr, kd, stride, padding, q, taps, nch, L, in_shape),
+                        splits, axis=1)
+               if input_grad else [None] * len(inputs))
+        return (*dxs, _conv_kernel_grad(_to_rows(xs, stride, padding, q, phases, width),
+                                        gr[0, :, maxoff:], k_shape, row_taps, nch, L))
 
     if norm is None:
         out = _from_rows(acc, (1, 1, 1), (0, 0, 0), q, out_shape)
-        parents = (x, kernel)
+        parents = inputs + (kernel,)
         if bias is not None:
             out += bias.data.reshape(1, -1, 1, 1, 1)
             parents += (bias,)
 
         def bk(g):
-            grads = conv_grads(_to_rows(g, (1, 1, 1), (0, 0, 0), q, {0}, width, lead=maxoff))
+            grads = conv_grads(_to_rows((g,), (1, 1, 1), (0, 0, 0), q, {0}, width, lead=maxoff))
             if bias is not None:
                 grads += (g.sum(axis=(0, 2, 3, 4)),)
             return grads
@@ -514,7 +521,7 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None, norm=None, skip=None, rel
         return make_node(out, parents, "conv_nd", bk)
 
     gamma, beta = norm
-    parents = (x, kernel, gamma, beta) + (() if skip is None else (skip,))
+    parents = inputs + (kernel, gamma, beta) + (() if skip is None else (skip,))
     gd = gamma.data.reshape(1, -1, 1, 1, 1)
     count = math.prod(out_shape[2:])
     per_map = out_shape[:2] + (1, 1, 1)     # one statistic per (batch, channel)
@@ -554,7 +561,7 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None, norm=None, skip=None, rel
         dx -= s0 * scale / count
         np.multiply(xhat, s1 * scale / count, out=xhat)
         # the last pass writes dx straight into the embedded output of the
-        # cotangent rows, whose zero frame the conv backward needs
+        # zero-filled cotangent rows that the conv backward reads
         gr, ((grid, _),) = _framed_rows(out_shape, g.dtype, (1, 1, 1), (0, 0, 0), q, {0},
                                         width, lead=maxoff)
         np.subtract(dx, xhat, out=grid.transpose(1, 0, 2, 3, 4))
@@ -593,16 +600,16 @@ def conv_transpose_nd(x, kernel, stride=1, padding=0):
                                     stride, padding)
     maxoff = taps[-1][1]
     width = nch * L + maxoff
-    out = _conv_adjoint(_to_rows(xd, (1, 1, 1), (0, 0, 0), q, {0}, width, lead=maxoff),
+    out = _conv_adjoint(_to_rows((xd,), (1, 1, 1), (0, 0, 0), q, {0}, width, lead=maxoff),
                         kd, stride, padding, q, taps, nch, L,
                         (x.shape[0], k_shape[1]) + out_spatial)
 
     def bk(g):
         phases, row_taps = _packed_taps(taps)
-        gr = _to_rows(g, stride, padding, q, phases, width)
+        gr = _to_rows((g,), stride, padding, q, phases, width)
         return (_from_rows(_conv_rows(gr, kd, row_taps, nch, L), (1, 1, 1), (0, 0, 0), q,
                            xd.shape),
-                _conv_kernel_grad(gr, _to_rows(xd, (1, 1, 1), (0, 0, 0), q, {0}, width)[0],
+                _conv_kernel_grad(gr, _to_rows((xd,), (1, 1, 1), (0, 0, 0), q, {0}, width)[0],
                                   k_shape, row_taps, nch, L))
 
     return make_node(out, (x, kernel), "conv_transpose_nd", bk)
@@ -745,12 +752,13 @@ class Conv(Module):
             kaiming_uniform(rng, (out_channels, in_channels) + ks, fan_in, dtype))
         self.bias = Parameter(np.zeros(out_channels, dtype=dtype)) if bias else None
 
-    def forward(self, x, norm=None, skip=None, relu=False):
-        """``conv_nd`` of ``x``; with an ``InstanceNorm`` module as ``norm``,
-        its epilogue relu(norm(conv(x)) + skip) in the same node."""
+    def forward(self, x, norm=None, skip=None, relu=False, concat=None):
+        """``conv_nd`` of ``x`` (joined along C with ``concat``, if given);
+        with an ``InstanceNorm`` module as ``norm``, its epilogue
+        relu(norm(conv(x)) + skip) in the same node."""
         return conv_nd(x, self.kernel, self.stride, self.padding, self.bias,
                        norm=None if norm is None else (norm.gamma, norm.beta),
-                       skip=skip, relu=relu)
+                       skip=skip, relu=relu, concat=concat)
 
 
 

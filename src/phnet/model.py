@@ -31,7 +31,6 @@ from .layers import (
     ResidualConvBlock,
     SeparableConvBlock,
 )
-from .autograd import concat
 from .data import atomic_write
 from .mlpp import MLPPBlock, MLPPConfig
 
@@ -188,8 +187,8 @@ class _MLPPStage(Module):
 
 class _DecoderStage(Module):
     """conv_transpose upsampling (kernel = stride, mirroring one encoder
-    stage), channel-concat skip fusion via 1x1x1 projection, then a
-    separable conv block."""
+    stage), a 1x1x1 projection of the upsampled map joined with the skip
+    along C (one ``conv_nd`` node), then a separable conv block."""
 
     def __init__(self, in_channels, skip_channels, out_channels, stride, rng, dtype):
         self.up = ConvTranspose(in_channels, out_channels, stride, rng=rng, dtype=dtype)
@@ -201,10 +200,7 @@ class _DecoderStage(Module):
     def forward(self, x, skip):
         h = self.up(x)
         if self.proj is not None:
-            if skip.shape[2:] != h.shape[2:]:
-                raise ValueError(
-                    f"skip shape {skip.shape} does not match upsampled {h.shape}")
-            h = self.proj(concat((h, skip), axis=1))
+            h = self.proj(h, concat=skip)
         return self.sep(h)
 
 
@@ -408,8 +404,9 @@ def save_checkpoint(net, path, meta=None):
 def _read_checkpoint_header(f, path):
     """Parse and validate the manifest line of checkpoint file ``f``, leaving
     ``f`` at the start of the payload.  Raises ``ValueError`` for a foreign
-    or malformed header and for a payload whose length is not the total the
-    parameter entries declare (a truncated file or trailing bytes)."""
+    or malformed header (bools are not ints here), for entries that do not
+    tile the payload in the order ``save_checkpoint`` writes them, and for a
+    payload of another length (a truncated file or trailing bytes)."""
     manifest = json.loads(f.readline().decode("utf-8"))
     if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
@@ -419,9 +416,12 @@ def _read_checkpoint_header(f, path):
     declared = 0
     for e in manifest["params"]:
         if not (isinstance(e, dict) and {"name", "shape", "offset"} <= e.keys()
-                and isinstance(e["offset"], int) and isinstance(e["shape"], list)
-                and all(isinstance(n, int) and n >= 0 for n in e["shape"])):
+                and isinstance(e["shape"], list)
+                and all(type(n) is int and n >= 0 for n in [e["offset"], *e["shape"]])):
             raise ValueError(f"{path}: malformed parameter entry {e!r}")
+        if e["offset"] != declared:
+            raise ValueError(f"{path}: parameter {e['name']!r} starts at byte {e['offset']}, "
+                             f"but the entries before it end at byte {declared}")
         declared += 4 * math.prod(e["shape"])
     payload = os.fstat(f.fileno()).st_size - f.tell()
     if payload != declared:

@@ -10,7 +10,6 @@ from phnet.autograd import (
     backward,
     add,
     add_scalar,
-    concat,
     grad_check,
     make_node,
     mul,
@@ -319,15 +318,6 @@ def test_composite_gradients_at_random_points():
     for i in range(100):
         pt = rng.normal(size=(6, 2)) + 0.1
         assert grad_check(f, Tensor(pt), h=1e-5) < 1e-5
-
-
-def test_concat_grad_splits():
-    a = Tensor(rand((2, 3), seed=19), requires_grad=True)
-    b = Tensor(rand((2, 2), seed=20), requires_grad=True)
-    out = concat((a, b), axis=1)
-    backward((out * out).sum())
-    np.testing.assert_allclose(a.grad, 2 * a.data, atol=1e-15)
-    np.testing.assert_allclose(b.grad, 2 * b.data, atol=1e-15)
 
 
 def test_no_grad_disables_recording():

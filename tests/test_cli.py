@@ -260,6 +260,11 @@ MALFORMED = {
     "entry_without_name": _drop_param_key("name"),
     "entry_without_shape": _drop_param_key("shape"),
     "entry_without_offset": _drop_param_key("offset"),
+    "overlapping_offsets": lambda h, p: (
+        {**h, "params": [h["params"][0], {**h["params"][1], "offset": 0}] + h["params"][2:]},
+        p),
+    "bool_offset": lambda h, p: (
+        {**h, "params": [{**h["params"][0], "offset": False}] + h["params"][1:]}, p),
     "truncated_payload": lambda h, p: (h, p[:-4]),
     "trailing_bytes": lambda h, p: (h, p + bytes(4)),
 }
@@ -322,6 +327,30 @@ class TestMalformedManifest:
         err = capsys.readouterr().err
         assert code == 2
         assert "error:" in err and "Traceback" not in err
+
+
+BAD_DATASET_FIELDS = {
+    "spacing_of_strings": ("spacing_mm", ["1", "1", "4"]),
+    "zero_spacing": ("spacing_mm", [1.0, 0.0, 4.0]),
+    "one_class": ("num_classes", 1),
+    "bool_classes": ("num_classes", True),
+    "float_classes": ("num_classes", 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DATASET_FIELDS))
+def test_train_exits_2_naming_a_bad_manifest_field(case, dataset, tmp_path, capsys):
+    field, value = BAD_DATASET_FIELDS[case]
+    root = tmp_path / "data"
+    shutil.copytree(dataset, root)
+    doc = read_manifest(root / "manifest.json")
+    (root / "manifest.json").write_text(json.dumps({**doc, field: value}))
+    code = main(["train", "--data-dir", str(root), "--out-dir",
+                 str(tmp_path / "run"), "--epochs", "1"] + TINY_MODEL)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "manifest.json" in err and field in err
+    assert "Traceback" not in err
 
 
 BAD_HEADERS = {

@@ -477,6 +477,26 @@ class TestVolumeIO:
                                 {"id": "case_001", "split": "val"}]
         assert doc["num_classes"] == 3
 
+    @pytest.mark.parametrize("field,value", [
+        ("spacing_mm", ["1", "1", "4"]), ("spacing_mm", [1.0, 1.0]), ("spacing_mm", 4.0),
+        ("spacing_mm", [1.0, 0.0, 4.0]), ("spacing_mm", [1.0, 1.0, float("nan")]),
+        ("spacing_mm", [True, 1.0, 4.0]), ("spacing_mm", None),
+        ("num_classes", 1), ("num_classes", 2.0), ("num_classes", "3"),
+        ("num_classes", True), ("num_classes", None)])
+    def test_manifest_dataset_fields_rejected_naming_file_and_field(self, tmp_path,
+                                                                    field, value):
+        path = tmp_path / "manifest.json"
+        write_manifest(path, [("case_000", "train")], extra={field: value})
+        with pytest.raises(ValueError) as info:
+            read_manifest(path)
+        assert str(info.value).startswith(f"{path}: {field} must be")
+
+    def test_manifest_dataset_fields_accepted(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        write_manifest(path, [("case_000", "train")],
+                       extra={"spacing_mm": [0.7, 1, 2.5], "num_classes": 14})
+        assert read_manifest(path)["spacing_mm"] == [0.7, 1, 2.5]
+
     def test_manifest_missing_cases_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("{}")

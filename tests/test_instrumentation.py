@@ -39,3 +39,48 @@ def test_benchmark_instrumentation_finds_every_wrapped_name():
     assert out["counts"].get("layers.linear.macs", 0) > 0
     [(_, counted, count_flops)] = out["flop_checks"]
     assert counted == count_flops > 0
+
+
+TRACED_STEP = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import env
+env.prepare()
+import numpy as np
+from spans import Tracer, instrument
+tracer = Tracer()
+instrument(tracer)
+from phnet import autograd, metrics
+from phnet.model import PHNet, PHNetConfig
+cfg = PHNetConfig(num_stages=4, base_channels=4, max_channels=16, in_channels=1,
+                  num_classes=2, voxel_spacing_mm=(1, 1, 2), patch_size=(16, 16, 8),
+                  blocks_per_stage=1)
+net = PHNet(cfg, seed=0)
+rng = np.random.default_rng(0)
+x = rng.normal(size=(2, 1, 8, 16, 16)).astype(np.float32)
+y = rng.integers(0, 2, size=(2, 8, 16, 16))
+tracer.enabled = True
+loss = metrics.dice_ce_loss(net(autograd.Tensor(x)), y)
+ops = [n._op for n in autograd.trace(loss)]
+autograd.backward(loss)
+with autograd.no_grad():
+    net(autograd.Tensor(x[:1]))
+print(json.dumps({"counts": tracer.counts, "flop_checks": tracer.flop_checks, "ops": ops,
+                  "skip_stages": sum(s.proj is not None for s in net.decoder)}))
+"""
+
+
+def test_traced_step_counts_the_flops_of_every_forward():
+    # the --trace 1 contract on a 4-stage net whose decoder joins skips: every
+    # traced forward, with and without the tape, counts exactly the FLOPs of
+    # PHNet.count_flops, and the backward reports the tape it walks
+    proc = subprocess.run([sys.executable, "-c", TRACED_STEP, str(ROOT / "perfbench")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["skip_stages"] == 3
+    assert len(out["flop_checks"]) == 2
+    for _, counted, expected in out["flop_checks"]:
+        assert counted == expected > 0
+    assert out["counts"]["autograd.tape_nodes"] == len(out["ops"])
+    assert "concat" not in out["ops"]

@@ -472,7 +472,7 @@ def test_strided_1x1x1_conv_packs_the_one_phase_it_reads(stride, dtype):
     q, taps, nch, L = layers._phase_layout(x.shape, kern.shape, stride, (0, 0, 0))
     phases, row_taps = layers._packed_taps(taps)
     assert (phases, row_taps) == ([0], [(0, 0)])
-    assert layers._to_rows(x, stride, (0, 0, 0), q, phases, nch * L).shape == (1, 3, nch * L)
+    assert layers._to_rows((x,), stride, (0, 0, 0), q, phases, nch * L).shape == (1, 3, nch * L)
     check_kernels_match_per_call_kernels_bitwise(x, kern, stride, (0, 0, 0), rng)
 
 
@@ -573,7 +573,7 @@ def gemm_operands(dtype=np.float32):
     x, k, y = geometry_arrays(((2, 2, 3), stride, padding, (4, 7, 9), 2, 3, 2, 5), dtype)
     q, taps, nch, L = layers._phase_layout(x.shape, k.shape, stride, padding)
     width = nch * L + taps[-1][1]
-    xr = layers._to_rows(x, stride, padding, q, {ph for ph, _ in taps}, width)
+    xr = layers._to_rows((x,), stride, padding, q, {ph for ph, _ in taps}, width)
     kt = np.ascontiguousarray(k.reshape(2, 3, -1).transpose(2, 0, 1))
     g = np.zeros((2, nch * L), dtype)
     g[:, :y.size // 2] = y.transpose(1, 0, 2, 3, 4).reshape(2, -1)
@@ -670,21 +670,26 @@ def zero_filled_rows(x, stride, padding, phases, width, lead):
 
 @st.composite
 def row_layouts(draw):
-    """(shape, stride, padding, filled phases, lead, tail rows, seed)."""
+    """(shape, stride, padding, filled phases, lead, tail rows, seed, channel
+    split: the input comes as two parts joined at this channel, or as one
+    part when it is C)."""
     stride = tuple(draw(st.integers(1, 3)) for _ in range(3))
     padding = tuple(draw(st.integers(0, 2)) for _ in range(3))
     shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3))) + tuple(
         draw(st.integers(1, 6)) for _ in range(3))
     phases = draw(st.sets(st.integers(0, math.prod(stride) - 1)))
     return (shape, stride, padding, phases, draw(st.integers(1, 4)), draw(st.integers(0, 4)),
-            draw(st.integers(0, 2 ** 16)))
+            draw(st.integers(0, 2 ** 16)), draw(st.integers(1, shape[1])))
 
 
 @given(row_layouts())
-@example(((2, 3, 5, 6, 8), (2, 3, 3), (1, 1, 0), {0, 5, 17}, 3, 0, 1))
+@example(((2, 3, 5, 6, 8), (2, 3, 3), (1, 1, 0), {0, 5, 17}, 3, 0, 1, 3))
+@example(((2, 3, 5, 6, 8), (2, 3, 3), (1, 1, 0), {0, 5, 17}, 3, 0, 1, 1))
 def test_to_rows_writes_every_row_of_uninitialized_memory(layout):
-    shape, stride, padding, phases, lead, tail, seed = layout
+    # rows from the parts of a split input are bitwise the rows of the whole
+    shape, stride, padding, phases, lead, tail, seed, cut = layout
     x = np.random.default_rng(seed).normal(size=shape).astype(np.float32)
+    parts = (x,) if cut == shape[1] else (x[:, :cut], x[:, cut:])
     q = tuple(-(-(n + 2 * p) // s) for n, p, s in zip(shape[2:], padding, stride))
     width = lead + shape[0] * math.prod(q) + tail
     want = zero_filled_rows(x, stride, padding, phases, width, lead)
@@ -697,7 +702,7 @@ def test_to_rows_writes_every_row_of_uninitialized_memory(layout):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np, "empty", nan_filled)
-        got = layers._to_rows(x, stride, padding, q, phases, width, lead=lead)
+        got = layers._to_rows(parts, stride, padding, q, phases, width, lead=lead)
     assert_bitwise(got, want)
 
 
@@ -1017,6 +1022,106 @@ def test_conv_norm_epilogue_rejects_bad_arguments():
         conv_nd(x, k, (1, 2, 2), (0, 1, 1), norm=(gamma, beta), skip=skip)
     with pytest.raises(ValueError, match="gamma and beta"):
         conv_nd(x, k, 1, (0, 1, 1), norm=(Tensor(arrays[2][:2]), beta))
+
+
+# ---------------------------------------------------------------------------
+# conv_nd with a concat input: conv(join(x, concat)) without the join
+# ---------------------------------------------------------------------------
+
+# (kernel, stride, padding, epilogue): the decoder's 1x1x1 projection with and
+# without a bias, a padded strided 3x3x3 conv, and the full norm epilogue
+CONCAT_CASES = {
+    "decoder-1x1x1": ((1, 1, 1), (1, 1, 1), (0, 0, 0), None),
+    "decoder-1x1x1-bias": ((1, 1, 1), (1, 1, 1), (0, 0, 0), "bias"),
+    "padded-strided-3x3x3": ((3, 3, 3), (2, 2, 2), (1, 1, 1), None),
+    "norm-skip-relu": ((1, 3, 3), (1, 2, 2), (0, 1, 1), "norm"),
+}
+
+
+def concat_conv_inputs(case, dtype, x_channels=3, c_channels=2, seed=0):
+    """x, concat, kernel, the epilogue's arrays (bias, or gamma, beta and
+    skip) and a cotangent for ``CONCAT_CASES[case]``."""
+    ks, stride, padding, epilogue = CONCAT_CASES[case]
+    rng = np.random.default_rng(seed)
+    spatial = (5, 6, 7)
+    co = 4
+    out_shape = (2, co) + tuple(conv_output_extent(n, k, s, p)
+                                for n, k, s, p in zip(spatial, ks, stride, padding))
+    extra = {None: [], "bias": [rng.normal(size=co)],
+             "norm": [1.0 + 0.5 * rng.normal(size=co), rng.normal(size=co),
+                      rng.normal(size=out_shape)]}[epilogue]
+    arrays = [rng.normal(size=(2, x_channels) + spatial),
+              rng.normal(size=(2, c_channels) + spatial),
+              rng.normal(size=(co, x_channels + c_channels) + ks)] + extra
+    return [a.astype(dtype) for a in arrays], rng.normal(size=out_shape).astype(dtype)
+
+
+def concat_conv(case, x, c, kernel, extra):
+    """``conv_nd`` of ``CONCAT_CASES[case]``; the input is ``x`` joined with
+    ``c`` along C, or ``x`` alone when ``c`` is None."""
+    _, stride, padding, epilogue = CONCAT_CASES[case]
+    kwargs = ({} if epilogue is None else {"bias": extra[0]} if epilogue == "bias"
+              else {"norm": tuple(extra[:2]), "skip": extra[2], "relu": True})
+    return conv_nd(x, kernel, stride, padding, concat=c, **kwargs)
+
+
+# (x dtype, concat dtype): a float64 net run on float32 volumes joins its
+# float64 decoder maps with float32 skips, which the join promotes
+CONCAT_DTYPES = [(np.float32, np.float32), (np.float64, np.float64),
+                 (np.float64, np.float32), (np.float32, np.float64)]
+
+
+@pytest.mark.parametrize("dtypes", CONCAT_DTYPES, ids=lambda d: f"{d[0].__name__}+{d[1].__name__}")
+@pytest.mark.parametrize("grad_of", ["both", "x", "concat"])
+@pytest.mark.parametrize("case", sorted(CONCAT_CASES))
+def test_conv_concat_input_is_bitwise_the_conv_of_the_joined_input(case, grad_of, dtypes):
+    arrays, g = concat_conv_inputs(case, np.result_type(*dtypes), seed=len(case))
+    x, c, kernel, *extra = arrays
+    x, c = x.astype(dtypes[0]), c.astype(dtypes[1])
+    xt = Tensor(x, requires_grad=grad_of in ("both", "x"))
+    ct = Tensor(c, requires_grad=grad_of in ("both", "concat"))
+    params = [Parameter(a) for a in [kernel] + extra]
+    out = concat_conv(case, xt, ct, params[0], params[1:])
+    backward((out * Tensor(g)).sum())
+
+    joined = Tensor(np.concatenate([x, c], axis=1), requires_grad=True)
+    joined_params = [Parameter(a) for a in [kernel] + extra]
+    want = concat_conv(case, joined, None, joined_params[0], joined_params[1:])
+    backward((want * Tensor(g)).sum())
+
+    assert out.data.dtype == np.result_type(*dtypes)
+    assert_bitwise(out.data, want.data)
+    want_x, want_c = joined.grad[:, :x.shape[1]], joined.grad[:, x.shape[1]:]
+    for t, want_grad in ((xt, want_x), (ct, want_c)):
+        if t.requires_grad:
+            assert_bitwise(t.grad, want_grad)
+        else:
+            assert t.grad is None
+    for got_p, want_p in zip(params, joined_params):
+        assert_bitwise(got_p.grad, want_p.grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(CONCAT_CASES))
+def test_conv_concat_input_under_no_grad_is_bitwise_the_joined_input(case, dtype):
+    arrays, _ = concat_conv_inputs(case, dtype, seed=len(case) + 1)
+    x, c, kernel, *extra = arrays
+    params = [Parameter(a) for a in [kernel] + extra]
+    with no_grad():
+        got = concat_conv(case, Tensor(x), Tensor(c), params[0], params[1:])
+        want = concat_conv(case, Tensor(np.concatenate([x, c], axis=1)), None,
+                           params[0], params[1:])
+    assert got._backward is None
+    assert_bitwise(got.data, want.data)
+
+
+@pytest.mark.parametrize("bad", ["batch", "spatial", "channels"])
+def test_conv_concat_input_rejects_a_mismatch(bad):
+    arrays, _ = concat_conv_inputs("decoder-1x1x1", np.float32)
+    x, c, kernel = arrays
+    c = {"batch": c[:1], "spatial": c[..., :-1], "channels": c[:, :1]}[bad]
+    with pytest.raises(ValueError, match="conv"):
+        conv_nd(Tensor(x), Tensor(kernel), concat=Tensor(c))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -275,13 +276,14 @@ def test_tape_has_one_node_per_norm_and_linear(small_train_tape):
 
 def test_forward_calls_the_module_level_conv_nd_once_per_conv(monkeypatch):
     # perfbench's --trace 1 counts conv MACs by rebinding layers.conv_nd at
-    # module level and reading (x, kernel) from the positional arguments
+    # module level and reading the batch of x and the kernel from the
+    # positional arguments; the decoder's skip comes as the concat= keyword
     calls = []
     conv_nd = layers.conv_nd
 
     def counting(*args, **kwargs):
         out = conv_nd(*args, **kwargs)
-        calls.append((args, out.shape))
+        calls.append((args, kwargs.get("concat"), out.shape))
         return out
 
     monkeypatch.setattr(layers, "conv_nd", counting)
@@ -290,9 +292,14 @@ def test_forward_calls_the_module_level_conv_nd_once_per_conv(monkeypatch):
     net(x)
     convs = [m for m in submodules(net) if isinstance(m, layers.Conv)]
     assert len(calls) == len(convs)
-    assert sorted(id(args[1]) for args, _ in calls) == sorted(id(m.kernel) for m in convs)
-    for args, shape in calls:
-        assert isinstance(args[0], Tensor) and args[0].shape[:2] == (2, args[1].shape[1])
+    assert sorted(id(args[1]) for args, _, _ in calls) == sorted(id(m.kernel) for m in convs)
+    decoder_projs = {id(stage.proj.kernel) for stage in net.decoder if stage.proj is not None}
+    assert decoder_projs
+    for args, concat, shape in calls:
+        assert isinstance(args[0], Tensor) and args[0].shape[0] == 2
+        assert (concat is not None) == (id(args[1]) in decoder_projs)
+        channels = args[0].shape[1] + (0 if concat is None else concat.shape[1])
+        assert channels == args[1].shape[1]
         assert shape[:2] == (2, args[1].shape[0])
 
 
@@ -511,6 +518,42 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path.write_bytes(b'{"format": "something-else"}\n')
     with pytest.raises(ValueError):
         load_checkpoint(PHNet(ANISO, seed=0), path)
+
+
+def _overlapping(params):
+    params[1]["offset"] = params[0]["offset"]
+
+
+def _gapped(params):
+    params[1]["offset"] += 4
+
+
+def _reordered(params):
+    params[0], params[1] = params[1], params[0]
+
+
+def _bool_offset(params):
+    params[0]["offset"] = False            # == 0, the offset it replaces
+
+
+def _bool_extent(params):
+    entry = next(e for e in params if 1 in e["shape"])
+    entry["shape"][entry["shape"].index(1)] = True
+
+
+@pytest.mark.parametrize("edit", [_overlapping, _gapped, _reordered, _bool_offset,
+                                  _bool_extent])
+def test_checkpoint_entries_must_tile_the_payload_in_order(tmp_path, edit):
+    # each edit keeps the payload length the entries declare, so only the
+    # offsets (or the types of the numbers) are wrong
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(PHNet(ANISO, seed=0), path)
+    line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    edit(header["params"])
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(ValueError, match="model.ckpt"):
+        load_checkpoint(PHNet(ANISO, seed=1), path)
 
 
 # ---------------------------------------------------------------------------
