@@ -33,6 +33,9 @@ __all__ = [
     "zscore",
 ]
 
+# labels are uint8 class ids, so a segmentation has at most 256 classes
+MAX_CLASSES = 256
+
 
 @dataclass
 class Volume:
@@ -324,7 +327,8 @@ def read_manifest(path):
                 and isinstance(e.get("split", ""), str)):
             raise ValueError(f"{path}: malformed case entry {e!r}")
     for key, valid, want in (("spacing_mm", _is_spacing, "3 positive finite numbers"),
-                             ("num_classes", lambda n: type(n) is int and n >= 2, "an int >= 2")):
+                             ("num_classes", lambda n: type(n) is int and 2 <= n <= MAX_CLASSES,
+                              f"an int in [2, {MAX_CLASSES}]")):
         if key in doc and not valid(doc[key]):
             raise ValueError(f"{path}: {key} must be {want}, got {doc[key]!r}")
     return doc

@@ -7,8 +7,11 @@ backward and optimizer seconds, gradient norm and peak RSS so far), and
 checkpoints whenever the validation Dice improves.
 
 Inference runs a sliding window at the training patch size with 50% overlap
-and uniform logit averaging; windows are stitched in a canonical sorted order
-so the result is independent of traversal order.  A window spanning the whole
+and uniform logit averaging.  Each window's logits are added into one float64
+sum as its forward returns, in the canonical (z, y, x) order that
+``stitch_windows`` sorts any window list into, so the result equals that
+order-independent stitch bitwise while memory stays O(classes * volume)
+rather than growing with the window count.  A window spanning the whole
 volume reduces exactly to a single forward pass.
 """
 
@@ -208,7 +211,10 @@ def window_starts(extent, patch):
 def stitch_windows(shape, windows):
     """Uniformly average per-window logits into a full (K, D, H, W) float64
     grid.  Windows are accumulated in canonical (z, y, x) start order, so the
-    output is bitwise independent of the order they are supplied in."""
+    output is bitwise independent of the order they are supplied in.  It
+    holds every window it is given plus a sum, a count map and their
+    quotient; ``sliding_window_logits`` streams its windows instead and
+    matches this function bitwise."""
     ordered = sorted(windows, key=lambda item: tuple(item[0]))
     k = ordered[0][1].shape[0]
     acc = np.zeros((k,) + tuple(shape), dtype=np.float64)
@@ -222,21 +228,43 @@ def stitch_windows(shape, windows):
     return acc / cnt[None]
 
 
+def _coverage(extent, patch, starts):
+    """How many windows of ``patch`` voxels, starting at ``starts``, cover
+    each voxel of an axis of ``extent`` voxels (float64)."""
+    counts = np.zeros(extent)
+    for s in starts:
+        counts[s:s + patch] += 1.0
+    return counts
+
+
 def sliding_window_logits(net, grid, patch_dhw):
-    """Averaged class logits (K, D, H, W) for a normalized (D, H, W) grid."""
+    """Averaged class logits (K, D, H, W) float64 for a normalized (D, H, W)
+    grid.
+
+    Each window is fed to ``net`` in ``net.dtype``.  Its logits are added into
+    one float64 sum as soon as its forward returns, in the canonical (z, y, x)
+    start order that ``stitch_windows`` sorts into, and the sum is divided in
+    place by the count map, the product of the per-axis window counts (small
+    integers, so exact).  The result is bitwise ``stitch_windows`` of the same
+    windows, and memory is O(K * volume) whatever the window count."""
     pd, ph, pw = patch_dhw
-    starts = [window_starts(grid.shape[0], pd),
-              window_starts(grid.shape[1], ph),
-              window_starts(grid.shape[2], pw)]
-    windows = []
+    starts = [window_starts(n, p) for n, p in zip(grid.shape, patch_dhw)]
+    cz, cy, cx = (_coverage(n, p, s) for n, p, s in zip(grid.shape, patch_dhw, starts))
+    if not (cz.all() and cy.all() and cx.all()):
+        raise ValueError("windows do not cover the volume")
+    acc = None
     with ag.no_grad():
         for z in starts[0]:
             for y in starts[1]:
                 for x in starts[2]:
                     patch = grid[z:z + pd, y:y + ph, x:x + pw]
-                    t = ag.Tensor(patch[None, None].astype(np.float32))
-                    windows.append(((z, y, x), net(t).data[0]))
-    return stitch_windows(grid.shape, windows)
+                    logits = net(ag.Tensor(patch[None, None].astype(net.dtype))).data[0]
+                    if acc is None:
+                        acc = np.zeros((logits.shape[0],) + grid.shape)
+                    # float32 logits widen exactly to float64 inside the add
+                    acc[:, z:z + pd, y:y + ph, x:x + pw] += logits
+    acc /= cz[:, None, None] * cy[:, None] * cx
+    return acc
 
 
 def _on_model_grid(vol, model_cfg):

@@ -31,7 +31,7 @@ from .layers import (
     ResidualConvBlock,
     SeparableConvBlock,
 )
-from .data import atomic_write
+from .data import MAX_CLASSES, atomic_write
 from .mlpp import MLPPBlock, MLPPConfig
 
 __all__ = [
@@ -123,6 +123,9 @@ def plan_stages(cfg):
             raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     if cfg.num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {cfg.num_classes}")
+    if cfg.num_classes > MAX_CLASSES:
+        raise ValueError(f"num_classes must be <= {MAX_CLASSES} (labels are uint8), "
+                         f"got {cfg.num_classes}")
     ratio = tp / math.sqrt(ip0 * ip1)
     s2 = min(max(_round_half_up(math.log2(ratio)), 0), cfg.num_stages - 1)
 
@@ -214,12 +217,14 @@ class PHNet(Module):
     ``forward`` maps (B, in_channels, D, H, W) to logits of shape
     (B, num_classes, D, H, W).  Any input whose extents survive every
     stage's stride exactly (and the MLPP divisibility constraints) is
-    accepted — parameters are resolution-free.
+    accepted — parameters are resolution-free.  ``dtype`` is the dtype its
+    parameters were built in, and the one inference feeds it.
     """
 
     def __init__(self, cfg, seed=0, dtype=np.float32):
         rng = np.random.default_rng(seed)
         self.cfg = cfg
+        self.dtype = np.dtype(dtype)
         self.plan = plan_stages(cfg)
         feat = self._feature_sizes(hwd_to_dhw(cfg.patch_size))  # validates the patch size
 

@@ -482,7 +482,7 @@ class TestVolumeIO:
         ("spacing_mm", [1.0, 0.0, 4.0]), ("spacing_mm", [1.0, 1.0, float("nan")]),
         ("spacing_mm", [True, 1.0, 4.0]), ("spacing_mm", None),
         ("num_classes", 1), ("num_classes", 2.0), ("num_classes", "3"),
-        ("num_classes", True), ("num_classes", None)])
+        ("num_classes", True), ("num_classes", None), ("num_classes", 257)])
     def test_manifest_dataset_fields_rejected_naming_file_and_field(self, tmp_path,
                                                                     field, value):
         path = tmp_path / "manifest.json"
@@ -496,6 +496,9 @@ class TestVolumeIO:
         write_manifest(path, [("case_000", "train")],
                        extra={"spacing_mm": [0.7, 1, 2.5], "num_classes": 14})
         assert read_manifest(path)["spacing_mm"] == [0.7, 1, 2.5]
+        # uint8 labels hold class ids 0-255
+        write_manifest(path, [("case_000", "train")], extra={"num_classes": 256})
+        assert read_manifest(path)["num_classes"] == 256
 
     def test_manifest_missing_cases_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"

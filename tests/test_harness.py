@@ -9,6 +9,7 @@ import csv
 import json
 import math
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, strategies as st
 
 from phnet import autograd as ag
 from phnet import harness
+from phnet import layers
 from phnet import model
 from phnet.data import (
     LabelVolume,
@@ -244,6 +246,94 @@ class TestSlidingWindow:
         a = sliding_window_logits(net, grid, (8, 16, 16))
         b = sliding_window_logits(net, grid, (8, 16, 16))
         assert np.array_equal(a, b)
+
+
+class _WindowNet:
+    """Stand-in net for a grid that holds each voxel's flat index: a window's
+    first voxel names its start.  Returns ``k`` seeded random float32 logits
+    per window and, when ``record`` is set, keeps each (start, logits)."""
+
+    def __init__(self, shape, k, record=True):
+        self.shape, self.k = shape, k
+        self.dtype = np.dtype(np.float32)
+        self.rng = np.random.default_rng(0)
+        self.windows = [] if record else None
+
+    def __call__(self, t):
+        x = t.data
+        z, rem = divmod(int(x[0, 0, 0, 0, 0]), self.shape[1] * self.shape[2])
+        start = (z,) + divmod(rem, self.shape[2])
+        logits = self.rng.standard_normal((self.k,) + x.shape[2:], dtype=np.float32)
+        if self.windows is not None:
+            self.windows.append((start, logits))
+        return ag.Tensor(logits[None])
+
+
+def _index_grid(shape):
+    return np.arange(math.prod(shape), dtype=np.float32).reshape(shape)
+
+
+class TestStreamedWindows:
+    # the last window of every axis is clamped: starts [0, 2, 3], [0, 3, 5]
+    # and [0, 4, 5]
+    SHAPE, PATCH = (7, 11, 13), (4, 6, 8)
+
+    def test_bitwise_equal_to_stitching_the_recorded_windows(self):
+        net = _WindowNet(self.SHAPE, k=3)
+        got = sliding_window_logits(net, _index_grid(self.SHAPE), self.PATCH)
+        assert [start for start, _ in net.windows] == sorted(
+            (z, y, x) for z in (0, 2, 3) for y in (0, 3, 5) for x in (0, 4, 5))
+        want = stitch_windows(self.SHAPE, net.windows)
+        assert got.dtype == np.float64 and got.shape == (3,) + self.SHAPE
+        assert got.tobytes() == want.tobytes()
+
+    def test_uncovered_axis_rejected_before_any_forward(self, monkeypatch):
+        monkeypatch.setattr(harness, "window_starts", lambda extent, patch: [0])
+        net = _WindowNet(self.SHAPE, k=3)
+        with pytest.raises(ValueError, match="cover"):
+            sliding_window_logits(net, _index_grid(self.SHAPE), self.PATCH)
+        assert net.windows == []
+
+    def test_memory_does_not_hold_every_window(self):
+        # 27 windows; the traced peak stays below the logits of every window
+        # plus one float64 sum (holding the windows and then stitching them
+        # needs more)
+        shape, patch, k = (16, 32, 32), (8, 16, 16), 3
+        grid = _index_grid(shape)
+        net = _WindowNet(shape, k, record=False)
+        windows = math.prod(len(window_starts(n, p)) for n, p in zip(shape, patch))
+        assert windows == 27
+        bound = windows * k * math.prod(patch) * 4 + k * math.prod(shape) * 8
+        tracemalloc.start()
+        try:
+            sliding_window_logits(net, grid, patch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    def test_float64_net_runs_its_windows_in_float64(self, monkeypatch):
+        dtypes = []
+
+        def recording(fn):
+            def wrapped(x, *args, **kwargs):
+                out = fn(x, *args, **kwargs)
+                dtypes.append((x.data.dtype, out.data.dtype))
+                return out
+            return wrapped
+
+        for name in ("conv_nd", "conv_transpose_nd"):
+            monkeypatch.setattr(layers, name, recording(getattr(layers, name)))
+        net = PHNet(tiny_model_config(), seed=0, dtype=np.float64)
+        assert net.dtype == np.float64
+        rng = np.random.default_rng(8)
+        grid = rng.normal(size=SHAPE).astype(np.float32)
+        got = sliding_window_logits(net, grid, (8, 16, 16))
+        assert dtypes and set(dtypes) == {(np.dtype(np.float64),) * 2}
+        with ag.no_grad():
+            single = net(ag.Tensor(grid[None, None].astype(np.float64))).data[0]
+        assert single.dtype == np.float64
+        assert np.array_equal(got, single)
 
 
 class TestPredict:

@@ -86,6 +86,12 @@ def test_plan_rejects_bad_spacing():
         plan_stages(PHNetConfig(voxel_spacing_mm=(0.0, 1.0, 1.0)))
 
 
+def test_plan_rejects_more_classes_than_uint8_labels_hold():
+    assert plan_stages(PHNetConfig(num_classes=256))
+    with pytest.raises(ValueError, match="num_classes must be <= 256"):
+        plan_stages(PHNetConfig(num_classes=257))
+
+
 def test_plan_rejects_non_suffix_mlpp():
     with pytest.raises(ValueError):
         plan_stages(PHNetConfig(num_stages=4, mlpp_stages=(1,),
