@@ -31,23 +31,30 @@ segments and attention windows are built this way.
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 
 import numpy as np
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    """Whether graph recording is on, per thread; on in every new thread."""
+    enabled = True
+
+
+_grad_enabled = _GradMode()
 
 
 @contextmanager
 def no_grad():
-    """Disable graph recording (inference / benchmarking / finite differences)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording (inference / benchmarking / finite differences)
+    in the calling thread; other threads keep recording."""
+    prev = _grad_enabled.enabled
+    _grad_enabled.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.enabled = prev
 
 
 def _as_float_array(data, dtype=None):
@@ -127,9 +134,10 @@ class Parameter(Tensor):
 
 def will_record(parents):
     """Whether ``make_node`` records a node over ``parents``: not inside
-    ``no_grad``, and some parent requires grad.  An op whose node will not be
-    recorded may write its result over arrays that only its backward needs."""
-    return _grad_enabled and any(p.requires_grad for p in parents)
+    ``no_grad`` on this thread, and some parent requires grad.  An op whose
+    node will not be recorded may write its result over arrays that only its
+    backward needs."""
+    return _grad_enabled.enabled and any(p.requires_grad for p in parents)
 
 
 def make_node(data, parents, op, backward_fn):

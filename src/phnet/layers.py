@@ -21,11 +21,14 @@ BLAS GEMM calls over chunks of rows small enough for OpenBLAS to skip packing
 its operands (see ``_SMALL_GEMM_MNK``).  Each call reads its block of rows
 where it lies, with the row length as BLAS's leading dimension, and adds into
 the output rows in place, so no operand is copied (see ``_bound_gemm``).  The
-adjoint is the same gather run on the cotangent's rows with mirrored offsets.
-Rows near the end of a grid line read past it into the next line (or batch
-item); those rows only feed output positions that the forward crops, and in the
-adjoint and kernel gradient they meet the zeros that surround the embedded
-output, so they change nothing.
+GEMM routines are scipy's own ``sgemm`` and ``dgemm``, whose addresses the
+public Cython module ``scipy.linalg.cython_blas`` exports; that one module is
+loaded from its file, without the ``scipy.linalg`` package (``_cython_blas``).
+The adjoint is the same gather run on the cotangent's rows with mirrored
+offsets.  Rows near the end of a grid line read past it into the next line (or
+batch item); those rows only feed output positions that the forward crops, and
+in the adjoint and kernel gradient they meet the zeros that surround the
+embedded output, so they change nothing.
 
 A conv that feeds an instance norm runs the norm, an optional residual add
 and an optional ReLU as its epilogue, in the same tape node
@@ -41,11 +44,15 @@ fills too), ready for the adjoint and kernel-gradient GEMMs.
 """
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 
 import numpy as np
-from scipy.linalg import cython_blas
+import scipy
 
 from .autograd import Parameter, make_node, will_record
 
@@ -173,14 +180,34 @@ def _check_conv_geometry(x_shape, k_shape, stride, padding, transposed=False):
 _SMALL_GEMM_MNK = 10 ** 6
 
 
+def _cython_blas():
+    """SciPy's public Cython module ``scipy.linalg.cython_blas``, loaded from
+    its own file in scipy's ``linalg`` directory without running
+    ``scipy/linalg/__init__.py``, which imports the whole package (about
+    25 MB of RSS and 0.2 s per process on a 2-vCPU VM with SciPy 1.17).  It
+    is the same extension either way, so it exports the same routine
+    addresses.  An already imported one is reused."""
+    name = "scipy.linalg.cython_blas"
+    module = sys.modules.get(name)
+    if module is None:
+        linalg_dir = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        spec = importlib.machinery.PathFinder.find_spec(name, [linalg_dir])
+        if spec is None:
+            raise ImportError(f"no {name} extension module in {linalg_dir}", name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
 def _blas_function(name):
     """The Fortran-convention BLAS routine ``name`` of the library scipy
     links, as a ctypes function of 13 addresses (sgemm and dgemm take every
     argument by reference).  ``scipy.linalg.blas`` cannot pass a leading
     dimension, so it copies every strided operand; the pointer exported by
     ``scipy.linalg.cython_blas`` reaches the same routine without that
-    copy."""
-    capsule = cython_blas.__pyx_capi__[name]
+    copy.  That module is read through ``_cython_blas``, so the
+    ``scipy.linalg`` package is never imported."""
+    capsule = _cython_blas().__pyx_capi__[name]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(

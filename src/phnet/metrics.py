@@ -11,9 +11,12 @@ Boundary voxels are found on each mask's bounding box, not on the whole
 grid.  This is exact: every voxel outside the box is background, as is the
 zero padding around the crop, so each voxel keeps its boundary status, and
 shifting the integer indices back gives the full grid's points bitwise, in
-the same order.  Nearest distances come from a KD-tree of midpoint splits,
-which is quicker to build than the default median-split tree; an exact
-nearest-neighbour search returns the same minimum whatever the splits.
+the same order.  Nearest distances come from a KD-tree of midpoint splits
+with leaves of up to 32 points, which is quicker to build and to query than
+the default median-split tree; an exact nearest-neighbour search returns the
+same minimum whatever the splits and leaf size.  The tree is SciPy's
+``cKDTree``, and ``scipy.spatial`` is imported by the first distance query,
+not with this module, so training and inference never load it.
 
 The training loss combines a smoothed soft-Dice term over foreground classes
 with voxel-wise cross-entropy in one tape node of the tensor engine, whose
@@ -24,7 +27,6 @@ import csv
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import autograd as ag
 from .data import LabelVolume, atomic_write
@@ -107,8 +109,14 @@ def _directed_distances(src_pts, dst_pts):
     """d(s -> D) = min over dst of |s - d|, for every src point.  The tree
     splits each node by the sliding-midpoint rule, with no median search and
     no shrinking of the node boxes to their points, which builds faster; an
-    exact search finds the same nearest distance however the tree is split."""
-    dists, _ = cKDTree(dst_pts, compact_nodes=False, balanced_tree=False).query(src_pts, k=1)
+    exact search finds the same nearest distance however the tree is split.
+    Leaves of up to 32 points make a shallower tree that queries faster.
+    ``scipy.spatial`` is imported here, on the first call, so that a process
+    that never scores a case does not load it."""
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(dst_pts, leafsize=32, compact_nodes=False, balanced_tree=False)
+    dists, _ = tree.query(src_pts, k=1)
     return np.asarray(dists, dtype=np.float64)
 
 

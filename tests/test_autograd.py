@@ -1,3 +1,4 @@
+import threading
 import weakref
 
 import numpy as np
@@ -325,6 +326,36 @@ def test_no_grad_disables_recording():
     with no_grad():
         y = (x * x).sum()
     assert y._backward is None and not y.requires_grad
+
+
+def test_no_grad_on_a_worker_thread_leaves_the_main_thread_recording():
+    """The grad mode is per thread: while a worker holds a ``no_grad`` block
+    open, the main thread's ops still record and backpropagate, and the
+    worker's do not record."""
+    x = Tensor(rand((3,), seed=22), requires_grad=True)
+    inside, release = threading.Event(), threading.Event()
+    worker_recorded = []
+
+    def worker():
+        with no_grad():
+            inside.set()
+            worker_recorded.append((x * x).sum().requires_grad)
+            release.wait(timeout=30)
+
+    t = threading.Thread(target=worker)
+    t.start()
+    try:
+        assert inside.wait(timeout=30)
+        y = (x * x).sum()
+        assert y.requires_grad and y._backward is not None
+        backward(y)
+        np.testing.assert_array_equal(x.grad, 2 * x.data)
+    finally:
+        release.set()
+        t.join(timeout=30)
+    assert not t.is_alive()
+    assert worker_recorded == [False]
+    assert (x * x).sum().requires_grad
 
 
 # ---------------------------------------------------------------------------

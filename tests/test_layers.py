@@ -1,10 +1,13 @@
 import itertools
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+import scipy
 from scipy.linalg.blas import get_blas_funcs
 
 from phnet import layers
@@ -607,6 +610,17 @@ def channel_strided(rows):
 def reversed_rows(rows):
     """The rows in reverse order: a negative leading stride."""
     return rows[::-1]
+
+
+def test_cython_blas_reuses_the_imported_module():
+    assert layers._cython_blas() is sys.modules["scipy.linalg.cython_blas"]
+
+
+def test_cython_blas_missing_file_raises_naming_the_directory(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg.cython_blas")
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        layers._cython_blas()
 
 
 def test_gemm_operands_pass_the_checks_as_built():
