@@ -13,7 +13,7 @@ import json
 import math
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,8 +91,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        if not 2 <= self.num_classes <= MAX_CLASSES:
+            raise ValueError(f"num_classes must lie in [2, {MAX_CLASSES}] (labels are uint8), "
+                             f"got {self.num_classes}")
         if self.radius_range_mm[0] <= 0:
             raise ValueError(f"radii must be positive, got {self.radius_range_mm}")
         _check_spacing(self.spacing_mm)

@@ -20,7 +20,7 @@ import math
 import resource
 import time
 from pathlib import Path
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 

@@ -1,34 +1,35 @@
 """Neural-network building blocks on rank-5 feature maps (B, C, D, H, W).
 
-Provides direct N-d convolution and its exact adjoint (transpose
-convolution), instance / channel normalization, linear maps, and the
-composite blocks used by the encoder and decoder: Conv-IN-ReLU residual
-blocks and the decoder's separated in-plane / through-plane convolution
-pair.  All operations are differentiable through the autograd tape.
+Provides direct N-d convolution, the decoder's upsampling transpose
+convolution (kernel equal to stride, the exact adjoint of the conv of that
+geometry), instance / channel normalization, linear maps, and the composite
+blocks used by the encoder and decoder: Conv-IN-ReLU residual blocks and the
+decoder's separated in-plane / through-plane convolution pair.  All
+operations are differentiable through the autograd tape.
 
 The three convolution kernels (forward, adjoint, kernel gradient) share one
 channel-major scheme for every stride.  The input is copied once into
 zero-filled rows of shape (stride phases, C, rows), its padded extents rounded
 up to whole strides and split into stride phases, so that kernel tap (dz, dy,
 dx) reads one contiguous block of rows of phase (dz % sd, dy % sh, dx % sw) at
-a fixed row offset.  Only the phases that some tap reads are copied (a strided
-1x1x1 conv reads one of them).  An input given in parts along C (the decoder's
-upsampled map and its skip) is copied part by part into the channel blocks of
-the same rows, so it is never joined first.  The copy keeps W as its inner
-axis, as does the crop back to (B, C, D, H, W); no array is transposed to
-channels-last.  Each tap is a (C_out, C_in) @ (C_in, rows) product, issued as
-BLAS GEMM calls over chunks of rows small enough for OpenBLAS to skip packing
-its operands (see ``_SMALL_GEMM_MNK``).  Each call reads its block of rows
-where it lies, with the row length as BLAS's leading dimension, and adds into
-the output rows in place, so no operand is copied (see ``_bound_gemm``).  The
-GEMM routines are scipy's own ``sgemm`` and ``dgemm``, whose addresses the
-public Cython module ``scipy.linalg.cython_blas`` exports; that one module is
-loaded from its file, without the ``scipy.linalg`` package (``_cython_blas``).
-The adjoint is the same gather run on the cotangent's rows with mirrored
-offsets.  Rows near the end of a grid line read past it into the next line (or
-batch item); those rows only feed output positions that the forward crops, and
-in the adjoint and kernel gradient they meet the zeros that surround the
-embedded output, so they change nothing.
+a fixed row offset.  Every phase is copied, read by a tap or not (a strided
+1x1x1 conv reads phase 0 alone).  An input given in parts along C (the
+decoder's upsampled map and its skip) is copied part by part into the channel
+blocks of the same rows, so it is never joined first.  The copy keeps W as its
+inner axis, as does the crop back to (B, C, D, H, W); no array is transposed
+to channels-last.  Each tap is a (C_out, C_in) @ (C_in, rows) product, issued
+as BLAS GEMM calls over chunks of rows small enough for OpenBLAS to skip
+packing its operands (see ``_SMALL_GEMM_MNK``).  Each call reads its block of
+rows where it lies, with the row length as BLAS's leading dimension, and adds
+into the output rows in place, so no operand is copied (see ``_bound_gemm``).
+The GEMM routines are scipy's own ``sgemm`` and ``dgemm``, whose addresses
+the public Cython module ``scipy.linalg.cython_blas`` exports; that one
+module is loaded from its file, without the ``scipy.linalg`` package
+(``_cython_blas``).  The adjoint is the same gather run on the cotangent's
+rows with mirrored offsets.  Rows near the end of a grid line read past it
+into the next line (or batch item); those rows only feed output positions
+that the forward crops, and in the adjoint and kernel gradient they meet the
+zeros that surround the embedded output, so they change nothing.
 
 A conv that feeds an instance norm runs the norm, an optional residual add
 and an optional ReLU as its epilogue, in the same tape node
@@ -147,7 +148,7 @@ def conv_output_extent(n, k, s, p):
 # convolution primitives (pure ndarray kernels + autograd wrappers)
 # ---------------------------------------------------------------------------
 
-def _check_conv_geometry(x_shape, k_shape, stride, padding, transposed=False):
+def _check_conv_geometry(x_shape, k_shape, stride, padding):
     if len(x_shape) != 5:
         raise ValueError(f"conv: expected rank-5 input (B,C,D,H,W), got {x_shape}")
     if len(k_shape) != 5:
@@ -158,10 +159,6 @@ def _check_conv_geometry(x_shape, k_shape, stride, padding, transposed=False):
         raise ValueError(f"conv: padding must be non-negative, got {padding}")
     if any(k < 1 for k in k_shape[2:]):
         raise ValueError(f"conv: kernel extents must be positive, got {k_shape[2:]}")
-    if transposed:
-        # the kernel-vs-input constraint applies on the conv side, i.e. to the
-        # transpose's *output*, which satisfies it by construction
-        return
     for n, k, p in zip(x_shape[2:], k_shape[2:], padding):
         if n + 2 * p < k:
             raise ValueError(
@@ -280,46 +277,31 @@ def _phase_slices(spatial, stride, padding):
                (Ellipsis,) + tuple(v for _, v in pairs))
 
 
-def _packed_taps(taps):
-    """The stride phases that ``taps`` read, in order, and the taps with each
-    phase index replaced by its position among them, which is where
-    ``_to_rows`` puts that phase."""
-    phases = sorted({ph for ph, _ in taps})
-    return phases, [(phases.index(ph), off) for ph, off in taps]
+def _framed_rows(shape, dtype, stride, padding, q, width, lead=0):
+    """Zero-filled channel-major rows (sd*sh*sw, C, width) for the stride
+    phases of a (B, C, D, H, W) array of ``shape``.
 
-
-def _framed_rows(shape, dtype, stride, padding, q, phases, width, lead=0):
-    """Zero-filled channel-major rows (len(phases), C, width) for the stride
-    phases ``phases`` of a (B, C, D, H, W) array of ``shape``.
-
-    Phase (a, b, c), with flat index (a * sh + b) * sw + c, holds the samples
-    at padded positions (a, b, c) + stride * (qd, qh, qw) in the row-major
-    order of its grid (B, qd, qh, qw), starting at row ``lead``.  The rows
-    hold the phases in ``phases`` alone, in increasing order (a strided
-    1x1x1 conv reads phase 0 alone, see ``_packed_taps``).  Returns the rows
+    Phase (a, b, c), at index (a * sh + b) * sw + c, holds the samples at
+    padded positions (a, b, c) + stride * (qd, qh, qw) in the row-major
+    order of its grid (B, qd, qh, qw), starting at row ``lead``; that index
+    is the phase index of the taps of ``_phase_layout``.  Returns the rows
     and, per phase, the (C, B, ...) view of the rows that the samples fill
     and the index of those samples in the (C, B, D, H, W) order of the array;
     every other row stays zero."""
     B, C = shape[:2]
     n = B * math.prod(q)
-    phases = sorted(phases)
-    rows = np.zeros((len(phases), C, width), dtype=dtype)
-    slices = list(_phase_slices(shape[2:], stride, padding))
-    fills = []
-    for i, ph in enumerate(phases):
-        gi, xi = slices[ph]
-        fills.append((rows[i, :, lead:lead + n].reshape((C, B) + q)[gi], xi))
-    return rows, fills
+    rows = np.zeros((math.prod(stride), C, width), dtype=dtype)
+    return rows, [(rows[ph, :, lead:lead + n].reshape((C, B) + q)[gi], xi)
+                  for ph, (gi, xi) in enumerate(_phase_slices(shape[2:], stride, padding))]
 
 
-def _to_rows(parts, stride, padding, q, phases, width, lead=0):
+def _to_rows(parts, stride, padding, q, width, lead=0):
     """Copy the (B, C_i, D, H, W) arrays ``parts``, joined along C in order
     and promoted to one dtype as ``np.concatenate`` does, into the rows of
     ``_framed_rows``, each sample once, W as inner axis."""
     bounds = [0, *itertools.accumulate(p.shape[1] for p in parts)]
     shape = parts[0].shape[:1] + (bounds[-1],) + parts[0].shape[2:]
-    rows, fills = _framed_rows(shape, np.result_type(*parts), stride, padding, q, phases,
-                               width, lead)
+    rows, fills = _framed_rows(shape, np.result_type(*parts), stride, padding, q, width, lead)
     for view, xi in fills:
         for p, lo, hi in zip(parts, bounds, bounds[1:]):
             view[lo:hi] = p.transpose(1, 0, 2, 3, 4)[xi]
@@ -399,8 +381,7 @@ def _conv_rows(xr, k, taps, nch, L):
     the input's phase grid (B, qd, qh, qw).
 
     ``xr`` is ``_to_rows((x,))`` for the layout ``q, taps, nch, L`` of
-    ``_phase_layout``, with ``taps`` indexing its phases as ``_packed_taps``
-    gives them.  Output row r sums, over the taps,
+    ``_phase_layout``.  Output row r sums, over the taps,
     ``k_tap @ xr[phase, :, offset + r]``.  A row whose read wraps across a
     grid edge (or into the next batch item) lands only at an output position
     past ``od``, ``oh`` or ``ow``, which the crop to the output drops."""
@@ -431,12 +412,13 @@ def _conv_adjoint(gr, k, stride, padding, q, taps, nch, L, shape):
 def _conv_kernel_grad(xr, g, k_shape, taps, nch, L):
     """Gradient of the conv bilinear form with respect to the kernel.
 
-    ``xr`` is the input's ``_to_rows``, with ``taps`` from ``_packed_taps``
-    as for ``_conv_rows``, and ``g`` the cotangent's (Co, >= nch*L)
-    grid rows, zero outside the output, with a contiguous last axis.  Per
-    chunk of L rows, each tap adds the ``(Co, L) @ (L, Ci)`` product of the
-    cotangent chunk and the tap's block of ``xr``, both read in place.
-    Wrapped rows meet zeros of the embedded cotangent, so they add nothing."""
+    ``xr`` is the input's ``_to_rows`` for the layout ``q, taps, nch, L`` of
+    ``_phase_layout``, as for ``_conv_rows``, and ``g`` the cotangent's
+    (Co, >= nch*L) grid rows, zero outside the output, with a contiguous last
+    axis.  Per chunk of L rows, each tap adds the ``(Co, L) @ (L, Ci)``
+    product of the cotangent chunk and the tap's block of ``xr``, both read in
+    place.  Wrapped rows meet zeros of the embedded cotangent, so they add
+    nothing."""
     co, ci = k_shape[:2]
     _check_rows(xr, 3, "kernel grad")
     _check_rows(g, 2, "kernel grad")
@@ -518,8 +500,7 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None, norm=None, skip=None, rel
     q, taps, nch, L = _phase_layout(in_shape, k_shape, stride, padding)
     maxoff = taps[-1][1]
     width = nch * L + maxoff
-    phases, row_taps = _packed_taps(taps)
-    acc = _conv_rows(_to_rows(xs, stride, padding, q, phases, width), kd, row_taps, nch, L)
+    acc = _conv_rows(_to_rows(xs, stride, padding, q, width), kd, taps, nch, L)
     input_grad = any(t.requires_grad for t in inputs)
     splits = np.cumsum([t.shape[1] for t in inputs])[:-1]
 
@@ -529,8 +510,8 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None, norm=None, skip=None, rel
         dxs = (np.split(_conv_adjoint(gr, kd, stride, padding, q, taps, nch, L, in_shape),
                         splits, axis=1)
                if input_grad else [None] * len(inputs))
-        return (*dxs, _conv_kernel_grad(_to_rows(xs, stride, padding, q, phases, width),
-                                        gr[0, :, maxoff:], k_shape, row_taps, nch, L))
+        return (*dxs, _conv_kernel_grad(_to_rows(xs, stride, padding, q, width),
+                                        gr[0, :, maxoff:], k_shape, taps, nch, L))
 
     if norm is None:
         out = _from_rows(acc, (1, 1, 1), (0, 0, 0), q, out_shape)
@@ -540,7 +521,7 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None, norm=None, skip=None, rel
             parents += (bias,)
 
         def bk(g):
-            grads = conv_grads(_to_rows((g,), (1, 1, 1), (0, 0, 0), q, {0}, width, lead=maxoff))
+            grads = conv_grads(_to_rows((g,), (1, 1, 1), (0, 0, 0), q, width, lead=maxoff))
             if bias is not None:
                 grads += (g.sum(axis=(0, 2, 3, 4)),)
             return grads
@@ -589,8 +570,8 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None, norm=None, skip=None, rel
         np.multiply(xhat, s1 * scale / count, out=xhat)
         # the last pass writes dx straight into the embedded output of the
         # zero-filled cotangent rows that the conv backward reads
-        gr, ((grid, _),) = _framed_rows(out_shape, g.dtype, (1, 1, 1), (0, 0, 0), q, {0},
-                                        width, lead=maxoff)
+        gr, ((grid, _),) = _framed_rows(out_shape, g.dtype, (1, 1, 1), (0, 0, 0), q, width,
+                                        lead=maxoff)
         np.subtract(dx, xhat, out=grid.transpose(1, 0, 2, 3, 4))
         grads = ((s1.sum(axis=0).reshape(-1), s0.sum(axis=0).reshape(-1))
                  + (() if skip is None else (gm,)))
@@ -600,44 +581,37 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None, norm=None, skip=None, rel
     return make_node(out, parents, "conv_nd", bk)
 
 
-def conv_transpose_nd(x, kernel, stride=1, padding=0):
-    """Transpose convolution: the exact adjoint of ``conv_nd`` with the same
-    geometry.
+def conv_transpose_nd(x, kernel):
+    """Upsampling transpose convolution whose stride is its kernel extents,
+    with no padding: the exact adjoint of ``conv_nd`` with that kernel, that
+    stride and no padding.
 
-    ``x``: (B, C_in, D, H, W); ``kernel``: (C_in, C_out, k_d, k_h, k_w);
-    output extent per axis is (n - 1)*s + k - 2p.  The adjoint identity
-    <conv(v), x> = <v, conv_transpose(x)> holds whenever the geometries match.
-    The forward is ``conv_nd``'s adjoint kernel; the backward builds the
-    cotangent's phase rows once for the conv and kernel-gradient GEMMs.
+    ``x``: (B, C_in, D, H, W); ``kernel``: (C_in, C_out, k_d, k_h, k_w); the
+    output is (B, C_out, D*k_d, H*k_h, W*k_w), where each input voxel
+    (z, y, x) writes ``x[b, :, z, y, x] @ kernel[:, :, a, b', c]`` at
+    (z*k_d + a, y*k_h + b', x*k_w + c), its own block.  The forward is
+    ``conv_nd``'s adjoint kernel; the backward builds the cotangent's phase
+    rows once for the conv and kernel-gradient GEMMs.
     """
-    stride = _triple(stride, "stride")
-    padding = _triple(padding, "padding")
-    _check_conv_geometry(x.shape, kernel.shape, stride, padding, transposed=True)
-    if x.shape[1] != kernel.shape[0]:
-        raise ValueError(
-            f"conv_transpose: input has {x.shape[1]} channels, kernel expects {kernel.shape[0]}")
-    out_spatial = tuple((n - 1) * s + k - 2 * p
-                        for n, k, s, p in zip(x.shape[2:], kernel.shape[2:], stride, padding))
-    if any(n < 1 for n in out_spatial):
-        raise ValueError(f"conv_transpose: non-positive output extent {out_spatial}")
-
-    xd, kd = x.data, kernel.data
-    k_shape = kernel.shape
-    q, taps, nch, L = _phase_layout((x.shape[0], k_shape[1]) + out_spatial, k_shape,
-                                    stride, padding)
-    maxoff = taps[-1][1]
-    width = nch * L + maxoff
-    out = _conv_adjoint(_to_rows((xd,), (1, 1, 1), (0, 0, 0), q, {0}, width, lead=maxoff),
-                        kd, stride, padding, q, taps, nch, L,
-                        (x.shape[0], k_shape[1]) + out_spatial)
+    xd, kd, k_shape = x.data, kernel.data, kernel.shape
+    if xd.ndim != 5 or kd.ndim != 5 or xd.shape[1] != k_shape[0]:
+        raise ValueError(f"conv_transpose: expected a (B, C_in, D, H, W) input and a (C_in, "
+                         f"C_out, k_d, k_h, k_w) kernel, got {xd.shape} and {k_shape}")
+    stride, padding = k_shape[2:], (0, 0, 0)
+    out_shape = (xd.shape[0], k_shape[1]) + tuple(n * k for n, k in zip(xd.shape[2:], stride))
+    # the geometry of the conv whose adjoint this is, from the output to x
+    _check_conv_geometry(out_shape, k_shape, stride, padding)
+    q, taps, nch, L = _phase_layout(out_shape, k_shape, stride, padding)
+    width = nch * L
+    out = _conv_adjoint(_to_rows((xd,), (1, 1, 1), (0, 0, 0), q, width), kd, stride, padding,
+                        q, taps, nch, L, out_shape)
 
     def bk(g):
-        phases, row_taps = _packed_taps(taps)
-        gr = _to_rows((g,), stride, padding, q, phases, width)
-        return (_from_rows(_conv_rows(gr, kd, row_taps, nch, L), (1, 1, 1), (0, 0, 0), q,
+        gr = _to_rows((g,), stride, padding, q, width)
+        return (_from_rows(_conv_rows(gr, kd, taps, nch, L), (1, 1, 1), (0, 0, 0), q,
                            xd.shape),
-                _conv_kernel_grad(gr, _to_rows((xd,), (1, 1, 1), (0, 0, 0), q, {0}, width)[0],
-                                  k_shape, row_taps, nch, L))
+                _conv_kernel_grad(gr, _to_rows((xd,), (1, 1, 1), (0, 0, 0), q, width)[0],
+                                  k_shape, taps, nch, L))
 
     return make_node(out, (x, kernel), "conv_transpose_nd", bk)
 
@@ -802,7 +776,7 @@ class ConvTranspose(Module):
             kaiming_uniform(rng, (in_channels, out_channels) + self.stride, fan_in, dtype))
 
     def forward(self, x):
-        return conv_transpose_nd(x, self.kernel, self.stride)
+        return conv_transpose_nd(x, self.kernel)
 
 
 

@@ -31,7 +31,7 @@ from .layers import (
     ResidualConvBlock,
     SeparableConvBlock,
 )
-from .data import MAX_CLASSES, atomic_write
+from .data import MAX_CLASSES, _is_spacing, _is_triple, atomic_write
 from .mlpp import MLPPBlock, MLPPConfig
 
 __all__ = [
@@ -368,21 +368,41 @@ def config_to_dict(cfg):
     return asdict(cfg)
 
 
+# per PHNetConfig field, the check of its ``config_to_dict`` JSON value
+# (bools are not ints here)
+_CONFIG_FIELDS = {
+    **dict.fromkeys(("num_stages", "base_channels", "max_channels", "in_channels",
+                     "num_classes", "blocks_per_stage"), lambda v: type(v) is int),
+    "voxel_spacing_mm": _is_spacing,
+    "patch_size": lambda v: _is_triple(v, int),
+    "mlpp_stages": lambda v: v is None or (isinstance(v, list)
+                                           and all(type(i) is int for i in v)),
+    "mlpp": lambda v: (isinstance(v, dict) and v.keys() == {"l_ip", "l_aa", "l_tp", "num_layers"}
+                       and all(type(n) is int or (n is None and k != "num_layers")
+                               for k, n in v.items())),
+}
+
+
 def config_from_dict(d):
     """Rebuild a PHNetConfig from ``config_to_dict`` output (JSON turns
-    tuples into lists, so sequence fields are re-tupled here)."""
-    d = dict(d)
-    mlpp = d.pop("mlpp", None)
-    kwargs = {
+    tuples into lists, so sequence fields are re-tupled here).  Raises
+    ``ValueError`` naming the field unless ``d`` is an object with every
+    field and no other, each of its JSON type."""
+    if not isinstance(d, dict):
+        raise ValueError(f"model_config must be an object, got {d!r}")
+    odd = sorted(d.keys() ^ _CONFIG_FIELDS.keys())
+    if odd:
+        raise ValueError(f"model_config: unknown or missing fields {odd}")
+    for name, valid in _CONFIG_FIELDS.items():
+        if not valid(d[name]):
+            raise ValueError(f"model_config: invalid {name} {d[name]!r}")
+    return PHNetConfig(**{
         **d,
         "voxel_spacing_mm": tuple(d["voxel_spacing_mm"]),
         "patch_size": tuple(d["patch_size"]),
-        "mlpp_stages": (None if d.get("mlpp_stages") is None
-                        else tuple(d["mlpp_stages"])),
-    }
-    if mlpp is not None:
-        kwargs["mlpp"] = MLPPDefaults(**mlpp)
-    return PHNetConfig(**kwargs)
+        "mlpp_stages": None if d["mlpp_stages"] is None else tuple(d["mlpp_stages"]),
+        "mlpp": MLPPDefaults(**d["mlpp"]),
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from phnet.autograd import Parameter, Tensor, no_grad
+from phnet.autograd import Parameter, Tensor, backward, no_grad
 from phnet.data import (
     LabelVolume,
     SyntheticSpec,
@@ -188,8 +188,16 @@ def test_criterion_02_brute_force_oracles(capfd):
         ysp = tuple(conv_output_extent(n, kk, s, p)
                     for n, kk, s, p in zip(xsp, ks, st, pd))
         y = rng.normal(size=(2, 2) + ysp)
-        lhs = float((conv_nd(Tensor(v), Tensor(k), st, pd).data * y).sum())
-        rhs = float((v * conv_transpose_nd(Tensor(y), Tensor(k), st, pd).data).sum())
+        vt = Tensor(v, requires_grad=True)
+        loss = (conv_nd(vt, Tensor(k), st, pd) * Tensor(y)).sum()
+        lhs = loss.item()
+        if ks == st and pd == (0, 0, 0):
+            adjoint = conv_transpose_nd(Tensor(y), Tensor(k)).data
+        else:
+            # a padded conv: the adjoint applied to y is its input gradient
+            backward(loss)
+            adjoint = vt.grad
+        rhs = float((v * adjoint).sum())
         adj_err = max(adj_err, abs(lhs - rhs) / max(1.0, abs(lhs)))
 
     aa = AAMLP(2, rng=np.random.default_rng(21), dtype=np.float64)

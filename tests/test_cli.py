@@ -147,6 +147,13 @@ class TestGenData:
         assert lab.grid.shape == (8, 16, 16)
         assert vol.spacing_mm == (1.0, 1.0, 4.0)
 
+    def test_too_many_classes_exits_2_naming_the_field(self, tmp_path, capsys):
+        # labels are uint8, so 256 classes is the most a dataset can hold
+        code = main(["gen-data", "--out", str(tmp_path / "d"), "--classes", "257"] + TINY_GEN)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: num_classes" in err and "Traceback" not in err
+
     def test_deterministic_given_seed(self, dataset, tmp_path):
         out = tmp_path / "again"
         assert main(["gen-data", "--out", str(out)] + TINY_GEN) == 0
@@ -250,6 +257,14 @@ def _drop_top_key(key):
     return edit
 
 
+def _model_config(edit):
+    """A header edit that replaces ``meta.model_config`` by ``edit`` of it."""
+    def apply(header, payload):
+        header["meta"]["model_config"] = edit(header["meta"]["model_config"])
+        return header, payload
+    return apply
+
+
 MALFORMED = {
     "header_not_object": lambda h, p: ([1, 2], p),
     "format_only": lambda h, p: ({"format": h["format"]}, p),
@@ -267,6 +282,12 @@ MALFORMED = {
         {**h, "params": [{**h["params"][0], "offset": False}] + h["params"][1:]}, p),
     "truncated_payload": lambda h, p: (h, p[:-4]),
     "trailing_bytes": lambda h, p: (h, p + bytes(4)),
+    "model_config_not_object": _model_config(lambda c: 2),
+    "model_config_unknown_field": _model_config(lambda c: {**c, "depth": 3}),
+    "model_config_without_spacing": _model_config(
+        lambda c: {k: v for k, v in c.items() if k != "voxel_spacing_mm"}),
+    "mlpp_list": _model_config(lambda c: {**c, "mlpp": list(c["mlpp"].values())}),
+    "num_stages_string": _model_config(lambda c: {**c, "num_stages": str(c["num_stages"])}),
 }
 
 
@@ -289,6 +310,11 @@ class TestMalformedCheckpoint:
     def test_flops_exits_2(self, bad_checkpoint, capsys):
         assert main(["flops", "--checkpoint", str(bad_checkpoint)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_bench_exits_2(self, bad_checkpoint, capsys):
+        assert main(["bench", "--checkpoint", str(bad_checkpoint), "--repeats", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from phnet.data import (
+    MAX_CLASSES,
     LabelVolume,
     SyntheticSpec,
     Volume,
@@ -139,6 +140,8 @@ class TestSynthetic:
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError, match="num_classes"):
             SyntheticSpec(num_classes=1)
+        with pytest.raises(ValueError, match="num_classes"):
+            SyntheticSpec(num_classes=MAX_CLASSES + 1)
         with pytest.raises(ValueError, match="radii"):
             SyntheticSpec(radius_range_mm=(0.0, 5.0))
         with pytest.raises(ValueError, match="intensity mean"):

@@ -8,6 +8,7 @@ independent per-voxel gather-and-average oracle.
 import csv
 import json
 import math
+import re
 import shutil
 import tracemalloc
 
@@ -45,6 +46,8 @@ from phnet.model import (
     PHNet,
     PHNetConfig,
     MLPPDefaults,
+    config_from_dict,
+    config_to_dict,
     load_checkpoint,
     net_from_checkpoint,
     save_checkpoint,
@@ -634,6 +637,27 @@ class TestEvaluate:
         save_checkpoint(PHNet(tiny_model_config(), seed=0), path, meta={})
         with pytest.raises(ValueError, match="model_config"):
             evaluate(path, dataset)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda c: [c], "model_config must be an object"),
+        (lambda c: {**c, "depth": 3}, "'depth'"),
+        (lambda c: {k: v for k, v in c.items() if k != "voxel_spacing_mm"}, "'voxel_spacing_mm'"),
+        (lambda c: {**c, "mlpp": list(c["mlpp"].values())}, "invalid mlpp"),
+        (lambda c: {**c, "mlpp": {**c["mlpp"], "num_layers": None}}, "invalid mlpp"),
+        (lambda c: {**c, "num_stages": "2"}, "invalid num_stages"),
+        (lambda c: {**c, "num_classes": True}, "invalid num_classes"),
+        (lambda c: {**c, "patch_size": [16.0, 16.0, 8.0]}, "invalid patch_size"),
+        (lambda c: {**c, "mlpp_stages": [1, "1"]}, "invalid mlpp_stages"),
+    ], ids=["not_object", "unknown_field", "missing_field", "mlpp_list", "num_layers_null",
+            "string_int", "bool_int", "float_patch", "string_stage"])
+    def test_malformed_model_config_rejected_naming_the_field(self, edit, message, tmp_path):
+        cfg = tiny_model_config()
+        good = json.loads(json.dumps(config_to_dict(cfg)))
+        assert config_from_dict(good) == cfg
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(PHNet(cfg, seed=0), path, meta={"model_config": edit(good)})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            net_from_checkpoint(path)
 
     def test_missing_split_rejected(self, trained, dataset):
         with pytest.raises(ValueError, match="split"):
