@@ -377,7 +377,7 @@ _CONFIG_FIELDS = {
     "patch_size": lambda v: _is_triple(v, int),
     "mlpp_stages": lambda v: v is None or (isinstance(v, list)
                                            and all(type(i) is int for i in v)),
-    "mlpp": lambda v: (isinstance(v, dict) and v.keys() == {"l_ip", "l_aa", "l_tp", "num_layers"}
+    "mlpp": lambda v: (isinstance(v, dict) and v.keys() == asdict(MLPPDefaults()).keys()
                        and all(type(n) is int or (n is None and k != "num_layers")
                                for k, n in v.items())),
 }
