@@ -3,20 +3,21 @@
 Subcommands: gen-data, train, eval, bench, flops, grad-check.  Training reads
 an optional JSON config file whose keys mirror the TrainConfig fields; any
 flag given on the command line overrides the file.  Exit codes: 0 on success,
-1 on usage errors (bad flags, unknown subcommand, invalid config keys), 2 on
-runtime failures (missing files, invalid data, diverged training).
+1 on usage errors (bad flags, unknown subcommand, invalid config keys or
+config values of the wrong type), 2 on runtime failures (missing files,
+invalid data, diverged training).
 """
 
 import argparse
 import json
 import sys
+import typing
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 from .data import SyntheticSpec, generate_synthetic_case, write_manifest, write_volume
 from .harness import TrainConfig, bench, evaluate, grad_check_suite, train
 from .model import (
-    MLPPDefaults,
     PHNet,
     PHNetConfig,
     count_params,
@@ -65,7 +66,7 @@ def _model_config_from_args(args):
         voxel_spacing_mm=tuple(args.spacing),
         patch_size=tuple(args.patch_size),
         blocks_per_stage=args.blocks_per_stage,
-        mlpp=MLPPDefaults(num_layers=args.mlpp_num_layers),
+        mlpp_num_layers=args.mlpp_num_layers,
     )
 
 
@@ -74,26 +75,26 @@ def _model_config_from_args(args):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args):
+    x, y, z = args.shape
+    # every spec is checked before the output directory is made
+    specs = [SyntheticSpec(
+        shape=(z, y, x),                           # (X,Y,Z) flag -> (D,H,W) grid
+        spacing_mm=tuple(args.spacing),
+        num_classes=args.classes,
+        blobs_per_class=tuple(args.blobs),
+        radius_range_mm=tuple(args.radius),
+        noise_sigma=args.noise,
+        seed=args.seed + i,
+    ) for i in range(args.cases + args.val_cases)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    x, y, z = args.shape
     cases = []
-    for i in range(args.cases + args.val_cases):
-        split = "train" if i < args.cases else "val"
-        spec = SyntheticSpec(
-            shape=(z, y, x),                       # (X,Y,Z) flag -> (D,H,W) grid
-            spacing_mm=tuple(args.spacing),
-            num_classes=args.classes,
-            blobs_per_class=tuple(args.blobs),
-            radius_range_mm=tuple(args.radius),
-            noise_sigma=args.noise,
-            seed=args.seed + i,
-        )
+    for i, spec in enumerate(specs):
         vol, lab = generate_synthetic_case(spec)
         cid = f"case_{i:03d}"
         write_volume(out / f"{cid}_img", vol)
         write_volume(out / f"{cid}_lbl", lab)
-        cases.append((cid, split))
+        cases.append((cid, "train" if i < args.cases else "val"))
     write_manifest(out / "manifest.json", cases,
                    extra={"num_classes": args.classes,
                           "spacing_mm": list(args.spacing),
@@ -103,11 +104,20 @@ def cmd_gen_data(args):
     return 0
 
 
-_TRAIN_TUPLE_FIELDS = {"patch_size", "mlpp_stages"}
+# per type in a TrainConfig field's annotation, the JSON values that fit it
+# (bools are not numbers here; both tuple fields hold ints, and only they
+# take lists)
+_FITS_TYPE = {
+    int: lambda v: type(v) is int,
+    float: lambda v: type(v) in (int, float),
+    str: lambda v: type(v) is str,
+    tuple: lambda v: isinstance(v, list) and all(type(i) is int for i in v),
+    type(None): lambda v: v is None,
+}
 
 
 def _train_config_from_args(args):
-    valid = {f.name for f in dataclass_fields(TrainConfig)}
+    annotations = {f.name: f.type for f in dataclass_fields(TrainConfig)}
     merged = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
@@ -115,18 +125,23 @@ def _train_config_from_args(args):
                 doc = json.load(f)
             except json.JSONDecodeError as e:
                 raise UsageError(f"{args.config}: invalid JSON ({e})")
-        unknown = sorted(set(doc) - valid)
+        if not isinstance(doc, dict):
+            raise UsageError(f"{args.config}: the config must be a JSON object")
+        unknown = sorted(doc.keys() - annotations.keys())
         if unknown:
             raise UsageError(f"{args.config}: unknown config keys {unknown}")
+        for name, v in doc.items():
+            types = typing.get_args(annotations[name]) or (annotations[name],)
+            if not any(_FITS_TYPE[t](v) for t in types):
+                raise UsageError(f"{args.config}: config key {name!r} has a value "
+                                 f"of the wrong type: {v!r}")
         merged.update(doc)
-    for name in valid:
+    for name in annotations:
         v = getattr(args, name, None)
         if v is not None:
             merged[name] = v
-    for name in _TRAIN_TUPLE_FIELDS:
-        if merged.get(name) is not None:
-            merged[name] = tuple(merged[name])
-    return TrainConfig(**merged)
+    return TrainConfig(**{k: tuple(v) if isinstance(v, list) else v
+                          for k, v in merged.items()})
 
 
 def cmd_train(args):
@@ -166,7 +181,7 @@ def cmd_flops(args):
     cfg = _model_config_from_args(args)
     net = PHNet(cfg, seed=0)
     d, h, w = hwd_to_dhw(cfg.patch_size)
-    shape = (args.batch_size, cfg.in_channels, d, h, w)
+    shape = (args.batch_size, 1, d, h, w)
     flops, out_shape = net.count_flops(shape)
     print(json.dumps({
         "input_shape": list(shape),

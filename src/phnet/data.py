@@ -76,17 +76,17 @@ def _check_spacing(spacing):
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Recipe for one synthetic case: per-class ellipsoidal blobs with
-    class-specific mean intensity on a noisy background.  Blob radii are in
-    millimetres, so anisotropic spacing renders them as voxel-space
-    ellipsoids.  Later classes overwrite earlier ones where blobs overlap."""
+    """Recipe for one synthetic case: per-class ellipsoidal blobs whose mean
+    intensity is their class id, on a noisy background of mean 0.  Blob
+    radii are in millimetres, so anisotropic spacing renders them as
+    voxel-space ellipsoids.  Later classes overwrite earlier ones where
+    blobs overlap."""
 
     shape: tuple = (32, 64, 64)               # (D, H, W)
     spacing_mm: tuple = (1.0, 1.0, 4.0)       # (x, y, z)
     num_classes: int = 2
     blobs_per_class: tuple = (1, 3)           # inclusive count range
     radius_range_mm: tuple = (10.0, 16.0)
-    intensity_means: tuple | None = None      # per class incl. background
     noise_sigma: float = 0.1
     seed: int = 0
 
@@ -94,16 +94,15 @@ class SyntheticSpec:
         if not 2 <= self.num_classes <= MAX_CLASSES:
             raise ValueError(f"num_classes must lie in [2, {MAX_CLASSES}] (labels are uint8), "
                              f"got {self.num_classes}")
-        if self.radius_range_mm[0] <= 0:
-            raise ValueError(f"radii must be positive, got {self.radius_range_mm}")
+        if not 0 <= self.blobs_per_class[0] <= self.blobs_per_class[1]:
+            raise ValueError(f"blobs_per_class must be a range 0 <= lo <= hi, "
+                             f"got {self.blobs_per_class}")
+        if not 0 < self.radius_range_mm[0] <= self.radius_range_mm[1]:
+            raise ValueError(f"radius_range_mm must hold radii 0 < lo <= hi, "
+                             f"got {self.radius_range_mm}")
+        if not self.noise_sigma >= 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         _check_spacing(self.spacing_mm)
-
-    def means(self):
-        if self.intensity_means is not None:
-            if len(self.intensity_means) != self.num_classes:
-                raise ValueError("need one intensity mean per class")
-            return tuple(self.intensity_means)
-        return tuple(float(c) for c in range(self.num_classes))
 
 
 def generate_synthetic_case(spec):
@@ -133,10 +132,7 @@ def generate_synthetic_case(spec):
                      + ((xc - center[2]) / radii[2])[None, None, :] ** 2)
             labels[dist2 <= 1.0] = cls
 
-    means = spec.means()
-    image = np.zeros(spec.shape, dtype=np.float64)
-    for cls in range(spec.num_classes):
-        image[labels == cls] = means[cls]
+    image = labels.astype(np.float64)
     image += rng.normal(0.0, spec.noise_sigma, size=spec.shape)
     return (Volume(image.astype(np.float32), spec.spacing_mm),
             LabelVolume(labels, spec.spacing_mm))

@@ -39,7 +39,6 @@ from .metrics import dice, dice_ce_loss, evaluate_case, write_report_csv
 from .model import (
     PHNet,
     PHNetConfig,
-    MLPPDefaults,
     config_to_dict,
     count_params,
     hwd_to_dhw,
@@ -99,12 +98,11 @@ def _model_config(cfg, num_classes, spacing_mm):
         num_stages=cfg.num_stages,
         base_channels=cfg.base_channels,
         max_channels=cfg.max_channels,
-        in_channels=1,
         num_classes=num_classes,
         voxel_spacing_mm=tuple(spacing_mm),
         patch_size=tuple(cfg.patch_size),
         mlpp_stages=cfg.mlpp_stages,
-        mlpp=MLPPDefaults(num_layers=cfg.mlpp_num_layers),
+        mlpp_num_layers=cfg.mlpp_num_layers,
         blocks_per_stage=cfg.blocks_per_stage,
     )
 
@@ -577,7 +575,7 @@ def grad_check_suite(seed=0):
     net_cfg = PHNetConfig(num_stages=2, base_channels=2, max_channels=4,
                           num_classes=2, voxel_spacing_mm=(1.0, 1.0, 4.0),
                           patch_size=(8, 8, 4), blocks_per_stage=1,
-                          mlpp=MLPPDefaults(num_layers=1))
+                          mlpp_num_layers=1)
     net = PHNet(net_cfg, seed=seed, dtype=f64)
     add("network_end_to_end",
         probed(net, (1, 1, 4, 8, 8)),
@@ -601,7 +599,7 @@ def bench(model_cfg, batch_size=1, repeats=3, seed=0):
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     net = PHNet(model_cfg, seed=seed)
     d, h, w = hwd_to_dhw(model_cfg.patch_size)
-    shape = (batch_size, model_cfg.in_channels, d, h, w)
+    shape = (batch_size, 1, d, h, w)
     flops, out_shape = net.count_flops(shape)
     x = np.zeros(shape, dtype=np.float32)
     with ag.no_grad():

@@ -18,7 +18,7 @@ downsampling first).
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .data import MAX_CLASSES, _is_spacing, _is_triple, atomic_write
 from .mlpp import MLPPBlock, MLPPConfig
 
 __all__ = [
-    "MLPPDefaults",
     "PHNetConfig",
     "StagePlan",
     "PHNet",
@@ -57,29 +56,15 @@ CHECKPOINT_FORMAT = "phnet-checkpoint-v1"
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MLPPDefaults:
-    """Per-network MLPP knobs; ``None`` segment lengths are derived per stage
-    from the feature geometry (in-plane length = half the feature width,
-    attention window = same, through-plane length = half the feature depth,
-    each reduced to the nearest compatible divisor)."""
-
-    l_ip: int | None = None
-    l_aa: int | None = None
-    l_tp: int | None = None
-    num_layers: int = 2
-
-
-@dataclass(frozen=True)
 class PHNetConfig:
     num_stages: int = 5
     base_channels: int = 32
     max_channels: int = 320
-    in_channels: int = 1
     num_classes: int = 2
     voxel_spacing_mm: tuple = (1.0, 1.0, 1.0)   # (ip, ip, tp)
     patch_size: tuple = (64, 64, 16)            # (H, W, D)
     mlpp_stages: tuple | None = None            # default: deepest two
-    mlpp: MLPPDefaults = field(default_factory=MLPPDefaults)
+    mlpp_num_layers: int = 2                    # depth of every MLPP stack
     blocks_per_stage: int = 2
 
     def resolved_mlpp_stages(self):
@@ -106,10 +91,6 @@ def hwd_to_dhw(patch_size_hwd):
     return d, h, w
 
 
-def _round_half_up(x):
-    return math.floor(x + 0.5)
-
-
 def plan_stages(cfg):
     """Spacing-driven stage plan: s2 in-plane-only stages, then 3D stages,
     with the configured stages swapped to MLPP mode; channels double from
@@ -117,8 +98,7 @@ def plan_stages(cfg):
     ip0, ip1, tp = cfg.voxel_spacing_mm
     if ip0 <= 0 or ip1 <= 0 or tp <= 0:
         raise ValueError(f"voxel spacing must be positive, got {cfg.voxel_spacing_mm}")
-    for name in ("num_stages", "in_channels", "base_channels", "max_channels",
-                 "blocks_per_stage"):
+    for name in ("num_stages", "base_channels", "max_channels", "blocks_per_stage"):
         if getattr(cfg, name) < 1:
             raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     if cfg.num_classes < 2:
@@ -127,7 +107,7 @@ def plan_stages(cfg):
         raise ValueError(f"num_classes must be <= {MAX_CLASSES} (labels are uint8), "
                          f"got {cfg.num_classes}")
     ratio = tp / math.sqrt(ip0 * ip1)
-    s2 = min(max(_round_half_up(math.log2(ratio)), 0), cfg.num_stages - 1)
+    s2 = min(max(math.floor(math.log2(ratio) + 0.5), 0), cfg.num_stages - 1)
 
     mlpp_stages = cfg.resolved_mlpp_stages()
     for i in mlpp_stages:
@@ -144,7 +124,7 @@ def plan_stages(cfg):
         stride = (1, 2, 2) if two_d else (2, 2, 2)
         kernel = (1, 3, 3) if two_d else (3, 3, 3)
         mode = "mlpp" if i in mlpp_stages else ("conv2d" if two_d else "conv3d")
-        c_in = cfg.in_channels if i == 0 else plan[-1].channels_out
+        c_in = 1 if i == 0 else plan[-1].channels_out
         c_out = min(cfg.base_channels * 2 ** i, cfg.max_channels)
         plan.append(StagePlan(mode, stride, kernel, c_in, c_out))
     return plan
@@ -214,7 +194,7 @@ class _DecoderStage(Module):
 class PHNet(Module):
     """Permutable hybrid CNN+MLP segmentation network.
 
-    ``forward`` maps (B, in_channels, D, H, W) to logits of shape
+    ``forward`` maps (B, 1, D, H, W) to logits of shape
     (B, num_classes, D, H, W).  Any input whose extents survive every
     stage's stride exactly (and the MLPP divisibility constraints) is
     accepted — parameters are resolution-free.  ``dtype`` is the dtype its
@@ -231,15 +211,13 @@ class PHNet(Module):
         self.stages = []
         for i, plan in enumerate(self.plan):
             if plan.mode == "mlpp":
-                d_f, h_f, w_f = feat[i + 1]
-                m = cfg.mlpp
-                l_ip = (m.l_ip if m.l_ip is not None else
-                        _largest_divisor_at_most(plan.channels_out, w_f // 2, h_f, w_f))
-                l_aa = (m.l_aa if m.l_aa is not None else
-                        _largest_divisor_at_most(h_f, min(l_ip, h_f), w_f))
-                l_tp = (m.l_tp if m.l_tp is not None else
-                        _largest_divisor_at_most(plan.channels_out, max(1, d_f // 2), d_f))
-                mlpp_cfg = MLPPConfig(plan.channels_out, l_ip, l_aa, l_tp, m.num_layers)
+                # largest on the C x (D,H,W) patch grid: l_ip | C,H,W, l_ip <= W // 2;
+                # l_tp | C,D, l_tp <= max(1, D // 2); the attention window is l_ip
+                c, (d_f, h_f, w_f) = plan.channels_out, feat[i + 1]
+                l_ip = _largest_divisor_at_most(c, w_f // 2, h_f, w_f)
+                mlpp_cfg = MLPPConfig(c, l_ip, l_ip,
+                                      _largest_divisor_at_most(c, max(1, d_f // 2), d_f),
+                                      cfg.mlpp_num_layers)
                 self.stages.append(_MLPPStage(plan, mlpp_cfg, rng, dtype))
             else:
                 self.stages.append(_ConvStage(plan, cfg.blocks_per_stage, rng, dtype))
@@ -253,8 +231,6 @@ class PHNet(Module):
                                               self.plan[i].stride, rng, dtype))
             ch = out_ch
         self.head = Conv(ch, cfg.num_classes, 1, 1, 0, bias=True, rng=rng, dtype=dtype)
-
-        self._check_mlpp_divisibility(feat)
 
     # -- geometry ----------------------------------------------------------
 
@@ -275,12 +251,16 @@ class PHNet(Module):
             sizes.append(tuple(n // s for n, s in zip(cur, plan.stride)))
         return sizes
 
-    def _check_mlpp_divisibility(self, feat):
+    # -- forward -----------------------------------------------------------
+
+    def forward(self, x):
+        if x.ndim != 5 or x.shape[1] != 1:
+            raise ValueError(f"expected input (B,1,D,H,W), got {x.shape}")
+        feat = self._feature_sizes(x.shape[2:])
         for i, (plan, stage) in enumerate(zip(self.plan, self.stages)):
             if plan.mode != "mlpp":
                 continue
-            c = stage.mlpp.cfg
-            d_f, h_f, w_f = feat[i + 1]
+            c, (d_f, h_f, w_f) = stage.mlpp.cfg, feat[i + 1]
             for axis_name, extent, l in (("H", h_f, c.l_ip), ("W", w_f, c.l_ip),
                                          ("H", h_f, c.l_aa), ("W", w_f, c.l_aa),
                                          ("D", d_f, c.l_tp)):
@@ -288,15 +268,6 @@ class PHNet(Module):
                     raise ValueError(
                         f"stage {i}: MLPP segment/window length {l} does not divide "
                         f"axis {axis_name} feature extent {extent}")
-
-    # -- forward -----------------------------------------------------------
-
-    def forward(self, x):
-        if x.ndim != 5 or x.shape[1] != self.cfg.in_channels:
-            raise ValueError(
-                f"expected input (B,{self.cfg.in_channels},D,H,W), got {x.shape}")
-        feat = self._feature_sizes(x.shape[2:])
-        self._check_mlpp_divisibility(feat)
 
         skips = []
         for stage in self.stages:
@@ -363,36 +334,54 @@ def count_params(net):
 
 
 def config_to_dict(cfg):
-    """JSON-ready dict capturing a PHNetConfig, round-trippable through
-    ``config_from_dict``."""
+    """A PHNetConfig as a JSON-ready dict that ``config_from_dict`` reads back."""
     return asdict(cfg)
 
 
 # per PHNetConfig field, the check of its ``config_to_dict`` JSON value
 # (bools are not ints here)
 _CONFIG_FIELDS = {
-    **dict.fromkeys(("num_stages", "base_channels", "max_channels", "in_channels",
-                     "num_classes", "blocks_per_stage"), lambda v: type(v) is int),
+    **dict.fromkeys(("num_stages", "base_channels", "max_channels", "num_classes",
+                     "mlpp_num_layers", "blocks_per_stage"), lambda v: type(v) is int),
     "voxel_spacing_mm": _is_spacing,
     "patch_size": lambda v: _is_triple(v, int),
     "mlpp_stages": lambda v: v is None or (isinstance(v, list)
                                            and all(type(i) is int for i in v)),
-    "mlpp": lambda v: (isinstance(v, dict) and v.keys() == asdict(MLPPDefaults()).keys()
-                       and all(type(n) is int or (n is None and k != "num_layers")
-                               for k, n in v.items())),
 }
+
+
+_NESTED_FIELDS = (_CONFIG_FIELDS.keys() - {"mlpp_num_layers"}) | {"in_channels", "mlpp"}
+
+
+def _flatten_nested_mlpp(d):
+    """The flat form of ``d``, a config in the nested form older headers hold:
+    ``in_channels`` and an ``mlpp`` object in place of ``mlpp_num_layers``.
+    Only what that form always held loads: 1 channel, null (derived) lengths."""
+    d = dict(d)
+    in_channels, mlpp = d.pop("in_channels"), d.pop("mlpp")
+    if type(in_channels) is not int or in_channels != 1:
+        raise ValueError(f"model_config: invalid in_channels {in_channels!r} (PHNet reads 1)")
+    if not (isinstance(mlpp, dict) and mlpp.keys() == {"l_ip", "l_aa", "l_tp", "num_layers"}):
+        raise ValueError(f"model_config: invalid mlpp {mlpp!r}")
+    for name in ("l_ip", "l_aa", "l_tp"):
+        if mlpp[name] is not None:
+            raise ValueError(f"model_config: invalid mlpp.{name} {mlpp[name]!r} (derived)")
+    return {**d, "mlpp_num_layers": mlpp["num_layers"]}
 
 
 def config_from_dict(d):
     """Rebuild a PHNetConfig from ``config_to_dict`` output (JSON turns
-    tuples into lists, so sequence fields are re-tupled here).  Raises
-    ``ValueError`` naming the field unless ``d`` is an object with every
-    field and no other, each of its JSON type."""
+    tuples into lists, so sequence fields are re-tupled here), or from the
+    nested form.  Raises ``ValueError`` naming the field unless ``d`` is an
+    object with every field of one form and no other, each of its JSON type."""
     if not isinstance(d, dict):
         raise ValueError(f"model_config must be an object, got {d!r}")
-    odd = sorted(d.keys() ^ _CONFIG_FIELDS.keys())
+    nested = "in_channels" in d or "mlpp" in d
+    odd = sorted(d.keys() ^ (_NESTED_FIELDS if nested else _CONFIG_FIELDS.keys()))
     if odd:
         raise ValueError(f"model_config: unknown or missing fields {odd}")
+    if nested:
+        d = _flatten_nested_mlpp(d)
     for name, valid in _CONFIG_FIELDS.items():
         if not valid(d[name]):
             raise ValueError(f"model_config: invalid {name} {d[name]!r}")
@@ -401,7 +390,6 @@ def config_from_dict(d):
         "voxel_spacing_mm": tuple(d["voxel_spacing_mm"]),
         "patch_size": tuple(d["patch_size"]),
         "mlpp_stages": None if d["mlpp_stages"] is None else tuple(d["mlpp_stages"]),
-        "mlpp": MLPPDefaults(**d["mlpp"]),
     })
 
 

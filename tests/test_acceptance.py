@@ -38,7 +38,7 @@ from phnet.harness import (
 from phnet.layers import conv_nd, conv_output_extent, conv_transpose_nd, linear
 from phnet.metrics import dice, hausdorff, iou, nvd, surface_dice
 from phnet.mlpp import AAMLP, IPMLP, TPMLP, residual_attention_fuse
-from phnet.model import MLPPDefaults, PHNet, PHNetConfig, count_params, plan_stages
+from phnet.model import PHNet, PHNetConfig, count_params, plan_stages
 from phnet.optim import AdamW, lr_for_batch
 
 SPACING = (1.0, 1.0, 4.0)
@@ -353,9 +353,9 @@ def test_criterion_05_flop_scaling(capfd):
 
 def test_criterion_06_resolution_insensitive_weights(capfd):
     cfg = PHNetConfig(num_stages=4, base_channels=8, max_channels=320,
-                      in_channels=1, num_classes=2, voxel_spacing_mm=SPACING,
+                      num_classes=2, voxel_spacing_mm=SPACING,
                       patch_size=(64, 64, 16), blocks_per_stage=1,
-                      mlpp=MLPPDefaults(num_layers=1))
+                      mlpp_num_layers=1)
     net = PHNet(cfg, seed=6)
     before = [p.data.copy() for p in net.parameters()]
     n_params = count_params(net)

@@ -154,6 +154,21 @@ class TestGenData:
         assert code == 2
         assert "error: num_classes" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flags,field", [
+        (["--blobs", "2", "1"], "blobs_per_class"),
+        (["--blobs", "-1", "0"], "blobs_per_class"),
+        (["--radius", "5", "3"], "radius_range_mm"),
+        (["--noise", "-1"], "noise_sigma"),
+    ], ids=["blobs_reversed", "blobs_negative", "radius_reversed", "noise_negative"])
+    def test_bad_range_exits_2_naming_the_field_before_writing(self, flags, field,
+                                                               tmp_path, capsys):
+        out = tmp_path / "d"
+        code = main(["gen-data", "--out", str(out)] + TINY_GEN + flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {field} " in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_deterministic_given_seed(self, dataset, tmp_path):
         out = tmp_path / "again"
         assert main(["gen-data", "--out", str(out)] + TINY_GEN) == 0
@@ -198,6 +213,35 @@ class TestTrainCLI:
                      "--out-dir", str(tmp_path / "run")])
         assert code == 1
         assert "epochz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc,key", [
+        ({"epochs": "3"}, "epochs"),
+        ({"patch_size": 5}, "patch_size"),
+        ({"patch_size": [16.0, 16, 8]}, "patch_size"),
+        ({"seed": True}, "seed"),
+        ({"lr": "1e-3"}, "lr"),
+        ({"mlpp_stages": 1}, "mlpp_stages"),
+    ], ids=["epochs_string", "patch_size_int", "patch_size_floats", "seed_bool",
+            "lr_string", "mlpp_stages_int"])
+    def test_config_value_of_wrong_type_exits_1_naming_the_key(self, doc, key, dataset,
+                                                               tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(cfg_path), "--data-dir", str(dataset),
+                     "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"usage error: {cfg_path}: config key {key!r}" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_config_not_an_object_exits_1(self, dataset, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("5")
+        code = main(["train", "--config", str(cfg_path), "--data-dir", str(dataset),
+                     "--out-dir", str(tmp_path / "run")])
+        assert code == 1
+        assert "JSON object" in capsys.readouterr().err
 
     def test_invalid_config_json_exits_1(self, dataset, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -286,7 +330,7 @@ MALFORMED = {
     "model_config_unknown_field": _model_config(lambda c: {**c, "depth": 3}),
     "model_config_without_spacing": _model_config(
         lambda c: {k: v for k, v in c.items() if k != "voxel_spacing_mm"}),
-    "mlpp_list": _model_config(lambda c: {**c, "mlpp": list(c["mlpp"].values())}),
+    "mlpp_num_layers_string": _model_config(lambda c: {**c, "mlpp_num_layers": "1"}),
     "num_stages_string": _model_config(lambda c: {**c, "num_stages": str(c["num_stages"])}),
 }
 
@@ -315,6 +359,36 @@ class TestMalformedCheckpoint:
         assert main(["bench", "--checkpoint", str(bad_checkpoint), "--repeats", "1"]) == 2
         err = capsys.readouterr().err
         assert "error" in err and "Traceback" not in err
+
+
+def _nested_form(in_channels=1, l_ip=None):
+    """A header edit into the form checkpoint headers held before
+    ``PHNetConfig`` lost ``in_channels`` and its ``mlpp`` object."""
+    def edit(c):
+        flat = {k: v for k, v in c.items() if k != "mlpp_num_layers"}
+        return {**flat, "in_channels": in_channels,
+                "mlpp": {"l_ip": l_ip, "l_aa": None, "l_tp": None,
+                         "num_layers": c["mlpp_num_layers"]}}
+    return _model_config(edit)
+
+
+@pytest.mark.parametrize("edit,code,message", [
+    (_nested_form(), 0, ""),
+    (_nested_form(in_channels=2), 2, "error: model_config: invalid in_channels 2"),
+    (_nested_form(l_ip=2), 2, "error: model_config: invalid mlpp.l_ip 2"),
+], ids=["derived", "two_channels", "set_l_ip"])
+def test_flops_reads_a_nested_form_header(edit, code, message, trained, tmp_path, capsys):
+    raw = (trained / "best.ckpt").read_bytes()
+    assert main(["flops", "--checkpoint", str(trained / "best.ckpt")]) == 0
+    fresh = capsys.readouterr().out
+    line, payload = raw.split(b"\n", 1)
+    header, payload = edit(json.loads(line), payload)
+    path = tmp_path / "nested.ckpt"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    assert main(["flops", "--checkpoint", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == (fresh if code == 0 else "")
+    assert message in captured.err and "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------

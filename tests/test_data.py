@@ -144,9 +144,24 @@ class TestSynthetic:
             SyntheticSpec(num_classes=MAX_CLASSES + 1)
         with pytest.raises(ValueError, match="radii"):
             SyntheticSpec(radius_range_mm=(0.0, 5.0))
-        with pytest.raises(ValueError, match="intensity mean"):
-            generate_synthetic_case(
-                SyntheticSpec(num_classes=3, intensity_means=(0.0, 1.0)))
+
+    @pytest.mark.parametrize("field,value", [
+        ("blobs_per_class", (2, 1)),
+        ("blobs_per_class", (-1, 0)),
+        ("radius_range_mm", (5.0, 3.0)),
+        ("noise_sigma", -1.0),
+        ("noise_sigma", float("nan")),
+    ])
+    def test_bad_range_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            SyntheticSpec(**{field: value})
+
+    def test_range_edges_accepted(self):
+        spec = SyntheticSpec(shape=(8, 16, 16), spacing_mm=(1.0, 1.0, 2.0),
+                             blobs_per_class=(0, 0), radius_range_mm=(3.0, 3.0),
+                             noise_sigma=0.0)
+        vol, lab = generate_synthetic_case(spec)
+        assert not lab.grid.any() and not vol.grid.any()
 
 
 class TestZScore:

@@ -6,6 +6,7 @@ independent per-voxel gather-and-average oracle.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -45,7 +46,6 @@ from phnet.metrics import dice_ce_loss
 from phnet.model import (
     PHNet,
     PHNetConfig,
-    MLPPDefaults,
     config_from_dict,
     config_to_dict,
     load_checkpoint,
@@ -95,11 +95,21 @@ def tiny_config(dataset, out_dir, **overrides):
     return TrainConfig(**kwargs)
 
 
+def nested_form(c, **mlpp):
+    """``config_to_dict`` output ``c`` in the form checkpoint headers held
+    before ``PHNetConfig`` lost ``in_channels`` and its ``mlpp`` object, with
+    ``mlpp`` replacing entries of that object."""
+    flat = {k: v for k, v in c.items() if k != "mlpp_num_layers"}
+    return {**flat, "in_channels": 1,
+            "mlpp": {"l_ip": None, "l_aa": None, "l_tp": None,
+                     "num_layers": c["mlpp_num_layers"], **mlpp}}
+
+
 def tiny_model_config(num_classes=2):
     return PHNetConfig(num_stages=2, base_channels=4, max_channels=8,
                        num_classes=num_classes, voxel_spacing_mm=SPACING,
                        patch_size=(16, 16, 8), blocks_per_stage=1,
-                       mlpp=MLPPDefaults(num_layers=1))
+                       mlpp_num_layers=1)
 
 
 # ---------------------------------------------------------------------------
@@ -642,14 +652,25 @@ class TestEvaluate:
         (lambda c: [c], "model_config must be an object"),
         (lambda c: {**c, "depth": 3}, "'depth'"),
         (lambda c: {k: v for k, v in c.items() if k != "voxel_spacing_mm"}, "'voxel_spacing_mm'"),
-        (lambda c: {**c, "mlpp": list(c["mlpp"].values())}, "invalid mlpp"),
-        (lambda c: {**c, "mlpp": {**c["mlpp"], "num_layers": None}}, "invalid mlpp"),
+        (lambda c: {**c, "mlpp_num_layers": "1"}, "invalid mlpp_num_layers"),
+        (lambda c: {k: v for k, v in c.items() if k != "mlpp_num_layers"}, "'mlpp_num_layers'"),
         (lambda c: {**c, "num_stages": "2"}, "invalid num_stages"),
         (lambda c: {**c, "num_classes": True}, "invalid num_classes"),
         (lambda c: {**c, "patch_size": [16.0, 16.0, 8.0]}, "invalid patch_size"),
         (lambda c: {**c, "mlpp_stages": [1, "1"]}, "invalid mlpp_stages"),
-    ], ids=["not_object", "unknown_field", "missing_field", "mlpp_list", "num_layers_null",
-            "string_int", "bool_int", "float_patch", "string_stage"])
+        (lambda c: {**nested_form(c), "in_channels": 2}, "invalid in_channels 2"),
+        (lambda c: {**nested_form(c), "in_channels": True}, "invalid in_channels True"),
+        (lambda c: nested_form(c, l_ip=2), "invalid mlpp.l_ip 2"),
+        (lambda c: nested_form(c, l_tp=1), "invalid mlpp.l_tp 1"),
+        (lambda c: {**nested_form(c), "mlpp": [None, None, None, 1]}, "invalid mlpp"),
+        (lambda c: nested_form(c, num_layers=None), "invalid mlpp_num_layers"),
+        (lambda c: {**nested_form(c), "mlpp_num_layers": 1}, "'mlpp_num_layers'"),
+        (lambda c: {**c, "in_channels": 1}, "['mlpp', 'mlpp_num_layers']"),
+    ], ids=["not_object", "unknown_field", "missing_field", "mlpp_num_layers_string",
+            "mlpp_num_layers_missing", "string_int", "bool_int", "float_patch",
+            "string_stage", "nested_two_channels", "nested_bool_channels", "nested_l_ip",
+            "nested_l_tp", "nested_mlpp_list", "nested_num_layers_null", "nested_and_flat",
+            "flat_with_in_channels"])
     def test_malformed_model_config_rejected_naming_the_field(self, edit, message, tmp_path):
         cfg = tiny_model_config()
         good = json.loads(json.dumps(config_to_dict(cfg)))
@@ -658,6 +679,27 @@ class TestEvaluate:
         save_checkpoint(PHNet(cfg, seed=0), path, meta={"model_config": edit(good)})
         with pytest.raises(ValueError, match=re.escape(message)):
             net_from_checkpoint(path)
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_nested_form_header_loads_the_same_net(self, num_layers, tmp_path):
+        # a header in the nested form checkpoints were written in before
+        # PHNetConfig lost in_channels and its mlpp object
+        cfg = dataclasses.replace(tiny_model_config(), mlpp_num_layers=num_layers)
+        net = PHNet(cfg, seed=3)
+        path = tmp_path / "fresh.ckpt"
+        save_checkpoint(net, path, meta={"model_config": config_to_dict(cfg)})
+        header, payload = path.read_bytes().split(b"\n", 1)
+        manifest = json.loads(header)
+        manifest["meta"]["model_config"] = nested_form(manifest["meta"]["model_config"])
+        old = tmp_path / "nested.ckpt"
+        old.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+        loaded = net_from_checkpoint(old)
+        assert loaded.cfg == cfg
+        for (name, p), (other, q) in zip(net.named_parameters(), loaded.named_parameters()):
+            assert name == other and np.array_equal(p.data, q.data)
+        x = ag.Tensor(np.random.default_rng(4).normal(size=(1, 1, 8, 16, 16)).astype(np.float32))
+        with ag.no_grad():
+            assert np.array_equal(net(x).data, loaded(x).data)
 
     def test_missing_split_rejected(self, trained, dataset):
         with pytest.raises(ValueError, match="split"):

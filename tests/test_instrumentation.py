@@ -20,8 +20,8 @@ tracer = Tracer()
 instrument(tracer)
 from phnet.autograd import Tensor
 from phnet.model import PHNet, PHNetConfig
-cfg = PHNetConfig(num_stages=2, base_channels=4, max_channels=8, in_channels=1,
-                  num_classes=2, voxel_spacing_mm=(1, 1, 2), patch_size=(8, 8, 4),
+cfg = PHNetConfig(num_stages=2, base_channels=4, max_channels=8, num_classes=2,
+                  voxel_spacing_mm=(1, 1, 2), patch_size=(8, 8, 4),
                   blocks_per_stage=1)
 net = PHNet(cfg, seed=0)
 tracer.enabled = True
@@ -52,8 +52,8 @@ tracer = Tracer()
 instrument(tracer)
 from phnet import autograd, metrics
 from phnet.model import PHNet, PHNetConfig
-cfg = PHNetConfig(num_stages=4, base_channels=4, max_channels=16, in_channels=1,
-                  num_classes=2, voxel_spacing_mm=(1, 1, 2), patch_size=(16, 16, 8),
+cfg = PHNetConfig(num_stages=4, base_channels=4, max_channels=16, num_classes=2,
+                  voxel_spacing_mm=(1, 1, 2), patch_size=(16, 16, 8),
                   blocks_per_stage=1)
 net = PHNet(cfg, seed=0)
 rng = np.random.default_rng(0)

@@ -1,9 +1,12 @@
+import dataclasses
 import gc
 import json
+import math
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from phnet.autograd import Tensor, backward, grad_check, no_grad, trace
 from phnet import layers
@@ -12,20 +15,18 @@ from phnet.layers import ChannelNorm, InstanceNorm, Linear
 from phnet.metrics import dice_ce_loss
 from phnet.mlpp import MLPPLayer
 from phnet.model import (
-    MLPPDefaults,
     PHNet,
     PHNetConfig,
     StagePlan,
     count_params,
+    hwd_to_dhw,
     load_checkpoint,
     plan_stages,
     save_checkpoint,
 )
 
-ANISO = PHNetConfig(num_stages=4, base_channels=8, max_channels=64,
-                    in_channels=1, num_classes=3,
-                    voxel_spacing_mm=(1.0, 1.0, 4.0),
-                    patch_size=(32, 32, 16))
+ANISO = PHNetConfig(num_stages=4, base_channels=8, max_channels=64, num_classes=3,
+                    voxel_spacing_mm=(1.0, 1.0, 4.0), patch_size=(32, 32, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +132,8 @@ def test_build_rejects_indivisible_patch():
 
 def test_toy_param_count_matches_hand_sum():
     # one 3D stage, one residual block, no MLPP
-    cfg = PHNetConfig(num_stages=1, base_channels=4, in_channels=1,
-                      num_classes=2, patch_size=(8, 8, 8), mlpp_stages=(),
+    cfg = PHNetConfig(num_stages=1, base_channels=4, num_classes=2,
+                      patch_size=(8, 8, 8), mlpp_stages=(),
                       blocks_per_stage=1)
     net = PHNet(cfg, seed=0)
     # encoder block: conv1 4*1*27=108, conv2 4*4*27=432, proj 4*1, four IN pairs
@@ -161,7 +162,7 @@ def test_count_params_resolution_invariant():
 # ---------------------------------------------------------------------------
 
 def test_forward_shape_contract():
-    cfg = PHNetConfig(num_stages=3, base_channels=4, in_channels=1, num_classes=3,
+    cfg = PHNetConfig(num_stages=3, base_channels=4, num_classes=3,
                       voxel_spacing_mm=(1, 1, 4), patch_size=(64, 64, 16),
                       blocks_per_stage=1)
     net = PHNet(cfg, seed=0)
@@ -200,7 +201,7 @@ def test_forward_shape_grid():
     for mlpp in ((), None):
         for g in grid:
             cfg = PHNetConfig(num_stages=g["num_stages"], base_channels=4,
-                              in_channels=1, num_classes=2,
+                              num_classes=2,
                               voxel_spacing_mm=g["spacing"], patch_size=g["patch"],
                               mlpp_stages=mlpp, blocks_per_stage=1)
             net = PHNet(cfg, seed=1)
@@ -218,7 +219,7 @@ def test_forward_zero_input_zero_logits():
 
 def test_end_to_end_gradient_check():
     cfg = PHNetConfig(num_stages=2, base_channels=4, max_channels=8,
-                      in_channels=1, num_classes=2, voxel_spacing_mm=(1, 1, 2),
+                      num_classes=2, voxel_spacing_mm=(1, 1, 2),
                       patch_size=(8, 8, 4), blocks_per_stage=1)
     net = PHNet(cfg, seed=5, dtype=np.float64)
     rng = np.random.default_rng(6)
@@ -233,7 +234,7 @@ def test_end_to_end_gradient_check():
 
 def test_gradients_reach_every_parameter():
     cfg = PHNetConfig(num_stages=2, base_channels=4, max_channels=8,
-                      in_channels=1, num_classes=2, voxel_spacing_mm=(1, 1, 2),
+                      num_classes=2, voxel_spacing_mm=(1, 1, 2),
                       patch_size=(8, 8, 4), blocks_per_stage=1)
     net = PHNet(cfg, seed=5, dtype=np.float64)
     rng = np.random.default_rng(7)
@@ -252,7 +253,7 @@ def submodules(m):
 @pytest.fixture(scope="module")
 def small_train_tape():
     cfg = PHNetConfig(num_stages=2, base_channels=4, max_channels=8,
-                      in_channels=1, num_classes=2, voxel_spacing_mm=(1, 1, 2),
+                      num_classes=2, voxel_spacing_mm=(1, 1, 2),
                       patch_size=(8, 8, 4), blocks_per_stage=1)
     net = PHNet(cfg, seed=5)
     rng = np.random.default_rng(8)
@@ -336,7 +337,7 @@ def test_no_part_of_the_tape_outlives_backward():
     # the logits stay referenced, as in a training loop; the walk must still
     # free every other op result (gc is off, so only refcounts free them)
     cfg = PHNetConfig(num_stages=2, base_channels=4, max_channels=8,
-                      in_channels=1, num_classes=2, voxel_spacing_mm=(1, 1, 2),
+                      num_classes=2, voxel_spacing_mm=(1, 1, 2),
                       patch_size=(8, 8, 4), blocks_per_stage=1)
     net = PHNet(cfg, seed=5)
     rng = np.random.default_rng(9)
@@ -377,10 +378,10 @@ def test_vanilla_token_mixing_quadruples():
 
 def _one_stage_net(mlpp_stages, num_layers=2):
     # input (D,H,W) = (4,8,8); the one 3D stage writes (2,4,4) with 8 channels
-    cfg = PHNetConfig(num_stages=1, base_channels=8, max_channels=8, in_channels=1,
-                      num_classes=2, voxel_spacing_mm=(1, 1, 1), patch_size=(8, 8, 4),
-                      mlpp_stages=mlpp_stages, blocks_per_stage=1,
-                      mlpp=MLPPDefaults(l_ip=2, l_aa=2, l_tp=2, num_layers=num_layers))
+    cfg = PHNetConfig(num_stages=1, base_channels=8, max_channels=8, num_classes=2,
+                      voxel_spacing_mm=(1, 1, 1), patch_size=(8, 8, 4),
+                      mlpp_stages=mlpp_stages, mlpp_num_layers=num_layers,
+                      blocks_per_stage=1)
     return PHNet(cfg, seed=0)
 
 
@@ -461,9 +462,9 @@ _STAGE_GRID = [(1, 1.0), (2, 1.0), (2, 2.0), (3, 1.0), (3, 2.0), (3, 4.0),
 def test_count_flops_equals_ops_of_a_forward(monkeypatch, num_stages, tp, blocks,
                                              mlpp_stages, num_layers, batch):
     cfg = PHNetConfig(num_stages=num_stages, base_channels=4, max_channels=32,
-                      in_channels=1, num_classes=2, voxel_spacing_mm=(1.0, 1.0, tp),
+                      num_classes=2, voxel_spacing_mm=(1.0, 1.0, tp),
                       patch_size=(16, 16, 16), mlpp_stages=mlpp_stages,
-                      mlpp=MLPPDefaults(num_layers=num_layers), blocks_per_stage=blocks)
+                      mlpp_num_layers=num_layers, blocks_per_stage=blocks)
     net = PHNet(cfg, seed=0)
     x = np.random.default_rng(0).normal(size=(batch, 1, 16, 16, 16)).astype(np.float32)
     counted, out_shape = _op_counting_forward(monkeypatch, net, x)
@@ -512,7 +513,7 @@ def test_checkpoint_shape_validation(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(net, path)
     different = PHNet(PHNetConfig(num_stages=4, base_channels=16, max_channels=64,
-                                  in_channels=1, num_classes=3,
+                                  num_classes=3,
                                   voxel_spacing_mm=(1, 1, 4), patch_size=(32, 32, 16)),
                       seed=0)
     with pytest.raises(ValueError):
@@ -563,24 +564,61 @@ def test_checkpoint_entries_must_tile_the_payload_in_order(tmp_path, edit):
 
 
 # ---------------------------------------------------------------------------
-# MLPP defaults resolution
+# derived MLPP segment lengths
 # ---------------------------------------------------------------------------
 
-def test_mlpp_stage_segment_defaults():
+def test_mlpp_stage_segment_lengths():
+    # patch (H,W,D) = (32,32,16) at spacing ratio 4: stage 2 writes 32 x (8,4,4)
+    # and stage 3 writes 64 x (4,2,2)
     net = PHNet(ANISO, seed=0)
-    # stage 2: feature (D,H,W) = (8,8,8) wait: computed from patch (32,32,16)
-    stage2 = net.stages[2]
-    stage3 = net.stages[3]
-    # defaults: l_ip = half feature width reduced to a divisor of channels
-    assert stage2.mlpp.cfg.l_ip >= 1 and stage3.mlpp.cfg.l_ip >= 1
-    # explicit values are honored
-    cfg = PHNetConfig(num_stages=4, base_channels=8, max_channels=64,
-                      in_channels=1, num_classes=3, voxel_spacing_mm=(1, 1, 4),
-                      patch_size=(32, 32, 16),
-                      mlpp=MLPPDefaults(l_ip=2, l_aa=2, l_tp=2, num_layers=1))
-    net2 = PHNet(cfg, seed=0)
-    assert net2.stages[2].mlpp.cfg.l_ip == 2
-    assert len(net2.stages[2].mlpp.mlpp_layers) == 1
+    assert [(s.mlpp.cfg.l_ip, s.mlpp.cfg.l_aa, s.mlpp.cfg.l_tp, s.mlpp.cfg.num_layers)
+            for s in net.stages[2:]] == [(2, 2, 4, 2), (1, 1, 2, 2)]
+    shallow = PHNet(dataclasses.replace(ANISO, mlpp_num_layers=1), seed=0)
+    assert [len(s.mlpp.mlpp_layers) for s in shallow.stages[2:]] == [1, 1]
+
+
+@st.composite
+def patch_divisible_configs(draw):
+    """A PHNetConfig with drawn stage count, base channels, spacing ratio and
+    MLPP stages, whose patch extents are whole multiples of the products of
+    the stage strides along each axis."""
+    num_stages = draw(st.integers(1, 4))
+    base = draw(st.integers(1, 6))
+    cfg = PHNetConfig(
+        num_stages=num_stages, base_channels=base,
+        max_channels=draw(st.integers(base, 8 * base)), num_classes=draw(st.integers(2, 3)),
+        voxel_spacing_mm=(1.0, 1.0, draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0, 8.0]))),
+        mlpp_stages=tuple(range(draw(st.integers(0, num_stages)), num_stages)),
+        mlpp_num_layers=draw(st.integers(1, 2)), blocks_per_stage=1)
+    d, h, w = (math.prod(p.stride[a] for p in plan_stages(cfg)) * draw(st.integers(1, 4))
+               for a in range(3))
+    return dataclasses.replace(cfg, patch_size=(h, w, d))
+
+
+@given(patch_divisible_configs())
+def test_derived_mlpp_lengths_divide_the_feature_grid(cfg):
+    net = PHNet(cfg, seed=0)
+    d, h, w = hwd_to_dhw(cfg.patch_size)
+    grid = (d, h, w)
+    for plan, stage in zip(net.plan, net.stages):
+        grid = tuple(n // s for n, s in zip(grid, plan.stride))
+        if plan.mode != "mlpp":
+            continue
+        c, (d_f, h_f, w_f), m = plan.channels_out, grid, stage.mlpp.cfg
+        assert c % m.l_ip == h_f % m.l_ip == w_f % m.l_ip == 0
+        assert h_f % m.l_aa == w_f % m.l_aa == 0
+        assert c % m.l_tp == d_f % m.l_tp == 0
+        # each is the largest such length within its bound
+        assert m.l_ip == max(l for l in range(1, max(1, w_f // 2) + 1)
+                             if c % l == h_f % l == w_f % l == 0)
+        assert m.l_aa == max(l for l in range(1, m.l_ip + 1) if h_f % l == w_f % l == 0)
+        assert m.l_tp == max(l for l in range(1, max(1, d_f // 2) + 1)
+                             if c % l == d_f % l == 0)
+        assert m.num_layers == cfg.mlpp_num_layers
+    x = np.random.default_rng(0).normal(size=(1, 1, d, h, w)).astype(np.float32)
+    with no_grad():
+        out = net(Tensor(x))
+    assert out.shape == net.count_flops(x.shape)[1] == (1, cfg.num_classes, d, h, w)
 
 
 def test_stage_plan_records():
