@@ -15,7 +15,13 @@ import typing
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
-from .data import SyntheticSpec, generate_synthetic_case, write_manifest, write_volume
+from .data import (
+    SyntheticSpec,
+    generate_synthetic_case,
+    read_json,
+    write_manifest,
+    write_volume,
+)
 from .harness import TrainConfig, bench, evaluate, grad_check_suite, train
 from .model import (
     PHNet,
@@ -86,6 +92,12 @@ def cmd_gen_data(args):
         noise_sigma=args.noise,
         seed=args.seed + i,
     ) for i in range(args.cases + args.val_cases)]
+    # a blob of the largest radius must fit every axis, or generation could
+    # fail after the output directory is made
+    extent = tuple(float(n * s) for n, s in zip(args.shape, args.spacing))
+    if specs and args.blobs[1] > 0 and 2 * args.radius[1] > min(extent):
+        raise ValueError(f"radius_range_mm: blobs of radius up to {float(args.radius[1])} mm "
+                         f"do not fit the volume extent {extent} mm (x, y, z)")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cases = []
@@ -120,11 +132,10 @@ def _train_config_from_args(args):
     annotations = {f.name: f.type for f in dataclass_fields(TrainConfig)}
     merged = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
-            try:
-                doc = json.load(f)
-            except json.JSONDecodeError as e:
-                raise UsageError(f"{args.config}: invalid JSON ({e})")
+        try:
+            doc = read_json(args.config)
+        except ValueError as e:
+            raise UsageError(str(e)) from None
         if not isinstance(doc, dict):
             raise UsageError(f"{args.config}: the config must be a JSON object")
         unknown = sorted(doc.keys() - annotations.keys())

@@ -29,6 +29,8 @@ __all__ = [
     "write_volume",
     "write_manifest",
     "read_manifest",
+    "read_json",
+    "parse_json",
     "atomic_write",
     "zscore",
 ]
@@ -124,8 +126,8 @@ def generate_synthetic_case(spec):
             radii = rng.uniform(r_lo, r_hi, size=3)  # (z, y, x) mm
             if any(2 * r > e for r, e in zip(radii, extent)):
                 raise ValueError(
-                    f"class {cls}: blob radii {tuple(radii)} mm do not fit the "
-                    f"volume extent {extent} mm")
+                    f"class {cls}: blob radii {tuple(round(float(r), 3) for r in radii)} mm "
+                    f"do not fit the volume extent {extent} mm")
             center = tuple(rng.uniform(r, e - r) for r, e in zip(radii, extent))
             dist2 = (((zc - center[0]) / radii[0])[:, None, None] ** 2
                      + ((yc - center[1]) / radii[1])[None, :, None] ** 2
@@ -174,8 +176,9 @@ def resample_to_grid(v, dst_dims, dst_spacing):
         i0 = np.floor(m).astype(np.int64)
         frac.append(m - i0)
         lo.append(i0)
+    # corners are gathered from the float32 grid: ``w * corner`` widens them
+    # to float64 exactly, so no float64 copy of the whole grid is made
     out = np.zeros(tuple(dst_dims), dtype=np.float64)
-    src = grid.astype(np.float64)
     for bz in (0, 1):
         wz = (1.0 - frac[0]) if bz == 0 else frac[0]
         iz = np.clip(lo[0] + bz, 0, grid.shape[0] - 1)
@@ -186,7 +189,7 @@ def resample_to_grid(v, dst_dims, dst_spacing):
                 wx = (1.0 - frac[2]) if bx == 0 else frac[2]
                 ix = np.clip(lo[2] + bx, 0, grid.shape[2] - 1)
                 w = wz[:, None, None] * wy[None, :, None] * wx[None, None, :]
-                out += w * src[np.ix_(iz, iy, ix)]
+                out += w * grid[np.ix_(iz, iy, ix)]
     return Volume(out.astype(np.float32), dst_spacing)
 
 
@@ -266,10 +269,10 @@ def _is_spacing(value):
 
 
 def read_volume(base_path):
-    """Read a volume pair; returns Volume (f32) or LabelVolume (u8)."""
+    """Read a volume pair; returns Volume (f32) or LabelVolume (u8).  The
+    payload is read straight into the returned grid."""
     base = str(base_path)
-    with open(base + ".hdr", "r", encoding="utf-8") as f:
-        header = json.load(f)
+    header = read_json(base + ".hdr")
     if not isinstance(header, dict):
         raise ValueError(f"{base}.hdr: header is not a JSON object")
     for key in ("dims", "spacing_mm", "dtype", "byte_order"):
@@ -287,18 +290,20 @@ def read_volume(base_path):
             f"{base}.hdr: spacing_mm must be 3 positive finite numbers, got {spacing!r}")
     w, h, d = dims
     dt = _DTYPES[header["dtype"]]
+    expected = w * h * d * dt.itemsize
     with open(base + ".raw", "rb") as f:
-        payload = f.read()
-    if len(payload) != w * h * d * dt.itemsize:
+        size = os.fstat(f.fileno()).st_size
+        if size == expected:
+            grid = np.empty((d, h, w), dtype=dt)
+            size = f.readinto(grid)
+    if size != expected:
         raise ValueError(
-            f"{base}.raw: payload is {len(payload)} bytes, dims {dims} require "
-            f"{w * h * d * dt.itemsize}")
-    grid = np.frombuffer(payload, dtype=dt).reshape(d, h, w)
+            f"{base}.raw: payload is {size} bytes, dims {dims} require {expected}")
     if header["dtype"] == "f32" and not np.isfinite(grid).all():
         raise ValueError(f"{base}.raw: volume grid contains non-finite values")
     if header["dtype"] == "u8":
-        return LabelVolume(grid.copy(), spacing)
-    return Volume(grid.copy(), spacing)
+        return LabelVolume(grid, spacing)
+    return Volume(grid, spacing)
 
 
 def write_manifest(path, cases, extra=None):
@@ -315,8 +320,7 @@ def read_manifest(path):
     """Read a dataset manifest; raises ``ValueError`` unless it is an object
     with a 'cases' list of objects with a string 'id' and an optional string
     'split', and its optional 'spacing_mm' and 'num_classes' are valid."""
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = read_json(path)
     if not (isinstance(doc, dict) and isinstance(doc.get("cases"), list)):
         raise ValueError(f"{path}: manifest has no 'cases' list")
     for e in doc["cases"]:
@@ -329,6 +333,22 @@ def read_manifest(path):
         if key in doc and not valid(doc[key]):
             raise ValueError(f"{path}: {key} must be {want}, got {doc[key]!r}")
     return doc
+
+
+def parse_json(raw, where):
+    """The UTF-8 JSON document ``raw`` (bytes); malformed input raises
+    ``ValueError`` prefixed by ``where``, the file (and line) it came from."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except ValueError as e:            # UnicodeDecodeError or JSONDecodeError
+        raise ValueError(f"{where}: not valid JSON ({e})") from None
+
+
+def read_json(path):
+    """The JSON document in file ``path``; ``ValueError`` naming the file
+    unless it holds UTF-8 JSON."""
+    with open(path, "rb") as f:
+        return parse_json(f.read(), path)
 
 
 @contextmanager

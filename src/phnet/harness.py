@@ -13,12 +13,21 @@ sum as its forward returns, in the canonical (z, y, x) order that
 order-independent stitch bitwise while memory stays O(classes * volume)
 rather than growing with the window count.  A window spanning the whole
 volume reduces exactly to a single forward pass.
+
+Evaluation overlaps two stages on a machine with two or more usable CPUs:
+the calling thread reads, resamples and segments case k+1 while one worker
+thread scores case k (``evaluate_case``: boundary extraction and KD-tree
+distance queries, which run no tape and no conv).  Rows come back in case
+order, error rows in their places, so they equal the sequential loop's.  On
+one CPU each case is scored inline.
 """
 
 import json
 import math
+import os
 import resource
 import time
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from pathlib import Path
 from dataclasses import asdict, dataclass
 
@@ -28,6 +37,7 @@ from . import autograd as ag
 from .data import (
     LabelVolume,
     Volume,
+    parse_json,
     read_manifest,
     read_volume,
     resample_to_grid,
@@ -164,8 +174,11 @@ class RunLog:
 
 
 def read_runlog(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return [json.loads(line) for line in f if line.strip()]
+    """The records of a run log; a line that is not JSON (a partial last
+    line after a crash, say) raises ``ValueError`` naming the file and line."""
+    with open(path, "rb") as f:
+        return [parse_json(line, f"{path}: line {n}")
+                for n, line in enumerate(f, 1) if line.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +436,44 @@ def train(cfg):
 # evaluation
 # ---------------------------------------------------------------------------
 
+_scoring_pool = None
+
+
+def _scoring_worker():
+    """The one-thread pool that scores a case while the calling thread runs
+    the next case's windows; None (score inline) with fewer than two usable
+    CPUs (or no ``os.sched_getaffinity``).  Built on first use and kept for
+    the life of the process."""
+    global _scoring_pool
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return None
+    if _scoring_pool is None:
+        _scoring_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="phnet-score")
+    return _scoring_pool
+
+
+def _rows_in_case_order(scored):
+    """Wait for every scoring job in ``scored`` ((case id, rows or Future of
+    rows) per case), then return the rows of all cases in case order.  Raises
+    the error of the first case whose scoring failed."""
+    wait([job for _, job in scored if isinstance(job, Future)])
+    return [{"case": cid, **r} for cid, job in scored
+            for r in (job.result() if isinstance(job, Future) else job)]
+
+
 def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
              tolerance_mm=1.0, percentile=95):
     """Segment every case in ``split`` and compute all metrics per class on
     the case's native grid.  Only the cases of ``split`` are read.  A case
     whose resampled grid is smaller than the inference window contributes an
-    error row instead of metric rows."""
+    error row instead of metric rows.
+
+    With two or more usable CPUs, each case's ``evaluate_case`` runs on one
+    worker thread while this thread reads and segments the next case.  The
+    rows are returned in case order and equal the sequential loop's.  No
+    scoring job outlives the call, and a failure raises what the sequential
+    loop would have raised: the error of the first failing case in case
+    order, whether its read, its windows or its scoring failed."""
     net = net_from_checkpoint(checkpoint_path)
     model_cfg = net.cfg
 
@@ -438,21 +483,29 @@ def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
     if not chosen:
         raise ValueError(f"{data_dir}: no cases with split {split!r}")
 
-    rows = []
-    for entry in chosen:
-        case = _read_case(root, entry)
-        vol = case["image"]
-        work, problem = _on_model_grid(vol, model_cfg)
-        if problem:
-            rows.append({"case": case["id"], "class": "", "error": problem})
-            continue
-        # ``work`` is on the model spacing, so prediction does not resample it again
-        pred = predict_label_volume(net, work, model_cfg)
-        if work is not vol:
-            pred = resample_to_grid(pred, vol.grid.shape, vol.spacing_mm)
-        for r in evaluate_case(pred, case["labels"], model_cfg.num_classes,
-                               tolerance_mm=tolerance_mm, percentile=percentile):
-            rows.append({"case": case["id"], **r})
+    pool = _scoring_worker()
+    scored = []
+    try:
+        for entry in chosen:
+            case = _read_case(root, entry)
+            vol = case["image"]
+            work, problem = _on_model_grid(vol, model_cfg)
+            if problem:
+                scored.append((case["id"], [{"class": "", "error": problem}]))
+                continue
+            # ``work`` is on the model spacing, so prediction does not resample it again
+            pred = predict_label_volume(net, work, model_cfg)
+            if work is not vol:
+                pred = resample_to_grid(pred, vol.grid.shape, vol.spacing_mm)
+            args = (pred, case["labels"], model_cfg.num_classes)
+            kwargs = {"tolerance_mm": tolerance_mm, "percentile": percentile}
+            scored.append((case["id"], pool.submit(evaluate_case, *args, **kwargs) if pool
+                           else evaluate_case(*args, **kwargs)))
+    except BaseException:
+        # an earlier case's scoring failure is the sequential loop's error
+        _rows_in_case_order(scored)
+        raise
+    rows = _rows_in_case_order(scored)
     if out_csv is not None:
         write_report_csv(out_csv, rows)
     return rows

@@ -98,7 +98,8 @@ def plan_stages(cfg):
     ip0, ip1, tp = cfg.voxel_spacing_mm
     if ip0 <= 0 or ip1 <= 0 or tp <= 0:
         raise ValueError(f"voxel spacing must be positive, got {cfg.voxel_spacing_mm}")
-    for name in ("num_stages", "base_channels", "max_channels", "blocks_per_stage"):
+    for name in ("num_stages", "base_channels", "max_channels", "blocks_per_stage",
+                 "mlpp_num_layers"):
         if getattr(cfg, name) < 1:
             raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     if cfg.num_classes < 2:
@@ -420,7 +421,10 @@ def _read_checkpoint_header(f, path):
     or malformed header (bools are not ints here), for entries that do not
     tile the payload in the order ``save_checkpoint`` writes them, and for a
     payload of another length (a truncated file or trailing bytes)."""
-    manifest = json.loads(f.readline().decode("utf-8"))
+    try:
+        manifest = json.loads(f.readline().decode("utf-8"))
+    except ValueError:                 # UnicodeDecodeError or JSONDecodeError
+        manifest = None
     if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if not (isinstance(manifest.get("meta"), dict)

@@ -115,8 +115,9 @@ class TestRuntimeErrors:
         (["--blocks-per-stage", "0"], "blocks_per_stage must be >= 1"),
         (["--classes", "1"], "num_classes must be >= 2"),
         (["--patch-size", "0", "64", "32"], "input extents (D,H,W)=(32, 0, 64)"),
+        (["--mlpp-num-layers", "0"], "mlpp_num_layers must be >= 1"),
     ], ids=["base_channels", "max_channels", "blocks_per_stage", "num_classes",
-            "patch_size"])
+            "patch_size", "mlpp_num_layers"])
     def test_bad_model_config_exits_2_naming_the_field(self, flags, message, capsys):
         code = main(["flops"] + flags)
         captured = capsys.readouterr()
@@ -168,6 +169,16 @@ class TestGenData:
         assert code == 2
         assert f"error: {field} " in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_misfit_radius_exits_2_before_making_the_directory(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["gen-data", "--out", str(out), "--shape", "16", "16", "4",
+                     "--spacing", "1", "1", "1", "--cases", "1", "--val-cases", "0"])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert ("error: radius_range_mm: blobs of radius up to 16.0 mm do not fit "
+                "the volume extent (16.0, 16.0, 4.0) mm") in err
+        assert "np." not in err and "Traceback" not in err
 
     def test_deterministic_given_seed(self, dataset, tmp_path):
         out = tmp_path / "again"
@@ -250,6 +261,15 @@ class TestTrainCLI:
                      "--data-dir", str(dataset),
                      "--out-dir", str(tmp_path / "run")])
         assert code == 1
+
+    def test_truncated_config_exits_1_naming_the_file(self, dataset, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"epochs": 1, "batch_size": 2})[:17])
+        code = main(["train", "--config", str(cfg_path), "--data-dir", str(dataset),
+                     "--out-dir", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"usage error: {cfg_path}: not valid JSON (" in err
 
     def test_summary_json_on_stdout(self, dataset, tmp_path, capsys):
         out = tmp_path / "run"
@@ -359,6 +379,38 @@ class TestMalformedCheckpoint:
         assert main(["bench", "--checkpoint", str(bad_checkpoint), "--repeats", "1"]) == 2
         err = capsys.readouterr().err
         assert "error" in err and "Traceback" not in err
+
+
+def _truncated(raw):
+    return raw[:17]
+
+
+@pytest.mark.parametrize("damage", [_truncated, lambda raw: b"\xff\xfe" + raw],
+                         ids=["truncated_header", "foreign_binary"])
+def test_unreadable_checkpoint_header_exits_2_naming_the_file(damage, trained, dataset,
+                                                              tmp_path, capsys):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(damage((trained / "best.ckpt").read_bytes()))
+    code = main(["eval", "--checkpoint", str(path), "--data-dir", str(dataset)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {path}: not a phnet-checkpoint-v1 file" in err
+    assert "codec" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("reader", ["manifest", "header"])
+def test_truncated_dataset_json_exits_2_naming_the_file(reader, dataset, trained,
+                                                        tmp_path, capsys):
+    root = tmp_path / "data"
+    shutil.copytree(dataset, root)
+    path = root / "manifest.json"
+    if reader == "header":
+        path = root / f"{read_manifest(path)['cases'][-1]['id']}_img.hdr"
+    path.write_bytes(_truncated(path.read_bytes()))
+    code = main(["eval", "--checkpoint", str(trained / "best.ckpt"), "--data-dir", str(root)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {path}: not valid JSON (" in err and "Traceback" not in err
 
 
 def _nested_form(in_channels=1, l_ip=None):

@@ -523,3 +523,90 @@ class TestVolumeIO:
         path.write_text("{}")
         with pytest.raises(ValueError, match="cases"):
             read_manifest(path)
+
+    @pytest.mark.parametrize("name", ["manifest.json", "vol.hdr"])
+    def test_truncated_json_rejected_naming_the_file(self, tmp_path, name):
+        write_manifest(tmp_path / "manifest.json", [("case_000", "train")])
+        write_volume(tmp_path / "vol", Volume(np.zeros((2, 3, 4), np.float32), (1.0, 1.0, 1.0)))
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes()[:17])
+        with pytest.raises(ValueError) as info:
+            read_manifest(path) if name == "manifest.json" else read_volume(tmp_path / "vol")
+        assert str(info.value).startswith(f"{path}: not valid JSON (")
+
+
+# ---------------------------------------------------------------------------
+# oracles: the forms that the memory-lean reads and resamples replaced
+# ---------------------------------------------------------------------------
+
+def read_payload_oracle(base):
+    """A volume payload read whole into ``bytes``, then copied out of a
+    ``frombuffer`` view: ``read_volume``'s earlier form."""
+    with open(f"{base}.hdr", encoding="utf-8") as f:
+        header = json.load(f)
+    w, h, d = header["dims"]
+    dt = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}[header["dtype"]]
+    with open(f"{base}.raw", "rb") as f:
+        payload = f.read()
+    return np.frombuffer(payload, dtype=dt).reshape(d, h, w).copy()
+
+
+def trilinear_float64_copy_oracle(v, dst_dims, dst_spacing):
+    """``resample_to_grid``'s trilinear branch in its earlier form, which
+    gathered the corners from a float64 copy of the whole grid."""
+    grid = v.grid
+    maps = [(np.arange(dst_dims[a]) + 0.5) * (dst_spacing[2 - a] / v.spacing_mm[2 - a]) - 0.5
+            for a in range(3)]
+    lo = [np.floor(m).astype(np.int64) for m in maps]
+    frac = [m - i0 for m, i0 in zip(maps, lo)]
+    out = np.zeros(tuple(dst_dims), dtype=np.float64)
+    src = grid.astype(np.float64)
+    for bz in (0, 1):
+        wz = (1.0 - frac[0]) if bz == 0 else frac[0]
+        iz = np.clip(lo[0] + bz, 0, grid.shape[0] - 1)
+        for by in (0, 1):
+            wy = (1.0 - frac[1]) if by == 0 else frac[1]
+            iy = np.clip(lo[1] + by, 0, grid.shape[1] - 1)
+            for bx in (0, 1):
+                wx = (1.0 - frac[2]) if bx == 0 else frac[2]
+                ix = np.clip(lo[2] + bx, 0, grid.shape[2] - 1)
+                w = wz[:, None, None] * wy[None, :, None] * wx[None, None, :]
+                out += w * src[np.ix_(iz, iy, ix)]
+    return out.astype(np.float32)
+
+
+@given(st.data())
+def test_generated_payload_read_is_bitwise_the_whole_file_copy(tmp_path_factory, data):
+    dims = tuple(data.draw(st.integers(1, 6)) for _ in range(3))
+    spacing = tuple(data.draw(st.floats(0.05, 20.0)) for _ in range(3))
+    if data.draw(st.booleans()):
+        v = Volume(data.draw(arrays(np.float32, dims, elements=st.floats(
+            allow_nan=False, allow_infinity=False, width=32))), spacing)
+    else:
+        v = LabelVolume(data.draw(arrays(np.uint8, dims)), spacing)
+    base = tmp_path_factory.mktemp("payload") / "vol"
+    write_volume(base, v)
+    got, want = read_volume(base).grid, read_payload_oracle(base)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.writeable and got.flags.c_contiguous
+
+
+@given(st.data())
+def test_generated_trilinear_is_bitwise_the_float64_copy_form(data):
+    dims = tuple(data.draw(st.integers(1, 7)) for _ in range(3))
+    dst_dims = tuple(data.draw(st.integers(1, 9)) for _ in range(3))
+    spacing = tuple(data.draw(st.floats(0.05, 20.0)) for _ in range(3))
+    dst_spacing = tuple(data.draw(st.floats(0.05, 20.0)) for _ in range(3))
+    v = Volume(data.draw(arrays(np.float32, dims, elements=st.floats(
+        -1e6, 1e6, allow_nan=False, width=32))), spacing)
+    got = resample_to_grid(v, dst_dims, dst_spacing).grid
+    assert got.tobytes() == trilinear_float64_copy_oracle(v, dst_dims, dst_spacing).tobytes()
+
+
+def test_blob_misfit_message_prints_plain_floats():
+    spec = SyntheticSpec(shape=(8, 16, 16), spacing_mm=(1.0, 1.0, 1.0),
+                         radius_range_mm=(30.0, 40.0), seed=0)
+    with pytest.raises(ValueError) as info:
+        generate_synthetic_case(spec)
+    assert "np." not in str(info.value)

@@ -9,8 +9,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
 import shutil
+import threading
 import tracemalloc
 
 import numpy as np
@@ -42,7 +44,7 @@ from phnet.harness import (
     train,
     window_starts,
 )
-from phnet.metrics import dice_ce_loss
+from phnet.metrics import dice_ce_loss, evaluate_case
 from phnet.model import (
     PHNet,
     PHNetConfig,
@@ -422,6 +424,17 @@ class TestRunLog:
         rec = read_runlog(path)[0]
         assert "timestamp" in rec and "wall_time_s" in rec
 
+    def test_partial_last_line_rejected_naming_file_and_line(self, tmp_path):
+        # a crash mid-write leaves the last record cut short
+        path = tmp_path / "runlog.jsonl"
+        with RunLog(path) as log:
+            log.log_meta(planned_steps=2)
+            log.log_step(1, 1, 0.5, 0.001)
+        path.write_bytes(path.read_bytes()[:-9])
+        with pytest.raises(ValueError) as info:
+            read_runlog(path)
+        assert str(info.value).startswith(f"{path}: line 2: not valid JSON (")
+
 
 # ---------------------------------------------------------------------------
 # dataset loading
@@ -721,6 +734,126 @@ class TestEvaluate:
         rows = evaluate(trained["checkpoint"], root)
         assert rows[0]["dice"] == 1.0
         assert rows[0]["iou"] == 1.0
+
+
+@pytest.fixture(scope="module")
+def mixed_dataset(tmp_path_factory):
+    """Five val cases: an undersized one (an error row) between good ones,
+    two of them off the model spacing."""
+    root = tmp_path_factory.mktemp("mixed")
+    layouts = [(SHAPE, SPACING), ((16, 32, 32), (0.5, 0.5, 2.0)), ((4, 8, 8), SPACING),
+               (SHAPE, SPACING), ((16, 32, 32), (0.5, 0.5, 2.0))]
+    for i, (shape, spacing) in enumerate(layouts):
+        spec = SyntheticSpec(shape=shape, spacing_mm=spacing,
+                             radius_range_mm=(1.5, 2.5), seed=300 + i)
+        vol, lab = generate_synthetic_case(spec)
+        write_volume(root / f"case_{i:03d}_img", vol)
+        write_volume(root / f"case_{i:03d}_lbl", lab)
+    write_manifest(root / "manifest.json", [(f"case_{i:03d}", "val") for i in range(5)],
+                   extra={"num_classes": 2})
+    return root
+
+
+def sequential_rows(checkpoint, root):
+    """``evaluate``'s rows built case by case on the calling thread:
+    ``predict_label_volume`` then ``evaluate_case``, or an error row with
+    the message the prediction raises."""
+    net = net_from_checkpoint(checkpoint)
+    cases, _ = load_dataset(root)
+    rows = []
+    for case in cases:
+        try:
+            pred = predict_label_volume(net, case["image"], net.cfg)
+        except ValueError as e:
+            rows.append({"case": case["id"], "class": "", "error": str(e)})
+            continue
+        rows.extend({"case": case["id"], **r}
+                    for r in evaluate_case(pred, case["labels"], net.cfg.num_classes))
+    return rows
+
+
+def recording_evaluate_case(monkeypatch, fail_on=None, before_failing=None):
+    """Patch ``harness.evaluate_case`` with a spy that records the thread of
+    each call and whether it finished; call ``fail_on`` (0-based) waits for
+    ``before_failing`` and then raises."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        n = len(calls)
+        calls.append({"thread": threading.current_thread(), "finished": False})
+        try:
+            if n == fail_on:
+                if before_failing is not None:
+                    assert before_failing.wait(10)
+                raise RuntimeError(f"scoring call {n} failed")
+            return evaluate_case(*args, **kwargs)
+        finally:
+            calls[n]["finished"] = True
+
+    monkeypatch.setattr(harness, "evaluate_case", spy)
+    return calls
+
+
+class TestScoringWorker:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def test_rows_equal_the_sequential_loop_in_case_order(self, trained, mixed_dataset,
+                                                         monkeypatch):
+        calls = recording_evaluate_case(monkeypatch)
+        rows = evaluate(trained["checkpoint"], mixed_dataset)
+        want = sequential_rows(trained["checkpoint"], mixed_dataset)
+        assert [r["case"] for r in rows] == [f"case_{i:03d}" for i in range(5)]
+        assert "larger than case" in rows[2]["error"]
+        assert rows == want
+        # the four good cases were scored, each on the worker
+        assert len(calls) == 4 and all(c["finished"] for c in calls)
+        assert all(c["thread"] is not threading.current_thread() for c in calls)
+
+    def test_first_failing_case_wins_and_no_job_outlives_the_call(self, trained,
+                                                                 mixed_dataset, tmp_path,
+                                                                 monkeypatch):
+        # case 1's scoring fails only after case 2's read has failed on this
+        # thread; the sequential loop would have stopped at case 1
+        root = tmp_path / "d"
+        shutil.copytree(mixed_dataset, root)
+        (root / "case_002_img.raw").write_bytes(b"corrupt")
+        read_failed = threading.Event()
+        orig_read = harness.read_volume
+
+        def read(base):
+            try:
+                return orig_read(base)
+            except ValueError:
+                read_failed.set()
+                raise
+
+        monkeypatch.setattr(harness, "read_volume", read)
+        calls = recording_evaluate_case(monkeypatch, fail_on=1, before_failing=read_failed)
+        with pytest.raises(RuntimeError, match="scoring call 1 failed") as info:
+            evaluate(trained["checkpoint"], root)
+        assert "case_002_img.raw" in str(info.value.__context__)
+        assert len(calls) == 2 and all(c["finished"] for c in calls)
+        assert harness._scoring_pool._work_queue.empty()
+
+    def test_an_earlier_cases_read_error_is_raised(self, trained, mixed_dataset, tmp_path,
+                                                   monkeypatch):
+        root = tmp_path / "d"
+        shutil.copytree(mixed_dataset, root)
+        (root / "case_001_lbl.raw").write_bytes(b"corrupt")
+        calls = recording_evaluate_case(monkeypatch)
+        with pytest.raises(ValueError, match="case_001_lbl.raw"):
+            evaluate(trained["checkpoint"], root)
+        assert len(calls) == 1 and calls[0]["finished"]
+
+    def test_one_cpu_scores_on_the_calling_thread(self, trained, mixed_dataset, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        calls = recording_evaluate_case(monkeypatch)
+        rows = evaluate(trained["checkpoint"], mixed_dataset)
+        assert rows == sequential_rows(trained["checkpoint"], mixed_dataset)
+        assert len(calls) == 4
+        assert all(c["thread"] is threading.current_thread() for c in calls)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,16 @@ def test_plan_rejects_more_classes_than_uint8_labels_hold():
         plan_stages(PHNetConfig(num_classes=257))
 
 
+@pytest.mark.parametrize("mlpp_stages", [(), None], ids=["no_mlpp_stage", "default"])
+def test_plan_rejects_zero_mlpp_layers_by_name(mlpp_stages):
+    # checked with the other counts, also when no stage is an MLPP stage
+    cfg = PHNetConfig(mlpp_stages=mlpp_stages, mlpp_num_layers=0)
+    with pytest.raises(ValueError, match="^mlpp_num_layers must be >= 1, got 0$"):
+        plan_stages(cfg)
+    with pytest.raises(ValueError, match="^mlpp_num_layers must be >= 1"):
+        PHNet(cfg, seed=0)
+
+
 def test_plan_rejects_non_suffix_mlpp():
     with pytest.raises(ValueError):
         plan_stages(PHNetConfig(num_stages=4, mlpp_stages=(1,),
@@ -525,6 +535,16 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path.write_bytes(b'{"format": "something-else"}\n')
     with pytest.raises(ValueError):
         load_checkpoint(PHNet(ANISO, seed=0), path)
+
+
+@pytest.mark.parametrize("raw", [b"\xff\xfe\x00\x01binary", b'{"format": "phnet-checkpoint-v1", "me'],
+                         ids=["foreign_binary", "truncated_header"])
+def test_checkpoint_unreadable_header_named_as_not_a_checkpoint(tmp_path, raw):
+    path = tmp_path / "bogus.ckpt"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(PHNet(ANISO, seed=0), path)
+    assert str(info.value) == f"{path}: not a phnet-checkpoint-v1 file"
 
 
 def _overlapping(params):
