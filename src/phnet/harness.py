@@ -16,10 +16,12 @@ volume reduces exactly to a single forward pass.
 
 Evaluation overlaps two stages on a machine with two or more usable CPUs:
 the calling thread reads, resamples and segments case k+1 while one worker
-thread scores case k (``evaluate_case``: boundary extraction and KD-tree
-distance queries, which run no tape and no conv).  Rows come back in case
-order, error rows in their places, so they equal the sequential loop's.  On
-one CPU each case is scored inline.
+thread, started for the call, scores case k (``evaluate_case``: boundary
+extraction and KD-tree distance queries, which run no tape and no conv).
+Case k's rows are collected before case k+1 is handed over, so at most one
+scoring job is in flight.  Rows come back in case order, error rows in their
+places, so they equal the sequential loop's.  On one CPU each case is scored
+inline: there a worker thread is no faster and costs its heap arena.
 """
 
 import json
@@ -27,7 +29,8 @@ import math
 import os
 import resource
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 from dataclasses import asdict, dataclass
 
@@ -436,29 +439,11 @@ def train(cfg):
 # evaluation
 # ---------------------------------------------------------------------------
 
-_scoring_pool = None
-
-
-def _scoring_worker():
-    """The one-thread pool that scores a case while the calling thread runs
-    the next case's windows; None (score inline) with fewer than two usable
-    CPUs (or no ``os.sched_getaffinity``).  Built on first use and kept for
-    the life of the process."""
-    global _scoring_pool
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        return None
-    if _scoring_pool is None:
-        _scoring_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="phnet-score")
-    return _scoring_pool
-
-
-def _rows_in_case_order(scored):
-    """Wait for every scoring job in ``scored`` ((case id, rows or Future of
-    rows) per case), then return the rows of all cases in case order.  Raises
-    the error of the first case whose scoring failed."""
-    wait([job for _, job in scored if isinstance(job, Future)])
-    return [{"case": cid, **r} for cid, job in scored
-            for r in (job.result() if isinstance(job, Future) else job)]
+def _usable_cpus():
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
@@ -469,11 +454,15 @@ def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
     error row instead of metric rows.
 
     With two or more usable CPUs, each case's ``evaluate_case`` runs on one
-    worker thread while this thread reads and segments the next case.  The
-    rows are returned in case order and equal the sequential loop's.  No
-    scoring job outlives the call, and a failure raises what the sequential
-    loop would have raised: the error of the first failing case in case
-    order, whether its read, its windows or its scoring failed."""
+    worker thread, started for this call, while this thread reads and
+    segments the next case; on one CPU each case is scored here.  At most
+    one scoring job is in flight: case k's job is collected before case
+    k+1's is handed over.  The rows are returned in case order and equal the
+    sequential loop's.  No scoring job outlives the call, and a failure
+    raises what the sequential loop would have raised: the error of the
+    first failing case in case order, whether its read, its windows or its
+    scoring failed.  Case k's scoring error is raised before case k+2 is
+    read."""
     net = net_from_checkpoint(checkpoint_path)
     model_cfg = net.cfg
 
@@ -483,29 +472,44 @@ def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
     if not chosen:
         raise ValueError(f"{data_dir}: no cases with split {split!r}")
 
-    pool = _scoring_worker()
-    scored = []
-    try:
-        for entry in chosen:
-            case = _read_case(root, entry)
-            vol = case["image"]
-            work, problem = _on_model_grid(vol, model_cfg)
-            if problem:
-                scored.append((case["id"], [{"class": "", "error": problem}]))
-                continue
-            # ``work`` is on the model spacing, so prediction does not resample it again
-            pred = predict_label_volume(net, work, model_cfg)
-            if work is not vol:
-                pred = resample_to_grid(pred, vol.grid.shape, vol.spacing_mm)
-            args = (pred, case["labels"], model_cfg.num_classes)
-            kwargs = {"tolerance_mm": tolerance_mm, "percentile": percentile}
-            scored.append((case["id"], pool.submit(evaluate_case, *args, **kwargs) if pool
-                           else evaluate_case(*args, **kwargs)))
-    except BaseException:
-        # an earlier case's scoring failure is the sequential loop's error
-        _rows_in_case_order(scored)
-        raise
-    rows = _rows_in_case_order(scored)
+    rows = []
+    pending = None      # (case id, Future of its rows) scoring on the worker
+    # a worker on one CPU only adds its thread's heap arena
+    with (ThreadPoolExecutor(max_workers=1, thread_name_prefix="phnet-score")
+          if _usable_cpus() >= 2 else nullcontext()) as pool:
+        try:
+            for entry in chosen:
+                case = _read_case(root, entry)
+                vol = case["image"]
+                work, problem = _on_model_grid(vol, model_cfg)
+                if not problem:
+                    # ``work`` is on the model spacing, so prediction does not resample it again
+                    pred = predict_label_volume(net, work, model_cfg)
+                    if work is not vol:
+                        pred = resample_to_grid(pred, vol.grid.shape, vol.spacing_mm)
+                # the previous case's rows come first, and its scoring error
+                # stops the loop here
+                done, pending = pending, None
+                if done is not None:
+                    rows.extend({"case": done[0], **r} for r in done[1].result())
+                if problem:
+                    rows.append({"case": case["id"], "class": "", "error": problem})
+                    continue
+                args = (pred, case["labels"], model_cfg.num_classes)
+                kwargs = {"tolerance_mm": tolerance_mm, "percentile": percentile}
+                if pool is None:
+                    rows.extend({"case": case["id"], **r} for r in evaluate_case(*args, **kwargs))
+                else:
+                    pending = (case["id"], pool.submit(evaluate_case, *args, **kwargs))
+            if pending is not None:
+                rows.extend({"case": pending[0], **r} for r in pending[1].result())
+        except Exception as e:
+            # a case failed while the previous one was scoring: an error
+            # there comes first in case order, so it is the one to raise
+            first = pending[1].exception() if pending is not None else None
+            if first is not None and first is not e:
+                raise first
+            raise
     if out_csv is not None:
         write_report_csv(out_csv, rows)
     return rows

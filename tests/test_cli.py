@@ -180,6 +180,18 @@ class TestGenData:
                 "the volume extent (16.0, 16.0, 4.0) mm") in err
         assert "np." not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("hi,code", [("2", 0), ("2.01", 2)], ids=["fits", "just_over"])
+    def test_largest_radius_must_fit_the_smallest_extent(self, hi, code, tmp_path, capsys):
+        # the smallest extent is 4 mm; radii are drawn from [lo, hi), but a
+        # largest radius above half the extent is refused whatever is drawn
+        out = tmp_path / "o"
+        assert main(["gen-data", "--out", str(out), "--shape", "16", "16", "4",
+                     "--spacing", "1", "1", "1", "--radius", "1", hi,
+                     "--cases", "1", "--val-cases", "0"]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert "radius_range_mm" in capsys.readouterr().err
+
     def test_deterministic_given_seed(self, dataset, tmp_path):
         out = tmp_path / "again"
         assert main(["gen-data", "--out", str(out)] + TINY_GEN) == 0

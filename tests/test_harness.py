@@ -835,7 +835,24 @@ class TestScoringWorker:
             evaluate(trained["checkpoint"], root)
         assert "case_002_img.raw" in str(info.value.__context__)
         assert len(calls) == 2 and all(c["finished"] for c in calls)
-        assert harness._scoring_pool._work_queue.empty()
+        assert not [t for t in threading.enumerate() if t.name.startswith("phnet-score")]
+
+    def test_a_scoring_failure_stops_the_reads(self, trained, mixed_dataset, monkeypatch):
+        # case 1 is read and segmented while case 0 scores; case 0's error is
+        # raised before case 2 is read, and case 1 is never scored
+        read = []
+        orig_read = harness.read_volume
+
+        def recording_read(base):
+            read.append(base.name)
+            return orig_read(base)
+
+        monkeypatch.setattr(harness, "read_volume", recording_read)
+        calls = recording_evaluate_case(monkeypatch, fail_on=0)
+        with pytest.raises(RuntimeError, match="scoring call 0 failed"):
+            evaluate(trained["checkpoint"], mixed_dataset)
+        assert read == ["case_000_img", "case_000_lbl", "case_001_img", "case_001_lbl"]
+        assert len(calls) == 1 and calls[0]["finished"]
 
     def test_an_earlier_cases_read_error_is_raised(self, trained, mixed_dataset, tmp_path,
                                                    monkeypatch):
@@ -854,6 +871,15 @@ class TestScoringWorker:
         assert rows == sequential_rows(trained["checkpoint"], mixed_dataset)
         assert len(calls) == 4
         assert all(c["thread"] is threading.current_thread() for c in calls)
+
+    def test_without_affinity_the_cpu_count_decides(self, trained, mixed_dataset,
+                                                     monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        calls = recording_evaluate_case(monkeypatch)
+        evaluate(trained["checkpoint"], mixed_dataset)
+        assert len(calls) == 4
+        assert all(c["thread"] is not threading.current_thread() for c in calls)
 
 
 # ---------------------------------------------------------------------------
