@@ -13,6 +13,15 @@ during the walk rather than after it.  Leaves (``Parameter``s and inputs
 made with ``requires_grad``) have no closure; they keep their ``grad`` and
 accumulate into it across walks until it is reset.
 
+A loss whose parents head graphs that share no op node, only leaves (the
+training loss over two half-batches), is walked one branch at a time: each
+branch accumulates its leaf gradients into buffers of its own, which are
+then added into the leaves in parent order.  With two or more usable CPUs
+the branches after the first run on one worker thread made for the call
+while the first runs on the caller.  The branch walks run each loaded
+OpenBLAS on one thread, so each does the same arithmetic on either
+schedule, and the gradients do not depend on the CPU count.
+
 Shapes must match exactly for binary elementwise ops; the only implicit
 broadcast is by a python scalar (``add_scalar``).  Fused primitives are one
 node each, with a closed-form backward: convolution with its bias or with
@@ -30,8 +39,11 @@ segments and attention windows are built this way.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -233,6 +245,103 @@ def trace(root):
     return order
 
 
+def usable_cpus():
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _openblas_thread_setters():
+    """``openblas_set_num_threads_local`` of each OpenBLAS library loaded in
+    this process (NumPy's and SciPy's wheels each bundle one), found by file
+    name in ``/proc/self/maps``.  That call (OpenBLAS >= 0.3.27) sets the
+    library's thread count for the whole process and returns the previous
+    one.  Empty where the file or the call is missing."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = sorted({line.split()[-1] for line in f
+                            if "openblas" in line.rsplit("/", 1)[-1].lower()})
+    except OSError:
+        return []
+    setters = []
+    for path in paths:
+        try:
+            fn = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+        setters.append(fn)
+    return setters
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run each loaded OpenBLAS on one thread inside the block, and restore
+    its thread count after.  Two walks that each call a multi-threaded
+    OpenBLAS oversubscribe the CPUs: on a 2-vCPU VM a demo step's branch
+    walk took 0.70-0.87 s with NumPy's and SciPy's default two BLAS threads,
+    against 0.18 s with one (0.33 s for one walk of the whole graph).  The
+    thread count can change which GEMM kernel OpenBLAS picks, and so the
+    low bits of its sums; the branch walks run on one BLAS thread on either
+    schedule, so both do the same arithmetic."""
+    setters = _openblas_thread_setters()
+    previous = [set_threads(1) for set_threads in setters]
+    try:
+        yield
+    finally:
+        for set_threads, n in zip(setters, previous):
+            set_threads(n)
+
+
+def _disjoint_branches(root):
+    """The trace of each parent of ``root`` when there are two or more, each
+    is an op result, and no op result lies in two traces (leaves may);
+    otherwise None."""
+    tops = root._parents
+    if len(tops) < 2 or any(top._backward is None for top in tops):
+        return None
+    branches, seen = [], set()
+    for top in tops:
+        order = trace(top)
+        ops = {id(node) for node in order if node._backward is not None}
+        if not seen.isdisjoint(ops):
+            return None
+        seen |= ops
+        branches.append(order)
+    return branches
+
+
+def _walk(order, root, leaf_grads=None):
+    """Run the closures of ``order`` (parents before children) from its end,
+    releasing each op result but ``root`` as it goes.  Leaf gradients go
+    into ``leaf_grads`` (leaf -> array) when it is given, else into each
+    leaf's ``.grad``."""
+    # popping drops the walk's own reference to each node
+    while order:
+        node = order.pop()
+        if node._backward is None:
+            continue
+        if node.grad is not None:
+            for parent, g in zip(node._parents, node._backward(node.grad)):
+                if g is None or not parent.requires_grad:
+                    continue
+                if leaf_grads is not None and parent._op == "leaf":
+                    held = leaf_grads.get(parent)
+                    leaf_grads[parent] = g if held is None else held + g
+                else:
+                    parent.grad = g if parent.grad is None else parent.grad + g
+        if node is not root:
+            node.grad = None
+        node._backward = None
+        node._parents = ()
+
+
+def _walk_each(branches, root, leaf_grads):
+    for order, grads in zip(branches, leaf_grads):
+        _walk(order, root, grads)
+
+
 def backward(loss):
     """Accumulate d(loss)/d(node) into ``.grad`` of every leaf reachable from
     ``loss`` that requires grad, walking the graph once.
@@ -242,6 +351,19 @@ def backward(loss):
     dropped, so the walk frees the tape as it goes.  Leaf grads, such as
     those of ``Parameter``s, keep accumulating across walks until reset.
     Walking a graph a second time raises ``ValueError``.
+
+    When ``loss`` has two or more parents, each an op result, and no op
+    result is reachable from two of them, ``loss``'s closure runs first and
+    then each parent's graph (a branch) is walked on its own, into leaf
+    gradient buffers of its own; the buffers are then added into the leaves'
+    ``.grad`` in parent order.  With two or more usable CPUs the branches
+    after the first are walked on one worker thread started for this call
+    while the first is walked here; on one CPU they are walked here in
+    order.  Either way each loaded OpenBLAS runs on one thread during the
+    walks, so the arithmetic is the same and the gradients are bitwise
+    equal; they agree with one walk of the whole graph up to the order of
+    the leaf sums.  A closure that raises on the worker is raised here once
+    both walks have ended, and then no leaf ``.grad`` has moved.
     """
     if loss.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -252,20 +374,25 @@ def backward(loss):
                          "can be walked only once; build it again for another gradient")
     loss.grad = np.ones_like(loss.data) if loss.grad is None \
         else loss.grad + np.ones_like(loss.data)
-    # popping drops the walk's own reference to each node
-    while order:
-        node = order.pop()
-        if node._backward is None:
-            continue
-        if node.grad is not None:
-            for parent, g in zip(node._parents, node._backward(node.grad)):
-                if g is None or not parent.requires_grad:
-                    continue
-                parent.grad = g if parent.grad is None else parent.grad + g
-        if node is not loss:
-            node.grad = None
-        node._backward = None
-        node._parents = ()
+    branches = _disjoint_branches(loss)
+    if branches is None:
+        _walk(order, loss)
+        return
+    del order
+    # the loss's closure hands each branch top its cotangent
+    _walk([loss], loss)
+    leaf_grads = [{} for _ in branches]
+    with _one_blas_thread():
+        if usable_cpus() >= 2:
+            with ThreadPoolExecutor(max_workers=1, thread_name_prefix="phnet-backward") as pool:
+                rest = pool.submit(_walk_each, branches[1:], loss, leaf_grads[1:])
+                _walk(branches[0], loss, leaf_grads[0])
+                rest.result()
+        else:
+            _walk_each(branches, loss, leaf_grads)
+    for grads in leaf_grads:
+        for leaf, g in grads.items():
+            leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 def grad_check(f, x, h=1e-5):

@@ -241,7 +241,10 @@ _DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
 
 
 def write_volume(base_path, v):
-    """Write ``<base>.hdr`` + ``<base>.raw``; images as f32, labels as u8."""
+    """Write ``<base>.hdr`` + ``<base>.raw``; images as f32, labels as u8.
+    Each file is written through ``atomic_write``, the payload first, so a
+    write that fails leaves no partial file, and never a header without its
+    payload."""
     base = str(base_path)
     dtype_name = "u8" if isinstance(v, LabelVolume) else "f32"
     grid = np.ascontiguousarray(v.grid, dtype=_DTYPES[dtype_name])
@@ -250,11 +253,11 @@ def write_volume(base_path, v):
               "spacing_mm": list(v.spacing_mm),
               "dtype": dtype_name,
               "byte_order": "little"}
-    with open(base + ".hdr", "w", encoding="utf-8") as f:
+    with atomic_write(base + ".raw", "wb") as f:
+        f.write(grid.tobytes())
+    with atomic_write(base + ".hdr", "w", encoding="utf-8") as f:
         json.dump(header, f, indent=1)
         f.write("\n")
-    with open(base + ".raw", "wb") as f:
-        f.write(grid.tobytes())
 
 
 def _is_triple(value, types):
@@ -308,10 +311,11 @@ def read_volume(base_path):
 
 def write_manifest(path, cases, extra=None):
     """Dataset manifest: case ids with split assignment plus dataset-level
-    fields (num_classes, spacing, shape...)."""
+    fields (num_classes, spacing, shape...), written through
+    ``atomic_write``."""
     doc = {"cases": [{"id": cid, "split": split} for cid, split in cases]}
     doc.update(extra or {})
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
 

@@ -4,7 +4,11 @@ Training samples foreground-biased patches per case each epoch, optimizes the
 Dice+CE loss with AdamW under the batch-proportional learning-rate rule, logs
 one line-delimited JSON record per optimizer step (with the step's forward,
 backward and optimizer seconds, gradient norm and peak RSS so far), and
-checkpoints whenever the validation Dice improves.
+checkpoints whenever the validation Dice improves.  A step of two or more
+samples runs its forward as two half-batches, one after the other, under one
+loss, and ``autograd.backward`` walks the two half-batch graphs as separate
+branches, on two threads when two CPUs are usable; the split depends only on
+the batch size, so the worker count changes only the schedule.
 
 Inference runs a sliding window at the training patch size with 50% overlap
 and uniform logit averaging.  Each window's logits are added into one float64
@@ -26,7 +30,6 @@ inline: there a worker thread is no faster and costs its heap arena.
 
 import json
 import math
-import os
 import resource
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -333,6 +336,15 @@ def train(cfg):
     """Full training run; returns a summary dict with the checkpoint path,
     best validation Dice, and total step count.
 
+    A step of ``b`` >= 2 samples runs the net on two half-batches of
+    ceil(b/2) and floor(b/2) samples, one after the other, and takes one
+    ``dice_ce_loss`` over both, whose Dice sums span the whole batch.
+    ``backward`` then walks the two half-batch graphs as separate branches,
+    on two threads when two CPUs are usable.  The split depends only on
+    ``batch_size``, and the worker count changes only the schedule: a run
+    gives bitwise the same losses and checkpoint whether the backward walks
+    its branches on one thread or two.
+
     Each step record holds, besides the loss and learning rate, the step's
     ``forward_s`` (forward and loss), ``backward_s`` and ``optim_s`` on the
     run log's clock, the global ``grad_norm``, the ``peak_rss_mb`` so far,
@@ -371,6 +383,9 @@ def train(cfg):
     norm_train = [(Volume(zscore(c["image"].grid), c["image"].spacing_mm),
                    c["labels"]) for c in train_cases]
 
+    half = (cfg.batch_size + 1) // 2
+    halves = [(0, half), (half, cfg.batch_size)] if cfg.batch_size >= 2 else [(0, 1)]
+
     ckpt_path = out_dir / "best.ckpt"
     best = None
     step = 0
@@ -396,7 +411,9 @@ def train(cfg):
                 opt.zero_grad()
                 usage0 = resource.getrusage(resource.RUSAGE_SELF)
                 t0 = time.monotonic()
-                logits = net(ag.Tensor(x))
+                # the half-batches' forwards run here in turn; backward
+                # walks their two graphs as separate branches
+                logits = [net(ag.Tensor(x[lo:hi])) for lo, hi in halves]
                 loss = dice_ce_loss(logits, y)
                 loss_val = loss.item()
                 t1 = time.monotonic()
@@ -439,13 +456,6 @@ def train(cfg):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _usable_cpus():
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
              tolerance_mm=1.0, percentile=95):
     """Segment every case in ``split`` and compute all metrics per class on
@@ -476,7 +486,7 @@ def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
     pending = None      # (case id, Future of its rows) scoring on the worker
     # a worker on one CPU only adds its thread's heap arena
     with (ThreadPoolExecutor(max_workers=1, thread_name_prefix="phnet-score")
-          if _usable_cpus() >= 2 else nullcontext()) as pool:
+          if ag.usable_cpus() >= 2 else nullcontext()) as pool:
         try:
             for entry in chosen:
                 case = _read_case(root, entry)

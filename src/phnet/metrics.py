@@ -285,8 +285,21 @@ def dice_ce_loss(logits, labels, smooth=1e-5):
     loss = 1 - sum_k w_k (2 I_k + smooth) / S_k - sum y*log p / N.
     The backward is the closed form: with dp = w (2I + smooth) / S^2 - 2 w y / S,
     dlogits = p * (dp - sum_k p*dp) + (p - y) / N.
+
+    ``logits`` may also be a sequence of batch parts, whose concatenation
+    along the batch axis ``labels`` labels.  The node then has one parent
+    per part and its backward returns one cotangent per part; the sums still
+    run over the whole batch, each part's added in order.
     """
-    b, k, *spatial = logits.shape
+    parts = [logits] if isinstance(logits, ag.Tensor) else list(logits)
+    if not parts:
+        raise ValueError("dice_ce_loss: no batch parts")
+    _, k, *spatial = parts[0].shape
+    for z in parts[1:]:
+        if z.shape[1:] != parts[0].shape[1:] or z.dtype != parts[0].dtype:
+            raise ValueError(f"batch parts differ: {z.shape} {z.dtype} and "
+                             f"{parts[0].shape} {parts[0].dtype}")
+    b = sum(z.shape[0] for z in parts)
     lab = np.asarray(labels)
     if lab.shape != (b, *spatial):
         raise ValueError(f"labels shape {lab.shape} != expected {(b, *spatial)}")
@@ -296,30 +309,45 @@ def dice_ce_loss(logits, labels, smooth=1e-5):
             f"[{int(lab.min())}, {int(lab.max())}]")
     if k < 2:
         raise ValueError(f"need at least 2 classes, got {k}")
-    z = logits.data
-    dt = z.dtype
+    dt = parts[0].dtype
     class_shape = (1, k) + (1,) * len(spatial)
-    m = z.max(axis=1, keepdims=True)
-    logp = z - (np.log(np.exp(z - m).sum(axis=1, keepdims=True)) + m)
-    p = np.exp(logp)
-    y = (lab[:, None] == np.arange(k).reshape(class_shape)).astype(dt)
+    axes = (0,) + tuple(range(2, 2 + len(spatial)))
     n_vox = lab.size
-    axes = (0,) + tuple(range(2, z.ndim))
+    ps, ys = [], []
+    lo = 0
+    for part in parts:
+        z = part.data
+        m = z.max(axis=1, keepdims=True)
+        logp = z - (np.log(np.exp(z - m).sum(axis=1, keepdims=True)) + m)
+        p = np.exp(logp)
+        y = (lab[lo:lo + len(z), None] == np.arange(k).reshape(class_shape)).astype(dt)
+        lo += len(z)
+        sums = ((p * y).sum(axis=axes), p.sum(axis=axes), y.sum(axis=axes),
+                (logp * y).sum())
+        # a single part's sums are the whole batch's, bit for bit
+        total = sums if not ps else [t + u for t, u in zip(total, sums)]
+        ps.append(p)
+        ys.append(y)
+    inter, p_sum, y_sum, log_lik = total
     s = float(smooth)
-    inter = (p * y).sum(axis=axes)
-    denom = p.sum(axis=axes) + y.sum(axis=axes) + s
+    denom = p_sum + y_sum + s
     w = np.full(k, 1.0 / (k - 1), dtype=dt)
     w[0] = 0.0
     dice_fg = ((2.0 * inter + s) / denom * w).sum()
-    loss = np.asarray(1.0 - dice_fg - (logp * y).sum() / n_vox, dtype=dt)
+    loss = np.asarray(1.0 - dice_fg - log_lik / n_vox, dtype=dt)
+    dp_y = (-2.0 * w / denom).reshape(class_shape)
+    dp_0 = (w * (2.0 * inter + s) / (denom * denom)).reshape(class_shape)
 
     def bk(g):
-        dp = y * (-2.0 * w / denom).reshape(class_shape)
-        dp += (w * (2.0 * inter + s) / (denom * denom)).reshape(class_shape)
-        dz = dp - (p * dp).sum(axis=1, keepdims=True)
-        dz *= p
-        dz += (p - y) / n_vox
-        dz *= g
-        return (dz,)
+        grads = []
+        for p, y in zip(ps, ys):
+            dp = y * dp_y
+            dp += dp_0
+            dz = dp - (p * dp).sum(axis=1, keepdims=True)
+            dz *= p
+            dz += (p - y) / n_vox
+            dz *= g
+            grads.append(dz)
+        return grads
 
-    return ag.make_node(loss, (logits,), "dice_ce_loss", bk)
+    return ag.make_node(loss, parts, "dice_ce_loss", bk)

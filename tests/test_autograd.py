@@ -1,3 +1,5 @@
+import os
+import sys
 import threading
 import weakref
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from phnet import autograd as ag
 from phnet.autograd import (
     Tensor,
     Parameter,
@@ -356,6 +359,223 @@ def test_no_grad_on_a_worker_thread_leaves_the_main_thread_recording():
     assert not t.is_alive()
     assert worker_recorded == [False]
     assert (x * x).sum().requires_grad
+
+
+# ---------------------------------------------------------------------------
+# branch walk: a loss over graphs that share only leaves
+# ---------------------------------------------------------------------------
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _probe(t, tag, log, fail):
+    """Identity node whose closure logs the thread that runs it, and raises
+    when ``tag == fail``."""
+    def bk(g):
+        log.append((tag, threading.current_thread().name))
+        if tag == fail:
+            raise RuntimeError(f"closure of branch {tag} failed")
+        return (g,)
+    return make_node(t.data.copy(), (t,), "probe", bk)
+
+
+def _branch_loss(params, xs, log=None, fail=None, shared=None):
+    """sum_i sum(linear((x_i W1)^2 W2)^2): one branch per input, joined by
+    ``add``s; every branch reads the same two Parameters, and each also
+    reads the op result ``shared`` when one is given."""
+    w1, w2 = params
+    tops = []
+    for i, x in enumerate(xs):
+        h = linear(Tensor(x), w1)
+        if shared is not None:
+            h = h + shared
+        h = _probe(linear(h * h, w2), i, [] if log is None else log, fail)
+        tops.append((h * h).sum())
+    loss = tops[0]
+    for top in tops[1:]:
+        loss = loss + top
+    return loss
+
+
+def _branch_params(seed):
+    rng = np.random.default_rng(seed)
+    return [Parameter(rng.normal(size=(5, 4))), Parameter(rng.normal(size=(3, 5)))]
+
+
+def _branch_inputs(seed, n=2):
+    rng = np.random.default_rng(seed + 1)
+    return [rng.normal(size=(2, 4)) for _ in range(n)]
+
+
+def test_branch_walk_matches_one_walk_of_the_whole_graph(monkeypatch):
+    _cpus(monkeypatch, 2)
+    for seed in range(5):
+        for n in (2, 3):
+            xs = _branch_inputs(seed, n)
+            split = _branch_params(seed)
+            loss = _branch_loss(split, xs)
+            assert len(ag._disjoint_branches(loss)) == 2
+            backward(loss)
+            whole = _branch_params(seed)
+            with monkeypatch.context() as m:
+                m.setattr(ag, "_disjoint_branches", lambda root: None)
+                backward(_branch_loss(whole, xs))
+            for a, b in zip(split, whole):
+                np.testing.assert_allclose(a.grad, b.grad, rtol=1e-13, atol=1e-13)
+            assert loss.grad == 1.0
+
+
+def test_branch_walk_is_bitwise_the_same_on_one_cpu_and_on_two(monkeypatch):
+    grads, threads = [], []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        params, log = _branch_params(40), []
+        backward(_branch_loss(params, _branch_inputs(40), log))
+        grads.append([p.grad for p in params])
+        threads.append(dict(log))
+    for a, b in zip(*grads):
+        assert np.array_equal(a, b)
+    main = threading.main_thread().name
+    # one CPU: both branches here; two: branch 1 on the call's worker
+    assert threads[0] == {0: main, 1: main}
+    assert threads[1][0] == main and threads[1][1].startswith("phnet-backward")
+
+
+def test_branch_buffers_are_added_into_the_leaves_in_parent_order(monkeypatch):
+    # each branch's buffer equals what a walk of that branch alone gives a
+    # fresh leaf; onto a grad already held, branch 0's is added first
+    _cpus(monkeypatch, 2)
+    xs = _branch_inputs(47, 4)
+    alone = []
+    for half in (xs[:2], xs[2:]):
+        params = _branch_params(47)
+        backward(_branch_loss(params, half))
+        alone.append([q.grad for q in params])
+    params = _branch_params(47)
+    held = [np.random.default_rng(48).normal(size=q.shape) for q in params]
+    for q, h in zip(params, held):
+        q.grad = h.copy()
+    backward(_branch_loss(params, xs[:2]) + _branch_loss(params, xs[2:]))
+    in_order = [(h + a) + b for h, a, b in zip(held, *alone)]
+    reversed_order = [(h + b) + a for h, a, b in zip(held, *alone)]
+    assert not all(np.array_equal(a, b) for a, b in zip(in_order, reversed_order))
+    for q, want in zip(params, in_order):
+        assert np.array_equal(q.grad, want)
+
+
+def test_branch_walk_under_frequent_thread_switches(monkeypatch):
+    # both walks add into the same Parameters; with the interpreter
+    # switching threads every microsecond, a gradient added into a shared
+    # leaf rather than into its walk's own buffer could be lost or summed
+    # in another order, and the result would drift from the one-CPU walk
+    xs = _branch_inputs(45, 4)
+
+    def grads(cpus):
+        _cpus(monkeypatch, cpus)
+        params = _branch_params(45)
+        backward(_branch_loss(params, xs[:2]) + _branch_loss(params, xs[2:]))
+        return [p.grad for p in params]
+
+    want = grads(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            assert all(np.array_equal(a, b) for a, b in zip(grads(2), want))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_branch_walks_run_blas_on_one_thread_and_restore_its_count(monkeypatch):
+    setters = ag._openblas_thread_setters()
+    if not setters:
+        pytest.skip("no loaded OpenBLAS exports openblas_set_num_threads_local")
+
+    def blas_threads():
+        # a call sets the count and returns the previous one
+        counts = [set_threads(1) for set_threads in setters]
+        for set_threads, n in zip(setters, counts):
+            set_threads(n)
+        return counts
+
+    before = blas_threads()
+    seen = []
+
+    def record(t):
+        """Identity node that logs the BLAS thread counts when it is made
+        and when its closure runs."""
+        def bk(g):
+            seen.append(blas_threads())
+            return (g,)
+        seen.append(blas_threads())
+        return make_node(t.data.copy(), (t,), "record", bk)
+
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        params = _branch_params(46)
+        backward(record(_branch_loss(params, _branch_inputs(46)[:1]))
+                 + record(_branch_loss(params, _branch_inputs(46)[1:])))
+        assert blas_threads() == before
+    # two forwards and two closures per schedule
+    assert seen[:2] == [before] * 2 and seen[4:6] == [before] * 2
+    assert seen[2:4] == seen[6:8] == [[1] * len(setters)] * 2
+
+
+def test_a_raising_closure_on_the_worker_branch_is_raised_here(monkeypatch):
+    _cpus(monkeypatch, 2)
+    params, log = _branch_params(41), []
+    before = [p.grad.copy() for p in params]
+    loss = _branch_loss(params, _branch_inputs(41), log, fail=1)
+    with pytest.raises(RuntimeError, match="branch 1 failed"):
+        backward(loss)
+    assert dict(log)[1].startswith("phnet-backward")
+    assert not any(t.name.startswith("phnet-backward") for t in threading.enumerate())
+    # branch 0 finished, but no leaf gradient was added
+    for p, g in zip(params, before):
+        assert np.array_equal(p.grad, g)
+
+
+def test_branches_that_share_an_op_result_are_walked_as_one_graph(monkeypatch):
+    _cpus(monkeypatch, 2)
+    params, log = _branch_params(42), []
+    x = Tensor(rand((2, 5), seed=42), requires_grad=True)
+    shared = x * x
+    loss = _branch_loss(params, _branch_inputs(42), log, shared=shared)
+    assert ag._disjoint_branches(loss) is None
+    backward(loss)
+    main = threading.main_thread().name
+    assert sorted(log) == [(0, main), (1, main)]
+    assert shared.grad is None and shared._backward is None
+    # the same graph without the branch split, walked the same way
+    params2 = _branch_params(42)
+    x2 = Tensor(x.data, requires_grad=True)
+    with monkeypatch.context() as m:
+        m.setattr(ag, "_disjoint_branches", lambda root: None)
+        backward(_branch_loss(params2, _branch_inputs(42), shared=x2 * x2))
+    for a, b in zip(params + [x], params2 + [x2]):
+        assert np.array_equal(a.grad, b.grad)
+
+
+def test_a_loss_with_a_leaf_parent_is_walked_as_one_graph():
+    params = _branch_params(43)
+    leaf = Tensor(np.array(2.0), requires_grad=True)
+    loss = _branch_loss(params, _branch_inputs(43, 1)) + leaf
+    assert ag._disjoint_branches(loss) is None
+    backward(loss)
+    assert leaf.grad == 1.0
+
+
+def test_second_walk_of_a_branch_graph_raises(monkeypatch):
+    _cpus(monkeypatch, 2)
+    params = _branch_params(44)
+    loss = _branch_loss(params, _branch_inputs(44))
+    backward(loss)
+    first = [p.grad.copy() for p in params]
+    with pytest.raises(ValueError, match="walked only once"):
+        backward(loss)
+    for p, g in zip(params, first):
+        assert np.array_equal(p.grad, g)
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,33 @@ class TestGenData:
         if code:
             assert "radius_range_mm" in capsys.readouterr().err
 
+    def test_a_write_failing_mid_dataset_leaves_no_partial_file_and_no_manifest(
+            self, tmp_path, monkeypatch, capsys):
+        # the third header (case_001_img.hdr) fails after writing part of
+        # its text: every file is written beside its name and moved into
+        # place only when complete, so nothing partial is left, and the
+        # manifest, written last, is never written
+        from phnet import data
+        dump, calls = data.json.dump, []
+
+        def failing_dump(doc, f, **kwargs):
+            calls.append(doc)
+            if len(calls) == 3:
+                f.write('{"dims": [16')
+                raise OSError("No space left on device")
+            return dump(doc, f, **kwargs)
+
+        monkeypatch.setattr(data.json, "dump", failing_dump)
+        out = tmp_path / "d"
+        code = main(["gen-data", "--out", str(out)] + TINY_GEN)
+        assert code == 2 and "No space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "case_000_img.hdr", "case_000_img.raw", "case_000_lbl.hdr",
+            "case_000_lbl.raw", "case_001_img.raw"]
+        for base in ("case_000_img", "case_000_lbl"):
+            assert read_volume(out / base).grid.shape == (8, 16, 16)
+        assert (out / "case_001_img.raw").stat().st_size == 8 * 16 * 16 * 4
+
     def test_deterministic_given_seed(self, dataset, tmp_path):
         out = tmp_path / "again"
         assert main(["gen-data", "--out", str(out)] + TINY_GEN) == 0

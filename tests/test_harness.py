@@ -530,9 +530,11 @@ class TestTrain:
         monkeypatch.setattr(harness, "dice_ce_loss", loss_of)
         train(tiny_config(dataset, tmp_path / "run", epochs=1))
         assert len(seen) == 3
-        for logits in seen:
-            assert logits._parents == () and logits._backward is None
-            assert logits.grad is None
+        for halves in seen:
+            assert len(halves) == 2
+            for logits in halves:
+                assert logits._parents == () and logits._backward is None
+                assert logits.grad is None
 
     def test_checkpoint_meta_records_run(self, dataset, tmp_path):
         result = train(tiny_config(dataset, tmp_path / "run"))
@@ -557,6 +559,97 @@ class TestTrain:
         cfg = tiny_config(tmp_path / "d", tmp_path / "run")
         with pytest.raises(ValueError, match="train"):
             train(cfg)
+
+
+class TestHalfBatchStep:
+    """A step of batch b >= 2 runs two half-batch forwards and one loss over
+    both, and backward walks the two half-batch graphs as branches."""
+
+    @staticmethod
+    def spy_branches(monkeypatch):
+        """Per backward call: the number of disjoint branches (0: one walk)
+        and whether a worker thread walked any of them."""
+        calls = []
+        find, walk_each = ag._disjoint_branches, ag._walk_each
+
+        def disjoint_branches(root):
+            branches = find(root)
+            calls.append({"branches": len(branches or ()), "worker": False})
+            return branches
+
+        def on_worker(*args):
+            calls[-1]["worker"] |= threading.current_thread() is not threading.main_thread()
+            return walk_each(*args)
+
+        monkeypatch.setattr(ag, "_disjoint_branches", disjoint_branches)
+        monkeypatch.setattr(ag, "_walk_each", on_worker)
+        return calls
+
+    @pytest.mark.parametrize("batch,halves", [(1, [1]), (2, [1, 1]), (3, [2, 1]), (4, [2, 2])])
+    def test_split_rule_depends_only_on_the_batch_size(self, batch, halves, tmp_path,
+                                                       monkeypatch):
+        data = make_dataset(tmp_path / "d", n_train=batch, n_val=0)
+        seen = []
+
+        def loss_of(logits, labels):
+            seen.append(([len(t.data) for t in logits], len(labels)))
+            return dice_ce_loss(logits, labels)
+
+        monkeypatch.setattr(harness, "dice_ce_loss", loss_of)
+        calls = self.spy_branches(monkeypatch)
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            train(tiny_config(data, tmp_path / f"run{len(cpus)}", epochs=1,
+                              batch_size=batch, patches_per_case=1))
+        assert seen == [(halves, batch)] * 2
+        assert [c["branches"] for c in calls] == [0 if batch == 1 else 2] * 2
+
+    def test_demo_config_steps_walk_two_branches_alike_on_one_cpu_and_two(
+            self, tmp_path, monkeypatch):
+        # the README demo config: batch 4 of whole 64x64x32 volumes, base 8,
+        # 4 stages.  A module that shared one op node between the two
+        # half-batch graphs would turn the split walk off.  Its GEMMs are
+        # large enough for a multi-threaded BLAS to split them, and the
+        # branch walks run BLAS on one thread on both schedules, so the
+        # parameters after two steps are bitwise equal
+        data = tmp_path / "d"
+        data.mkdir()
+        cases = []
+        for i in range(8):
+            vol, lab = generate_synthetic_case(SyntheticSpec(
+                shape=(32, 64, 64), spacing_mm=SPACING, seed=i))
+            write_volume(data / f"case_{i}_img", vol)
+            write_volume(data / f"case_{i}_lbl", lab)
+            cases.append((f"case_{i}", "train"))
+        write_manifest(data / "manifest.json", cases,
+                       extra={"num_classes": 2, "spacing_mm": list(SPACING)})
+        calls = self.spy_branches(monkeypatch)
+        runs = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            result = train(TrainConfig(data_dir=str(data), out_dir=str(tmp_path / f"r{len(cpus)}"),
+                                       epochs=1, batch_size=4, patches_per_case=1,
+                                       patch_size=(64, 64, 32), lr=3e-3, seed=0,
+                                       num_stages=4, base_channels=8))
+            with open(result["checkpoint"], "rb") as f:
+                runs.append(f.read().split(b"\n", 1)[1])
+        assert runs[0] == runs[1]
+        assert [(c["branches"], c["worker"]) for c in calls] == [(2, False)] * 2 + [(2, True)] * 2
+
+    def test_one_cpu_and_two_give_the_same_run(self, dataset, tmp_path, monkeypatch):
+        calls = self.spy_branches(monkeypatch)
+        runs = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            result = train(tiny_config(dataset, tmp_path / f"run{len(cpus)}"))
+            losses = [r["loss"] for r in read_runlog(result["runlog"]) if r["kind"] == "step"]
+            with open(result["checkpoint"], "rb") as f:
+                payload = f.read().split(b"\n", 1)[1]
+            runs.append((losses, payload, result["best_val_dice"]))
+        assert len(runs[0][0]) == 6
+        assert runs[0] == runs[1]
+        # six split steps per run, walked on the worker only with two CPUs
+        assert [(c["branches"], c["worker"]) for c in calls] == [(2, False)] * 6 + [(2, True)] * 6
 
 
 # ---------------------------------------------------------------------------

@@ -741,3 +741,98 @@ class TestLoss:
         assert loss.data.dtype == np.float32
         ag.backward(loss)
         assert x.grad is not None and np.isfinite(x.grad).all()
+
+
+def single_tensor_loss(x, labels, smooth=1e-5):
+    """(loss, dlogits) of ``dice_ce_loss`` on one batch tensor, as the node
+    computed them before it took batch parts: the bitwise reference."""
+    z = np.asarray(x)
+    b, k, *spatial = z.shape
+    dt = z.dtype
+    class_shape = (1, k) + (1,) * len(spatial)
+    m = z.max(axis=1, keepdims=True)
+    logp = z - (np.log(np.exp(z - m).sum(axis=1, keepdims=True)) + m)
+    p = np.exp(logp)
+    y = (labels[:, None] == np.arange(k).reshape(class_shape)).astype(dt)
+    n_vox = labels.size
+    axes = (0,) + tuple(range(2, z.ndim))
+    s = float(smooth)
+    inter = (p * y).sum(axis=axes)
+    denom = p.sum(axis=axes) + y.sum(axis=axes) + s
+    w = np.full(k, 1.0 / (k - 1), dtype=dt)
+    w[0] = 0.0
+    dice_fg = ((2.0 * inter + s) / denom * w).sum()
+    loss = np.asarray(1.0 - dice_fg - (logp * y).sum() / n_vox, dtype=dt)
+    dp = y * (-2.0 * w / denom).reshape(class_shape)
+    dp += (w * (2.0 * inter + s) / (denom * denom)).reshape(class_shape)
+    dz = dp - (p * dp).sum(axis=1, keepdims=True)
+    dz *= p
+    dz += (p - y) / n_vox
+    dz *= np.ones_like(loss)
+    return loss, dz
+
+
+def loss_over_parts(x, labels, sizes):
+    """(loss, cotangent of each part) of ``dice_ce_loss`` over ``x`` cut
+    along the batch into parts of ``sizes``."""
+    cuts = np.cumsum(sizes)[:-1]
+    parts = [ag.Tensor(p, requires_grad=True) for p in np.split(x, cuts)]
+    loss = dice_ce_loss(parts, labels)
+    assert loss._op == "dice_ce_loss" and loss._parents == tuple(parts)
+    ag.backward(loss)
+    return loss.item(), [p.grad for p in parts]
+
+
+def assert_parts_match_joined(x, labels, sizes):
+    """The loss over batch parts equals the loss of the joined batch, and
+    each part's cotangent the joined cotangent's rows, in float64."""
+    want, want_dz = single_tensor_loss(x, labels)
+    got, dzs = loss_over_parts(x, labels, sizes)
+    assert got == pytest.approx(float(want), rel=1e-13, abs=1e-13)
+    assert [len(dz) for dz in dzs] == list(sizes)
+    np.testing.assert_allclose(np.concatenate(dzs), want_dz, rtol=1e-11, atol=1e-15)
+
+
+class TestLossOverBatchParts:
+    @pytest.mark.parametrize("sizes", [(2, 2), (2, 1), (1, 1, 1), (3,)],
+                             ids=["halves", "uneven", "three", "one"])
+    def test_parts_match_the_joined_batch(self, sizes):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(sum(sizes), 3, 2, 3, 4))
+        labels = rng.integers(0, 3, size=(sum(sizes), 2, 3, 4))
+        assert_parts_match_joined(x, labels, sizes)
+
+    @given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           k=st.integers(2, 4), spatial=st.tuples(st.integers(1, 3), st.integers(1, 4)),
+           seed=st.integers(0, 2 ** 16))
+    def test_generated_parts_match_the_joined_batch(self, sizes, k, spatial, seed):
+        rng = np.random.default_rng(seed)
+        b = sum(sizes)
+        x = 3.0 * rng.normal(size=(b, k, *spatial))
+        labels = rng.integers(0, k, size=(b, *spatial))
+        assert_parts_match_joined(x, labels, sizes)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_single_tensor_is_bitwise_the_single_batch_loss(self, dtype):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(2, 3, 2, 3, 4)).astype(dtype)
+        labels = rng.integers(0, 3, size=(2, 2, 3, 4))
+        want, want_dz = single_tensor_loss(x, labels)
+        for arg in (lambda t: t, lambda t: [t]):
+            t = ag.Tensor(x, requires_grad=True)
+            loss = dice_ce_loss(arg(t), labels)
+            assert loss.data.dtype == dtype and loss.data.tobytes() == want.tobytes()
+            ag.backward(loss)
+            assert t.grad.tobytes() == want_dz.tobytes()
+
+    def test_mismatched_parts_rejected(self):
+        labels = np.zeros((2, 2, 2, 2), dtype=np.int64)
+        a = ag.Tensor(np.zeros((1, 2, 2, 2, 2)))
+        with pytest.raises(ValueError, match="batch parts differ"):
+            dice_ce_loss([a, ag.Tensor(np.zeros((1, 3, 2, 2, 2)))], labels)
+        with pytest.raises(ValueError, match="batch parts differ"):
+            dice_ce_loss([a, ag.Tensor(np.zeros((1, 2, 2, 2, 2), np.float32))], labels)
+        with pytest.raises(ValueError, match="labels shape"):
+            dice_ce_loss([a, a, a], labels)
+        with pytest.raises(ValueError, match="no batch parts"):
+            dice_ce_loss([], labels)
