@@ -16,11 +16,9 @@ accumulate into it across walks until it is reset.
 A loss whose parents head graphs that share no op node, only leaves (the
 training loss over two half-batches), is walked one branch at a time: each
 branch accumulates its leaf gradients into buffers of its own, which are
-then added into the leaves in parent order.  With two or more usable CPUs
-the branches after the first run on one worker thread made for the call
-while the first runs on the caller.  The branch walks run each loaded
-OpenBLAS on one thread, so each does the same arithmetic on either
-schedule, and the gradients do not depend on the CPU count.
+then added into the leaves in parent order.  The branch walks are run by
+``overlap`` with each loaded OpenBLAS on one thread, so the gradients do
+not depend on the CPU count.
 
 Shapes must match exactly for binary elementwise ops; the only implicit
 broadcast is by a python scalar (``add_scalar``).  Fused primitives are one
@@ -43,8 +41,8 @@ import ctypes
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -252,6 +250,40 @@ def usable_cpus():
     return os.cpu_count() or 1
 
 
+def overlap(first, second):
+    """``(first(), second())``, with the two calls overlapped when a second
+    CPU can take one of them.
+
+    With two or more usable CPUs ``first`` runs on one worker thread started
+    for this call while ``second`` runs on the calling thread.  On one CPU
+    both run here in turn, ``first`` first: a worker there runs no faster,
+    and its thread's heap arena added about 44 MB to a demo training step's
+    peak RSS.  Both calls have ended when this returns or raises.  An error
+    from ``first`` is raised ahead of one from ``second``, which it carries
+    as its ``__context__``; so the error raised is the one that comes first
+    in call order, as when the two run in turn.
+    """
+    if usable_cpus() < 2:
+        return first(), second()
+    result, error = [], []
+
+    def run():
+        try:
+            result.append(first())
+        except BaseException as e:
+            error.append(e)
+
+    worker = threading.Thread(target=run, name="phnet-overlap")
+    worker.start()
+    try:
+        out = second()
+    finally:
+        worker.join()
+        if error:
+            raise error[0]
+    return result[0], out
+
+
 def _openblas_thread_setters():
     """``openblas_set_num_threads_local`` of each OpenBLAS library loaded in
     this process (NumPy's and SciPy's wheels each bundle one), found by file
@@ -337,11 +369,6 @@ def _walk(order, root, leaf_grads=None):
         node._parents = ()
 
 
-def _walk_each(branches, root, leaf_grads):
-    for order, grads in zip(branches, leaf_grads):
-        _walk(order, root, grads)
-
-
 def backward(loss):
     """Accumulate d(loss)/d(node) into ``.grad`` of every leaf reachable from
     ``loss`` that requires grad, walking the graph once.
@@ -356,14 +383,12 @@ def backward(loss):
     result is reachable from two of them, ``loss``'s closure runs first and
     then each parent's graph (a branch) is walked on its own, into leaf
     gradient buffers of its own; the buffers are then added into the leaves'
-    ``.grad`` in parent order.  With two or more usable CPUs the branches
-    after the first are walked on one worker thread started for this call
-    while the first is walked here; on one CPU they are walked here in
-    order.  Either way each loaded OpenBLAS runs on one thread during the
-    walks, so the arithmetic is the same and the gradients are bitwise
-    equal; they agree with one walk of the whole graph up to the order of
-    the leaf sums.  A closure that raises on the worker is raised here once
-    both walks have ended, and then no leaf ``.grad`` has moved.
+    ``.grad`` in parent order.  ``overlap`` walks the first branch beside
+    the others, with each loaded OpenBLAS on one thread, so the arithmetic
+    and the gradients are the same whatever the CPU count; they agree with
+    one walk of the whole graph up to the order of the leaf sums.  A closure
+    that raises is raised once every walk has ended, and then no leaf
+    ``.grad`` has moved.
     """
     if loss.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -382,16 +407,9 @@ def backward(loss):
     # the loss's closure hands each branch top its cotangent
     _walk([loss], loss)
     leaf_grads = [{} for _ in branches]
+    walks = [partial(_walk, order, loss, grads) for order, grads in zip(branches, leaf_grads)]
     with _one_blas_thread():
-        # on one CPU a worker runs no faster, and its thread's heap arena
-        # added about 44 MB to a demo training step's peak RSS
-        if usable_cpus() >= 2:
-            with ThreadPoolExecutor(max_workers=1, thread_name_prefix="phnet-backward") as pool:
-                rest = pool.submit(_walk_each, branches[1:], loss, leaf_grads[1:])
-                _walk(branches[0], loss, leaf_grads[0])
-                rest.result()
-        else:
-            _walk_each(branches, loss, leaf_grads)
+        overlap(walks[0], lambda: [walk() for walk in walks[1:]])
     for grads in leaf_grads:
         for leaf, g in grads.items():
             leaf.grad = g if leaf.grad is None else leaf.grad + g

@@ -7,8 +7,7 @@ backward and optimizer seconds, gradient norm and peak RSS so far), and
 checkpoints whenever the validation Dice improves.  A step of two or more
 samples runs its forward as two half-batches, one after the other, under one
 loss, and ``autograd.backward`` walks the two half-batch graphs as separate
-branches, on two threads when two CPUs are usable; the split depends only on
-the batch size, so the worker count changes only the schedule.
+branches (``autograd.overlap``); the split depends only on the batch size.
 
 Inference runs a sliding window at the training patch size with 50% overlap
 and uniform logit averaging.  Each window's logits are added into one float64
@@ -18,24 +17,18 @@ order-independent stitch bitwise while memory stays O(classes * volume)
 rather than growing with the window count.  A window spanning the whole
 volume reduces exactly to a single forward pass.
 
-Evaluation overlaps two stages on a machine with two or more usable CPUs:
-the calling thread reads, resamples and segments case k+1 while one worker
-thread, started for the call, scores case k (``evaluate_case``: boundary
-extraction and KD-tree distance queries, which run no tape and no conv).
-Case k's rows are collected before case k+1 is handed over, so at most one
-scoring job is in flight.  Rows come back in case order, error rows in their
-places, so they equal the sequential loop's.  On one CPU each case is scored
-inline: there a worker thread is no faster and costs its heap arena.
+Evaluation scores case k (``evaluate_case``: boundary extraction and KD-tree
+distance queries, which run no tape and no conv) beside the read, resample
+and segmentation of case k+1, through ``autograd.overlap``.
 """
 
 import json
 import math
 import resource
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-from pathlib import Path
 from dataclasses import asdict, dataclass
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -339,11 +332,9 @@ def train(cfg):
     A step of ``b`` >= 2 samples runs the net on two half-batches of
     ceil(b/2) and floor(b/2) samples, one after the other, and takes one
     ``dice_ce_loss`` over both, whose Dice sums span the whole batch.
-    ``backward`` then walks the two half-batch graphs as separate branches,
-    on two threads when two CPUs are usable.  The split depends only on
-    ``batch_size``, and the worker count changes only the schedule: a run
-    gives bitwise the same losses and checkpoint whether the backward walks
-    its branches on one thread or two.
+    ``backward`` then walks the two half-batch graphs as separate branches
+    (``autograd.overlap``).  The split depends only on ``batch_size``, so a
+    run gives bitwise the same losses and checkpoint on one CPU or two.
 
     Each step record holds, besides the loss and learning rate, the step's
     ``forward_s`` (forward and loss), ``backward_s`` and ``optim_s`` on the
@@ -355,8 +346,9 @@ def train(cfg):
             raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     if not 0.0 <= cfg.fg_bias <= 1.0:
         raise ValueError(f"fg_bias must lie in [0, 1], got {cfg.fg_bias}")
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if len(cfg.patch_size) != 3 or not all(isinstance(n, (int, np.integer)) and n >= 1
+                                           for n in cfg.patch_size):
+        raise ValueError(f"patch_size must be 3 positive ints (H, W, D), got {cfg.patch_size}")
     cases, manifest = load_dataset(cfg.data_dir)
     train_cases = [c for c in cases if c["split"] == "train"]
     val_cases = [c for c in cases if c["split"] == "val"]
@@ -378,6 +370,9 @@ def train(cfg):
     opt = AdamW(net.parameters(), batch_size=cfg.batch_size, lr=cfg.lr,
                 betas=(cfg.beta1, cfg.beta2), eps=cfg.eps,
                 weight_decay=cfg.weight_decay)
+    # made only once the data and the net are known to be good
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     # normalize once per volume; patches are cropped from the normalized grid
     norm_train = [(Volume(zscore(c["image"].grid), c["image"].spacing_mm),
@@ -463,16 +458,10 @@ def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
     whose resampled grid is smaller than the inference window contributes an
     error row instead of metric rows.
 
-    With two or more usable CPUs, each case's ``evaluate_case`` runs on one
-    worker thread, started for this call, while this thread reads and
-    segments the next case; on one CPU each case is scored here.  At most
-    one scoring job is in flight: case k's job is collected before case
-    k+1's is handed over.  The rows are returned in case order and equal the
-    sequential loop's.  No scoring job outlives the call, and a failure
-    raises what the sequential loop would have raised: the error of the
-    first failing case in case order, whether its read, its windows or its
-    scoring failed.  Case k's scoring error is raised before case k+2 is
-    read."""
+    Case k is scored beside the read and segmentation of case k+1
+    (``autograd.overlap``), one pair at a time, so the rows, and the error
+    of the first failing case in case order, are the sequential loop's.
+    Case k's scoring error is raised before case k+2 is read."""
     net = net_from_checkpoint(checkpoint_path)
     model_cfg = net.cfg
 
@@ -482,44 +471,34 @@ def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
     if not chosen:
         raise ValueError(f"{data_dir}: no cases with split {split!r}")
 
+    def segment(entry):
+        """The case id, reference labels and prediction on the native grid
+        of ``entry``'s case, or None and why it cannot be segmented."""
+        case = _read_case(root, entry)
+        vol = case["image"]
+        work, problem = _on_model_grid(vol, model_cfg)
+        if problem:
+            return case["id"], case["labels"], None, problem
+        # ``work`` is on the model spacing, so prediction does not resample it again
+        pred = predict_label_volume(net, work, model_cfg)
+        if work is not vol:
+            pred = resample_to_grid(pred, vol.grid.shape, vol.spacing_mm)
+        return case["id"], case["labels"], pred, None
+
+    def score(cid, labels, pred, problem):
+        if problem:
+            return [{"case": cid, "class": "", "error": problem}]
+        return [{"case": cid, **r} for r in evaluate_case(
+            pred, labels, model_cfg.num_classes, tolerance_mm=tolerance_mm,
+            percentile=percentile)]
+
     rows = []
-    pending = None      # (case id, Future of its rows) scoring on the worker
-    # a worker on one CPU only adds its thread's heap arena
-    with (ThreadPoolExecutor(max_workers=1, thread_name_prefix="phnet-score")
-          if ag.usable_cpus() >= 2 else nullcontext()) as pool:
-        try:
-            for entry in chosen:
-                case = _read_case(root, entry)
-                vol = case["image"]
-                work, problem = _on_model_grid(vol, model_cfg)
-                if not problem:
-                    # ``work`` is on the model spacing, so prediction does not resample it again
-                    pred = predict_label_volume(net, work, model_cfg)
-                    if work is not vol:
-                        pred = resample_to_grid(pred, vol.grid.shape, vol.spacing_mm)
-                # the previous case's rows come first, and its scoring error
-                # stops the loop here
-                done, pending = pending, None
-                if done is not None:
-                    rows.extend({"case": done[0], **r} for r in done[1].result())
-                if problem:
-                    rows.append({"case": case["id"], "class": "", "error": problem})
-                    continue
-                args = (pred, case["labels"], model_cfg.num_classes)
-                kwargs = {"tolerance_mm": tolerance_mm, "percentile": percentile}
-                if pool is None:
-                    rows.extend({"case": case["id"], **r} for r in evaluate_case(*args, **kwargs))
-                else:
-                    pending = (case["id"], pool.submit(evaluate_case, *args, **kwargs))
-            if pending is not None:
-                rows.extend({"case": pending[0], **r} for r in pending[1].result())
-        except Exception as e:
-            # a case failed while the previous one was scoring: an error
-            # there comes first in case order, so it is the one to raise
-            first = pending[1].exception() if pending is not None else None
-            if first is not None and first is not e:
-                raise first
-            raise
+    segmented = segment(chosen[0])
+    for entry in chosen[1:]:
+        scored, segmented = ag.overlap(partial(score, *segmented), partial(segment, entry))
+        rows.extend(scored)
+    # the last case, too, is scored where ``overlap`` runs its first call
+    rows.extend(ag.overlap(partial(score, *segmented), lambda: None)[0])
     if out_csv is not None:
         write_report_csv(out_csv, rows)
     return rows
@@ -549,7 +528,6 @@ def grad_check_suite(seed=0):
         ChannelNorm,
         Conv,
         ConvTranspose,
-        InstanceNorm,
         Linear,
         ResidualConvBlock,
         SeparableConvBlock,
@@ -616,9 +594,21 @@ def grad_check_suite(seed=0):
             ag.Tensor(wl)),
         BLOCK_GRAD_TOL)
 
-    add("instance_norm_input",
-        probed(InstanceNorm(3, dtype=f64), (2, 3, 3, 4, 4)),
-        BLOCK_GRAD_TOL)
+    # the node every norm conv of the network runs: relu(IN(conv(x)) + skip),
+    # checked in each of its five inputs
+    fused = {"x": rng.normal(size=(2, 2, 3, 4, 4)), "kernel": rng.normal(size=(3, 2, 1, 3, 3)),
+             "gamma": rng.normal(size=3), "beta": rng.normal(size=3),
+             "skip": rng.normal(size=(2, 3, 3, 4, 4))}
+    wf = ag.Tensor(rng.normal(size=(2, 3, 3, 4, 4)))
+
+    def fused_conv_wrt(name):
+        def f(t):
+            a = {k: t if k == name else ag.Tensor(v) for k, v in fused.items()}
+            return (conv_nd(a["x"], a["kernel"], padding=(0, 1, 1), norm=(a["gamma"], a["beta"]),
+                            skip=a["skip"], relu=True) * wf).sum()
+        return ag.grad_check(f, ag.Tensor(fused[name]))
+
+    add("conv_norm_skip_relu", max(fused_conv_wrt(name) for name in fused), BLOCK_GRAD_TOL)
 
     add("channel_norm_input",
         probed(ChannelNorm(5, dtype=f64), (2, 5, 2, 3, 3)),

@@ -35,10 +35,8 @@ __all__ = [
     "surface_mask",
     "surface_points_mm",
     "dice",
-    "iou",
     "hausdorff",
     "surface_dice",
-    "nvd",
     "evaluate_case",
     "write_report_csv",
     "REPORT_COLUMNS",
@@ -146,12 +144,6 @@ def dice(pred, gt, class_id):
     return _overlap_metrics(*_class_masks(pred, gt, class_id), gt.spacing_mm)["dice"]
 
 
-def iou(pred, gt, class_id):
-    """|P∩G| / |P∪G|; 1.0 when both masks are empty."""
-    _check_pair(pred, gt, physical=False)
-    return _overlap_metrics(*_class_masks(pred, gt, class_id), gt.spacing_mm)["iou"]
-
-
 # ---------------------------------------------------------------------------
 # distance metrics
 # ---------------------------------------------------------------------------
@@ -207,14 +199,6 @@ def surface_dice(pred, gt, class_id, tolerance_mm):
     other surface.  1.0 when both masks are empty; ``None`` when exactly one
     is empty."""
     return _surface_dice_of(_surface_distances(pred, gt, class_id), tolerance_mm)
-
-
-def nvd(pred, gt, class_id):
-    """Normalized volume difference: 100 * |V_pred - V_gt| / V_gt with
-    volumes in mm^3.  ``None`` when the reference mask is empty."""
-    _check_pair(pred, gt, physical=True)
-    return _overlap_metrics(*_class_masks(pred, gt, class_id),
-                            gt.spacing_mm)["nvd_percent"]
 
 
 # ---------------------------------------------------------------------------

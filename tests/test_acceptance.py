@@ -36,7 +36,7 @@ from phnet.harness import (
     window_starts,
 )
 from phnet.layers import conv_nd, conv_output_extent, conv_transpose_nd, linear
-from phnet.metrics import dice, hausdorff, iou, nvd, surface_dice
+from phnet.metrics import dice, evaluate_case, hausdorff, surface_dice
 from phnet.mlpp import AAMLP, IPMLP, TPMLP, residual_attention_fuse
 from phnet.model import PHNet, PHNetConfig, count_params, plan_stages
 from phnet.optim import AdamW, lr_for_batch
@@ -89,7 +89,7 @@ def test_criterion_01_gradient_checks(capfd):
     by_name = {r["name"]: r for r in records}
     blocks = [
         "conv3d_input", "conv3d_kernel", "conv_transpose_input",
-        "linear_input", "linear_weight", "instance_norm_input",
+        "linear_input", "linear_weight", "conv_norm_skip_relu",
         "channel_norm_input", "residual_block_input",
         "separable_block_input", "mlpp_block_input",
     ]
@@ -430,6 +430,12 @@ def test_criterion_08_metric_oracles(capfd):
     def vol(arr, spacing=SPACING):
         return LabelVolume(np.asarray(arr, dtype=np.uint8), spacing)
 
+    def iou(pred, gt):
+        return evaluate_case(pred, gt, 2)[0]["iou"]
+
+    def nvd(pred, gt):
+        return evaluate_case(pred, gt, 2)[0]["nvd_percent"]
+
     cube = np.zeros((4, 4, 4), np.uint8)
     cube[1:3, 1:3, 1:3] = 1
     far = np.zeros((4, 4, 4), np.uint8)
@@ -447,17 +453,17 @@ def test_criterion_08_metric_oracles(capfd):
 
     ok_trivial = (
         dice(vol(cube), vol(cube), 1) == 1.0
-        and iou(vol(cube), vol(cube), 1) == 1.0
+        and iou(vol(cube), vol(cube)) == 1.0
         and dice(vol(cube), vol(far), 1) == 0.0
         and dice(vol(empty), vol(empty), 1) == 1.0
         and hausdorff(vol(empty), vol(cube), 1) is None
         and surface_dice(vol(empty), vol(cube), 1, 1.0) is None
         and surface_dice(vol(empty), vol(empty), 1, 1.0) == 1.0
-        and nvd(vol(cube), vol(empty), 1) is None
+        and nvd(vol(cube), vol(empty)) is None
         # two single voxels two z-steps apart: distance 2 * 4.0 mm
         and hausdorff(vol(p1), vol(p2), 1, percentile=100) == 8.0
         # 5 vs 4 foreground voxels: 100 * |5-4| / 4
-        and nvd(vol(five), vol(four), 1) == 25.0
+        and nvd(vol(five), vol(four)) == 25.0
     )
 
     rng = np.random.default_rng(80)
@@ -474,7 +480,7 @@ def test_criterion_08_metric_oracles(capfd):
         pv, gv = vol(pa, spc), vol(ga, spc)
 
         d = dice(pv, gv, 1)
-        i = iou(pv, gv, 1)
+        i = iou(pv, gv)
         inter = int(np.logical_and(pa, ga).sum())
         union = int(np.logical_or(pa, ga).sum())
         total = int(pa.sum()) + int(ga.sum())
@@ -485,7 +491,7 @@ def test_criterion_08_metric_oracles(capfd):
         worst["link"] = max(worst["link"], abs(d - 2.0 * i / (1.0 + i)))
 
         v_g = int(ga.sum()) * math.prod(spc)
-        got_nvd = nvd(pv, gv, 1)
+        got_nvd = nvd(pv, gv)
         if v_g == 0:
             nvd_nones += got_nvd is None
         else:

@@ -361,12 +361,88 @@ def test_no_grad_on_a_worker_thread_leaves_the_main_thread_recording():
     assert (x * x).sum().requires_grad
 
 
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+# ---------------------------------------------------------------------------
+# overlap: two calls, on two threads when two CPUs are usable
+# ---------------------------------------------------------------------------
+
+def _job(tag, log, fail=False, wait_for=None, done=None):
+    """A call that logs its tag and thread, waits for ``wait_for``, sets
+    ``done`` as it ends and then returns its tag, or raises if ``fail``."""
+    def run():
+        log.append((tag, threading.current_thread().name))
+        try:
+            if wait_for is not None:
+                assert wait_for.wait(10)
+            if fail:
+                raise RuntimeError(f"{tag} failed")
+            return tag
+        finally:
+            if done is not None:
+                done.set()
+    return run
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_overlap_returns_both_results_and_leaves_no_thread(cpus, monkeypatch):
+    _cpus(monkeypatch, cpus)
+    log = []
+    assert ag.overlap(_job("first", log), _job("second", log)) == ("first", "second")
+    main = threading.main_thread().name
+    if cpus == 1:
+        # in turn on the calling thread, first first
+        assert log == [("first", main), ("second", main)]
+    else:
+        assert dict(log) == {"first": "phnet-overlap", "second": main}
+    assert not any(t.name == "phnet-overlap" for t in threading.enumerate())
+
+
+def test_overlap_on_one_cpu_does_not_start_second_after_first_raised(monkeypatch):
+    _cpus(monkeypatch, 1)
+    log = []
+    with pytest.raises(RuntimeError, match="first failed"):
+        ag.overlap(_job("first", log, fail=True), _job("second", log))
+    assert [tag for tag, _ in log] == ["first"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_overlap_raises_the_error_of_second_once_first_has_ended(cpus, monkeypatch):
+    _cpus(monkeypatch, cpus)
+    second_failed, first_done = threading.Event(), threading.Event()
+    # with two CPUs, first ends only after second has raised
+    first = _job("first", [], wait_for=second_failed if cpus == 2 else None, done=first_done)
+
+    def second():
+        second_failed.set()
+        raise RuntimeError("second failed")
+
+    with pytest.raises(RuntimeError, match="second failed"):
+        ag.overlap(first, second)
+    assert first_done.is_set()
+
+
+def test_overlap_raises_the_error_of_first_ahead_of_one_from_second(monkeypatch):
+    # first raises only after second has raised on the calling thread
+    _cpus(monkeypatch, 2)
+    second_failed = threading.Event()
+
+    def second():
+        second_failed.set()
+        raise ValueError("second failed")
+
+    with pytest.raises(RuntimeError, match="first failed") as info:
+        ag.overlap(_job("first", [], fail=True, wait_for=second_failed), second)
+    assert isinstance(info.value.__context__, ValueError)
+    assert str(info.value.__context__) == "second failed"
+    assert not any(t.name == "phnet-overlap" for t in threading.enumerate())
+
+
 # ---------------------------------------------------------------------------
 # branch walk: a loss over graphs that share only leaves
 # ---------------------------------------------------------------------------
-
-def _cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def _probe(t, tag, log, fail):
@@ -437,9 +513,9 @@ def test_branch_walk_is_bitwise_the_same_on_one_cpu_and_on_two(monkeypatch):
     for a, b in zip(*grads):
         assert np.array_equal(a, b)
     main = threading.main_thread().name
-    # one CPU: both branches here; two: branch 1 on the call's worker
+    # one CPU: both branches here; two: branch 0 on the call's worker
     assert threads[0] == {0: main, 1: main}
-    assert threads[1][0] == main and threads[1][1].startswith("phnet-backward")
+    assert threads[1] == {0: "phnet-overlap", 1: main}
 
 
 def test_branch_buffers_are_added_into_the_leaves_in_parent_order(monkeypatch):
@@ -526,12 +602,12 @@ def test_a_raising_closure_on_the_worker_branch_is_raised_here(monkeypatch):
     _cpus(monkeypatch, 2)
     params, log = _branch_params(41), []
     before = [p.grad.copy() for p in params]
-    loss = _branch_loss(params, _branch_inputs(41), log, fail=1)
-    with pytest.raises(RuntimeError, match="branch 1 failed"):
+    loss = _branch_loss(params, _branch_inputs(41), log, fail=0)
+    with pytest.raises(RuntimeError, match="branch 0 failed"):
         backward(loss)
-    assert dict(log)[1].startswith("phnet-backward")
-    assert not any(t.name.startswith("phnet-backward") for t in threading.enumerate())
-    # branch 0 finished, but no leaf gradient was added
+    assert dict(log)[0] == "phnet-overlap"
+    assert not any(t.name == "phnet-overlap" for t in threading.enumerate())
+    # branch 1 finished, but no leaf gradient was added
     for p, g in zip(params, before):
         assert np.array_equal(p.grad, g)
 

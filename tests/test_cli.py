@@ -104,10 +104,9 @@ class TestRuntimeErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert f"error: {field} " in err and "Traceback" not in err
-        # the run's counts and fg_bias are checked before the out dir is made
-        # or any data read; lr is checked where the optimizer is built
-        assert out.exists() == (field == "lr")
-        assert not (out / "best.ckpt").exists()
+        # the run's counts and fg_bias are checked before any data is read,
+        # lr where the optimizer is built; both before the out dir is made
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags,message", [
         (["--base-channels", "0"], "base_channels must be >= 1"),
@@ -284,6 +283,23 @@ class TestTrainCLI:
         assert code == 1
         assert f"usage error: {cfg_path}: config key {key!r}" in err
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("patch,message", [
+        ([32, 32], "patch_size"),
+        ([16, 0, 8], "patch_size"),
+        ([15, 16, 8], "not divisible"),
+    ], ids=["two_extents", "zero_extent", "indivisible"])
+    def test_bad_patch_size_exits_2_and_makes_no_output_directory(self, patch, message,
+                                                                   dataset, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"patch_size": patch}))
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(cfg_path), "--data-dir", str(dataset),
+                     "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_config_not_an_object_exits_1(self, dataset, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -570,19 +570,21 @@ class TestHalfBatchStep:
         """Per backward call: the number of disjoint branches (0: one walk)
         and whether a worker thread walked any of them."""
         calls = []
-        find, walk_each = ag._disjoint_branches, ag._walk_each
+        find, overlap = ag._disjoint_branches, ag.overlap
 
         def disjoint_branches(root):
             branches = find(root)
             calls.append({"branches": len(branches or ()), "worker": False})
             return branches
 
-        def on_worker(*args):
-            calls[-1]["worker"] |= threading.current_thread() is not threading.main_thread()
-            return walk_each(*args)
+        def spy_overlap(first, second):
+            def on_worker():
+                calls[-1]["worker"] |= threading.current_thread() is not threading.main_thread()
+                return first()
+            return overlap(on_worker, second)
 
         monkeypatch.setattr(ag, "_disjoint_branches", disjoint_branches)
-        monkeypatch.setattr(ag, "_walk_each", on_worker)
+        monkeypatch.setattr(ag, "overlap", spy_overlap)
         return calls
 
     @pytest.mark.parametrize("batch,halves", [(1, [1]), (2, [1, 1]), (3, [2, 1]), (4, [2, 2])])
@@ -928,7 +930,7 @@ class TestScoringWorker:
             evaluate(trained["checkpoint"], root)
         assert "case_002_img.raw" in str(info.value.__context__)
         assert len(calls) == 2 and all(c["finished"] for c in calls)
-        assert not [t for t in threading.enumerate() if t.name.startswith("phnet-score")]
+        assert not [t for t in threading.enumerate() if t.name == "phnet-overlap"]
 
     def test_a_scoring_failure_stops_the_reads(self, trained, mixed_dataset, monkeypatch):
         # case 1 is read and segmented while case 0 scores; case 0's error is

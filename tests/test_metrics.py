@@ -22,8 +22,6 @@ from phnet.metrics import (
     dice_ce_loss,
     evaluate_case,
     hausdorff,
-    iou,
-    nvd,
     surface_dice,
     surface_mask,
     surface_points_mm,
@@ -44,6 +42,12 @@ def random_label_pair(rng, shape=(12, 12, 12), p=0.15):
     a[tuple(rng.integers(0, s) for s in shape)] = 1
     b[tuple(rng.integers(0, s) for s in shape)] = 1
     return lv(a), lv(b)
+
+
+def class_row(pred, gt, class_id=1):
+    """``evaluate_case``'s row of one class: its IoU and volume difference
+    are reported there alone."""
+    return evaluate_case(pred, gt, num_classes=class_id + 1)[class_id - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +265,9 @@ def full_grid_report_rows(pred, gt, num_classes, tolerance_mm, percentile):
             dists = None
         else:
             dists = (cKDTree(g_pts).query(p_pts, k=1)[0], cKDTree(p_pts).query(g_pts, k=1)[0])
-        rows.append({"class": c, "dice": dice(pred, gt, c), "iou": iou(pred, gt, c),
+        rows.append({"class": c,
+                     **metrics._overlap_metrics(pred.grid == c, gt.grid == c, gt.spacing_mm),
                      "surface_dice": metrics._surface_dice_of(dists, tolerance_mm),
-                     "nvd_percent": nvd(pred, gt, c),
                      "hausdorff_mm": metrics._hausdorff_of(dists, percentile)})
     return rows
 
@@ -306,24 +310,24 @@ class TestOverlap:
         rng = np.random.default_rng(1)
         a, _ = random_label_pair(rng)
         assert dice(a, a, 1) == 1.0
-        assert iou(a, a, 1) == 1.0
+        assert class_row(a, a)["iou"] == 1.0
 
     def test_disjoint_is_zero(self):
         a = np.zeros((4, 4, 4)); a[0, 0, 0] = 1
         b = np.zeros((4, 4, 4)); b[3, 3, 3] = 1
         assert dice(lv(a), lv(b), 1) == 0.0
-        assert iou(lv(a), lv(b), 1) == 0.0
+        assert class_row(lv(a), lv(b))["iou"] == 0.0
 
     def test_hand_counts(self):
         a = np.zeros((1, 1, 6)); a[0, 0, :4] = 1      # |P| = 4
         b = np.zeros((1, 1, 6)); b[0, 0, 2:5] = 1     # |G| = 3, overlap 2
         assert dice(lv(a), lv(b), 1) == pytest.approx(2 * 2 / 7, abs=1e-15)
-        assert iou(lv(a), lv(b), 1) == pytest.approx(2 / 5, abs=1e-15)
+        assert class_row(lv(a), lv(b))["iou"] == pytest.approx(2 / 5, abs=1e-15)
 
     def test_both_empty_is_one(self):
         z = lv(np.zeros((3, 3, 3)))
         assert dice(z, z, 1) == 1.0
-        assert iou(z, z, 1) == 1.0
+        assert class_row(z, z)["iou"] == 1.0
 
     def test_one_empty_is_zero(self):
         a = np.zeros((3, 3, 3)); a[1, 1, 1] = 1
@@ -336,7 +340,7 @@ class TestOverlap:
         rng = np.random.default_rng(2)
         for _ in range(50):
             a, b = random_label_pair(rng)
-            d, j = dice(a, b, 1), iou(a, b, 1)
+            d, j = dice(a, b, 1), class_row(a, b)["iou"]
             assert abs(d - 2 * j / (1 + j)) <= 1e-12
 
     def test_shape_mismatch_rejected(self):
@@ -483,22 +487,22 @@ class TestNVD:
         a[0, 0, :2] = 1; a[1, 0, :4] = 1; a[2, 0, :4] = 1   # 10 voxels
         b = np.zeros((4, 4, 4)); b[0, 1, :4] = 1; b[1, 1, :4] = 1  # 8 voxels
         # voxel volume cancels: 100 * |10-8| / 8 = 25
-        assert nvd(lv(a, (1, 1, 4)), lv(b, (1, 1, 4)), 1) == pytest.approx(25.0)
+        assert class_row(lv(a, (1, 1, 4)), lv(b, (1, 1, 4)))["nvd_percent"] == pytest.approx(25.0)
 
     def test_identical_is_zero(self):
         rng = np.random.default_rng(11)
         a, _ = random_label_pair(rng)
-        assert nvd(a, a, 1) == 0.0
+        assert class_row(a, a)["nvd_percent"] == 0.0
 
     def test_empty_reference_undefined(self):
         a = np.zeros((3, 3, 3)); a[0, 0, 0] = 1
         z = np.zeros((3, 3, 3))
-        assert nvd(lv(a), lv(z), 1) is None
+        assert class_row(lv(a), lv(z))["nvd_percent"] is None
 
     def test_empty_prediction_is_100(self):
         a = np.zeros((3, 3, 3)); a[0, 0, 0] = 1
         z = np.zeros((3, 3, 3))
-        assert nvd(lv(z), lv(a), 1) == pytest.approx(100.0)
+        assert class_row(lv(z), lv(a))["nvd_percent"] == pytest.approx(100.0)
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +537,12 @@ class TestReport:
         for r in rows:
             c = r["class"]
             assert r["dice"] == dice(a, b, c)
-            assert r["iou"] == iou(a, b, c)
-            assert r["nvd_percent"] == nvd(a, b, c)
+            # IoU and volume difference from the class's voxel counts
+            p, g = pred == c, ref == c
+            inter, union, n_p, n_g = (int(m.sum()) for m in (p & g, p | g, p, g))
+            assert r["iou"] == (inter / union if union else 1.0)
+            assert r["nvd_percent"] == (None if n_g == 0 else
+                                        pytest.approx(100.0 * abs(n_p - n_g) / n_g, rel=1e-12))
             assert r["surface_dice"] == surface_dice(a, b, c, 1.2)
             assert r["hausdorff_mm"] == hausdorff(a, b, c, percentile)
         by_class = {r["class"]: r for r in rows}
