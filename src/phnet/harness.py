@@ -17,9 +17,11 @@ order-independent stitch bitwise while memory stays O(classes * volume)
 rather than growing with the window count.  A window spanning the whole
 volume reduces exactly to a single forward pass.
 
-Evaluation scores case k (``evaluate_case``: boundary extraction and KD-tree
-distance queries, which run no tape and no conv) beside the read, resample
-and segmentation of case k+1, through ``autograd.overlap``.
+Evaluation segments every case with ``predict_label_volume``, the one path
+from a case to its labels.  It scores case k (``evaluate_case``: boundary
+extraction and KD-tree distance queries, which run no tape and no conv)
+beside the read and segmentation of case k+1, through ``autograd.overlap``,
+and scores the last case on the calling thread.
 """
 
 import json
@@ -277,26 +279,21 @@ def sliding_window_logits(net, grid, patch_dhw):
     return acc
 
 
-def _on_model_grid(vol, model_cfg):
-    """``vol`` resampled to the model spacing (``vol`` itself when already
-    there), and why it cannot be segmented: a message when the inference
-    window is larger than the resampled grid, else None."""
-    target = tuple(model_cfg.voxel_spacing_mm)
-    work = vol if tuple(vol.spacing_mm) == target else resample_to_spacing(vol, target)
-    patch = hwd_to_dhw(model_cfg.patch_size)
-    if any(p > s for p, s in zip(patch, work.grid.shape)):
-        return work, (f"patch {patch} larger than case grid {work.grid.shape} "
-                      f"after resampling to spacing {target}")
-    return work, None
+class _WindowTooLarge(ValueError):
+    """The inference window does not fit the case's grid at the model spacing."""
 
 
 def predict_label_volume(net, vol, model_cfg):
     """Segment one case: resample to the model spacing, run the sliding
-    window, argmax, and map labels back onto the case's native grid."""
-    work, problem = _on_model_grid(vol, model_cfg)
-    if problem:
-        raise ValueError(problem)
-    logits = sliding_window_logits(net, zscore(work.grid), hwd_to_dhw(model_cfg.patch_size))
+    window, argmax, and map labels back onto the case's native grid.  A case
+    whose resampled grid is smaller than the window raises a ``ValueError``."""
+    target = tuple(model_cfg.voxel_spacing_mm)
+    work = vol if tuple(vol.spacing_mm) == target else resample_to_spacing(vol, target)
+    patch = hwd_to_dhw(model_cfg.patch_size)
+    if any(p > s for p, s in zip(patch, work.grid.shape)):
+        raise _WindowTooLarge(f"patch {patch} larger than case grid {work.grid.shape} "
+                              f"after resampling to spacing {target}")
+    logits = sliding_window_logits(net, zscore(work.grid), patch)
     pred = LabelVolume(np.argmax(logits, axis=0).astype(np.uint8), work.spacing_mm)
     if work is vol:
         return pred
@@ -431,10 +428,9 @@ def train(cfg):
                 log.log_step(step, epoch, loss_val, opt.lr)
             if epoch % cfg.val_interval == 0 or epoch == cfg.epochs:
                 val = _validation_dice(net, model_cfg, val_cases)
-                improved = (val is None or best is None or val > best)
-                if val is not None and (best is None or val > best):
+                # no val cases: ``val`` and ``best`` stay None, and each validation saves
+                if best is None or val > best:
                     best = val
-                if improved:
                     save_checkpoint(net, ckpt_path, meta={
                         "model_config": config_to_dict(model_cfg),
                         "train_config": asdict(cfg),
@@ -453,15 +449,17 @@ def train(cfg):
 
 def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
              tolerance_mm=1.0, percentile=95):
-    """Segment every case in ``split`` and compute all metrics per class on
-    the case's native grid.  Only the cases of ``split`` are read.  A case
-    whose resampled grid is smaller than the inference window contributes an
-    error row instead of metric rows.
+    """Segment every case in ``split`` with ``predict_label_volume`` and
+    compute all metrics per class on the case's native grid.  Only the cases
+    of ``split`` are read.  A case whose resampled grid is smaller than the
+    inference window contributes an error row, with the message that
+    ``predict_label_volume`` raises, instead of metric rows.
 
     Case k is scored beside the read and segmentation of case k+1
-    (``autograd.overlap``), one pair at a time, so the rows, and the error
-    of the first failing case in case order, are the sequential loop's.
-    Case k's scoring error is raised before case k+2 is read."""
+    (``autograd.overlap``), one pair at a time, and the last case on the
+    calling thread, so the rows, and the error of the first failing case in
+    case order, are the sequential loop's.  Case k's scoring error is raised
+    before case k+2 is read."""
     net = net_from_checkpoint(checkpoint_path)
     model_cfg = net.cfg
 
@@ -473,16 +471,12 @@ def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
 
     def segment(entry):
         """The case id, reference labels and prediction on the native grid
-        of ``entry``'s case, or None and why it cannot be segmented."""
+        of ``entry``'s case, or None and why the window does not fit it."""
         case = _read_case(root, entry)
-        vol = case["image"]
-        work, problem = _on_model_grid(vol, model_cfg)
-        if problem:
-            return case["id"], case["labels"], None, problem
-        # ``work`` is on the model spacing, so prediction does not resample it again
-        pred = predict_label_volume(net, work, model_cfg)
-        if work is not vol:
-            pred = resample_to_grid(pred, vol.grid.shape, vol.spacing_mm)
+        try:
+            pred = predict_label_volume(net, case["image"], model_cfg)
+        except _WindowTooLarge as e:
+            return case["id"], case["labels"], None, str(e)
         return case["id"], case["labels"], pred, None
 
     def score(cid, labels, pred, problem):
@@ -497,8 +491,7 @@ def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
     for entry in chosen[1:]:
         scored, segmented = ag.overlap(partial(score, *segmented), partial(segment, entry))
         rows.extend(scored)
-    # the last case, too, is scored where ``overlap`` runs its first call
-    rows.extend(ag.overlap(partial(score, *segmented), lambda: None)[0])
+    rows.extend(score(*segmented))
     if out_csv is not None:
         write_report_csv(out_csv, rows)
     return rows
@@ -539,95 +532,62 @@ def grad_check_suite(seed=0):
     rng = np.random.default_rng(seed)
     f64 = np.float64
 
-    def probe_for(module, x_shape):
+    def probe(fn, wrt, **shapes):
+        """Max relative error of the gradient of sum(w * fn(**inputs)) in input
+        ``wrt``, the other inputs held; the inputs and w are drawn from ``rng``."""
+        inputs = {name: ag.Tensor(rng.normal(size=shape)) for name, shape in shapes.items()}
         with ag.no_grad():
-            out = module(ag.Tensor(rng.normal(size=x_shape)))
-        return rng.normal(size=out.shape)
-
-    def probed(module, x_shape):
-        w = probe_for(module, x_shape)
-        x = rng.normal(size=x_shape)
-        return ag.grad_check(
-            lambda t: (module(t) * ag.Tensor(w, requires_grad=False)).sum(),
-            ag.Tensor(x))
+            w = ag.Tensor(rng.normal(size=fn(**inputs).shape))
+        return ag.grad_check(lambda t: (fn(**{**inputs, wrt: t}) * w).sum(), inputs[wrt])
 
     checks = []
 
-    def add(name, err, tol):
+    def add(name, err, tol=BLOCK_GRAD_TOL):
         checks.append({"name": name, "max_rel_err": float(err),
                        "tolerance": tol, "passed": bool(err < tol)})
 
     mk = np.random.default_rng(seed + 1)
     add("conv3d_input",
-        probed(Conv(2, 3, (2, 3, 3), stride=(1, 2, 2), padding=(0, 1, 1),
-                    bias=True, rng=mk, dtype=f64), (1, 2, 3, 6, 6)),
-        BLOCK_GRAD_TOL)
+        probe(Conv(2, 3, (2, 3, 3), stride=(1, 2, 2), padding=(0, 1, 1),
+                   bias=True, rng=mk, dtype=f64), "x", x=(1, 2, 3, 6, 6)))
 
-    k = rng.normal(size=(3, 2, 2, 3, 3))
-    xc = ag.Tensor(rng.normal(size=(1, 2, 3, 6, 6)), requires_grad=False)
-    with ag.no_grad():
-        out_shape = conv_nd(xc, ag.Tensor(k), stride=(1, 2, 2),
-                            padding=(0, 1, 1)).shape
-    wc = rng.normal(size=out_shape)
     add("conv3d_kernel",
-        ag.grad_check(
-            lambda t: (conv_nd(xc, t, stride=(1, 2, 2), padding=(0, 1, 1))
-                       * ag.Tensor(wc, requires_grad=False)).sum(),
-            ag.Tensor(k)),
-        BLOCK_GRAD_TOL)
+        probe(partial(conv_nd, stride=(1, 2, 2), padding=(0, 1, 1)), "kernel",
+              x=(1, 2, 3, 6, 6), kernel=(3, 2, 2, 3, 3)))
 
     add("conv_transpose_input",
-        probed(ConvTranspose(2, 2, 2, rng=mk, dtype=f64),
-               (1, 2, 2, 3, 3)),
-        BLOCK_GRAD_TOL)
+        probe(ConvTranspose(2, 2, 2, rng=mk, dtype=f64), "x", x=(1, 2, 2, 3, 3)))
 
     add("linear_input",
-        probed(Linear(5, 4, rng=mk, dtype=f64), (3, 5)),
-        BLOCK_GRAD_TOL)
+        probe(Linear(5, 4, rng=mk, dtype=f64), "x", x=(3, 5)))
 
-    wl = rng.normal(size=(4, 5))
-    xl = ag.Tensor(rng.normal(size=(3, 5)), requires_grad=False)
-    pw = rng.normal(size=(3, 4))
     add("linear_weight",
-        ag.grad_check(
-            lambda t: (linear(xl, t) * ag.Tensor(pw, requires_grad=False)).sum(),
-            ag.Tensor(wl)),
-        BLOCK_GRAD_TOL)
+        probe(linear, "weight", x=(3, 5), weight=(4, 5)))
 
     # the node every norm conv of the network runs: relu(IN(conv(x)) + skip),
     # checked in each of its five inputs
-    fused = {"x": rng.normal(size=(2, 2, 3, 4, 4)), "kernel": rng.normal(size=(3, 2, 1, 3, 3)),
-             "gamma": rng.normal(size=3), "beta": rng.normal(size=3),
-             "skip": rng.normal(size=(2, 3, 3, 4, 4))}
-    wf = ag.Tensor(rng.normal(size=(2, 3, 3, 4, 4)))
+    def fused(x, kernel, gamma, beta, skip):
+        return conv_nd(x, kernel, padding=(0, 1, 1), norm=(gamma, beta), skip=skip, relu=True)
 
-    def fused_conv_wrt(name):
-        def f(t):
-            a = {k: t if k == name else ag.Tensor(v) for k, v in fused.items()}
-            return (conv_nd(a["x"], a["kernel"], padding=(0, 1, 1), norm=(a["gamma"], a["beta"]),
-                            skip=a["skip"], relu=True) * wf).sum()
-        return ag.grad_check(f, ag.Tensor(fused[name]))
-
-    add("conv_norm_skip_relu", max(fused_conv_wrt(name) for name in fused), BLOCK_GRAD_TOL)
+    fused_shapes = {"x": (2, 2, 3, 4, 4), "kernel": (3, 2, 1, 3, 3), "gamma": (3,),
+                    "beta": (3,), "skip": (2, 3, 3, 4, 4)}
+    add("conv_norm_skip_relu",
+        max(probe(fused, name, **fused_shapes) for name in fused_shapes))
 
     add("channel_norm_input",
-        probed(ChannelNorm(5, dtype=f64), (2, 5, 2, 3, 3)),
-        BLOCK_GRAD_TOL)
+        probe(ChannelNorm(5, dtype=f64), "x", x=(2, 5, 2, 3, 3)))
 
     add("residual_block_input",
-        probed(ResidualConvBlock(2, 4, stride=(1, 2, 2), rng=mk, dtype=f64),
-               (1, 2, 2, 4, 4)),
-        BLOCK_GRAD_TOL)
+        probe(ResidualConvBlock(2, 4, stride=(1, 2, 2), rng=mk, dtype=f64), "x",
+              x=(1, 2, 2, 4, 4)))
 
     add("separable_block_input",
-        probed(SeparableConvBlock(3, rng=mk, dtype=f64), (1, 3, 3, 4, 4)),
-        BLOCK_GRAD_TOL)
+        probe(SeparableConvBlock(3, rng=mk, dtype=f64), "x", x=(1, 3, 3, 4, 4)))
 
     add("mlpp_block_input",
-        probed(MLPPBlock(MLPPConfig(channels=4, l_ip=2, l_aa=2, l_tp=2,
-                                    num_layers=1), rng=mk, dtype=f64),
-               (1, 4, 2, 4, 4)),
-        BLOCK_GRAD_TOL)
+        probe(MLPPBlock(MLPPConfig(channels=4, l_ip=2, l_aa=2, l_tp=2,
+                                   num_layers=1), rng=mk, dtype=f64), "x",
+              x=(1, 4, 2, 4, 4)))
 
     net_cfg = PHNetConfig(num_stages=2, base_channels=2, max_channels=4,
                           num_classes=2, voxel_spacing_mm=(1.0, 1.0, 4.0),
@@ -635,7 +595,7 @@ def grad_check_suite(seed=0):
                           mlpp_num_layers=1)
     net = PHNet(net_cfg, seed=seed, dtype=f64)
     add("network_end_to_end",
-        probed(net, (1, 1, 4, 8, 8)),
+        probe(net, "x", x=(1, 1, 4, 8, 8)),
         E2E_GRAD_TOL)
 
     return checks

@@ -259,15 +259,20 @@ def write_report_csv(path, rows):
 # training loss
 # ---------------------------------------------------------------------------
 
-def dice_ce_loss(logits, labels, smooth=1e-5):
+# soft-Dice smoothing: keeps the Dice of a class absent from both the
+# prediction and the labels defined
+_DICE_SMOOTH = 1e-5
+
+
+def dice_ce_loss(logits, labels):
     """Soft-Dice loss over foreground classes plus mean voxel-wise
     cross-entropy, as one tape node.
 
     With p the softmax of ``logits`` over axis 1, y the one-hot labels, N the
     number of voxels, w_k = 1/(K-1) for each foreground class and sums over
-    batch and space, I_k = sum p*y and S_k = sum p + sum y + smooth:
-    loss = 1 - sum_k w_k (2 I_k + smooth) / S_k - sum y*log p / N.
-    The backward is the closed form: with dp = w (2I + smooth) / S^2 - 2 w y / S,
+    batch and space, s = 1e-5, I_k = sum p*y and S_k = sum p + sum y + s:
+    loss = 1 - sum_k w_k (2 I_k + s) / S_k - sum y*log p / N.
+    The backward is the closed form: with dp = w (2I + s) / S^2 - 2 w y / S,
     dlogits = p * (dp - sum_k p*dp) + (p - y) / N.
 
     ``logits`` may also be a sequence of batch parts, whose concatenation
@@ -313,7 +318,7 @@ def dice_ce_loss(logits, labels, smooth=1e-5):
         ps.append(p)
         ys.append(y)
     inter, p_sum, y_sum, log_lik = total
-    s = float(smooth)
+    s = _DICE_SMOOTH
     denom = p_sum + y_sum + s
     w = np.full(k, 1.0 / (k - 1), dtype=dt)
     w[0] = 0.0

@@ -31,9 +31,8 @@ from phnet.harness import (
     evaluate,
     grad_check_suite,
     read_runlog,
-    stitch_windows,
+    sliding_window_logits,
     train,
-    window_starts,
 )
 from phnet.layers import conv_nd, conv_output_extent, conv_transpose_nd, linear
 from phnet.metrics import dice, evaluate_case, hausdorff, surface_dice
@@ -155,6 +154,25 @@ def _stitch_oracle(shape, windows):
     return out
 
 
+class _SpyNet:
+    """A float64 stand-in net for a grid whose voxels hold their flat index:
+    each window's first voxel names its start, which is recorded with the
+    random logits returned for the window."""
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, shape, k, rng):
+        self.shape, self.k, self.rng = shape, k, rng
+        self.windows = []
+
+    def __call__(self, t):
+        x = t.data
+        z, rem = divmod(int(x[0, 0, 0, 0, 0]), self.shape[1] * self.shape[2])
+        logits = self.rng.normal(size=(self.k,) + x.shape[2:])
+        self.windows.append(((z,) + divmod(rem, self.shape[2]), logits))
+        return Tensor(logits[None])
+
+
 def test_criterion_02_brute_force_oracles(capfd):
     rng = np.random.default_rng(20)
 
@@ -215,13 +233,12 @@ def test_criterion_02_brute_force_oracles(capfd):
                             (wmat @ win.reshape(4) + bias).reshape(2, 2)
     aa_err = float(np.abs(got - want).max())
 
+    # the stitching inference runs, fed by a net that records its windows
     shape, patch = (8, 12, 10), (4, 6, 5)
-    windows = [((z, y, x), rng.normal(size=(3,) + patch))
-               for z in window_starts(shape[0], patch[0])
-               for y in window_starts(shape[1], patch[1])
-               for x in window_starts(shape[2], patch[2])]
-    stitch_err = float(np.abs(stitch_windows(shape, windows)
-                              - _stitch_oracle(shape, windows)).max())
+    spy = _SpyNet(shape, 3, rng)
+    got = sliding_window_logits(spy, np.arange(math.prod(shape), dtype=np.float64)
+                                .reshape(shape), patch)
+    stitch_err = float(np.abs(got - _stitch_oracle(shape, spy.windows)).max())
 
     ok = (mm_err <= 1e-12 and conv_err <= 1e-10 and adj_err <= 1e-10
           and aa_err <= 1e-10 and stitch_err <= 1e-6)

@@ -699,7 +699,25 @@ class TestEvaluate:
         for r in rows:
             by_case.setdefault(r["case"], []).append(r)
         assert "error" not in by_case["case_000"][0]
-        assert "larger than case" in by_case["case_001"][0]["error"]
+        net = net_from_checkpoint(trained["checkpoint"])
+        with pytest.raises(ValueError, match="larger than case") as info:
+            predict_label_volume(net, small, net.cfg)
+        assert by_case["case_001"] == [{"case": "case_001", "class": "",
+                                        "error": str(info.value)}]
+
+    def test_degenerate_resample_is_raised_not_a_row(self, trained, tmp_path):
+        # one slice at 1 mm resamples to zero slices at the model's 4 mm: an
+        # error of the case, not a window that does not fit
+        root = tmp_path / "d"
+        root.mkdir()
+        write_volume(root / "case_000_img", Volume(np.ones((1, 16, 16), np.float32),
+                                                   (1.0, 1.0, 1.0)))
+        write_volume(root / "case_000_lbl", LabelVolume(np.zeros((1, 16, 16), np.uint8),
+                                                        (1.0, 1.0, 1.0)))
+        write_manifest(root / "manifest.json", [("case_000", "val")],
+                       extra={"num_classes": 2})
+        with pytest.raises(ValueError, match="degenerate output dims"):
+            evaluate(trained["checkpoint"], root)
 
     def test_reads_only_the_requested_split(self, trained, dataset, tmp_path):
         root = tmp_path / "d"
@@ -902,9 +920,11 @@ class TestScoringWorker:
         assert [r["case"] for r in rows] == [f"case_{i:03d}" for i in range(5)]
         assert "larger than case" in rows[2]["error"]
         assert rows == want
-        # the four good cases were scored, each on the worker
+        # the four good cases were scored: the last one on this thread, the
+        # others each on the worker
         assert len(calls) == 4 and all(c["finished"] for c in calls)
-        assert all(c["thread"] is not threading.current_thread() for c in calls)
+        assert [c["thread"] is threading.current_thread() for c in calls] == [
+            False, False, False, True]
 
     def test_first_failing_case_wins_and_no_job_outlives_the_call(self, trained,
                                                                  mixed_dataset, tmp_path,
@@ -974,7 +994,8 @@ class TestScoringWorker:
         calls = recording_evaluate_case(monkeypatch)
         evaluate(trained["checkpoint"], mixed_dataset)
         assert len(calls) == 4
-        assert all(c["thread"] is not threading.current_thread() for c in calls)
+        assert [c["thread"] is threading.current_thread() for c in calls] == [
+            False, False, False, True]
 
 
 # ---------------------------------------------------------------------------
