@@ -46,7 +46,14 @@ from .data import (
     sample_patches,
     zscore,
 )
-from .metrics import dice, dice_ce_loss, evaluate_case, write_report_csv
+from .metrics import (
+    _hausdorff_of,
+    _surface_dice_of,
+    dice,
+    dice_ce_loss,
+    evaluate_case,
+    write_report_csv,
+)
 from .model import (
     PHNet,
     PHNetConfig,
@@ -459,7 +466,11 @@ def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
     (``autograd.overlap``), one pair at a time, and the last case on the
     calling thread, so the rows, and the error of the first failing case in
     case order, are the sequential loop's.  Case k's scoring error is raised
-    before case k+2 is read."""
+    before case k+2 is read.  A bad ``tolerance_mm`` or ``percentile`` is
+    raised before the checkpoint is opened."""
+    # the metrics' own checks: a split of error rows never reaches evaluate_case
+    _surface_dice_of(None, tolerance_mm)
+    _hausdorff_of(None, percentile)
     net = net_from_checkpoint(checkpoint_path)
     model_cfg = net.cfg
 
@@ -527,7 +538,7 @@ def grad_check_suite(seed=0):
         conv_nd,
         linear,
     )
-    from .mlpp import MLPPBlock, MLPPConfig
+    from .mlpp import MLPPBlock
 
     rng = np.random.default_rng(seed)
     f64 = np.float64
@@ -585,8 +596,7 @@ def grad_check_suite(seed=0):
         probe(SeparableConvBlock(3, rng=mk, dtype=f64), "x", x=(1, 3, 3, 4, 4)))
 
     add("mlpp_block_input",
-        probe(MLPPBlock(MLPPConfig(channels=4, l_ip=2, l_aa=2, l_tp=2,
-                                   num_layers=1), rng=mk, dtype=f64), "x",
+        probe(MLPPBlock(channels=4, l_ip=2, l_tp=2, num_layers=1, rng=mk, dtype=f64), "x",
               x=(1, 4, 2, 4, 4)))
 
     net_cfg = PHNetConfig(num_stages=2, base_channels=2, max_channels=4,

@@ -18,11 +18,13 @@ layers whose shapes are independent of the spatial resolution:
 ``u = x + fuse(ip(norm1(x)), aa(norm1(x)))`` then ``y = u + tp(norm2(u))``.
 All pathway maps are affine, so zeroed weights make the block an exact
 identity; nonlinearity enters through the attention product and the norms.
-Each segment or window view, and each channel FC's move of the channel
-axis to the end and back, is one ``regroup`` tape node.
+
+Every pathway is one ``mix``: a ``regroup`` view of the map as token rows
+(``token_rows``, one rule for segments, windows and channel rows), the
+pathway's ``Linear``, and the inverse view.
 """
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -30,118 +32,64 @@ from .autograd import regroup
 from .layers import ChannelNorm, Linear, Module
 
 __all__ = [
-    "MLPPConfig",
     "IPMLP",
     "AAMLP",
     "TPMLP",
     "MLPPLayer",
     "MLPPBlock",
-    "segment_axis",
-    "unsegment_axis",
-    "partition_windows",
-    "merge_windows",
+    "token_rows",
+    "mix",
     "residual_attention_fuse",
 ]
 
 
 # ---------------------------------------------------------------------------
-# config
+# token views
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MLPPConfig:
-    """Hyperparameters of one MLPP stack.
+def token_rows(shape, kind, L=None):
+    """The view of a (B,C,D,H,W) map of ``shape`` as one row per token:
+    ``(split, axes, rows)`` for ``regroup(x, split, axes, rows)``.  A token
+    tiles the C, D, H and W axes, and its row reads the tile position-major
+    (depth, height, width, then channel).  ``kind`` is
 
-    ``l_ip``/``l_tp`` are token-segment lengths (must divide the channel
-    count so each segment pairs with a whole channel group); ``l_aa`` is the
-    attention window side; ``num_layers`` is the stack depth K.
+    * ``"D"``, ``"H"`` or ``"W"``: a segment of L positions along that axis
+      with a group of g = C/L channels (a row of L*g = C), so element
+      ``l*g + c`` is channel ``group*g + c`` at the segment's ``l``-th
+      position; rows run over (batch, D, H, W, group);
+    * ``"window"``: a per-channel L x L window of the (H, W) plane, flattened
+      row-major; rows run over (batch, C, D, H, W);
+    * ``"C"``: the channels of one position (``L`` unused); rows run over
+      (batch, D, H, W).
     """
-
-    channels: int
-    l_ip: int
-    l_aa: int
-    l_tp: int
-    num_layers: int = 2
-
-    def __post_init__(self):
-        if self.num_layers < 1:
-            raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
-        for name, l in (("l_ip", self.l_ip), ("l_aa", self.l_aa), ("l_tp", self.l_tp)):
-            if l < 1:
-                raise ValueError(f"{name} must be >= 1, got {l}")
-        for name, l in (("l_ip", self.l_ip), ("l_tp", self.l_tp)):
-            if self.channels % l:
-                raise ValueError(
-                    f"channels ({self.channels}) must be divisible by {name} ({l}) "
-                    f"so each segment pairs with a whole channel group")
-
-
-# ---------------------------------------------------------------------------
-# view operations
-# ---------------------------------------------------------------------------
-
-# pre-split layouts put (groups, g) right after batch and split the chosen
-# axis extent into (segments, L) in place; the permute brings rows into
-# (batch, other-spatial..., segment, groups, L, g) order
-_SEGMENT_PERMS = {"D": (0, 3, 5, 6, 1, 4, 2),
-                  "H": (0, 3, 4, 6, 1, 5, 2),
-                  "W": (0, 3, 4, 5, 1, 6, 2)}
-
-
-def _segment_geometry(shape, axis, L):
-    if axis not in _SEGMENT_PERMS:
-        raise ValueError(f"axis must be one of 'D', 'H', 'W', got {axis!r}")
     B, C, D, H, W = shape
-    extent = {"D": D, "H": H, "W": W}[axis]
-    if extent % L:
-        raise ValueError(f"axis {axis} extent {extent} not divisible by segment length {L}")
-    if C % L:
+    if kind not in ("D", "H", "W", "window", "C"):
+        raise ValueError(f"kind must be one of 'D', 'H', 'W', 'window', 'C', got {kind!r}")
+    if kind in ("D", "H", "W") and C % L:
         raise ValueError(f"channels {C} not divisible by segment length {L} "
                          f"(channel group size g = C/L must be integral)")
-    g = C // L
-    s = extent // L
-    pre = {"D": (B, L, g, s, L, H, W),
-           "H": (B, L, g, D, s, L, W),
-           "W": (B, L, g, D, H, s, L)}[axis]
-    return pre, _SEGMENT_PERMS[axis], g
+    tiles = ({"H": L, "W": L} if kind == "window" else {"C": C} if kind == "C"
+             else {"C": C // L, kind: L})
+    split = [B]
+    for axis, extent in zip("CDHW", (C, D, H, W)):
+        t = tiles.get(axis, 1)
+        if extent % t:
+            raise ValueError(f"axis {axis} extent {extent} not divisible by {kind!r} tile {t}")
+        split += [extent // t, t]
+    # split holds batch, then (tile count, tile extent) for C, D, H and W;
+    # a window's channel leads its row index, a segment's group ends it
+    outer = (1, 3, 5, 7) if kind == "window" else (3, 5, 7, 1)
+    row = math.prod(tiles.values())
+    return tuple(split), (0, *outer, 4, 6, 8, 2), (B * C * D * H * W // row, row)
 
 
-def segment_axis(x, axis, L):
-    """Token segmentation: rows of length L*g = C, one per (segment of L
-    consecutive positions along ``axis``) x (channel group of g = C/L).
-
-    Returns a (num_segments, C) tensor; ``unsegment_axis`` inverts it
-    bitwise.  Row layout is position-major: element ``l*g + c`` of a row is
-    channel ``group*g + c`` at the segment's ``l``-th position.
-    """
-    pre, perm, g = _segment_geometry(x.shape, axis, L)
-    return regroup(x, pre, perm, (x.size // (L * g), L * g))
-
-
-def unsegment_axis(rows, shape, axis, L):
-    """Inverse of ``segment_axis`` for an original feature map ``shape``."""
-    pre, perm, _ = _segment_geometry(shape, axis, L)
-    return regroup(rows, tuple(pre[a] for a in perm), np.argsort(perm), shape)
-
-
-def partition_windows(x, L):
-    """Per-channel spatial windows of side L, flattened row-major to L^2.
-
-    Window count is B*C*D*(H/L)*(W/L) — i.e. H*W*C/L^2 per (batch, depth)
-    slice.
-    """
-    B, C, D, H, W = x.shape
-    if H % L or W % L:
-        raise ValueError(f"window side {L} must divide H={H} and W={W}")
-    return regroup(x, (B, C, D, H // L, L, W // L, L), (0, 1, 2, 3, 5, 4, 6),
-                   (B * C * D * (H // L) * (W // L), L * L))
-
-
-def merge_windows(rows, shape, L):
-    """Inverse of ``partition_windows``."""
-    B, C, D, H, W = shape
-    return regroup(rows, (B, C, D, H // L, W // L, L, L), (0, 1, 2, 3, 5, 4, 6),
-                   shape)
+def mix(x, fc, kind, L=None):
+    """One pathway: ``fc`` applied to every ``kind`` token row of ``x`` (see
+    ``token_rows``), the result in ``x``'s layout.  Three tape nodes: the
+    view, the ``Linear`` and the inverse view."""
+    split, axes, rows = token_rows(x.shape, kind, L)
+    y = fc(regroup(x, split, axes, rows))
+    return regroup(y, tuple(split[a] for a in axes), np.argsort(axes), x.shape)
 
 
 def residual_attention_fuse(y_ip, y_a):
@@ -149,13 +97,6 @@ def residual_attention_fuse(y_ip, y_a):
     if y_ip.shape != y_a.shape:
         raise ValueError(f"fuse: shapes {y_ip.shape} and {y_a.shape} differ")
     return (y_a + 1.0) * y_ip
-
-
-def _channel_fc(x, fc):
-    """Apply an FC over the channel axis of a (B,C,D,H,W) map."""
-    B, C, D, H, W = x.shape
-    y = fc(regroup(x, x.shape, (0, 2, 3, 4, 1), (B, D, H, W, C)))
-    return regroup(y, y.shape, (0, 4, 1, 2, 3), (B, y.shape[-1], D, H, W))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +113,6 @@ class IPMLP(Module):
     """
 
     def __init__(self, channels, l, rng=None, dtype=np.float32):
-        if channels % l:
-            raise ValueError(f"channels ({channels}) must be divisible by l ({l})")
         self.l = l
         self.fc_h = Linear(channels, channels, rng=rng, dtype=dtype)
         self.fc_w = Linear(channels, channels, rng=rng, dtype=dtype)
@@ -181,11 +120,9 @@ class IPMLP(Module):
         self.fc_fuse = Linear(channels, channels, rng=rng, dtype=dtype)
 
     def forward(self, x):
-        l = self.l
-        y_h = unsegment_axis(self.fc_h(segment_axis(x, "H", l)), x.shape, "H", l)
-        y_w = unsegment_axis(self.fc_w(segment_axis(x, "W", l)), x.shape, "W", l)
-        y_c = _channel_fc(x, self.fc_c)
-        return _channel_fc(y_h + y_w + y_c, self.fc_fuse)
+        y_h = mix(x, self.fc_h, "H", self.l)
+        y_w = mix(x, self.fc_w, "W", self.l)
+        return mix(y_h + y_w + mix(x, self.fc_c, "C"), self.fc_fuse, "C")
 
 
 
@@ -198,8 +135,7 @@ class AAMLP(Module):
         self.fc = Linear(l * l, l * l, rng=rng, dtype=dtype)
 
     def forward(self, x):
-        rows = partition_windows(x, self.l)
-        return merge_windows(self.fc(rows), x.shape, self.l)
+        return mix(x, self.fc, "window", self.l)
 
 
 
@@ -207,14 +143,11 @@ class TPMLP(Module):
     """Through-plane mixer: depth-axis token segmentation + FC."""
 
     def __init__(self, channels, l, rng=None, dtype=np.float32):
-        if channels % l:
-            raise ValueError(f"channels ({channels}) must be divisible by l ({l})")
         self.l = l
         self.fc = Linear(channels, channels, rng=rng, dtype=dtype)
 
     def forward(self, x):
-        rows = segment_axis(x, "D", self.l)
-        return unsegment_axis(self.fc(rows), x.shape, "D", self.l)
+        return mix(x, self.fc, "D", self.l)
 
 
 
@@ -222,12 +155,12 @@ class MLPPLayer(Module):
     """One pre-norm residual MLPP layer:
     u = x + (1 + AA(norm1(x))) * IP(norm1(x));  y = u + TP(norm2(u))."""
 
-    def __init__(self, cfg, rng=None, dtype=np.float32):
-        self.norm1 = ChannelNorm(cfg.channels, dtype=dtype)
-        self.ip = IPMLP(cfg.channels, cfg.l_ip, rng=rng, dtype=dtype)
-        self.aa = AAMLP(cfg.l_aa, rng=rng, dtype=dtype)
-        self.norm2 = ChannelNorm(cfg.channels, dtype=dtype)
-        self.tp = TPMLP(cfg.channels, cfg.l_tp, rng=rng, dtype=dtype)
+    def __init__(self, channels, l_ip, l_tp, rng=None, dtype=np.float32):
+        self.norm1 = ChannelNorm(channels, dtype=dtype)
+        self.ip = IPMLP(channels, l_ip, rng=rng, dtype=dtype)
+        self.aa = AAMLP(l_ip, rng=rng, dtype=dtype)
+        self.norm2 = ChannelNorm(channels, dtype=dtype)
+        self.tp = TPMLP(channels, l_tp, rng=rng, dtype=dtype)
 
     def forward(self, x):
         n1 = self.norm1(x)
@@ -237,14 +170,25 @@ class MLPPLayer(Module):
 
 
 class MLPPBlock(Module):
-    """K sequential MLPP layers; output shape equals input shape."""
+    """K = ``num_layers`` sequential MLPP layers; output shape equals input
+    shape.  ``l_ip`` and ``l_tp`` are the in-plane and through-plane segment
+    lengths (``l_ip`` is also the attention window side); each must divide
+    ``channels`` so every segment pairs with a whole channel group."""
 
-    def __init__(self, cfg, rng=None, dtype=np.float32):
-        if cfg.channels < 1:
-            raise ValueError(f"channels must be positive, got {cfg.channels}")
-        self.cfg = cfg
-        self.mlpp_layers = [MLPPLayer(cfg, rng=rng, dtype=dtype)
-                            for _ in range(cfg.num_layers)]
+    def __init__(self, channels, l_ip, l_tp, num_layers=2, rng=None, dtype=np.float32):
+        for name, n in (("channels", channels), ("l_ip", l_ip), ("l_tp", l_tp),
+                        ("num_layers", num_layers)):
+            if n < 1:
+                raise ValueError(f"{name} must be >= 1, got {n}")
+        for name, l in (("l_ip", l_ip), ("l_tp", l_tp)):
+            if channels % l:
+                raise ValueError(
+                    f"channels ({channels}) must be divisible by {name} ({l}) "
+                    f"so each segment pairs with a whole channel group")
+        self.l_ip = l_ip
+        self.l_tp = l_tp
+        self.mlpp_layers = [MLPPLayer(channels, l_ip, l_tp, rng=rng, dtype=dtype)
+                            for _ in range(num_layers)]
 
     def forward(self, x):
         for layer in self.mlpp_layers:

@@ -32,7 +32,7 @@ from .layers import (
     SeparableConvBlock,
 )
 from .data import MAX_CLASSES, _is_spacing, _is_triple, atomic_write
-from .mlpp import MLPPBlock, MLPPConfig
+from .mlpp import MLPPBlock
 
 __all__ = [
     "PHNetConfig",
@@ -42,7 +42,6 @@ __all__ = [
     "hwd_to_dhw",
     "count_params",
     "save_checkpoint",
-    "load_checkpoint",
     "net_from_checkpoint",
     "config_to_dict",
     "config_from_dict",
@@ -160,10 +159,11 @@ class _ConvStage(Module):
 class _MLPPStage(Module):
     """Strided Conv-IN-ReLU downsampler followed by an MLPP block."""
 
-    def __init__(self, plan, mlpp_cfg, rng, dtype):
+    def __init__(self, plan, l_ip, l_tp, num_layers, rng, dtype):
         self.down = ConvNormAct(plan.channels_in, plan.channels_out,
                                 plan.kernel, plan.stride, rng=rng, dtype=dtype)
-        self.mlpp = MLPPBlock(mlpp_cfg, rng=rng, dtype=dtype)
+        self.mlpp = MLPPBlock(plan.channels_out, l_ip, l_tp, num_layers,
+                              rng=rng, dtype=dtype)
 
     def forward(self, x):
         return self.mlpp(self.down(x))
@@ -215,11 +215,10 @@ class PHNet(Module):
                 # largest on the C x (D,H,W) patch grid: l_ip | C,H,W, l_ip <= W // 2;
                 # l_tp | C,D, l_tp <= max(1, D // 2); the attention window is l_ip
                 c, (d_f, h_f, w_f) = plan.channels_out, feat[i + 1]
-                l_ip = _largest_divisor_at_most(c, w_f // 2, h_f, w_f)
-                mlpp_cfg = MLPPConfig(c, l_ip, l_ip,
-                                      _largest_divisor_at_most(c, max(1, d_f // 2), d_f),
-                                      cfg.mlpp_num_layers)
-                self.stages.append(_MLPPStage(plan, mlpp_cfg, rng, dtype))
+                self.stages.append(_MLPPStage(
+                    plan, _largest_divisor_at_most(c, w_f // 2, h_f, w_f),
+                    _largest_divisor_at_most(c, max(1, d_f // 2), d_f),
+                    cfg.mlpp_num_layers, rng, dtype))
             else:
                 self.stages.append(_ConvStage(plan, cfg.blocks_per_stage, rng, dtype))
 
@@ -261,10 +260,9 @@ class PHNet(Module):
         for i, (plan, stage) in enumerate(zip(self.plan, self.stages)):
             if plan.mode != "mlpp":
                 continue
-            c, (d_f, h_f, w_f) = stage.mlpp.cfg, feat[i + 1]
-            for axis_name, extent, l in (("H", h_f, c.l_ip), ("W", w_f, c.l_ip),
-                                         ("H", h_f, c.l_aa), ("W", w_f, c.l_aa),
-                                         ("D", d_f, c.l_tp)):
+            m, (d_f, h_f, w_f) = stage.mlpp, feat[i + 1]
+            for axis_name, extent, l in (("H", h_f, m.l_ip), ("W", w_f, m.l_ip),
+                                         ("D", d_f, m.l_tp)):
                 if extent % l:
                     raise ValueError(
                         f"stage {i}: MLPP segment/window length {l} does not divide "
@@ -281,10 +279,11 @@ class PHNet(Module):
 
     def count_flops(self, input_shape):
         """Counted FLOPs of one forward on ``input_shape`` (1 multiply-add =
-        2 FLOPs, see ``phnet.flops``) and the shape of the logits, from the
-        parameter shapes and the stage grids alone: no op runs.  Encoder
-        stage i writes grid i+1, decoder stage i writes grid i, and the head
-        writes grid 0.  Raises ``ValueError`` for a batch below 1."""
+        2 FLOPs; only convs, transposed convs and ``Linear`` maps count)
+        and the shape of the logits, from the parameter shapes and the stage
+        grids alone: no op runs.  Encoder stage i writes grid i+1, decoder
+        stage i writes grid i, and the head writes grid 0.  Raises
+        ``ValueError`` for a batch below 1."""
         b = input_shape[0]
         if b < 1:
             raise ValueError(f"batch size must be >= 1, got {b}")
@@ -447,29 +446,16 @@ def _read_checkpoint_header(f, path):
     return manifest
 
 
-def load_checkpoint(net, path):
-    """Load parameters saved by ``save_checkpoint`` into ``net`` (shapes are
-    validated parameter by parameter); returns the manifest metadata."""
-    with open(path, "rb") as f:
-        return _load_params(net, _read_checkpoint_header(f, path), f)
-
-
 def net_from_checkpoint(path):
     """Build the PHNet that a checkpoint's ``model_config`` describes and load
-    its parameters, opening and validating the file once."""
+    its parameters, opening and validating the file once.  Raises
+    ``ValueError`` unless the parameter names and shapes are that net's."""
     with open(path, "rb") as f:
         manifest = _read_checkpoint_header(f, path)
         if "model_config" not in manifest["meta"]:
             raise ValueError(f"{path}: checkpoint has no model_config")
         net = PHNet(config_from_dict(manifest["meta"]["model_config"]), seed=0)
-        _load_params(net, manifest, f)
-    return net
-
-
-def _load_params(net, manifest, f):
-    """Copy the payload that follows the validated header ``manifest`` in file
-    ``f`` into ``net``'s parameters; returns the manifest metadata."""
-    payload = f.read()
+        payload = f.read()
     by_name = {e["name"]: e for e in manifest["params"]}
     params = dict(net.named_parameters())
     if set(by_name) != set(params):
@@ -483,4 +469,4 @@ def _load_params(net, manifest, f):
                 f"checkpoint {name}: shape {tuple(e['shape'])} != expected {p.shape}")
         flat = np.frombuffer(payload, dtype="<f4", count=p.size, offset=e["offset"])
         p.data[...] = flat.reshape(p.shape).astype(p.dtype)
-    return manifest["meta"]
+    return net

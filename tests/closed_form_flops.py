@@ -1,9 +1,10 @@
 """Closed-form FLOP counts of the MLP mixers.
 
 ``PHNet.count_flops`` is the network's FLOP counter; the closed forms here
-are the oracles the tests check it against.  Convention: one multiply-add =
-2 FLOPs; only matrix-multiply-type work (convolutions and fully-connected
-maps) is counted — normalization, activation, and bias adds are excluded.
+are the oracles ``test_model`` and ``test_acceptance`` check it against.
+Convention: one multiply-add = 2 FLOPs; only matrix-multiply-type work
+(convolutions and fully-connected maps) is counted — normalization,
+activation, and bias adds are excluded.
 Closed forms for the MLP mixers (per batch element, per depth slice unless
 noted):
 
@@ -15,14 +16,6 @@ noted):
 * flattened vanilla token mixer: 2*C*(H*W)^2 — quadratic in slice size,
   the baseline the segmented mixer's linear scaling is compared against.
 """
-
-__all__ = [
-    "ip_pathway_flops",
-    "ip_mlp_flops",
-    "aa_mlp_flops",
-    "tp_mlp_flops",
-    "vanilla_token_mixing_flops",
-]
 
 
 def ip_pathway_flops(h, w, c):

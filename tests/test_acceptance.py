@@ -25,7 +25,6 @@ from phnet.data import (
     write_manifest,
     write_volume,
 )
-from phnet.flops import ip_mlp_flops, vanilla_token_mixing_flops
 from phnet.harness import (
     TrainConfig,
     evaluate,
@@ -39,6 +38,8 @@ from phnet.metrics import dice, evaluate_case, hausdorff, surface_dice
 from phnet.mlpp import AAMLP, IPMLP, TPMLP, residual_attention_fuse
 from phnet.model import PHNet, PHNetConfig, count_params, plan_stages
 from phnet.optim import AdamW, lr_for_batch
+
+from closed_form_flops import ip_mlp_flops, vanilla_token_mixing_flops
 
 SPACING = (1.0, 1.0, 4.0)
 

@@ -50,7 +50,6 @@ from phnet.model import (
     PHNetConfig,
     config_from_dict,
     config_to_dict,
-    load_checkpoint,
     net_from_checkpoint,
     save_checkpoint,
 )
@@ -539,7 +538,9 @@ class TestTrain:
     def test_checkpoint_meta_records_run(self, dataset, tmp_path):
         result = train(tiny_config(dataset, tmp_path / "run"))
         p = result["checkpoint"]
-        meta = load_checkpoint(net_from_checkpoint(p), p)
+        net_from_checkpoint(p)
+        with open(p, "rb") as f:
+            meta = json.loads(f.readline())["meta"]
         assert meta["model_config"]["num_classes"] == 2
         assert meta["model_config"]["voxel_spacing_mm"] == list(SPACING)
         assert meta["val_dice"] == result["best_val_dice"]
@@ -830,6 +831,14 @@ class TestEvaluate:
     def test_missing_split_rejected(self, trained, dataset):
         with pytest.raises(ValueError, match="split"):
             evaluate(trained["checkpoint"], dataset, split="test")
+
+    @pytest.mark.parametrize("option,value", [("tolerance_mm", -1.0), ("percentile", 50)])
+    def test_bad_scoring_option_raised_before_the_checkpoint_is_read(self, option, value,
+                                                                     tmp_path):
+        # a split whose every case gets an error row never scores a case, so
+        # the options are checked before anything is read
+        with pytest.raises(ValueError, match=option):
+            evaluate(tmp_path / "missing.ckpt", tmp_path, **{option: value})
 
     def test_perfect_checkpoint_self_consistency(self, trained, dataset, tmp_path):
         # evaluating a prediction against itself (use predictions as labels)

@@ -2,19 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from phnet.autograd import Tensor, grad_check, no_grad
+from phnet.autograd import Tensor, grad_check, no_grad, regroup, trace
+from phnet.layers import Linear
 from phnet.mlpp import (
     AAMLP,
     IPMLP,
     MLPPBlock,
-    MLPPConfig,
     MLPPLayer,
     TPMLP,
-    merge_windows,
-    partition_windows,
+    mix,
     residual_attention_fuse,
-    segment_axis,
-    unsegment_axis,
+    token_rows,
 )
 
 
@@ -35,6 +33,15 @@ def set_identity_fc(fc):
         fc.bias.data[...] = 0.0
 
 
+def rows_of(x, kind, L=None):
+    """The ``kind`` token rows of tensor ``x``: the view ``mix`` maps."""
+    return regroup(x, *token_rows(x.shape, kind, L))
+
+
+def unchanged(rows):
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # segmentation views
 # ---------------------------------------------------------------------------
@@ -42,7 +49,7 @@ def set_identity_fc(fc):
 def test_segment_row_geometry_horizontal():
     # H=W=4, C=4, L=2: g=2, 8 segments per slice, 2 channel groups each
     x = Tensor(rand((1, 4, 1, 4, 4), seed=0))
-    rows = segment_axis(x, "W", 2)
+    rows = rows_of(x, "W", 2)
     segments_per_slice = 4 * 4 // 2
     groups = 4 // 2
     assert rows.shape == (segments_per_slice * groups, 4)
@@ -51,7 +58,7 @@ def test_segment_row_geometry_horizontal():
 def test_segment_row_geometry_depth():
     # D=8, L=2, H=W=2, C=4: depth segment count HWD/L = 16, g=2 channel groups
     x = Tensor(rand((1, 4, 8, 2, 2), seed=1))
-    rows = segment_axis(x, "D", 2)
+    rows = rows_of(x, "D", 2)
     segments = 2 * 2 * 8 // 2
     groups = 4 // 2
     assert rows.shape == (segments * groups, 2 * 2)
@@ -62,8 +69,7 @@ def test_segment_roundtrip_bitwise(axis):
     x = rand((2, 6, 6, 6, 6), seed=2)
     t = Tensor(x)
     for L in (1, 2, 3):
-        rows = segment_axis(t, axis, L)
-        back = unsegment_axis(rows, t.shape, axis, L)
+        back = mix(t, unchanged, axis, L)
         assert np.array_equal(back.data, x)
 
 
@@ -72,25 +78,24 @@ def test_segment_row_layout_position_major():
     B, C, D, H, W = 1, 4, 1, 2, 4
     L, g = 2, 2
     x = np.arange(B * C * D * H * W, dtype=np.float64).reshape(B, C, D, H, W)
-    rows = segment_axis(Tensor(x), "W", L).data
+    rows = rows_of(Tensor(x), "W", L).data
     # first row: batch 0, d 0, h 0, segment 0 (w in {0,1}), group 0 (c in {0,1})
     want_first = [x[0, 0, 0, 0, 0], x[0, 1, 0, 0, 0], x[0, 0, 0, 0, 1], x[0, 1, 0, 0, 1]]
     np.testing.assert_array_equal(rows[0], want_first)
 
 
 def test_segment_divisibility_errors():
-    x = Tensor(np.zeros((1, 4, 4, 4, 4)))
     with pytest.raises(ValueError):
-        segment_axis(x, "W", 3)  # W=4 not divisible
+        token_rows((1, 4, 4, 4, 4), "W", 3)  # W=4 not divisible
     with pytest.raises(ValueError):
-        segment_axis(Tensor(np.zeros((1, 3, 4, 4, 4))), "W", 2)  # C=3 not divisible
+        token_rows((1, 3, 4, 4, 4), "W", 2)  # C=3 not divisible
     with pytest.raises(ValueError):
-        segment_axis(x, "Q", 2)
+        token_rows((1, 4, 4, 4, 4), "Q", 2)
 
 
 def test_segment_gradients_flow():
     def f(t):
-        rows = segment_axis(t, "H", 2)
+        rows = rows_of(t, "H", 2)
         return (rows * rows).sum()
 
     x = Tensor(rand((1, 2, 2, 4, 4), seed=3))
@@ -104,27 +109,49 @@ def test_segment_gradients_flow():
 def test_window_count_formula():
     # H=W=4, C=2, L=2: HWC/L^2 = 8 windows per (batch, depth) slice
     x = Tensor(rand((1, 2, 1, 4, 4), seed=4))
-    rows = partition_windows(x, 2)
+    rows = rows_of(x, "window", 2)
     assert rows.shape == (8, 4)
 
 
 def test_window_roundtrip_bitwise():
     x = rand((2, 3, 2, 6, 4), seed=5)
-    rows = partition_windows(Tensor(x), 2)
-    back = merge_windows(rows, x.shape, 2)
+    back = mix(Tensor(x), unchanged, "window", 2)
     assert np.array_equal(back.data, x)
 
 
 def test_window_layout_row_major():
     x = np.arange(16.0).reshape(1, 1, 1, 4, 4)
-    rows = partition_windows(Tensor(x), 2).data
+    rows = rows_of(Tensor(x), "window", 2).data
     np.testing.assert_array_equal(rows[0], [0.0, 1.0, 4.0, 5.0])
     np.testing.assert_array_equal(rows[1], [2.0, 3.0, 6.0, 7.0])
 
 
 def test_window_divisibility_error():
     with pytest.raises(ValueError):
-        partition_windows(Tensor(np.zeros((1, 1, 1, 4, 5))), 2)
+        token_rows((1, 1, 1, 4, 5), "window", 2)
+
+
+# ---------------------------------------------------------------------------
+# channel rows and the pathway
+# ---------------------------------------------------------------------------
+
+def test_channel_rows_are_positions_in_batch_depth_height_width_order():
+    x = rand((2, 3, 2, 3, 4), seed=36)
+    rows = rows_of(Tensor(x), "C").data
+    np.testing.assert_array_equal(rows, np.moveaxis(x, 1, -1).reshape(-1, 3))
+    assert np.array_equal(mix(Tensor(x), unchanged, "C").data, x)
+
+
+@pytest.mark.parametrize("kind, L", [("D", 2), ("H", 2), ("W", 2), ("window", 2), ("C", None)])
+def test_mix_is_view_linear_inverse_view(kind, L):
+    # one Linear on the rows, and the three tape nodes of the pathway
+    x = Tensor(rand((1, 4, 2, 4, 4), seed=37), requires_grad=True)
+    width = token_rows(x.shape, kind, L)[2][1]
+    fc = Linear(width, width, rng=np.random.default_rng(38), dtype=np.float64)
+    out = mix(x, fc, kind, L)
+    assert [n._op for n in trace(out) if n._parents] == ["regroup", "linear", "regroup"]
+    rows = rows_of(x, kind, L).data @ fc.weight.data.T + fc.bias.data
+    assert np.array_equal(rows_of(out, kind, L).data, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +168,7 @@ def test_generated_segment_roundtrip_bitwise(data, axis, L, g):
     extents = [data.draw(st.integers(1, 4)) for _ in range(3)]
     extents["DHW".index(axis)] = L * data.draw(st.integers(1, 3))
     x = feature_map(data.draw, L * g, extents)
-    back = unsegment_axis(segment_axis(Tensor(x), axis, L), x.shape, axis, L)
+    back = mix(Tensor(x), unchanged, axis, L)
     assert np.array_equal(back.data, x)
 
 
@@ -150,7 +177,7 @@ def test_generated_window_roundtrip_bitwise(data, L):
     spatial = (data.draw(st.integers(1, 3)), L * data.draw(st.integers(1, 3)),
                L * data.draw(st.integers(1, 3)))
     x = feature_map(data.draw, data.draw(st.integers(1, 3)), spatial)
-    back = merge_windows(partition_windows(Tensor(x), L), x.shape, L)
+    back = mix(Tensor(x), unchanged, "window", L)
     assert np.array_equal(back.data, x)
 
 
@@ -350,20 +377,22 @@ def test_tp_mlp_depth_locality():
 # MLPP layer / block
 # ---------------------------------------------------------------------------
 
-CFG = MLPPConfig(channels=8, l_ip=2, l_aa=2, l_tp=2, num_layers=2)
+CFG = dict(channels=8, l_ip=2, l_tp=2, num_layers=2)
 
 
-def test_config_validation():
+def test_block_validation():
     with pytest.raises(ValueError):
-        MLPPConfig(channels=6, l_ip=4, l_aa=2, l_tp=2)
+        MLPPBlock(channels=6, l_ip=4, l_tp=2)
     with pytest.raises(ValueError):
-        MLPPConfig(channels=8, l_ip=2, l_aa=2, l_tp=2, num_layers=0)
+        MLPPBlock(channels=6, l_ip=2, l_tp=4)
     with pytest.raises(ValueError):
-        MLPPConfig(channels=8, l_ip=0, l_aa=2, l_tp=2)
+        MLPPBlock(channels=8, l_ip=2, l_tp=2, num_layers=0)
+    with pytest.raises(ValueError):
+        MLPPBlock(channels=8, l_ip=0, l_tp=2)
 
 
 def test_block_zero_fc_weights_is_identity_bitwise():
-    blk = MLPPBlock(CFG, rng=np.random.default_rng(27), dtype=np.float64)
+    blk = MLPPBlock(**CFG, rng=np.random.default_rng(27), dtype=np.float64)
     zero_fc_weights(blk)
     x = rand((1, 8, 2, 4, 4), seed=28)
     out = blk(Tensor(x))
@@ -371,14 +400,14 @@ def test_block_zero_fc_weights_is_identity_bitwise():
 
 
 def test_block_output_shape_matches_input():
-    blk = MLPPBlock(CFG, rng=np.random.default_rng(29))
+    blk = MLPPBlock(**CFG, rng=np.random.default_rng(29))
     for shape in [(1, 8, 2, 4, 4), (2, 8, 4, 8, 8), (1, 8, 2, 8, 4)]:
         x = Tensor(rand(shape, seed=30).astype(np.float32))
         assert blk(x).shape == shape
 
 
 def test_block_divisibility_errors():
-    blk = MLPPBlock(CFG)
+    blk = MLPPBlock(**CFG)
     with pytest.raises(ValueError):
         blk(Tensor(np.zeros((1, 8, 3, 4, 4), dtype=np.float32)))  # D % l_tp
     with pytest.raises(ValueError):
@@ -388,7 +417,7 @@ def test_block_divisibility_errors():
 
 
 def test_block_gradient_check():
-    blk = MLPPBlock(CFG, rng=np.random.default_rng(31), dtype=np.float64)
+    blk = MLPPBlock(**CFG, rng=np.random.default_rng(31), dtype=np.float64)
     rng = np.random.default_rng(32)
     x = Tensor(rng.normal(size=(1, 8, 2, 4, 4)))
     probe = Tensor(rng.normal(size=(1, 8, 2, 4, 4)))
@@ -401,7 +430,7 @@ def test_block_gradient_check():
 
 def test_layer_wiring_matches_formula():
     # u = x + (1 + AA(n1)) * IP(n1); y = u + TP(norm2(u))
-    layer = MLPPLayer(CFG, rng=np.random.default_rng(33), dtype=np.float64)
+    layer = MLPPLayer(8, 2, 2, rng=np.random.default_rng(33), dtype=np.float64)
     x = Tensor(rand((1, 8, 2, 4, 4), seed=34))
     n1 = layer.norm1(x)
     u = x.data + (1.0 + layer.aa(n1).data) * layer.ip(n1).data
@@ -411,7 +440,7 @@ def test_layer_wiring_matches_formula():
 
 
 def test_block_parameter_count_resolution_independent():
-    blk = MLPPBlock(CFG, rng=np.random.default_rng(35))
+    blk = MLPPBlock(**CFG, rng=np.random.default_rng(35))
     n = sum(p.size for p in blk.parameters())
     # C=8: per layer 4 C^2 FCs (IP) + 1 (TP) + (L^2)^2 AA + biases + 2 norms
     per_layer = 5 * (64 + 8) + (16 + 4) + 2 * 16

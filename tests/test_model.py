@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from phnet.autograd import Tensor, backward, grad_check, no_grad, trace
 from phnet import layers
-from phnet.flops import ip_mlp_flops, vanilla_token_mixing_flops
 from phnet.layers import ChannelNorm, InstanceNorm, Linear
 from phnet.metrics import dice_ce_loss
 from phnet.mlpp import MLPPLayer
@@ -18,12 +17,15 @@ from phnet.model import (
     PHNet,
     PHNetConfig,
     StagePlan,
+    config_to_dict,
     count_params,
     hwd_to_dhw,
-    load_checkpoint,
+    net_from_checkpoint,
     plan_stages,
     save_checkpoint,
 )
+
+from closed_form_flops import ip_mlp_flops, vanilla_token_mixing_flops
 
 ANISO = PHNetConfig(num_stages=4, base_channels=8, max_channels=64, num_classes=3,
                     voxel_spacing_mm=(1.0, 1.0, 4.0), patch_size=(32, 32, 16))
@@ -376,7 +378,7 @@ def test_no_part_of_the_tape_outlives_backward():
 
 def test_ip_pathway_closed_form_and_linearity():
     # horizontal pathway at H=W=8, C=4: 2*64*16 = 2048; doubling H doubles it
-    from phnet.flops import ip_pathway_flops
+    from closed_form_flops import ip_pathway_flops
     assert ip_pathway_flops(8, 8, 4) == 2048
     assert ip_pathway_flops(16, 8, 4) == 4096
     assert ip_mlp_flops(16, 8, 4) == 2 * ip_mlp_flops(8, 8, 4)
@@ -413,7 +415,7 @@ def test_conv_net_flops_hand_sum():
 
 @pytest.mark.parametrize("num_layers", [1, 2])
 def test_mlpp_net_flops_match_closed_forms(num_layers):
-    from phnet.flops import aa_mlp_flops, tp_mlp_flops
+    from closed_form_flops import aa_mlp_flops, tp_mlp_flops
     net = _one_stage_net(mlpp_stages=None, num_layers=num_layers)
     assert [p.mode for p in net.plan] == ["mlpp"]
     B, C, D, H, W = 3, 8, 2, 4, 4
@@ -496,13 +498,18 @@ def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
 
 
+def _with_config(cfg, **meta):
+    """Checkpoint metadata whose ``model_config`` describes ``cfg``."""
+    return {"model_config": config_to_dict(cfg), **meta}
+
+
 def test_checkpoint_roundtrip(tmp_path):
     net = PHNet(ANISO, seed=11)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(net, path, meta={"epoch": 3})
-    other = PHNet(ANISO, seed=99)
-    meta = load_checkpoint(other, path)
-    assert meta == {"epoch": 3}
+    save_checkpoint(net, path, meta=_with_config(ANISO, epoch=3))
+    other = net_from_checkpoint(path)
+    assert other.cfg == ANISO
+    assert json.loads(path.read_bytes().split(b"\n", 1)[0])["meta"]["epoch"] == 3
     for (_, pa), (_, pb) in zip(net.named_parameters(), other.named_parameters()):
         np.testing.assert_array_equal(pa.data, pb.data)
 
@@ -512,29 +519,27 @@ def test_checkpoint_roundtrip_preserves_forward(tmp_path):
     x = Tensor(np.random.default_rng(0).normal(size=(1, 1, 16, 32, 32)).astype(np.float32))
     want = net(x).data
     path = tmp_path / "model.ckpt"
-    save_checkpoint(net, path)
-    other = PHNet(ANISO, seed=99)
-    load_checkpoint(other, path)
-    np.testing.assert_array_equal(other(x).data, want)
+    save_checkpoint(net, path, meta=_with_config(ANISO))
+    np.testing.assert_array_equal(net_from_checkpoint(path)(x).data, want)
 
 
 def test_checkpoint_shape_validation(tmp_path):
-    net = PHNet(ANISO, seed=0)
+    # the header's model_config is ANISO, the parameters another width's
     path = tmp_path / "model.ckpt"
-    save_checkpoint(net, path)
     different = PHNet(PHNetConfig(num_stages=4, base_channels=16, max_channels=64,
                                   num_classes=3,
                                   voxel_spacing_mm=(1, 1, 4), patch_size=(32, 32, 16)),
                       seed=0)
-    with pytest.raises(ValueError):
-        load_checkpoint(different, path)
+    save_checkpoint(different, path, meta=_with_config(ANISO))
+    with pytest.raises(ValueError, match="shape"):
+        net_from_checkpoint(path)
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "bogus.ckpt"
     path.write_bytes(b'{"format": "something-else"}\n')
     with pytest.raises(ValueError):
-        load_checkpoint(PHNet(ANISO, seed=0), path)
+        net_from_checkpoint(path)
 
 
 @pytest.mark.parametrize("raw", [b"\xff\xfe\x00\x01binary", b'{"format": "phnet-checkpoint-v1", "me'],
@@ -543,7 +548,7 @@ def test_checkpoint_unreadable_header_named_as_not_a_checkpoint(tmp_path, raw):
     path = tmp_path / "bogus.ckpt"
     path.write_bytes(raw)
     with pytest.raises(ValueError) as info:
-        load_checkpoint(PHNet(ANISO, seed=0), path)
+        net_from_checkpoint(path)
     assert str(info.value) == f"{path}: not a phnet-checkpoint-v1 file"
 
 
@@ -574,13 +579,13 @@ def test_checkpoint_entries_must_tile_the_payload_in_order(tmp_path, edit):
     # each edit keeps the payload length the entries declare, so only the
     # offsets (or the types of the numbers) are wrong
     path = tmp_path / "model.ckpt"
-    save_checkpoint(PHNet(ANISO, seed=0), path)
+    save_checkpoint(PHNet(ANISO, seed=0), path, meta=_with_config(ANISO))
     line, payload = path.read_bytes().split(b"\n", 1)
     header = json.loads(line)
     edit(header["params"])
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
     with pytest.raises(ValueError, match="model.ckpt"):
-        load_checkpoint(PHNet(ANISO, seed=1), path)
+        net_from_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +596,7 @@ def test_mlpp_stage_segment_lengths():
     # patch (H,W,D) = (32,32,16) at spacing ratio 4: stage 2 writes 32 x (8,4,4)
     # and stage 3 writes 64 x (4,2,2)
     net = PHNet(ANISO, seed=0)
-    assert [(s.mlpp.cfg.l_ip, s.mlpp.cfg.l_aa, s.mlpp.cfg.l_tp, s.mlpp.cfg.num_layers)
+    assert [(s.mlpp.l_ip, s.mlpp.mlpp_layers[0].aa.l, s.mlpp.l_tp, len(s.mlpp.mlpp_layers))
             for s in net.stages[2:]] == [(2, 2, 4, 2), (1, 1, 2, 2)]
     shallow = PHNet(dataclasses.replace(ANISO, mlpp_num_layers=1), seed=0)
     assert [len(s.mlpp.mlpp_layers) for s in shallow.stages[2:]] == [1, 1]
@@ -624,17 +629,17 @@ def test_derived_mlpp_lengths_divide_the_feature_grid(cfg):
         grid = tuple(n // s for n, s in zip(grid, plan.stride))
         if plan.mode != "mlpp":
             continue
-        c, (d_f, h_f, w_f), m = plan.channels_out, grid, stage.mlpp.cfg
+        c, (d_f, h_f, w_f), m = plan.channels_out, grid, stage.mlpp
         assert c % m.l_ip == h_f % m.l_ip == w_f % m.l_ip == 0
-        assert h_f % m.l_aa == w_f % m.l_aa == 0
         assert c % m.l_tp == d_f % m.l_tp == 0
         # each is the largest such length within its bound
         assert m.l_ip == max(l for l in range(1, max(1, w_f // 2) + 1)
                              if c % l == h_f % l == w_f % l == 0)
-        assert m.l_aa == max(l for l in range(1, m.l_ip + 1) if h_f % l == w_f % l == 0)
         assert m.l_tp == max(l for l in range(1, max(1, d_f // 2) + 1)
                              if c % l == d_f % l == 0)
-        assert m.num_layers == cfg.mlpp_num_layers
+        assert len(m.mlpp_layers) == cfg.mlpp_num_layers
+        # the attention window is the in-plane segment length
+        assert all(layer.aa.l == m.l_ip for layer in m.mlpp_layers)
     x = np.random.default_rng(0).normal(size=(1, 1, d, h, w)).astype(np.float32)
     with no_grad():
         out = net(Tensor(x))
