@@ -24,21 +24,18 @@ Shapes must match exactly for binary elementwise ops; the only implicit
 broadcast is by a python scalar (``add_scalar``).  Fused primitives are one
 node each, with a closed-form backward: convolution with its bias or with
 its instance-norm, residual-add and ReLU epilogue (``layers.conv_nd``),
-linear maps and normalization, which broadcast their per-channel parameters
-inside the node, and the Dice+CE training loss (``metrics.dice_ce_loss``).
-So the engine has no activation op of its own.  An op can ask
-``will_record`` whether its node will be kept, and if not, write its result
-over the arrays that only its backward would need.
-
-Every change of shape or axis order is one ``regroup`` node: view as a
-split shape, transpose, read row-major as the result shape.  The MLPP token
-segments and attention windows are built this way.
+normalization, which broadcasts its per-channel parameters inside the node,
+an MLPP pathway (``mlpp.mix``: the move of a map into token rows, the FC
+with its bias, and the move back), and the Dice+CE training loss
+(``metrics.dice_ce_loss``).  So the engine has no activation op and no
+shape op of its own.  An op can ask ``will_record`` whether its node will
+be kept, and if not, write its result over the arrays that only its
+backward would need.
 """
 
 from __future__ import annotations
 
 import ctypes
-import math
 import os
 import threading
 from contextlib import contextmanager
@@ -188,35 +185,6 @@ def mul(a, b):
 def add_scalar(t, c):
     c = float(c)
     return make_node(t.data + c, (t,), "add_scalar", lambda g: (g,))
-
-
-# ---------------------------------------------------------------------------
-# shape ops
-# ---------------------------------------------------------------------------
-
-def regroup(t, split, axes, shape):
-    """View ``t`` as ``split``, reorder those axes by ``axes`` (as
-    ``np.transpose``) and read the result row-major as ``shape``.
-
-    One node for a reshape -> permute -> reshape chain.  It only moves
-    elements, so the backward applies the inverse move to the gradient.
-    """
-    split = tuple(int(n) for n in split)
-    axes = tuple(int(a) for a in axes)
-    shape = tuple(int(n) for n in shape)
-    if sorted(axes) != list(range(len(split))):
-        raise ValueError(f"regroup: axes {axes} is not a permutation of 0..{len(split) - 1}")
-    for name, s in (("split", split), ("shape", shape)):
-        if math.prod(s) != t.size:
-            raise ValueError(
-                f"regroup: {name} {s} does not hold the {t.size} elements of {t.shape}")
-    in_shape = t.shape
-    moved = tuple(split[a] for a in axes)
-    inv = tuple(np.argsort(axes))
-    # np.reshape copies a non-contiguous array before reinterpreting it
-    out = np.reshape(np.transpose(np.reshape(t.data, split), axes), shape)
-    return make_node(out, (t,), "regroup",
-                     lambda g: (np.reshape(np.transpose(np.reshape(g, moved), inv), in_shape),))
 
 
 # ---------------------------------------------------------------------------

@@ -536,9 +536,8 @@ def grad_check_suite(seed=0):
         ResidualConvBlock,
         SeparableConvBlock,
         conv_nd,
-        linear,
     )
-    from .mlpp import MLPPBlock
+    from .mlpp import MLPPBlock, mix
 
     rng = np.random.default_rng(seed)
     f64 = np.float64
@@ -569,11 +568,18 @@ def grad_check_suite(seed=0):
     add("conv_transpose_input",
         probe(ConvTranspose(2, 2, 2, rng=mk, dtype=f64), "x", x=(1, 2, 2, 3, 3)))
 
-    add("linear_input",
-        probe(Linear(5, 4, rng=mk, dtype=f64), "x", x=(3, 5)))
+    # an MLPP pathway node, on token segments and on attention windows,
+    # checked in each of its three inputs
+    fc = Linear(4, 4, dtype=f64)
 
-    add("linear_weight",
-        probe(linear, "weight", x=(3, 5), weight=(4, 5)))
+    def pathway(x, weight, bias, kind):
+        fc.weight, fc.bias = weight, bias
+        return mix(x, fc, kind, 2)
+
+    for wrt, name in (("x", "input"), ("weight", "weight"), ("bias", "bias")):
+        add(f"mix_{name}",
+            max(probe(partial(pathway, kind=kind), wrt, x=(1, 4, 2, 4, 4), weight=(4, 4),
+                      bias=(4,)) for kind in ("H", "window")))
 
     # the node every norm conv of the network runs: relu(IN(conv(x)) + skip),
     # checked in each of its five inputs

@@ -2,10 +2,11 @@
 
 Provides direct N-d convolution, the decoder's upsampling transpose
 convolution (kernel equal to stride, the exact adjoint of the conv of that
-geometry), instance / channel normalization, linear maps, and the composite
-blocks used by the encoder and decoder: Conv-IN-ReLU residual blocks and the
-decoder's separated in-plane / through-plane convolution pair.  All
-operations are differentiable through the autograd tape.
+geometry), instance / channel normalization, the row GEMM of an FC map, and
+the composite blocks used by the encoder and decoder: Conv-IN-ReLU residual
+blocks and the decoder's separated in-plane / through-plane convolution
+pair.  Every operation but the row GEMM is differentiable through the
+autograd tape; ``mlpp.mix`` records the tape node around the GEMM.
 
 The three convolution kernels (forward, adjoint, kernel gradient) share one
 channel-major scheme for every stride.  The input is copied once into
@@ -620,33 +621,20 @@ def conv_transpose_nd(x, kernel):
 # linear / normalization primitives
 # ---------------------------------------------------------------------------
 
-def linear(x, weight, bias=None):
-    """Affine map along the last axis: x (..., in) -> (..., out), computed as
-    ``x @ weight.T + bias`` in one tape node.
-
-    ``weight`` is stored (out, in); ``bias`` is (out,).
-    """
-    if x.shape[-1] != weight.shape[1]:
+def linear(rows, weight, bias):
+    """Affine map of token rows on arrays: ``rows @ weight.T + bias`` for
+    (n, in) ``rows``, an (out, in) ``weight`` and an (out,) ``bias``.  It
+    records no tape node: ``mlpp.mix``, its one caller, records the pathway
+    around it."""
+    if rows.ndim != 2 or rows.shape[1] != weight.shape[1]:
         raise ValueError(
-            f"linear: input feature size {x.shape[-1]} != weight input size {weight.shape[1]}")
-    if bias is not None and bias.shape != (weight.shape[0],):
+            f"linear: rows of shape {rows.shape} are not (n, {weight.shape[1]}) "
+            f"for a weight of shape {weight.shape}")
+    if bias.shape != (weight.shape[0],):
         raise ValueError(f"linear: bias shape {bias.shape} != ({weight.shape[0]},)")
-    wd = weight.data
-    x2 = x.data.reshape(-1, x.shape[-1])
-    y = x2 @ wd.T
-    parents = (x, weight)
-    if bias is not None:
-        y += bias.data
-        parents += (bias,)
-
-    def bk(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        grads = ((g2 @ wd).reshape(x.shape), g2.T @ x2)
-        if bias is not None:
-            grads += (g2.sum(axis=0),)
-        return grads
-
-    return make_node(y.reshape(x.shape[:-1] + (wd.shape[0],)), parents, "linear", bk)
+    y = rows @ weight.T
+    y += bias
+    return y
 
 
 _NORM_EPS = 1e-5
@@ -696,6 +684,10 @@ def affine_norm(x, gamma, beta, axes):
 
 
 class Linear(Module):
+    """The weight and bias of one FC map.  ``forward`` takes token rows as an
+    array and returns the mapped rows; ``mlpp.mix`` makes the rows and the
+    tape node."""
+
     def __init__(self, in_features, out_features, rng=None, dtype=np.float32):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.out_features = out_features
@@ -703,8 +695,8 @@ class Linear(Module):
             kaiming_uniform(rng, (out_features, in_features), in_features, dtype))
         self.bias = Parameter(np.zeros(out_features, dtype=dtype))
 
-    def forward(self, x):
-        return linear(x, self.weight, self.bias)
+    def forward(self, rows):
+        return linear(rows, self.weight.data, self.bias.data)
 
 
 

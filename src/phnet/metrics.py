@@ -177,7 +177,7 @@ def _hausdorff_of(dists, percentile):
 
 
 def _surface_dice_of(dists, tolerance_mm):
-    if tolerance_mm < 0:
+    if not tolerance_mm >= 0:
         raise ValueError(f"tolerance_mm must be >= 0, got {tolerance_mm}")
     if dists is None:
         return None

@@ -19,16 +19,17 @@ layers whose shapes are independent of the spatial resolution:
 All pathway maps are affine, so zeroed weights make the block an exact
 identity; nonlinearity enters through the attention product and the norms.
 
-Every pathway is one ``mix``: a ``regroup`` view of the map as token rows
-(``token_rows``, one rule for segments, windows and channel rows), the
-pathway's ``Linear``, and the inverse view.
+Every pathway is one ``mix``, the permute-MLP of ViP (Hou et al. 2021): a
+copy of the map as token rows (``token_rows``, one rule for segments,
+windows and channel rows), the pathway's ``Linear`` on the rows, and the
+copy back, recorded as one tape node.
 """
 
 import math
 
 import numpy as np
 
-from .autograd import regroup
+from .autograd import make_node
 from .layers import ChannelNorm, Linear, Module
 
 __all__ = [
@@ -49,7 +50,8 @@ __all__ = [
 
 def token_rows(shape, kind, L=None):
     """The view of a (B,C,D,H,W) map of ``shape`` as one row per token:
-    ``(split, axes, rows)`` for ``regroup(x, split, axes, rows)``.  A token
+    ``(split, axes, rows)``, to view the map as ``split``, order its axes by
+    ``axes`` (as ``np.transpose``) and read it row-major as ``rows``.  A token
     tiles the C, D, H and W axes, and its row reads the tile position-major
     (depth, height, width, then channel).  ``kind`` is
 
@@ -83,13 +85,33 @@ def token_rows(shape, kind, L=None):
     return tuple(split), (0, *outer, 4, 6, 8, 2), (B * C * D * H * W // row, row)
 
 
+def _move(a, split, axes, shape):
+    """``a`` viewed as ``split``, its axes ordered by ``axes``, read row-major
+    as ``shape``."""
+    # np.reshape copies a non-contiguous array before reinterpreting it
+    return np.reshape(np.transpose(np.reshape(a, split), axes), shape)
+
+
 def mix(x, fc, kind, L=None):
-    """One pathway: ``fc`` applied to every ``kind`` token row of ``x`` (see
-    ``token_rows``), the result in ``x``'s layout.  Three tape nodes: the
-    view, the ``Linear`` and the inverse view."""
-    split, axes, rows = token_rows(x.shape, kind, L)
-    y = fc(regroup(x, split, axes, rows))
-    return regroup(y, tuple(split[a] for a in axes), np.argsort(axes), x.shape)
+    """One pathway: the ``Linear`` ``fc`` applied to every ``kind`` token row
+    of ``x`` (see ``token_rows``), the result in ``x``'s layout.
+
+    One tape node over ``x``, ``fc.weight`` and ``fc.bias``.  Its backward
+    moves the cotangent into rows ``gr`` and returns the three gradients of
+    the row map ``xr @ W.T + b``: ``gr @ W`` moved back into ``x``'s layout,
+    ``gr.T @ xr`` and the column sums of ``gr``."""
+    shape = x.shape
+    split, axes, rows = token_rows(shape, kind, L)
+    moved = tuple(split[a] for a in axes)
+    back = tuple(axes.index(a) for a in range(len(axes)))
+    xr = _move(x.data, split, axes, rows)
+    w = fc.weight.data
+
+    def bk(g):
+        gr = _move(g, split, axes, rows)
+        return _move(gr @ w, moved, back, shape), gr.T @ xr, gr.sum(axis=0)
+
+    return make_node(_move(fc(xr), moved, back, shape), (x, fc.weight, fc.bias), "mix", bk)
 
 
 def residual_attention_fuse(y_ip, y_a):

@@ -95,7 +95,7 @@ def plan_stages(cfg):
     with the configured stages swapped to MLPP mode; channels double from
     ``base_channels``, capped at ``max_channels``."""
     ip0, ip1, tp = cfg.voxel_spacing_mm
-    if ip0 <= 0 or ip1 <= 0 or tp <= 0:
+    if not all(0 < s < math.inf for s in cfg.voxel_spacing_mm):
         raise ValueError(f"voxel spacing must be positive, got {cfg.voxel_spacing_mm}")
     for name in ("num_stages", "base_channels", "max_channels", "blocks_per_stage",
                  "mlpp_num_layers"):

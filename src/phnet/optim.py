@@ -55,9 +55,9 @@ class AdamW:
             raise ValueError(f"lr must be positive, got {lr}")
         if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
             raise ValueError(f"betas must lie in [0, 1), got {betas}")
-        if eps <= 0:
+        if not eps > 0:
             raise ValueError(f"eps must be positive, got {eps}")
-        if weight_decay < 0:
+        if not weight_decay >= 0:
             raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
         self.params = list(params)
         self.lr = float(lr)

@@ -89,7 +89,7 @@ def test_criterion_01_gradient_checks(capfd):
     by_name = {r["name"]: r for r in records}
     blocks = [
         "conv3d_input", "conv3d_kernel", "conv_transpose_input",
-        "linear_input", "linear_weight", "conv_norm_skip_relu",
+        "mix_input", "mix_weight", "mix_bias", "conv_norm_skip_relu",
         "channel_norm_input", "residual_block_input",
         "separable_block_input", "mlpp_block_input",
     ]
@@ -182,7 +182,7 @@ def test_criterion_02_brute_force_oracles(capfd):
         m, k, n = rng.integers(1, 17, size=3)
         a = rng.normal(size=(m, k))
         b = rng.normal(size=(k, n))
-        got = linear(Tensor(a), Tensor(b.T)).data
+        got = linear(a, b.T, np.zeros(n))
         mm_err = max(mm_err, float(np.abs(got - _matmul_oracle(a, b)).max()))
 
     conv_err = 0.0

@@ -94,6 +94,8 @@ class TestRuntimeErrors:
         (["--fg-bias", "-0.5"], "fg_bias"),
         (["--lr", "-1"], "lr"),
         (["--lr", "0"], "lr"),
+        (["--weight-decay", "-1"], "weight_decay"),
+        (["--weight-decay", "nan"], "weight_decay"),
     ])
     def test_bad_train_config_exits_2_naming_the_field(self, flags, field, dataset,
                                                        tmp_path, capsys):
@@ -356,6 +358,19 @@ class TestEvalCLI:
         code = main(["eval", "--checkpoint", str(trained / "best.ckpt"),
                      "--data-dir", str(dataset), "--split", "test"])
         assert code == 2
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan"])
+    def test_bad_tolerance_exits_2_before_anything_is_read(self, tolerance, tmp_path,
+                                                          capsys):
+        # neither the checkpoint nor the dataset exists: the option is
+        # checked before either is opened
+        out_csv = tmp_path / "report.csv"
+        code = main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                     "--data-dir", str(tmp_path / "missing"), "--out", str(out_csv),
+                     "--tolerance-mm", tolerance])
+        err = capsys.readouterr().err
+        assert code == 2 and "error: tolerance_mm must be >= 0" in err
+        assert "Traceback" not in err and not out_csv.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +678,14 @@ class TestBenchFlops:
         assert doc["flops_per_forward"] == flops
         assert doc["params"] == 174170
         assert doc["output_shape"] == [batch, 2, 32, 64, 64]
+
+    @pytest.mark.parametrize("spacing", ["nan", "inf"])
+    def test_non_finite_spacing_exits_2(self, spacing, capsys):
+        code = main(["flops", "--patch-size", "64", "64", "32", "--spacing", spacing, "1", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "error: voxel spacing must be positive" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_bench_reports_same_flops(self, capsys):
         assert main(["flops", "--spacing", "1", "1", "4"] + TINY_MODEL) == 0

@@ -832,7 +832,8 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="split"):
             evaluate(trained["checkpoint"], dataset, split="test")
 
-    @pytest.mark.parametrize("option,value", [("tolerance_mm", -1.0), ("percentile", 50)])
+    @pytest.mark.parametrize("option,value", [("tolerance_mm", -1.0), ("tolerance_mm", math.nan),
+                                              ("percentile", 50)])
     def test_bad_scoring_option_raised_before_the_checkpoint_is_read(self, option, value,
                                                                      tmp_path):
         # a split whose every case gets an error row never scores a case, so

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from phnet.layers import (
     linear,
     same_padding,
 )
+from phnet.mlpp import mix
 
 
 def conv_oracle(x, k, stride, padding, bias=None):
@@ -800,40 +802,42 @@ def test_to_rows_writes_every_row_of_uninitialized_memory(layout):
 
 def test_linear_identity_weight():
     x = rand((3, 4), seed=14)
-    out = linear(Tensor(x), Tensor(np.eye(4)))
-    np.testing.assert_array_equal(out.data, x)
+    np.testing.assert_array_equal(linear(x, np.eye(4), np.zeros(4)), x)
 
 
 def test_linear_zero_weight_gives_bias():
     b = np.array([1.0, 2.0])
-    out = linear(Tensor(rand((5, 3), seed=15)), Tensor(np.zeros((2, 3))), Tensor(b))
-    np.testing.assert_array_equal(out.data, np.tile(b, (5, 1)))
+    out = linear(rand((5, 3), seed=15), np.zeros((2, 3)), b)
+    np.testing.assert_array_equal(out, np.tile(b, (5, 1)))
 
 
 def test_linear_matches_matmul_plus_bias_oracle():
     rng = np.random.default_rng(16)
-    x = rng.normal(size=(4, 2, 5))
+    x = rng.normal(size=(8, 5))
     w = rng.normal(size=(3, 5))
     b = rng.normal(size=(3,))
-    out = linear(Tensor(x), Tensor(w), Tensor(b))
-    np.testing.assert_allclose(out.data, x @ w.T + b, rtol=0, atol=1e-12)
-    assert out.shape == (4, 2, 3)
+    out = linear(x, w, b)
+    np.testing.assert_allclose(out, x @ w.T + b, rtol=0, atol=1e-12)
+    assert out.shape == (8, 3)
 
 
 def test_linear_dim_mismatch():
-    with pytest.raises(ValueError):
-        linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+    with pytest.raises(ValueError, match="rows"):
+        linear(np.zeros((2, 3)), np.zeros((4, 5)), np.zeros(4))
+    with pytest.raises(ValueError, match="rows"):
+        linear(np.zeros((2, 2, 5)), np.zeros((4, 5)), np.zeros(4))
+    with pytest.raises(ValueError, match="bias"):
+        linear(np.zeros((2, 5)), np.zeros((4, 5)), np.zeros(5))
 
 
-def test_linear_module_shapes_and_grad():
+def test_linear_module_maps_rows_with_its_parameters():
     rng = np.random.default_rng(17)
     lin = Linear(6, 4, rng=rng, dtype=np.float64)
-    assert lin.weight.shape == (4, 6)
-
-    def f(x):
-        return lin(x).sum()
-
-    assert grad_check(f, Tensor(rng.normal(size=(3, 6))), h=1e-5) < 1e-8
+    assert lin.weight.shape == (4, 6) and lin.bias.shape == (4,)
+    rows = rng.normal(size=(3, 6))
+    out = lin(rows)
+    assert isinstance(out, np.ndarray)
+    np.testing.assert_array_equal(out, linear(rows, lin.weight.data, lin.bias.data))
 
 
 def grad_check_each_input(fn, inputs, rng):
@@ -848,12 +852,6 @@ def grad_check_each_input(fn, inputs, rng):
 
         errs.append(grad_check(f, Tensor(inputs[i]), h=1e-5))
     return max(errs)
-
-
-def test_linear_grad_of_input_weight_and_bias():
-    rng = np.random.default_rng(30)
-    inputs = [rng.normal(size=(2, 3, 5)), rng.normal(size=(4, 5)), rng.normal(size=4)]
-    assert grad_check_each_input(linear, inputs, rng) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -1329,12 +1327,14 @@ def test_every_layer_gradient_matches_finite_differences():
             lambda: Conv(cin, cout, (1, 3, 3), rng=rng, dtype=np.float64),
             lambda: ConvTranspose(cin, cout, 2, rng=rng, dtype=np.float64),
             lambda: InstanceNorm(cin, dtype=np.float64),
-            lambda: Linear(cin * 4, cout * 4, rng=rng, dtype=np.float64),
+            lambda: Linear(cin * 4, cin * 4, rng=rng, dtype=np.float64),
             # 2-channel ChannelNorm is sign-like (FD-degenerate); use >= 4
             lambda: ChannelNorm(cin + 3, dtype=np.float64),
         ][trial % 5]()
         if isinstance(layer, Linear):
-            x = Tensor(rng.normal(size=(2, cin * 4)))
+            # an FC runs on the token rows of one mix node
+            layer = partial(mix, fc=layer, kind="C")
+            x = Tensor(rng.normal(size=(1, cin * 4, 3, 2, 2)))
         elif isinstance(layer, ChannelNorm):
             x = Tensor(rng.normal(size=(1, cin + 3, 3, 4, 4)))
         else:

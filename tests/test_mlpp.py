@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from phnet.autograd import Tensor, grad_check, no_grad, regroup, trace
+from phnet.autograd import Tensor, backward, grad_check, make_node, no_grad, trace
 from phnet.layers import Linear
 from phnet.mlpp import (
     AAMLP,
@@ -33,13 +33,70 @@ def set_identity_fc(fc):
         fc.bias.data[...] = 0.0
 
 
+def identity_fc(width, dtype=np.float64):
+    fc = Linear(width, width, dtype=dtype)
+    set_identity_fc(fc)
+    return fc
+
+
+def row_width(shape, kind, L=None):
+    return token_rows(shape, kind, L)[2][1]
+
+
+# ---------------------------------------------------------------------------
+# the oracle: a pathway as three tape nodes, a view, the FC and the inverse
+# view, each with its own backward
+# ---------------------------------------------------------------------------
+
+def regroup(t, split, axes, shape):
+    """View ``t`` as ``split``, reorder those axes by ``axes`` and read the
+    result row-major as ``shape``; the backward applies the inverse move."""
+    in_shape = t.shape
+    moved = tuple(split[a] for a in axes)
+    inv = tuple(np.argsort(axes))
+    out = np.reshape(np.transpose(np.reshape(t.data, split), axes), shape)
+    return make_node(out, (t,), "regroup",
+                     lambda g: (np.reshape(np.transpose(np.reshape(g, moved), inv), in_shape),))
+
+
+def linear_node(rows, weight, bias):
+    """``rows @ W.T + b`` as a tape node of its own."""
+    wd, xd = weight.data, rows.data
+    y = xd @ wd.T
+    y += bias.data
+    return make_node(y, (rows, weight, bias), "linear",
+                     lambda g: (g @ wd, g.T @ xd, g.sum(axis=0)))
+
+
+def three_node_mix(x, fc, kind, L=None):
+    split, axes, rows = token_rows(x.shape, kind, L)
+    y = linear_node(regroup(x, split, axes, rows), fc.weight, fc.bias)
+    return regroup(y, tuple(split[a] for a in axes), np.argsort(axes), x.shape)
+
+
 def rows_of(x, kind, L=None):
-    """The ``kind`` token rows of tensor ``x``: the view ``mix`` maps."""
-    return regroup(x, *token_rows(x.shape, kind, L))
+    """The ``kind`` token rows of array ``x``: the rows ``mix`` maps."""
+    return regroup(Tensor(x), *token_rows(x.shape, kind, L)).data
 
 
-def unchanged(rows):
-    return rows
+def value_and_grads(pathway, x, kind, L, dtype, seed):
+    """``pathway(x, fc, kind, L)`` for an FC with random weight and bias, and
+    the gradients in x, weight and bias of a random-weighted sum of it."""
+    rng = np.random.default_rng(seed)
+    width = row_width(x.shape, kind, L)
+    fc = Linear(width, width, rng=rng, dtype=dtype)
+    fc.bias.data[...] = rng.normal(size=width)
+    xt = Tensor(x.astype(dtype), requires_grad=True)
+    out = pathway(xt, fc, kind, L)
+    backward((out * Tensor(rng.normal(size=x.shape).astype(dtype))).sum())
+    return out.data, xt.grad, fc.weight.grad, fc.bias.grad
+
+
+def assert_matches_three_node_mix(x, kind, L, dtype, seed):
+    got = value_and_grads(mix, x, kind, L, dtype, seed)
+    want = value_and_grads(three_node_mix, x, kind, L, dtype, seed)
+    for name, a, b in zip(("value", "x grad", "weight grad", "bias grad"), got, want):
+        assert a.dtype == dtype and np.array_equal(a, b), name
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +105,7 @@ def unchanged(rows):
 
 def test_segment_row_geometry_horizontal():
     # H=W=4, C=4, L=2: g=2, 8 segments per slice, 2 channel groups each
-    x = Tensor(rand((1, 4, 1, 4, 4), seed=0))
-    rows = rows_of(x, "W", 2)
+    rows = rows_of(rand((1, 4, 1, 4, 4), seed=0), "W", 2)
     segments_per_slice = 4 * 4 // 2
     groups = 4 // 2
     assert rows.shape == (segments_per_slice * groups, 4)
@@ -57,8 +113,7 @@ def test_segment_row_geometry_horizontal():
 
 def test_segment_row_geometry_depth():
     # D=8, L=2, H=W=2, C=4: depth segment count HWD/L = 16, g=2 channel groups
-    x = Tensor(rand((1, 4, 8, 2, 2), seed=1))
-    rows = rows_of(x, "D", 2)
+    rows = rows_of(rand((1, 4, 8, 2, 2), seed=1), "D", 2)
     segments = 2 * 2 * 8 // 2
     groups = 4 // 2
     assert rows.shape == (segments * groups, 2 * 2)
@@ -67,9 +122,8 @@ def test_segment_row_geometry_depth():
 @pytest.mark.parametrize("axis", ["D", "H", "W"])
 def test_segment_roundtrip_bitwise(axis):
     x = rand((2, 6, 6, 6, 6), seed=2)
-    t = Tensor(x)
     for L in (1, 2, 3):
-        back = mix(t, unchanged, axis, L)
+        back = mix(Tensor(x), identity_fc(6), axis, L)
         assert np.array_equal(back.data, x)
 
 
@@ -78,7 +132,7 @@ def test_segment_row_layout_position_major():
     B, C, D, H, W = 1, 4, 1, 2, 4
     L, g = 2, 2
     x = np.arange(B * C * D * H * W, dtype=np.float64).reshape(B, C, D, H, W)
-    rows = rows_of(Tensor(x), "W", L).data
+    rows = rows_of(x, "W", L)
     # first row: batch 0, d 0, h 0, segment 0 (w in {0,1}), group 0 (c in {0,1})
     want_first = [x[0, 0, 0, 0, 0], x[0, 1, 0, 0, 0], x[0, 0, 0, 0, 1], x[0, 1, 0, 0, 1]]
     np.testing.assert_array_equal(rows[0], want_first)
@@ -93,13 +147,23 @@ def test_segment_divisibility_errors():
         token_rows((1, 4, 4, 4, 4), "Q", 2)
 
 
-def test_segment_gradients_flow():
-    def f(t):
-        rows = rows_of(t, "H", 2)
-        return (rows * rows).sum()
+@pytest.mark.parametrize("kind, L", [("D", 2), ("H", 2), ("W", 2), ("window", 2), ("C", None)])
+def test_mix_gradients_match_finite_differences(kind, L):
+    # each of the node's three inputs, the other two held
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(1, 4, 2, 4, 4))
+    width = row_width(x.shape, kind, L)
+    fc = Linear(width, width, rng=rng, dtype=np.float64)
+    inputs = {"x": x, "weight": rng.normal(size=(width, width)), "bias": rng.normal(size=width)}
+    probe = Tensor(rng.normal(size=x.shape))
+    for wrt in inputs:
+        def f(t, wrt=wrt):
+            held = {name: Tensor(v) for name, v in inputs.items()}
+            held[wrt] = t
+            fc.weight, fc.bias = held["weight"], held["bias"]
+            return (mix(held["x"], fc, kind, L) * probe).sum()
 
-    x = Tensor(rand((1, 2, 2, 4, 4), seed=3))
-    assert grad_check(f, x, h=1e-5) < 1e-8
+        assert grad_check(f, Tensor(inputs[wrt]), h=1e-5) < 1e-6, wrt
 
 
 # ---------------------------------------------------------------------------
@@ -108,20 +172,17 @@ def test_segment_gradients_flow():
 
 def test_window_count_formula():
     # H=W=4, C=2, L=2: HWC/L^2 = 8 windows per (batch, depth) slice
-    x = Tensor(rand((1, 2, 1, 4, 4), seed=4))
-    rows = rows_of(x, "window", 2)
-    assert rows.shape == (8, 4)
+    assert rows_of(rand((1, 2, 1, 4, 4), seed=4), "window", 2).shape == (8, 4)
 
 
 def test_window_roundtrip_bitwise():
     x = rand((2, 3, 2, 6, 4), seed=5)
-    back = mix(Tensor(x), unchanged, "window", 2)
+    back = mix(Tensor(x), identity_fc(4), "window", 2)
     assert np.array_equal(back.data, x)
 
 
 def test_window_layout_row_major():
-    x = np.arange(16.0).reshape(1, 1, 1, 4, 4)
-    rows = rows_of(Tensor(x), "window", 2).data
+    rows = rows_of(np.arange(16.0).reshape(1, 1, 1, 4, 4), "window", 2)
     np.testing.assert_array_equal(rows[0], [0.0, 1.0, 4.0, 5.0])
     np.testing.assert_array_equal(rows[1], [2.0, 3.0, 6.0, 7.0])
 
@@ -137,21 +198,32 @@ def test_window_divisibility_error():
 
 def test_channel_rows_are_positions_in_batch_depth_height_width_order():
     x = rand((2, 3, 2, 3, 4), seed=36)
-    rows = rows_of(Tensor(x), "C").data
-    np.testing.assert_array_equal(rows, np.moveaxis(x, 1, -1).reshape(-1, 3))
-    assert np.array_equal(mix(Tensor(x), unchanged, "C").data, x)
+    np.testing.assert_array_equal(rows_of(x, "C"), np.moveaxis(x, 1, -1).reshape(-1, 3))
+    assert np.array_equal(mix(Tensor(x), identity_fc(3), "C").data, x)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("kind, L", [("D", 2), ("H", 2), ("W", 2), ("window", 2), ("C", None)])
-def test_mix_is_view_linear_inverse_view(kind, L):
-    # one Linear on the rows, and the three tape nodes of the pathway
-    x = Tensor(rand((1, 4, 2, 4, 4), seed=37), requires_grad=True)
-    width = token_rows(x.shape, kind, L)[2][1]
-    fc = Linear(width, width, rng=np.random.default_rng(38), dtype=np.float64)
-    out = mix(x, fc, kind, L)
-    assert [n._op for n in trace(out) if n._parents] == ["regroup", "linear", "regroup"]
-    rows = rows_of(x, kind, L).data @ fc.weight.data.T + fc.bias.data
-    assert np.array_equal(rows_of(out, kind, L).data, rows)
+def test_mix_is_one_node_matching_the_three_node_composition(kind, L, dtype):
+    # the value and the x, weight and bias gradients, bitwise
+    x = rand((2, 4, 2, 4, 6), seed=37)
+    assert_matches_three_node_mix(x, kind, L, dtype, seed=38)
+    fc = Linear(row_width(x.shape, kind, L), row_width(x.shape, kind, L))
+    out = mix(Tensor(x, requires_grad=True), fc, kind, L)
+    assert [n._op for n in trace(out) if n._parents] == ["mix"]
+    assert out._parents[1:] == (fc.weight, fc.bias)
+
+
+def test_mix_runs_the_fc_once_on_the_token_rows():
+    x = rand((1, 4, 2, 4, 4), seed=39)
+    fc = Linear(4, 4, rng=np.random.default_rng(40), dtype=np.float64)
+    seen = []
+    forward = fc.forward
+    fc.forward = lambda rows: seen.append(rows) or forward(rows)
+    out = mix(Tensor(x), fc, "H", 2)
+    assert len(seen) == 1 and np.array_equal(seen[0], rows_of(x, "H", 2))
+    assert np.array_equal(rows_of(out.data, "H", 2),
+                          seen[0] @ fc.weight.data.T + fc.bias.data)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +240,7 @@ def test_generated_segment_roundtrip_bitwise(data, axis, L, g):
     extents = [data.draw(st.integers(1, 4)) for _ in range(3)]
     extents["DHW".index(axis)] = L * data.draw(st.integers(1, 3))
     x = feature_map(data.draw, L * g, extents)
-    back = mix(Tensor(x), unchanged, axis, L)
+    back = mix(Tensor(x), identity_fc(L * g), axis, L)
     assert np.array_equal(back.data, x)
 
 
@@ -177,8 +249,22 @@ def test_generated_window_roundtrip_bitwise(data, L):
     spatial = (data.draw(st.integers(1, 3)), L * data.draw(st.integers(1, 3)),
                L * data.draw(st.integers(1, 3)))
     x = feature_map(data.draw, data.draw(st.integers(1, 3)), spatial)
-    back = mix(Tensor(x), unchanged, "window", L)
+    back = mix(Tensor(x), identity_fc(L * L), "window", L)
     assert np.array_equal(back.data, x)
+
+
+@given(st.data(), st.sampled_from(["D", "H", "W", "window", "C"]), st.integers(1, 3),
+       st.sampled_from([np.float32, np.float64]))
+def test_generated_mix_matches_the_three_node_composition(data, kind, L, dtype):
+    # segments take C = L*g channels and an axis of whole segments; windows
+    # whole L x L tiles of the plane; channel rows any map
+    segment = kind in ("D", "H", "W")
+    channels = L * data.draw(st.integers(1, 3)) if segment else data.draw(st.integers(1, 4))
+    extents = [data.draw(st.integers(1, 3)) for _ in range(3)]
+    for axis in {"D": "D", "H": "H", "W": "W", "window": "HW", "C": ""}[kind]:
+        extents["DHW".index(axis)] *= L
+    x = feature_map(data.draw, channels, extents)
+    assert_matches_three_node_mix(x, kind, L, dtype, seed=data.draw(st.integers(0, 2 ** 16)))
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,12 @@ class TestAdamW:
             with pytest.raises(ValueError, match="lr must be positive"):
                 AdamW(p, lr=lr)
 
+    @pytest.mark.parametrize("option,message", [("eps", "eps must be positive"),
+                                                ("weight_decay", "weight_decay must be >= 0")])
+    def test_nan_hyperparams_rejected(self, option, message):
+        with pytest.raises(ValueError, match=message):
+            AdamW([make_param([1.0])], lr=0.1, **{option: math.nan})
+
     def test_descends_quadratic(self):
         # sanity: 200 steps on f(p) = 0.5*|p|^2 moves p toward zero
         p = make_param([3.0, -2.0])
