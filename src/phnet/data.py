@@ -7,6 +7,10 @@ while ``spacing_mm`` is always quoted (x, y, z) as in scan metadata, so
 volume is a pair ``<base>.hdr`` (JSON: dims [x,y,z], spacing_mm [x,y,z],
 dtype, byte_order) plus ``<base>.raw`` (contiguous little-endian scalars,
 x fastest — exactly the C-order bytes of the (D, H, W) grid).
+
+Resampling is center-aligned and clamps to the edge: nearest-neighbour for
+labels, trilinear for images.  It gathers source voxels with ``take`` one
+axis at a time, which copies the same elements as one ``np.ix_`` gather.
 """
 
 import json
@@ -158,7 +162,13 @@ def _axis_map(n_src, n_dst, s_src, s_dst):
 
 def resample_to_grid(v, dst_dims, dst_spacing):
     """Resample onto an explicit (D,H,W) destination grid, center-aligned,
-    clamp-to-edge: trilinear for images, nearest-neighbor for labels."""
+    clamp-to-edge: trilinear for images, nearest-neighbor for labels.
+
+    Source voxels are gathered one axis at a time (``take`` along z, then
+    y, then x), which picks the same elements as one ``np.ix_`` gather of
+    the three index vectors, so the result is bitwise that gather's, with
+    less index arithmetic.  The trilinear branch shares the z and the (z, y)
+    gathers among the corners that use them."""
     if any(n < 1 for n in dst_dims):
         raise ValueError(f"degenerate output dims {tuple(dst_dims)}")
     _check_spacing(dst_spacing)
@@ -169,7 +179,7 @@ def resample_to_grid(v, dst_dims, dst_spacing):
     if isinstance(v, LabelVolume):
         idx = [np.clip(np.floor(m + 0.5).astype(np.int64), 0, grid.shape[a] - 1)
                for a, m in enumerate(maps)]
-        return LabelVolume(grid[np.ix_(*idx)], dst_spacing)
+        return LabelVolume(grid.take(idx[0], 0).take(idx[1], 1).take(idx[2], 2), dst_spacing)
 
     lo, frac = [], []
     for a, m in enumerate(maps):
@@ -181,15 +191,15 @@ def resample_to_grid(v, dst_dims, dst_spacing):
     out = np.zeros(tuple(dst_dims), dtype=np.float64)
     for bz in (0, 1):
         wz = (1.0 - frac[0]) if bz == 0 else frac[0]
-        iz = np.clip(lo[0] + bz, 0, grid.shape[0] - 1)
+        gz = grid.take(np.clip(lo[0] + bz, 0, grid.shape[0] - 1), 0)
         for by in (0, 1):
             wy = (1.0 - frac[1]) if by == 0 else frac[1]
-            iy = np.clip(lo[1] + by, 0, grid.shape[1] - 1)
+            gzy = gz.take(np.clip(lo[1] + by, 0, grid.shape[1] - 1), 1)
             for bx in (0, 1):
                 wx = (1.0 - frac[2]) if bx == 0 else frac[2]
                 ix = np.clip(lo[2] + bx, 0, grid.shape[2] - 1)
                 w = wz[:, None, None] * wy[None, :, None] * wx[None, None, :]
-                out += w * grid[np.ix_(iz, iy, ix)]
+                out += w * gzy.take(ix, 2)
     return Volume(out.astype(np.float32), dst_spacing)
 
 

@@ -18,15 +18,19 @@ rather than growing with the window count.  A window spanning the whole
 volume reduces exactly to a single forward pass.
 
 Evaluation segments every case with ``predict_label_volume``, the one path
-from a case to its labels.  It scores case k (``evaluate_case``: boundary
-extraction and KD-tree distance queries, which run no tape and no conv)
-beside the read and segmentation of case k+1, through ``autograd.overlap``,
-and scores the last case on the calling thread.
+from a case to its labels.  It scores case k (``metrics.score_case``:
+boundary extraction and KD-tree distance queries, which run no tape and no
+conv) beside the read and segmentation of case k+1, through
+``autograd.overlap``.  Case k's distance queries are queued in chunks, and
+the calling thread runs them beside the worker once case k+1 is segmented;
+both threads run the last case's chunks.
 """
 
 import json
 import math
+import queue
 import resource
+import threading
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -51,7 +55,7 @@ from .metrics import (
     _surface_dice_of,
     dice,
     dice_ce_loss,
-    evaluate_case,
+    score_case,
     write_report_csv,
 )
 from .model import (
@@ -454,6 +458,30 @@ def train(cfg):
 # evaluation
 # ---------------------------------------------------------------------------
 
+class _SharedChunks:
+    """The distance-query chunks of one case, queued by the thread that
+    scores it and run by every thread that calls ``drain``."""
+
+    def __init__(self):
+        self._chunks = queue.SimpleQueue()
+        self._queued = threading.Event()
+
+    def put_all(self, chunks):
+        for run in chunks:
+            self._chunks.put(run)
+        self._queued.set()
+
+    def drain(self):
+        """Once the chunks are queued, run them until none is left."""
+        self._queued.wait()
+        while True:
+            try:
+                run = self._chunks.get_nowait()
+            except queue.Empty:
+                return
+            run()
+
+
 def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
              tolerance_mm=1.0, percentile=95):
     """Segment every case in ``split`` with ``predict_label_volume`` and
@@ -462,13 +490,19 @@ def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
     inference window contributes an error row, with the message that
     ``predict_label_volume`` raises, instead of metric rows.
 
-    Case k is scored beside the read and segmentation of case k+1
-    (``autograd.overlap``), one pair at a time, and the last case on the
-    calling thread, so the rows, and the error of the first failing case in
-    case order, are the sequential loop's.  Case k's scoring error is raised
-    before case k+2 is read.  A bad ``tolerance_mm`` or ``percentile`` is
-    raised before the checkpoint is opened."""
-    # the metrics' own checks: a split of error rows never reaches evaluate_case
+    Case k is scored beside the read and segmentation of case k+1, one pair
+    at a time, through ``autograd.overlap``.  The worker builds case k's
+    masks, voxel counts, surface points and KD-trees (``score_case``) and
+    queues its distance queries as chunks of ``metrics.QUERY_CHUNK`` query
+    points; the calling thread segments case k+1 and then runs chunks
+    beside the worker until none is left.  Both threads run the last case's
+    chunks.  Each chunk writes its own slice of the distances, so the rows,
+    and the error of the first failing case in case order, are the
+    sequential loop's.  On one CPU ``overlap`` runs the scoring of case k
+    and then the segmentation of case k+1, in turn.  Case k's scoring error
+    is raised before case k+2 is read.  A bad ``tolerance_mm`` or
+    ``percentile`` is raised before the checkpoint is opened."""
+    # the metrics' own checks: a split of error rows never reaches score_case
     _surface_dice_of(None, tolerance_mm)
     _hausdorff_of(None, percentile)
     net = net_from_checkpoint(checkpoint_path)
@@ -490,19 +524,33 @@ def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
             return case["id"], case["labels"], None, str(e)
         return case["id"], case["labels"], pred, None
 
-    def score(cid, labels, pred, problem):
-        if problem:
-            return [{"case": cid, "class": "", "error": problem}]
-        return [{"case": cid, **r} for r in evaluate_case(
-            pred, labels, model_cfg.num_classes, tolerance_mm=tolerance_mm,
-            percentile=percentile)]
+    def score(shared, cid, labels, pred, problem):
+        """Queue the case's chunks on ``shared`` and run them with the
+        other thread; returns the call that makes the case's rows once both
+        threads are done."""
+        chunks, rows = [], lambda: [{"class": "", "error": problem}]
+        try:
+            if not problem:
+                chunks, rows = score_case(pred, labels, model_cfg.num_classes,
+                                          tolerance_mm=tolerance_mm, percentile=percentile)
+        finally:
+            # also when scoring fails, so that the other thread stops waiting
+            shared.put_all(chunks)
+        shared.drain()
+        return lambda: [{"case": cid, **r} for r in rows()]
+
+    def segment_and_help(shared, entry):
+        segmented = None if entry is None else segment(entry)
+        shared.drain()
+        return segmented
 
     rows = []
     segmented = segment(chosen[0])
-    for entry in chosen[1:]:
-        scored, segmented = ag.overlap(partial(score, *segmented), partial(segment, entry))
-        rows.extend(scored)
-    rows.extend(score(*segmented))
+    for entry in [*chosen[1:], None]:
+        shared = _SharedChunks()
+        case_rows, segmented = ag.overlap(partial(score, shared, *segmented),
+                                          partial(segment_and_help, shared, entry))
+        rows.extend(case_rows())
     if out_csv is not None:
         write_report_csv(out_csv, rows)
     return rows

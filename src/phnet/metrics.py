@@ -17,6 +17,10 @@ the default median-split tree; an exact nearest-neighbour search returns the
 same minimum whatever the splits and leaf size.  The tree is SciPy's
 ``cKDTree``, and ``scipy.spatial`` is imported by the first distance query,
 not with this module, so training and inference never load it.
+``score_case`` splits each directed query into chunks of ``QUERY_CHUNK``
+query points that each fill their own slice of one distance array, so
+several threads may run them (the tree's build and query release the GIL)
+and every point still gets the one query that a single call gives it.
 
 The training loss combines a smoothed soft-Dice term over foreground classes
 with voxel-wise cross-entropy in one tape node of the tensor engine, whose
@@ -25,6 +29,7 @@ backward is the closed-form gradient of both terms.
 
 import csv
 import math
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +43,7 @@ __all__ = [
     "hausdorff",
     "surface_dice",
     "evaluate_case",
+    "score_case",
     "write_report_csv",
     "REPORT_COLUMNS",
     "dice_ce_loss",
@@ -103,19 +109,38 @@ def surface_points_mm(mask, spacing_mm):
     return idx.astype(np.float64) * scale[None, :]
 
 
-def _directed_distances(src_pts, dst_pts):
-    """d(s -> D) = min over dst of |s - d|, for every src point.  The tree
-    splits each node by the sliding-midpoint rule, with no median search and
-    no shrinking of the node boxes to their points, which builds faster; an
-    exact search finds the same nearest distance however the tree is split.
-    Leaves of up to 32 points make a shallower tree that queries faster.
-    ``scipy.spatial`` is imported here, on the first call, so that a process
-    that never scores a case does not load it."""
+def _kd_tree(pts):
+    """A KD-tree of ``pts``.  It splits each node by the sliding-midpoint
+    rule, with no median search and no shrinking of the node boxes to their
+    points, which builds faster; an exact search finds the same nearest
+    distance however the tree is split.  Leaves of up to 32 points make a
+    shallower tree that queries faster.  ``scipy.spatial`` is imported here,
+    on the first call, so that a process that never scores a case does not
+    load it."""
     from scipy.spatial import cKDTree
 
-    tree = cKDTree(dst_pts, leafsize=32, compact_nodes=False, balanced_tree=False)
-    dists, _ = tree.query(src_pts, k=1)
-    return np.asarray(dists, dtype=np.float64)
+    return cKDTree(pts, leafsize=32, compact_nodes=False, balanced_tree=False)
+
+
+# query points per chunk of a directed distance query
+QUERY_CHUNK = 1024
+
+
+def _query_into(tree, src_pts, out):
+    out[:] = tree.query(src_pts, k=1)[0]
+
+
+def _directed_queries(src_pts, dst_pts):
+    """d(s -> D) = min over dst of |s - d| for every src point, as a
+    preallocated array and the chunks that fill it.  The chunks are calls
+    that each query ``tree`` for at most ``QUERY_CHUNK`` consecutive src
+    points and write their slice of the array, so they may run in any order
+    and on any thread; each point gets the same query as in one call."""
+    tree = _kd_tree(dst_pts)
+    out = np.empty(len(src_pts))
+    return out, [partial(_query_into, tree, src_pts[lo:lo + QUERY_CHUNK],
+                         out[lo:lo + QUERY_CHUNK])
+                 for lo in range(0, len(src_pts), QUERY_CHUNK)]
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +154,8 @@ def _class_masks(pred, gt, class_id):
 def _overlap_metrics(p, g, spacing_mm):
     """Dice, IoU and normalized volume difference of two boolean masks, all
     from one set of voxel counts."""
-    n_p, n_g = int(p.sum()), int(g.sum())
-    n_pg = int(np.logical_and(p, g).sum())
+    n_p, n_g = np.count_nonzero(p), np.count_nonzero(g)
+    n_pg = np.count_nonzero(p & g)
     voxel_mm3 = math.prod(spacing_mm)
     v_p, v_g = n_p * voxel_mm3, n_g * voxel_mm3
     return {"dice": 2.0 * n_pg / (n_p + n_g) if n_p + n_g else 1.0,
@@ -148,16 +173,31 @@ def dice(pred, gt, class_id):
 # distance metrics
 # ---------------------------------------------------------------------------
 
-def _surface_distances_of(p, g, spacing_mm):
-    """Directed surface distances in mm between two masks, (p -> g, g -> p).
-    Two empty arrays when both masks are empty; ``None`` when exactly one is."""
+def _distance_queries(p, g, spacing_mm):
+    """The directed surface distances in mm between two masks, (p -> g,
+    g -> p), and the query chunks that fill them (``_directed_queries``).
+    Two empty arrays when both masks are empty, and ``None`` when exactly
+    one is; neither needs a chunk."""
     p_pts = surface_points_mm(p, spacing_mm)
     g_pts = surface_points_mm(g, spacing_mm)
     if len(p_pts) == 0 and len(g_pts) == 0:
-        return np.empty(0), np.empty(0)
+        return (np.empty(0), np.empty(0)), []
     if len(p_pts) == 0 or len(g_pts) == 0:
-        return None
-    return _directed_distances(p_pts, g_pts), _directed_distances(g_pts, p_pts)
+        return None, []
+    d_pg, pg_chunks = _directed_queries(p_pts, g_pts)
+    d_gp, gp_chunks = _directed_queries(g_pts, p_pts)
+    return (d_pg, d_gp), pg_chunks + gp_chunks
+
+
+def _run_all(chunks):
+    for run in chunks:
+        run()
+
+
+def _surface_distances_of(p, g, spacing_mm):
+    dists, chunks = _distance_queries(p, g, spacing_mm)
+    _run_all(chunks)
+    return dists
 
 
 def _surface_distances(pred, gt, class_id):
@@ -209,26 +249,41 @@ REPORT_COLUMNS = ("case", "class", "dice", "iou", "surface_dice",
                   "nvd_percent", "hausdorff_mm", "error")
 
 
-def evaluate_case(pred, gt, num_classes, tolerance_mm=1.0, percentile=95):
-    """All metrics for every foreground class; one dict per class.  Each
-    class's two masks are built once; Dice, IoU and volume difference share one
-    set of voxel counts, and surface Dice and Hausdorff one surface extraction and
-    one distance query per direction."""
+def score_case(pred, gt, num_classes, tolerance_mm=1.0, percentile=95):
+    """``evaluate_case`` in two parts: its distance-query chunks, and a call
+    that returns its rows once every chunk has run.
+
+    Each class's two masks are built once, here.  Dice, IoU and volume
+    difference come from one set of voxel counts, taken here, and surface
+    Dice and Hausdorff from one surface extraction, one KD-tree per surface
+    and one directed query per direction, made of the chunks of at most
+    ``QUERY_CHUNK`` query points that ``_directed_queries`` describes."""
     _check_pair(pred, gt, physical=True)
-    rows = []
+    classes, chunks = [], []
     for c in range(1, num_classes):
         p, g = _class_masks(pred, gt, c)
-        overlap = _overlap_metrics(p, g, gt.spacing_mm)
-        dists = _surface_distances_of(p, g, gt.spacing_mm)
-        rows.append({
-            "class": c,
-            "dice": overlap["dice"],
-            "iou": overlap["iou"],
-            "surface_dice": _surface_dice_of(dists, tolerance_mm),
-            "nvd_percent": overlap["nvd_percent"],
-            "hausdorff_mm": _hausdorff_of(dists, percentile),
-        })
-    return rows
+        dists, queries = _distance_queries(p, g, gt.spacing_mm)
+        classes.append((c, _overlap_metrics(p, g, gt.spacing_mm), dists))
+        chunks.extend(queries)
+
+    def rows():
+        return [{"class": c,
+                 "dice": overlap["dice"],
+                 "iou": overlap["iou"],
+                 "surface_dice": _surface_dice_of(dists, tolerance_mm),
+                 "nvd_percent": overlap["nvd_percent"],
+                 "hausdorff_mm": _hausdorff_of(dists, percentile)}
+                for c, overlap, dists in classes]
+
+    return chunks, rows
+
+
+def evaluate_case(pred, gt, num_classes, tolerance_mm=1.0, percentile=95):
+    """All metrics for every foreground class; one dict per class: the
+    chunks of ``score_case`` run in turn on the calling thread."""
+    chunks, rows = score_case(pred, gt, num_classes, tolerance_mm, percentile)
+    _run_all(chunks)
+    return rows()
 
 
 def write_report_csv(path, rows):

@@ -51,14 +51,15 @@ class AdamW:
             if batch_size is None:
                 raise ValueError("provide batch_size (for the lr rule) or lr")
             lr = lr_for_batch(batch_size)
-        if not lr > 0:
-            raise ValueError(f"lr must be positive, got {lr}")
+        # math.isfinite is false for NaN and for an infinity
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {lr}")
         if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
             raise ValueError(f"betas must lie in [0, 1), got {betas}")
-        if not eps > 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        if not weight_decay >= 0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
+        if not (math.isfinite(eps) and eps > 0):
+            raise ValueError(f"eps must be positive and finite, got {eps}")
+        if not (math.isfinite(weight_decay) and weight_decay >= 0):
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {weight_decay}")
         self.params = list(params)
         self.lr = float(lr)
         self.betas = (float(betas[0]), float(betas[1]))

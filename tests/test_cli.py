@@ -96,6 +96,8 @@ class TestRuntimeErrors:
         (["--lr", "0"], "lr"),
         (["--weight-decay", "-1"], "weight_decay"),
         (["--weight-decay", "nan"], "weight_decay"),
+        (["--lr", "inf"], "lr"),
+        (["--weight-decay", "inf"], "weight_decay"),
     ])
     def test_bad_train_config_exits_2_naming_the_field(self, flags, field, dataset,
                                                        tmp_path, capsys):

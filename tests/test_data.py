@@ -604,6 +604,84 @@ def test_generated_trilinear_is_bitwise_the_float64_copy_form(data):
     assert got.tobytes() == trilinear_float64_copy_oracle(v, dst_dims, dst_spacing).tobytes()
 
 
+def ix_gather_oracle(v, dst_dims, dst_spacing):
+    """``resample_to_grid`` in its earlier form, which gathered the labels
+    and each trilinear corner with one ``np.ix_`` index of the three axes."""
+    grid = v.grid
+    maps = [(np.arange(dst_dims[a]) + 0.5) * (dst_spacing[2 - a] / v.spacing_mm[2 - a]) - 0.5
+            for a in range(3)]
+    if isinstance(v, LabelVolume):
+        idx = [np.clip(np.floor(m + 0.5).astype(np.int64), 0, grid.shape[a] - 1)
+               for a, m in enumerate(maps)]
+        return grid[np.ix_(*idx)]
+    lo = [np.floor(m).astype(np.int64) for m in maps]
+    frac = [m - i0 for m, i0 in zip(maps, lo)]
+    out = np.zeros(tuple(dst_dims), dtype=np.float64)
+    for bz in (0, 1):
+        wz = (1.0 - frac[0]) if bz == 0 else frac[0]
+        iz = np.clip(lo[0] + bz, 0, grid.shape[0] - 1)
+        for by in (0, 1):
+            wy = (1.0 - frac[1]) if by == 0 else frac[1]
+            iy = np.clip(lo[1] + by, 0, grid.shape[1] - 1)
+            for bx in (0, 1):
+                wx = (1.0 - frac[2]) if bx == 0 else frac[2]
+                ix = np.clip(lo[2] + bx, 0, grid.shape[2] - 1)
+                w = wz[:, None, None] * wy[None, :, None] * wx[None, None, :]
+                out += w * grid[np.ix_(iz, iy, ix)]
+    return out.astype(np.float32)
+
+
+def assert_gather_is_the_ix_form(v, dst_dims, dst_spacing):
+    got = resample_to_grid(v, dst_dims, dst_spacing)
+    want = ix_gather_oracle(v, dst_dims, dst_spacing)
+    assert type(got) is type(v)
+    assert got.grid.dtype == want.dtype and got.grid.shape == want.shape
+    assert got.grid.tobytes() == want.tobytes()
+
+
+# (source dims, source spacing (x, y, z), destination dims, destination
+# spacing): the evaluate geometry both ways, non-dyadic ratios, destinations
+# reaching past the source (clamped corners) and extents of 1
+GATHER_GEOMETRIES = [
+    ((8, 16, 16), (0.5, 0.5, 2.0), (4, 8, 8), (1.0, 1.0, 4.0)),
+    ((4, 8, 8), (1.0, 1.0, 4.0), (8, 16, 16), (0.5, 0.5, 2.0)),
+    ((5, 7, 6), (0.7, 1.3, 2.9), (7, 5, 9), (1.1, 0.9, 1.7)),
+    ((3, 4, 5), (1.0, 1.0, 1.0), (9, 11, 13), (0.35, 0.35, 0.35)),
+    ((1, 6, 1), (1.0, 1.0, 1.0), (3, 2, 4), (0.5, 3.0, 0.25)),
+    ((4, 5, 6), (1.0, 1.0, 1.0), (1, 1, 1), (7.0, 7.0, 7.0)),
+]
+
+
+@pytest.mark.parametrize("labels", [True, False], ids=["labels", "image"])
+@pytest.mark.parametrize("src_dims,spacing,dst_dims,dst_spacing", GATHER_GEOMETRIES)
+def test_gather_is_bitwise_the_ix_form(labels, src_dims, spacing, dst_dims, dst_spacing):
+    rng = np.random.default_rng(sum(src_dims) + sum(dst_dims))
+    if labels:
+        v = LabelVolume(rng.integers(0, 5, size=src_dims).astype(np.uint8), spacing)
+    else:
+        v = Volume(rng.normal(size=src_dims).astype(np.float32), spacing)
+    assert_gather_is_the_ix_form(v, dst_dims, dst_spacing)
+
+
+@given(st.data())
+def test_generated_gather_is_bitwise_the_ix_form(data):
+    dims = tuple(data.draw(st.integers(1, 7)) for _ in range(3))
+    spacing = tuple(data.draw(st.floats(0.05, 20.0)) for _ in range(3))
+    # per axis: a drawn spacing ratio, so one volume may be upsampled along
+    # one axis and downsampled along another; the destination may cover
+    # less or more than the source, and clamped corners then repeat an edge
+    ratios = [data.draw(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]) | st.floats(0.1, 4.0))
+              for _ in range(3)]
+    dst_spacing = tuple(s * r for s, r in zip(spacing, ratios))
+    dst_dims = tuple(data.draw(st.integers(1, 9)) for _ in range(3))
+    if data.draw(st.booleans()):
+        v = LabelVolume(data.draw(arrays(np.uint8, dims)), spacing)
+    else:
+        v = Volume(data.draw(arrays(np.float32, dims, elements=st.floats(
+            -1e6, 1e6, allow_nan=False, width=32))), spacing)
+    assert_gather_is_the_ix_form(v, dst_dims, dst_spacing)
+
+
 def test_blob_misfit_message_prints_plain_floats():
     spec = SyntheticSpec(shape=(8, 16, 16), spacing_mm=(1.0, 1.0, 1.0),
                          radius_range_mm=(30.0, 40.0), seed=0)

@@ -22,6 +22,7 @@ from hypothesis import given, strategies as st
 from phnet import autograd as ag
 from phnet import harness
 from phnet import layers
+from phnet import metrics
 from phnet import model
 from phnet.data import (
     LabelVolume,
@@ -44,7 +45,7 @@ from phnet.harness import (
     train,
     window_starts,
 )
-from phnet.metrics import dice_ce_loss, evaluate_case
+from phnet.metrics import dice_ce_loss, evaluate_case, score_case
 from phnet.model import (
     PHNet,
     PHNetConfig,
@@ -551,7 +552,8 @@ class TestTrain:
             train(cfg)   # 3 cases * 2 patches = 6, not divisible by 4
 
     def test_non_finite_training_aborts_with_step(self, dataset, tmp_path):
-        cfg = tiny_config(dataset, tmp_path / "run", lr=float("inf"), epochs=1)
+        # a finite lr that overflows float32 parameters in the first step
+        cfg = tiny_config(dataset, tmp_path / "run", lr=1e300, epochs=1)
         with pytest.raises(TrainingError, match="step"):
             train(cfg)
 
@@ -895,8 +897,8 @@ def sequential_rows(checkpoint, root):
     return rows
 
 
-def recording_evaluate_case(monkeypatch, fail_on=None, before_failing=None):
-    """Patch ``harness.evaluate_case`` with a spy that records the thread of
+def recording_score_case(monkeypatch, fail_on=None, before_failing=None):
+    """Patch ``harness.score_case`` with a spy that records the thread of
     each call and whether it finished; call ``fail_on`` (0-based) waits for
     ``before_failing`` and then raises."""
     calls = []
@@ -909,32 +911,95 @@ def recording_evaluate_case(monkeypatch, fail_on=None, before_failing=None):
                 if before_failing is not None:
                     assert before_failing.wait(10)
                 raise RuntimeError(f"scoring call {n} failed")
-            return evaluate_case(*args, **kwargs)
+            return score_case(*args, **kwargs)
         finally:
             calls[n]["finished"] = True
 
-    monkeypatch.setattr(harness, "evaluate_case", spy)
+    monkeypatch.setattr(harness, "score_case", spy)
     return calls
+
+
+def recording_chunks(monkeypatch, meet=False, fail_here=False):
+    """Patch the query of one chunk with a spy that records the thread and
+    query points of each chunk.  With ``meet``, the first chunk to start
+    waits until a chunk has started on a second thread too, so the test
+    fails unless two threads run chunks at once; with ``fail_here`` as well,
+    the calling thread's first chunk raises once they have met."""
+    chunks = []
+    caller = threading.current_thread()
+    barrier = threading.Barrier(2, timeout=10)
+    met = threading.Event()
+    orig = metrics._query_into
+
+    def spy(tree, src_pts, out):
+        chunks.append({"thread": threading.current_thread(), "points": len(src_pts)})
+        if meet and not met.is_set():
+            barrier.wait()
+            met.set()
+            if fail_here and threading.current_thread() is caller:
+                raise RuntimeError("chunk failed on the calling thread")
+        orig(tree, src_pts, out)
+
+    monkeypatch.setattr(metrics, "_query_into", spy)
+    return chunks
+
+
+# query points per chunk in these tests: each directed query of the mixed
+# dataset's cases spans several chunks
+SMALL_CHUNK = 16
 
 
 class TestScoringWorker:
     @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
+    def two_cpus_and_small_chunks(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(metrics, "QUERY_CHUNK", SMALL_CHUNK)
 
     def test_rows_equal_the_sequential_loop_in_case_order(self, trained, mixed_dataset,
                                                          monkeypatch):
-        calls = recording_evaluate_case(monkeypatch)
-        rows = evaluate(trained["checkpoint"], mixed_dataset)
         want = sequential_rows(trained["checkpoint"], mixed_dataset)
+        calls = recording_score_case(monkeypatch)
+        chunks = recording_chunks(monkeypatch)
+        rows = evaluate(trained["checkpoint"], mixed_dataset)
         assert [r["case"] for r in rows] == [f"case_{i:03d}" for i in range(5)]
         assert "larger than case" in rows[2]["error"]
         assert rows == want
-        # the four good cases were scored: the last one on this thread, the
-        # others each on the worker
+        # the four good cases were planned, each on the worker, the last
+        # one too; their queries span more chunks than there are queries
         assert len(calls) == 4 and all(c["finished"] for c in calls)
-        assert [c["thread"] is threading.current_thread() for c in calls] == [
-            False, False, False, True]
+        assert not any(c["thread"] is threading.current_thread() for c in calls)
+        assert max(c["points"] for c in chunks) == SMALL_CHUNK
+        assert len(chunks) > 4 * 2
+
+    @pytest.mark.parametrize("split_of", ["pairs", "last case only"])
+    def test_chunks_of_one_case_run_on_both_threads(self, split_of, trained, dataset,
+                                                   mixed_dataset, monkeypatch):
+        # the mixed split scores case 0 beside case 1's segmentation; the
+        # other split has one case, the last, which both threads score
+        root = mixed_dataset if split_of == "pairs" else dataset
+        want = sequential_rows(trained["checkpoint"], root)
+        if split_of != "pairs":
+            want = [r for r in want if r["case"] == "case_003"]
+        chunks = recording_chunks(monkeypatch, meet=True)
+        assert evaluate(trained["checkpoint"], root) == want
+        threads = {c["thread"] for c in chunks}
+        assert threading.current_thread() in threads and len(threads) >= 2
+
+    def test_a_chunk_error_on_the_calling_thread_stops_the_reads(self, trained,
+                                                                mixed_dataset, monkeypatch):
+        read = []
+        orig_read = harness.read_volume
+
+        def recording_read(base):
+            read.append(base.name)
+            return orig_read(base)
+
+        monkeypatch.setattr(harness, "read_volume", recording_read)
+        recording_chunks(monkeypatch, meet=True, fail_here=True)
+        with pytest.raises(RuntimeError, match="chunk failed on the calling thread"):
+            evaluate(trained["checkpoint"], mixed_dataset)
+        assert read == ["case_000_img", "case_000_lbl", "case_001_img", "case_001_lbl"]
+        assert not [t for t in threading.enumerate() if t.name == "phnet-overlap"]
 
     def test_first_failing_case_wins_and_no_job_outlives_the_call(self, trained,
                                                                  mixed_dataset, tmp_path,
@@ -955,7 +1020,7 @@ class TestScoringWorker:
                 raise
 
         monkeypatch.setattr(harness, "read_volume", read)
-        calls = recording_evaluate_case(monkeypatch, fail_on=1, before_failing=read_failed)
+        calls = recording_score_case(monkeypatch, fail_on=1, before_failing=read_failed)
         with pytest.raises(RuntimeError, match="scoring call 1 failed") as info:
             evaluate(trained["checkpoint"], root)
         assert "case_002_img.raw" in str(info.value.__context__)
@@ -973,39 +1038,42 @@ class TestScoringWorker:
             return orig_read(base)
 
         monkeypatch.setattr(harness, "read_volume", recording_read)
-        calls = recording_evaluate_case(monkeypatch, fail_on=0)
+        calls = recording_score_case(monkeypatch, fail_on=0)
         with pytest.raises(RuntimeError, match="scoring call 0 failed"):
             evaluate(trained["checkpoint"], mixed_dataset)
         assert read == ["case_000_img", "case_000_lbl", "case_001_img", "case_001_lbl"]
         assert len(calls) == 1 and calls[0]["finished"]
+        assert not [t for t in threading.enumerate() if t.name == "phnet-overlap"]
 
     def test_an_earlier_cases_read_error_is_raised(self, trained, mixed_dataset, tmp_path,
                                                    monkeypatch):
         root = tmp_path / "d"
         shutil.copytree(mixed_dataset, root)
         (root / "case_001_lbl.raw").write_bytes(b"corrupt")
-        calls = recording_evaluate_case(monkeypatch)
+        calls = recording_score_case(monkeypatch)
         with pytest.raises(ValueError, match="case_001_lbl.raw"):
             evaluate(trained["checkpoint"], root)
         assert len(calls) == 1 and calls[0]["finished"]
 
     def test_one_cpu_scores_on_the_calling_thread(self, trained, mixed_dataset, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        calls = recording_evaluate_case(monkeypatch)
-        rows = evaluate(trained["checkpoint"], mixed_dataset)
-        assert rows == sequential_rows(trained["checkpoint"], mixed_dataset)
+        want = sequential_rows(trained["checkpoint"], mixed_dataset)
+        calls = recording_score_case(monkeypatch)
+        chunks = recording_chunks(monkeypatch)
+        assert evaluate(trained["checkpoint"], mixed_dataset) == want
         assert len(calls) == 4
-        assert all(c["thread"] is threading.current_thread() for c in calls)
+        assert len(chunks) > 4 * 2
+        assert all(c["thread"] is threading.current_thread() for c in calls + chunks)
+        assert not [t for t in threading.enumerate() if t.name == "phnet-overlap"]
 
     def test_without_affinity_the_cpu_count_decides(self, trained, mixed_dataset,
                                                      monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        calls = recording_evaluate_case(monkeypatch)
+        calls = recording_score_case(monkeypatch)
         evaluate(trained["checkpoint"], mixed_dataset)
         assert len(calls) == 4
-        assert [c["thread"] is threading.current_thread() for c in calls] == [
-            False, False, False, True]
+        assert not any(c["thread"] is threading.current_thread() for c in calls)
 
 
 # ---------------------------------------------------------------------------

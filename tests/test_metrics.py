@@ -230,11 +230,25 @@ def tree_cases():
     return out
 
 
+def chunked_distances(src, dst, chunk):
+    """``_directed_queries`` with chunks of ``chunk`` query points, run
+    last chunk first."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(metrics, "QUERY_CHUNK", chunk)
+        out, chunks = metrics._directed_queries(src, dst)
+    assert len(chunks) == -(-len(src) // chunk)
+    for run in reversed(chunks):
+        run()
+    return out
+
+
 def assert_nearest_distances(src, dst):
     """Bitwise the default tree's distances, and the brute-force minimum
-    within rounding."""
-    got = metrics._directed_distances(src, dst)
-    assert_bitwise(got, np.asarray(cKDTree(dst).query(src, k=1)[0], dtype=np.float64))
+    within rounding, whole and in chunks of 7 query points run in reverse."""
+    want = np.asarray(cKDTree(dst).query(src, k=1)[0], dtype=np.float64)
+    for chunk in (metrics.QUERY_CHUNK, 7):
+        got = chunked_distances(src, dst, chunk)
+        assert_bitwise(got, want)
     np.testing.assert_allclose(got, brute_force_nearest(src, dst), rtol=0, atol=1e-12)
 
 

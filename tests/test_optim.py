@@ -204,6 +204,11 @@ class TestAdamW:
         with pytest.raises(ValueError, match=message):
             AdamW([make_param([1.0])], lr=0.1, **{option: math.nan})
 
+    @pytest.mark.parametrize("option", ["lr", "eps", "weight_decay"])
+    def test_infinite_hyperparams_rejected(self, option):
+        with pytest.raises(ValueError, match=f"{option} must be .* finite, got inf"):
+            AdamW([make_param([1.0])], **{"lr": 0.1, option: math.inf})
+
     def test_descends_quadratic(self):
         # sanity: 200 steps on f(p) = 0.5*|p|^2 moves p toward zero
         p = make_param([3.0, -2.0])
