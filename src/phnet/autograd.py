@@ -20,17 +20,18 @@ then added into the leaves in parent order.  The branch walks are run by
 ``overlap`` with each loaded OpenBLAS on one thread, so the gradients do
 not depend on the CPU count.
 
-Shapes must match exactly for binary elementwise ops; the only implicit
-broadcast is by a python scalar (``add_scalar``).  Fused primitives are one
-node each, with a closed-form backward: convolution with its bias or with
-its instance-norm, residual-add and ReLU epilogue (``layers.conv_nd``),
+The engine's own ops, ``mul`` (of operands of one shape) and
+``Tensor.sum``, serve the gradient probes.  PHNet runs fused primitives,
+one node each, with a closed-form backward: convolution with its bias or
+with its instance-norm, residual-add and ReLU epilogue (``layers.conv_nd``),
 normalization, which broadcasts its per-channel parameters inside the node,
-an MLPP pathway (``mlpp.mix``: the move of a map into token rows, the FC
-with its bias, and the move back), and the Dice+CE training loss
-(``metrics.dice_ce_loss``).  So the engine has no activation op and no
-shape op of its own.  An op can ask ``will_record`` whether its node will
-be kept, and if not, write its result over the arrays that only its
-backward would need.
+an MLPP pathway (``mlpp.mix``: the sum of its input maps, their move into
+token rows, the FC with its bias, the move back and a residual add), the
+attention gate with its residual (``mlpp.residual_attention_fuse``), and
+the Dice+CE training loss (``metrics.dice_ce_loss``).  So the engine has no
+add, activation or shape op of its own.  An op can ask ``will_record``
+whether its node will be kept, and if not, write its result over the
+arrays that only its backward would need.
 """
 
 from __future__ import annotations
@@ -42,6 +43,20 @@ from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
+
+__all__ = [
+    "Tensor",
+    "Parameter",
+    "no_grad",
+    "will_record",
+    "make_node",
+    "mul",
+    "trace",
+    "usable_cpus",
+    "overlap",
+    "backward",
+    "grad_check",
+]
 
 
 class _GradMode(threading.local):
@@ -115,9 +130,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, op={self._op!r})"
 
     # -- operator sugar --------------------------------------------------
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else add_scalar(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -166,25 +178,11 @@ def make_node(data, parents, op, backward_fn):
 # elementwise ops
 # ---------------------------------------------------------------------------
 
-def _check_same_shape(a, b, op):
-    if a.shape != b.shape:
-        raise ValueError(f"{op}: operand shapes {a.shape} and {b.shape} differ")
-
-
-def add(a, b):
-    _check_same_shape(a, b, "add")
-    return make_node(a.data + b.data, (a, b), "add", lambda g: (g, g))
-
-
 def mul(a, b):
-    _check_same_shape(a, b, "mul")
+    if a.shape != b.shape:
+        raise ValueError(f"mul: operand shapes {a.shape} and {b.shape} differ")
     ad, bd = a.data, b.data
     return make_node(ad * bd, (a, b), "mul", lambda g: (g * bd, g * ad))
-
-
-def add_scalar(t, c):
-    c = float(c)
-    return make_node(t.data + c, (t,), "add_scalar", lambda g: (g,))
 
 
 # ---------------------------------------------------------------------------

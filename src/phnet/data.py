@@ -312,11 +312,12 @@ def read_volume(base_path):
     if size != expected:
         raise ValueError(
             f"{base}.raw: payload is {size} bytes, dims {dims} require {expected}")
-    if header["dtype"] == "f32" and not np.isfinite(grid).all():
-        raise ValueError(f"{base}.raw: volume grid contains non-finite values")
     if header["dtype"] == "u8":
         return LabelVolume(grid, spacing)
-    return Volume(grid, spacing)
+    try:
+        return Volume(grid, spacing)
+    except ValueError as e:   # the header is checked, so the grid is not finite
+        raise ValueError(f"{base}.raw: {e}") from None
 
 
 def write_manifest(path, cases, extra=None):

@@ -198,11 +198,22 @@ def read_runlog(path):
 # ---------------------------------------------------------------------------
 
 def _read_case(root, entry):
-    """Read the case of one manifest entry."""
+    """Read the case of one manifest entry: an f32 image and u8 labels on one
+    grid (shape and spacing); raises ``ValueError`` naming both files
+    otherwise."""
     cid = entry["id"]
-    return {"id": cid, "split": entry.get("split", "train"),
-            "image": read_volume(root / f"{cid}_img"),
-            "labels": read_volume(root / f"{cid}_lbl")}
+    paths = root / f"{cid}_img", root / f"{cid}_lbl"
+    image, labels = map(read_volume, paths)
+    dtypes = ["u8" if isinstance(v, LabelVolume) else "f32" for v in (image, labels)]
+    if dtypes != ["f32", "u8"]:
+        problem = f"hold {dtypes[0]} and {dtypes[1]} grids, expected f32 and u8"
+    elif (image.grid.shape, image.spacing_mm) != (labels.grid.shape, labels.spacing_mm):
+        problem = (f"grids differ: shape {image.grid.shape} and {labels.grid.shape}, "
+                   f"spacing {image.spacing_mm} and {labels.spacing_mm} mm")
+    else:
+        return {"id": cid, "split": entry.get("split", "train"), "image": image,
+                "labels": labels}
+    raise ValueError(f"case {cid!r}: {paths[0]}.hdr and {paths[1]}.hdr {problem}")
 
 
 def load_dataset(data_dir):
@@ -585,7 +596,7 @@ def grad_check_suite(seed=0):
         SeparableConvBlock,
         conv_nd,
     )
-    from .mlpp import MLPPBlock, mix
+    from .mlpp import MLPPBlock, mix, residual_attention_fuse
 
     rng = np.random.default_rng(seed)
     f64 = np.float64
@@ -628,6 +639,16 @@ def grad_check_suite(seed=0):
         add(f"mix_{name}",
             max(probe(partial(pathway, kind=kind), wrt, x=(1, 4, 2, 4, 4), weight=(4, 4),
                       bias=(4,)) for kind in ("H", "window")))
+
+    # a pathway over two summed maps plus a skip, in each map and the skip;
+    # the attention gate with its residual, in each of its three inputs
+    def summed(first, second, skip):
+        return mix([first, second], fc, "W", 2, skip=skip)
+
+    maps = dict.fromkeys(("first", "second", "skip"), (1, 4, 2, 4, 4))
+    add("mix_summed_skip", max(probe(summed, wrt, **maps) for wrt in maps))
+    maps = dict.fromkeys(("y_ip", "y_a", "skip"), (1, 3, 2, 3, 3))
+    add("attention_fuse", max(probe(residual_attention_fuse, wrt, **maps) for wrt in maps))
 
     # the node every norm conv of the network runs: relu(IN(conv(x)) + skip),
     # checked in each of its five inputs

@@ -11,7 +11,7 @@ layers whose shapes are independent of the spatial resolution:
 * ``AAMLP`` — auxiliary attention: per-channel L x L spatial windows mapped
   by an L^2 x L^2 FC.
 * ``residual_attention_fuse`` — multiplicative gate ``(1 + y_a) * y_ip``
-  with an identity bypass at zero attention.
+  with an identity bypass at zero attention, plus the residual.
 * ``TPMLP`` — the same segmentation applied along the depth axis.
 
 ``MLPPBlock`` stacks K pre-norm residual layers:
@@ -22,14 +22,15 @@ identity; nonlinearity enters through the attention product and the norms.
 Every pathway is one ``mix``, the permute-MLP of ViP (Hou et al. 2021): a
 copy of the map as token rows (``token_rows``, one rule for segments,
 windows and channel rows), the pathway's ``Linear`` on the rows, and the
-copy back, recorded as one tape node.
+copy back, recorded as one tape node that can also sum its input maps and
+add a residual; with the gate, a layer records 9 op nodes.
 """
 
 import math
 
 import numpy as np
 
-from .autograd import make_node
+from .autograd import Tensor, make_node
 from .layers import ChannelNorm, Linear, Module
 
 __all__ = [
@@ -92,33 +93,45 @@ def _move(a, split, axes, shape):
     return np.reshape(np.transpose(np.reshape(a, split), axes), shape)
 
 
-def mix(x, fc, kind, L=None):
+def mix(x, fc, kind, L=None, skip=None):
     """One pathway: the ``Linear`` ``fc`` applied to every ``kind`` token row
-    of ``x`` (see ``token_rows``), the result in ``x``'s layout.
+    of ``x``, one map or a sequence of maps summed in order (see
+    ``token_rows``), the result in ``x``'s layout plus ``skip`` if given.
 
-    One tape node over ``x``, ``fc.weight`` and ``fc.bias``.  Its backward
-    moves the cotangent into rows ``gr`` and returns the three gradients of
-    the row map ``xr @ W.T + b``: ``gr @ W`` moved back into ``x``'s layout,
-    ``gr.T @ xr`` and the column sums of ``gr``."""
-    shape = x.shape
+    One tape node over the maps, ``fc.weight``, ``fc.bias`` and ``skip``.  Its
+    backward moves the cotangent ``g`` into rows ``gr`` and returns ``gr @ W``
+    moved back (for each map), ``gr.T @ xr``, the column sums of ``gr``, and
+    ``g`` for ``skip``."""
+    xs = (x,) if isinstance(x, Tensor) else tuple(x)
+    skips = () if skip is None else (skip,)
+    shape = xs[0].shape
+    if any(t.shape != shape for t in xs + skips):
+        raise ValueError(f"mix: map shapes {[t.shape for t in xs + skips]} differ")
     split, axes, rows = token_rows(shape, kind, L)
     moved = tuple(split[a] for a in axes)
     back = tuple(axes.index(a) for a in range(len(axes)))
-    xr = _move(x.data, split, axes, rows)
+    xr = _move(sum((t.data for t in xs[1:]), xs[0].data), split, axes, rows)
+    out = _move(fc(xr), moved, back, shape)
     w = fc.weight.data
 
     def bk(g):
         gr = _move(g, split, axes, rows)
-        return _move(gr @ w, moved, back, shape), gr.T @ xr, gr.sum(axis=0)
+        return ((_move(gr @ w, moved, back, shape),) * len(xs)
+                + (gr.T @ xr, gr.sum(axis=0)) + (g,) * len(skips))
 
-    return make_node(_move(fc(xr), moved, back, shape), (x, fc.weight, fc.bias), "mix", bk)
+    return make_node(out if skip is None else skip.data + out,
+                     (*xs, fc.weight, fc.bias, *skips), "mix", bk)
 
 
-def residual_attention_fuse(y_ip, y_a):
-    """Multiplicative residual attention: (1 + y_a) * y_ip, elementwise."""
-    if y_ip.shape != y_a.shape:
-        raise ValueError(f"fuse: shapes {y_ip.shape} and {y_a.shape} differ")
-    return (y_a + 1.0) * y_ip
+def residual_attention_fuse(y_ip, y_a, skip):
+    """Multiplicative residual attention plus its residual, elementwise:
+    ``skip + (1 + y_a) * y_ip``, one node over ``(y_a, y_ip, skip)`` whose
+    cotangents are ``g * y_ip``, ``g * (1 + y_a)`` and ``g``."""
+    if not y_ip.shape == y_a.shape == skip.shape:
+        raise ValueError(f"fuse: shapes {y_ip.shape}, {y_a.shape} and {skip.shape} differ")
+    gate, ip = y_a.data + 1.0, y_ip.data
+    return make_node(skip.data + gate * ip, (y_a, y_ip, skip), "attention_fuse",
+                     lambda g: (g * ip, g * gate, g))
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +155,9 @@ class IPMLP(Module):
         self.fc_fuse = Linear(channels, channels, rng=rng, dtype=dtype)
 
     def forward(self, x):
-        y_h = mix(x, self.fc_h, "H", self.l)
-        y_w = mix(x, self.fc_w, "W", self.l)
-        return mix(y_h + y_w + mix(x, self.fc_c, "C"), self.fc_fuse, "C")
+        pathways = (mix(x, self.fc_h, "H", self.l), mix(x, self.fc_w, "W", self.l),
+                    mix(x, self.fc_c, "C"))
+        return mix(pathways, self.fc_fuse, "C")
 
 
 
@@ -168,8 +181,8 @@ class TPMLP(Module):
         self.l = l
         self.fc = Linear(channels, channels, rng=rng, dtype=dtype)
 
-    def forward(self, x):
-        return mix(x, self.fc, "D", self.l)
+    def forward(self, x, skip=None):
+        return mix(x, self.fc, "D", self.l, skip)
 
 
 
@@ -186,8 +199,8 @@ class MLPPLayer(Module):
 
     def forward(self, x):
         n1 = self.norm1(x)
-        u = x + residual_attention_fuse(self.ip(n1), self.aa(n1))
-        return u + self.tp(self.norm2(u))
+        u = residual_attention_fuse(self.ip(n1), self.aa(n1), x)
+        return self.tp(self.norm2(u), skip=u)
 
 
 

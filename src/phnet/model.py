@@ -251,23 +251,29 @@ class PHNet(Module):
             sizes.append(tuple(n // s for n, s in zip(cur, plan.stride)))
         return sizes
 
-    # -- forward -----------------------------------------------------------
-
-    def forward(self, x):
-        if x.ndim != 5 or x.shape[1] != 1:
-            raise ValueError(f"expected input (B,1,D,H,W), got {x.shape}")
-        feat = self._feature_sizes(x.shape[2:])
+    def _grids(self, input_dhw):
+        """``_feature_sizes`` of an input that this net can run: also raises
+        if an MLPP stage's segment or window length does not divide its
+        feature extents.  ``forward`` and ``count_flops`` both check here."""
+        grids = self._feature_sizes(input_dhw)
         for i, (plan, stage) in enumerate(zip(self.plan, self.stages)):
             if plan.mode != "mlpp":
                 continue
-            m, (d_f, h_f, w_f) = stage.mlpp, feat[i + 1]
+            m, (d_f, h_f, w_f) = stage.mlpp, grids[i + 1]
             for axis_name, extent, l in (("H", h_f, m.l_ip), ("W", w_f, m.l_ip),
                                          ("D", d_f, m.l_tp)):
                 if extent % l:
                     raise ValueError(
                         f"stage {i}: MLPP segment/window length {l} does not divide "
                         f"axis {axis_name} feature extent {extent}")
+        return grids
 
+    # -- forward -----------------------------------------------------------
+
+    def forward(self, x):
+        if x.ndim != 5 or x.shape[1] != 1:
+            raise ValueError(f"expected input (B,1,D,H,W), got {x.shape}")
+        self._grids(x.shape[2:])
         skips = []
         for stage in self.stages:
             x = stage(x)
@@ -283,11 +289,12 @@ class PHNet(Module):
         and the shape of the logits, from the parameter shapes and the stage
         grids alone: no op runs.  Encoder stage i writes grid i+1, decoder
         stage i writes grid i, and the head writes grid 0.  Raises
-        ``ValueError`` for a batch below 1."""
+        ``ValueError`` for a batch below 1 and for any grid ``forward``
+        rejects."""
         b = input_shape[0]
         if b < 1:
             raise ValueError(f"batch size must be >= 1, got {b}")
-        grids = self._feature_sizes(input_shape[2:])
+        grids = self._grids(input_shape[2:])
         # channels of the maps on grid i: encoder stage i-1 and decoder stage
         # i write the same number (base_channels on grid 0)
         widths = [self.cfg.base_channels] + [p.channels_out for p in self.plan]

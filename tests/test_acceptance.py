@@ -89,7 +89,8 @@ def test_criterion_01_gradient_checks(capfd):
     by_name = {r["name"]: r for r in records}
     blocks = [
         "conv3d_input", "conv3d_kernel", "conv_transpose_input",
-        "mix_input", "mix_weight", "mix_bias", "conv_norm_skip_relu",
+        "mix_input", "mix_weight", "mix_bias", "mix_summed_skip",
+        "attention_fuse", "conv_norm_skip_relu",
         "channel_norm_input", "residual_block_input",
         "separable_block_input", "mlpp_block_input",
     ]
@@ -258,7 +259,8 @@ def test_criterion_03_pathway_identities(capfd):
     rng = np.random.default_rng(30)
 
     y_ip = rng.normal(size=(2, 3, 2, 4, 4))
-    fused = residual_attention_fuse(Tensor(y_ip), Tensor(np.zeros_like(y_ip)))
+    zeros = Tensor(np.zeros_like(y_ip))
+    fused = residual_attention_fuse(Tensor(y_ip), zeros, zeros)
     ok_fuse = np.array_equal(fused.data, y_ip)
 
     ip = IPMLP(4, 2, dtype=np.float64)

@@ -12,8 +12,6 @@ from phnet.autograd import (
     Tensor,
     Parameter,
     backward,
-    add,
-    add_scalar,
     grad_check,
     make_node,
     mul,
@@ -34,6 +32,14 @@ def relu(t):
     return make_node(np.maximum(x, 0.0), (t,), "relu", lambda g: (g * (x > 0),))
 
 
+def add(a, b):
+    """A sum node made with ``make_node``.  The engine has no add op (PHNet's
+    sums run inside ``mlpp.mix``, the attention gate and ``layers.conv_nd``);
+    these tests use it to join graphs and to fan a node out."""
+    ad, bd = a.data, b.data
+    return make_node(ad + bd, (a, b), "add", lambda g: (g, g))
+
+
 def matmul(a, b):
     """A matrix-product node made with ``make_node``.  The engine has no
     matmul op (PHNet's FC maps run inside ``mlpp.mix`` nodes); these tests
@@ -45,12 +51,6 @@ def matmul(a, b):
 # ---------------------------------------------------------------------------
 # elementwise
 # ---------------------------------------------------------------------------
-
-def test_add_identity():
-    x = rand((4,), seed=9)
-    out = add(Tensor(x), Tensor(np.zeros(4)))
-    np.testing.assert_array_equal(out.data, x)
-
 
 def test_mul_identity():
     x = rand((4,), seed=10)
@@ -71,12 +71,7 @@ def test_relu_grad_zero_at_zero():
 
 def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
-        add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
-
-
-def test_add_scalar_preserves_float32():
-    out = add_scalar(Tensor(np.zeros(3, dtype=np.float32)), 0.5)
-    assert out.dtype == np.float32
+        mul(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +123,7 @@ def test_gradient_accumulation_fan_out():
 
     xt = Tensor(x, requires_grad=True)
     y = xt * xt
-    z = (relu(y) + y * Tensor(np.full(4, 3.0))).sum()
+    z = add(relu(y), y * Tensor(np.full(4, 3.0))).sum()
     backward(z)
 
     x1 = Tensor(x, requires_grad=True)
@@ -210,7 +205,7 @@ def test_two_graphs_accumulate_into_a_shared_leaf():
 def test_trace_topological_order():
     x = Tensor(rand((3,), seed=16), requires_grad=True)
     y = x * x
-    z = (y + relu(y)).sum()
+    z = add(y, relu(y)).sum()
     order = trace(z)
     pos = {id(n): i for i, n in enumerate(order)}
     for node in order:
@@ -373,12 +368,12 @@ def _branch_loss(params, xs, log=None, fail=None, shared=None):
     for i, x in enumerate(xs):
         h = matmul(Tensor(x), w1)
         if shared is not None:
-            h = h + shared
+            h = add(h, shared)
         h = _probe(matmul(h * h, w2), i, [] if log is None else log, fail)
         tops.append((h * h).sum())
     loss = tops[0]
     for top in tops[1:]:
-        loss = loss + top
+        loss = add(loss, top)
     return loss
 
 
@@ -440,7 +435,7 @@ def test_branch_buffers_are_added_into_the_leaves_in_parent_order(monkeypatch):
     held = [np.random.default_rng(48).normal(size=q.shape) for q in params]
     for q, h in zip(params, held):
         q.grad = h.copy()
-    backward(_branch_loss(params, xs[:2]) + _branch_loss(params, xs[2:]))
+    backward(add(_branch_loss(params, xs[:2]), _branch_loss(params, xs[2:])))
     in_order = [(h + a) + b for h, a, b in zip(held, *alone)]
     reversed_order = [(h + b) + a for h, a, b in zip(held, *alone)]
     assert not all(np.array_equal(a, b) for a, b in zip(in_order, reversed_order))
@@ -458,7 +453,7 @@ def test_branch_walk_under_frequent_thread_switches(monkeypatch):
     def grads(cpus):
         _cpus(monkeypatch, cpus)
         params = _branch_params(45)
-        backward(_branch_loss(params, xs[:2]) + _branch_loss(params, xs[2:]))
+        backward(add(_branch_loss(params, xs[:2]), _branch_loss(params, xs[2:])))
         return [p.grad for p in params]
 
     want = grads(1)
@@ -498,8 +493,8 @@ def test_branch_walks_run_blas_on_one_thread_and_restore_its_count(monkeypatch):
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)
         params = _branch_params(46)
-        backward(record(_branch_loss(params, _branch_inputs(46)[:1]))
-                 + record(_branch_loss(params, _branch_inputs(46)[1:])))
+        backward(add(record(_branch_loss(params, _branch_inputs(46)[:1])),
+                     record(_branch_loss(params, _branch_inputs(46)[1:]))))
         assert blas_threads() == before
     # two forwards and two closures per schedule
     assert seen[:2] == [before] * 2 and seen[4:6] == [before] * 2
@@ -544,7 +539,7 @@ def test_branches_that_share_an_op_result_are_walked_as_one_graph(monkeypatch):
 def test_a_loss_with_a_leaf_parent_is_walked_as_one_graph():
     params = _branch_params(43)
     leaf = Tensor(np.array(2.0), requires_grad=True)
-    loss = _branch_loss(params, _branch_inputs(43, 1)) + leaf
+    loss = add(_branch_loss(params, _branch_inputs(43, 1)), leaf)
     assert ag._disjoint_branches(loss) is None
     backward(loss)
     assert leaf.grad == 1.0

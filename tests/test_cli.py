@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from phnet.cli import main
-from phnet.data import read_manifest, read_volume
+from phnet.data import LabelVolume, read_manifest, read_volume, write_volume
 from phnet.harness import read_runlog
 
 TINY_GEN = ["--shape", "16", "16", "8", "--spacing", "1", "1", "4",
@@ -656,6 +656,55 @@ class TestDamagedVolumePayload:
         err = capsys.readouterr().err
         assert code == 2
         assert "error:" in err and raw_name in err and "Traceback" not in err
+
+
+def _copy_volume(root, source, target):
+    for ext in (".hdr", ".raw"):
+        shutil.copyfile(root / f"{source}{ext}", root / f"{target}{ext}")
+
+
+def _relabel(root, cid, edit):
+    labels = read_volume(root / f"{cid}_lbl")
+    write_volume(root / f"{cid}_lbl", LabelVolume(*edit(labels.grid, labels.spacing_mm)))
+
+
+MISMATCHED_CASES = {
+    "f32_labels": lambda root, cid: _copy_volume(root, f"{cid}_img", f"{cid}_lbl"),
+    "u8_image": lambda root, cid: _copy_volume(root, f"{cid}_lbl", f"{cid}_img"),
+    "label_shape": lambda root, cid: _relabel(root, cid, lambda g, s: (g[:-1], s)),
+    "label_spacing": lambda root, cid: _relabel(root, cid, lambda g, s: (g, (2 * s[0],) + s[1:])),
+}
+
+
+class TestMismatchedCaseFiles:
+    @pytest.fixture(params=sorted(MISMATCHED_CASES))
+    def bad_dataset(self, request, dataset, tmp_path):
+        # the validation case, which both train and eval read
+        root = tmp_path / "data"
+        shutil.copytree(dataset, root)
+        cid = read_manifest(root / "manifest.json")["cases"][-1]["id"]
+        MISMATCHED_CASES[request.param](root, cid)
+        return root, cid
+
+    def test_train_exits_2_naming_both_files(self, bad_dataset, tmp_path, capsys):
+        root, cid = bad_dataset
+        out = tmp_path / "run"
+        code = main(["train", "--data-dir", str(root), "--out-dir", str(out),
+                     "--epochs", "1"] + TINY_MODEL)
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert f"{cid}_img.hdr" in err and f"{cid}_lbl.hdr" in err
+        assert not out.exists()
+
+    def test_eval_exits_2_naming_both_files(self, bad_dataset, trained, tmp_path, capsys):
+        root, cid = bad_dataset
+        report = tmp_path / "report.csv"
+        code = main(["eval", "--checkpoint", str(trained / "best.ckpt"),
+                     "--data-dir", str(root), "--out", str(report)])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert f"{cid}_img.hdr" in err and f"{cid}_lbl.hdr" in err
+        assert not report.exists()
 
 
 # ---------------------------------------------------------------------------

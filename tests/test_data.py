@@ -436,6 +436,13 @@ class TestVolumeIO:
             read_volume(base)
         assert str(info.value) == f"{base}.raw: volume grid contains non-finite values"
 
+    def test_an_f32_grid_is_scanned_once(self, tmp_path, monkeypatch):
+        write_volume(tmp_path / "vol", Volume(np.zeros((2, 3, 4), np.float32), (1.0, 1.0, 1.0)))
+        scanned, isfinite = [], np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: scanned.append(np.shape(a)) or isfinite(a))
+        read_volume(tmp_path / "vol")
+        assert scanned == [(2, 3, 4)]
+
     def test_bad_header_fields_rejected(self, tmp_path):
         v = Volume(np.zeros((2, 3, 4), np.float32), (1.0, 1.0, 1.0))
         base = tmp_path / "vol"

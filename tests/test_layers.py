@@ -995,11 +995,16 @@ def relu_node(t):
     return make_node(np.maximum(x, 0.0), (t,), "relu", lambda g: (g * (x > 0),))
 
 
+def add_node(a, b):
+    """``a + b`` as a node of its own, as the oracle composition needs one."""
+    return make_node(a.data + b.data, (a, b), "add", lambda g: (g, g))
+
+
 def composed_epilogue(x, k, stride, gamma, beta, skip=None, relu=False):
     """The oracle: conv_nd -> affine_norm -> (+ skip) -> relu, one node each."""
     h = affine_norm(conv_nd(x, k, stride, same_padding(k.shape[2:])), gamma, beta, (2, 3, 4))
     if skip is not None:
-        h = h + skip
+        h = add_node(h, skip)
     return relu_node(h) if relu else h
 
 

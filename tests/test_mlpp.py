@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from phnet.autograd import Tensor, backward, grad_check, make_node, no_grad, trace
+from phnet.autograd import Tensor, backward, grad_check, make_node, mul, no_grad, trace
 from phnet.layers import Linear
 from phnet.mlpp import (
     AAMLP,
@@ -66,6 +68,16 @@ def linear_node(rows, weight, bias):
     y += bias.data
     return make_node(y, (rows, weight, bias), "linear",
                      lambda g: (g @ wd, g.T @ xd, g.sum(axis=0)))
+
+
+def add(a, b):
+    """``a + b`` as a tape node of its own."""
+    return make_node(a.data + b.data, (a, b), "add", lambda g: (g, g))
+
+
+def add_scalar(t, c):
+    """``t + c`` for a python scalar ``c``, as a tape node of its own."""
+    return make_node(t.data + c, (t,), "add_scalar", lambda g: (g,))
 
 
 def three_node_mix(x, fc, kind, L=None):
@@ -224,6 +236,67 @@ def test_mix_runs_the_fc_once_on_the_token_rows():
     assert len(seen) == 1 and np.array_equal(seen[0], rows_of(x, "H", 2))
     assert np.array_equal(rows_of(out.data, "H", 2),
                           seen[0] @ fc.weight.data.T + fc.bias.data)
+
+
+SUMMED_INPUTS = ("first", "second", "third", "skip")
+
+
+def summed_mix_value_and_grads(pathway, shape, kind, L, dtype, seed):
+    """``pathway(maps, fc, skip)`` for three random maps, a random skip and
+    an FC with random weight and bias, and the gradients in the four maps,
+    the weight and the bias of a random-weighted sum of it."""
+    rng = np.random.default_rng(seed)
+    width = row_width(shape, kind, L)
+    fc = Linear(width, width, rng=rng, dtype=dtype)
+    fc.bias.data[...] = rng.normal(size=width)
+    maps = [Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+            for _ in SUMMED_INPUTS]
+    out = pathway(maps[:3], fc, maps[3])
+    backward((out * Tensor(rng.normal(size=shape).astype(dtype))).sum())
+    return [out.data] + [t.grad for t in maps] + [fc.weight.grad, fc.bias.grad]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind, L", [("D", 2), ("H", 2), ("window", 2), ("C", None)])
+def test_mix_of_summed_maps_plus_skip_matches_separate_add_nodes(kind, L, dtype):
+    # the parent network's IP sum and TP residual: each add a node of its own
+    shape = (2, 4, 2, 4, 6)
+    got = summed_mix_value_and_grads(
+        lambda xs, fc, skip: mix(xs, fc, kind, L, skip=skip), shape, kind, L, dtype, 49)
+    want = summed_mix_value_and_grads(
+        lambda xs, fc, skip: add(skip, three_node_mix(add(add(*xs[:2]), xs[2]), fc, kind, L)),
+        shape, kind, L, dtype, 49)
+    names = ("value", *SUMMED_INPUTS, "weight grad", "bias grad")
+    for name, a, b in zip(names, got, want):
+        assert a.dtype == dtype and np.array_equal(a, b), name
+
+
+def test_mix_of_summed_maps_plus_skip_is_one_node():
+    maps = [Tensor(rand((1, 4, 2, 4, 4), seed=s), requires_grad=True) for s in (50, 51, 52)]
+    fc = Linear(4, 4, dtype=np.float64)
+    out = mix(maps[:2], fc, "W", 2, skip=maps[2])
+    assert [n._op for n in trace(out) if n._parents] == ["mix"]
+    assert out._parents == (maps[0], maps[1], fc.weight, fc.bias, maps[2])
+    with pytest.raises(ValueError):
+        mix([maps[0], Tensor(np.zeros((1, 4, 2, 4, 2)))], fc, "W", 2)
+    with pytest.raises(ValueError):
+        mix(maps[0], fc, "W", 2, skip=Tensor(np.zeros((1, 4, 2, 4, 2))))
+
+
+@pytest.mark.parametrize("wrt", SUMMED_INPUTS)
+def test_mix_gradients_in_summed_maps_and_skip_match_finite_differences(wrt):
+    rng = np.random.default_rng(53)
+    inputs = {name: rng.normal(size=(1, 4, 2, 4, 4)) for name in SUMMED_INPUTS}
+    fc = Linear(4, 4, rng=rng, dtype=np.float64)
+    probe = Tensor(rng.normal(size=(1, 4, 2, 4, 4)))
+
+    def f(t):
+        held = {name: Tensor(v) for name, v in inputs.items()}
+        held[wrt] = t
+        return (mix([held[n] for n in SUMMED_INPUTS[:3]], fc, "H", 2, skip=held["skip"])
+                * probe).sum()
+
+    assert grad_check(f, Tensor(inputs[wrt]), h=1e-5) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -394,27 +467,50 @@ def test_aa_mlp_matches_window_loop_oracle():
 
 def test_fuse_zero_attention_identity_bitwise():
     y_ip = rand((1, 2, 3, 4, 4), seed=19)
-    out = residual_attention_fuse(Tensor(y_ip), Tensor(np.zeros_like(y_ip)))
+    zeros = Tensor(np.zeros_like(y_ip))
+    out = residual_attention_fuse(Tensor(y_ip), zeros, zeros)
     assert np.array_equal(out.data, y_ip)
 
 
 def test_fuse_unit_attention_doubles():
     y_ip = rand((2, 2, 2, 2, 2), seed=20)
-    out = residual_attention_fuse(Tensor(y_ip), Tensor(np.ones_like(y_ip)))
+    out = residual_attention_fuse(Tensor(y_ip), Tensor(np.ones_like(y_ip)),
+                                  Tensor(np.zeros_like(y_ip)))
     np.testing.assert_array_equal(out.data, 2.0 * y_ip)
 
 
 def test_fuse_matches_elementwise_oracle_bitwise():
-    y_ip = rand((1, 3, 2, 4, 4), seed=21)
-    y_a = rand((1, 3, 2, 4, 4), seed=22)
-    out = residual_attention_fuse(Tensor(y_ip), Tensor(y_a))
-    assert np.array_equal(out.data, (1.0 + y_a) * y_ip)
+    # one node over (y_a, y_ip, skip)
+    y_ip, y_a, x = (rand((1, 3, 2, 4, 4), seed=s) for s in (21, 22, 23))
+    inputs = [Tensor(v, requires_grad=True) for v in (y_ip, y_a, x)]
+    out = residual_attention_fuse(*inputs)
+    assert np.array_equal(out.data, x + (y_a + 1.0) * y_ip)
+    assert [n._op for n in trace(out) if n._parents] == ["attention_fuse"]
+    assert out._parents == (inputs[1], inputs[0], inputs[2])
 
 
 def test_fuse_shape_mismatch():
-    with pytest.raises(ValueError):
-        residual_attention_fuse(Tensor(np.zeros((1, 2, 2, 2, 2))),
-                                Tensor(np.zeros((1, 2, 2, 2, 3))))
+    for bad in range(3):
+        shapes = [(1, 2, 2, 2, 2)] * 3
+        shapes[bad] = (1, 2, 2, 2, 3)
+        with pytest.raises(ValueError):
+            residual_attention_fuse(*(Tensor(np.zeros(s)) for s in shapes))
+
+
+@pytest.mark.parametrize("wrt", ["y_ip", "y_a", "skip"])
+def test_fuse_gradients_match_finite_differences(wrt):
+    # each of the node's three inputs, the other two held
+    rng = np.random.default_rng(24)
+    inputs = {name: rng.normal(size=(1, 2, 2, 3, 3)) for name in ("y_ip", "y_a", "skip")}
+    probe = Tensor(rng.normal(size=(1, 2, 2, 3, 3)))
+
+    def f(t):
+        held = {name: Tensor(v) for name, v in inputs.items()}
+        held[wrt] = t
+        return (residual_attention_fuse(held["y_ip"], held["y_a"], held["skip"])
+                * probe).sum()
+
+    assert grad_check(f, Tensor(inputs[wrt]), h=1e-5) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +619,83 @@ def test_layer_wiring_matches_formula():
     ut = Tensor(u)
     want = u + layer.tp(layer.norm2(ut)).data
     np.testing.assert_allclose(layer(x).data, want, atol=1e-12)
+
+
+def generic_node_layer(layer, x):
+    """``layer``'s forward with the IP sum, the attention gate and both
+    residual adds as generic nodes (four ``add``, one ``add_scalar`` and one
+    ``mul``) around its six ``mix`` pathways."""
+    n1 = layer.norm1(x)
+    ip = layer.ip
+    y_h = mix(n1, ip.fc_h, "H", ip.l)
+    y_w = mix(n1, ip.fc_w, "W", ip.l)
+    y_ip = mix(add(add(y_h, y_w), mix(n1, ip.fc_c, "C")), ip.fc_fuse, "C")
+    u = add(x, mul(add_scalar(layer.aa(n1), 1.0), y_ip))
+    return add(u, layer.tp(layer.norm2(u)))
+
+
+def layer_value_and_grads(forward, x, l_ip, l_tp, seed):
+    """``forward(layer, x)`` for a layer with random parameters, and the
+    gradients in x and in every parameter of a random-weighted sum of it."""
+    rng = np.random.default_rng(seed)
+    layer = MLPPLayer(x.shape[1], l_ip, l_tp, dtype=x.dtype)
+    with no_grad():
+        for p in layer.parameters():
+            p.data[...] = rng.normal(size=p.shape)
+    xt = Tensor(x, requires_grad=True)
+    out = forward(layer, xt)
+    backward((out * Tensor(rng.normal(size=x.shape).astype(x.dtype))).sum())
+    return ([("value", out.data), ("x grad", xt.grad)]
+            + [(name, p.grad) for name, p in layer.named_parameters()])
+
+
+def assert_layer_matches_generic_nodes(x, l_ip, l_tp, seed):
+    got = layer_value_and_grads(MLPPLayer.forward, x, l_ip, l_tp, seed)
+    want = layer_value_and_grads(generic_node_layer, x, l_ip, l_tp, seed)
+    assert [name for name, _ in got] == [name for name, _ in want]
+    # the value's layout too: the next ChannelNorm sums in its memory order
+    assert got[0][1].strides == want[0][1].strides
+    for (name, a), (_, b) in zip(got, want):
+        assert a.dtype == x.dtype and np.array_equal(a, b), name
+
+
+def non_contiguous(shape, seed, dtype):
+    """A map of ``shape`` whose H and W axes are swapped in memory."""
+    b, c, d, h, w = shape
+    return np.swapaxes(rand((b, c, d, w, h), seed).astype(dtype), 3, 4)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["contiguous", "non-contiguous"])
+@pytest.mark.parametrize("l_ip, l_tp, shape", [
+    (2, 2, (2, 8, 4, 4, 6)),
+    (2, 1, (2, 8, 3, 4, 4)),     # isotropic: depth segments of 1
+    (3, 2, (1, 6, 2, 6, 3)),
+])
+def test_layer_matches_the_generic_node_layer_bitwise(l_ip, l_tp, shape, layout, dtype):
+    x = (rand(shape, seed=54).astype(dtype) if layout == "contiguous"
+         else non_contiguous(shape, 54, dtype))
+    assert_layer_matches_generic_nodes(x, l_ip, l_tp, seed=55)
+
+
+@given(st.data(), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from([np.float32, np.float64]), st.booleans())
+def test_generated_layer_matches_the_generic_node_layer_bitwise(data, l_ip, l_tp, dtype,
+                                                                 swapped):
+    channels = math.lcm(l_ip, l_tp) * data.draw(st.integers(1, 2))
+    shape = (data.draw(st.integers(1, 2)), channels, l_tp * data.draw(st.integers(1, 2)),
+             l_ip * data.draw(st.integers(1, 2)), l_ip * data.draw(st.integers(1, 2)))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    x = non_contiguous(shape, seed, dtype) if swapped else rand(shape, seed).astype(dtype)
+    assert_layer_matches_generic_nodes(x, l_ip, l_tp, seed=seed + 1)
+
+
+def test_layer_records_nine_op_nodes():
+    # two norms, six pathways and one gate; no generic node
+    layer = MLPPLayer(8, 2, 2, rng=np.random.default_rng(56), dtype=np.float64)
+    out = layer(Tensor(rand((1, 8, 2, 4, 4), seed=57), requires_grad=True))
+    ops = sorted(n._op for n in trace(out) if n._parents)
+    assert ops == ["affine_norm"] * 2 + ["attention_fuse"] + ["mix"] * 6
 
 
 def test_block_parameter_count_resolution_independent():

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import math
+import re
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from phnet.autograd import Tensor, backward, grad_check, no_grad, trace
 from phnet import layers
-from phnet.layers import ChannelNorm, InstanceNorm, Linear
+from phnet.layers import ChannelNorm, Conv, ConvTranspose, InstanceNorm, Linear
 from phnet.metrics import dice_ce_loss
 from phnet.mlpp import MLPPLayer
 from phnet.model import (
@@ -348,6 +349,13 @@ def test_tape_has_one_mix_node_per_mlpp_pathway(small_train_tape):
         assert [n._op for n in trace(pathway(x).sum())].count("mix") == mixes
 
 
+def _module_count(module, kinds):
+    """How many modules of ``module``'s tree, itself included, are one of
+    ``kinds``."""
+    return isinstance(module, kinds) + sum(_module_count(child, kinds)
+                                           for _, child in module.named_children())
+
+
 def test_no_part_of_the_tape_outlives_backward():
     # the logits stay referenced, as in a training loop; the walk must still
     # free every other op result (gc is off, so only refcounts free them)
@@ -361,9 +369,14 @@ def test_no_part_of_the_tape_outlives_backward():
     try:
         logits = net(x)
         loss = dice_ce_loss(logits, rng.integers(0, 2, size=(2, 4, 8, 8)))
+        assert not {n._op for n in trace(loss)} & {"add", "add_scalar", "mul"}
         refs = [weakref.ref(n.data) for n in trace(loss)
                 if n._op != "leaf" and n is not logits and n is not loss]
-        assert len(refs) > 50 and all(r() is not None for r in refs)
+        # one node per Conv (the head's holds the logits), ConvTranspose,
+        # Linear (its mix pathway) and ChannelNorm, and one attention gate
+        # per MLPPLayer
+        nodes = _module_count(net, (Conv, ConvTranspose, Linear, ChannelNorm, MLPPLayer))
+        assert len(refs) == nodes - 1 == 45 and all(r() is not None for r in refs)
         backward(loss)
         assert [r for r in refs if r() is not None] == []
         assert logits._parents == () and logits._backward is None and logits.grad is None
@@ -427,6 +440,20 @@ def test_mlpp_net_flops_match_closed_forms(num_layers):
     # strided 3x3x3 Conv-IN-ReLU 1->8 before the MLPP block
     convs = 2 * B * (D * H * W * 8 * 27 + _ONE_STAGE_DECODER_MACS)
     assert net.count_flops((B, 1, 4, 8, 8))[0] == convs + num_layers * per_layer
+
+
+def test_count_flops_rejects_the_grid_forward_rejects():
+    # the README demo net: 80 is a whole number of strides, but the deepest
+    # MLPP stage's H extent of 10 is not a whole number of its windows of 4
+    net = PHNet(PHNetConfig(num_stages=4, base_channels=8, voxel_spacing_mm=(1, 1, 4),
+                            patch_size=(64, 64, 32)), seed=0)
+    shape = (1, 1, 32, 80, 80)
+    with pytest.raises(ValueError) as rejected:
+        net(Tensor(np.zeros(shape, dtype=np.float32)))
+    assert "MLPP segment/window length 4 does not divide axis H feature extent 10" \
+        in str(rejected.value)
+    with pytest.raises(ValueError, match=re.escape(str(rejected.value))):
+        net.count_flops(shape)
 
 
 def test_network_flops_linear_in_batch():
