@@ -6,12 +6,22 @@ backward closure, so the computation DAG is the tape: calling ``backward``
 on a scalar node walks the DAG in reverse topological order and accumulates
 gradients (summing where a node feeds several consumers).
 
-A graph is walked once.  As the walk passes a node it runs the node's
-closure and then releases the node: its ``grad`` (unless it is the loss),
-its closure and its parents, so the arrays the closures captured are freed
-during the walk rather than after it.  Leaves (``Parameter``s and inputs
-made with ``requires_grad``) have no closure; they keep their ``grad`` and
-accumulate into it across walks until it is reset.
+A graph is walked once.  As the walk passes a node it takes the node's
+``grad`` (the loss keeps its own), runs the node's closure on it and then
+releases the node's closure and parents, so the arrays the closures
+captured are freed during the walk rather than after it.  Leaves
+(``Parameter``s and inputs made with ``requires_grad``) have no closure;
+they keep their ``grad`` and accumulate into it across walks until it is
+reset.
+
+The walk keeps no reference to the cotangent it hands a closure.  On
+CPython >= 3.11 a call moves its arguments into the callee's frame, so the
+closure may free its cotangent once it has read it (``del g``), and with it
+whatever it was built from.  On 3.10 the caller keeps an argument alive
+until the call returns, so the cotangent lives as long as the closure runs.
+A closure must never write into its cotangent: one array may be the
+cotangent of several nodes, since ``mlpp.mix`` hands one array to every map
+it sums and the attention gate hands its own cotangent to its skip.
 
 A loss whose parents head graphs that share no op node, only leaves (the
 training loss over two half-batches), is walked one branch at a time: each
@@ -164,6 +174,12 @@ def make_node(data, parents, op, backward_fn):
 
     ``backward_fn(gout)`` must return one gradient array (or None) per parent.
     Recording is skipped when ``will_record(parents)`` is false.
+
+    ``backward`` calls ``backward_fn`` once, with no other reference to
+    ``gout`` held by the walk, so on CPython >= 3.11 the closure may drop
+    ``gout`` once it has read it and have it freed there (on 3.10 the
+    caller keeps it until the call returns).  It must not write into
+    ``gout``, which other nodes may share (see the module docstring).
     """
     out = Tensor(data)
     if will_record(parents):
@@ -310,27 +326,43 @@ def _disjoint_branches(root):
     return branches
 
 
+def _take_grad(node):
+    """``node.grad``, which is set to None: a closure handed the result holds
+    the walk's last reference to it."""
+    g, node.grad = node.grad, None
+    return g
+
+
+def _accumulate(parents, grads, leaf_grads):
+    """Add each gradient of ``grads`` into its parent's ``.grad``, or for a
+    leaf into ``leaf_grads`` (leaf -> array) when it is given.  Called with
+    a closure's result, so no name of the walk keeps those arrays alive
+    once they have been handed on."""
+    for parent, g in zip(parents, grads):
+        if g is None or not parent.requires_grad:
+            continue
+        if leaf_grads is not None and parent._op == "leaf":
+            held = leaf_grads.get(parent)
+            leaf_grads[parent] = g if held is None else held + g
+        else:
+            parent.grad = g if parent.grad is None else parent.grad + g
+
+
 def _walk(order, root, leaf_grads=None):
     """Run the closures of ``order`` (parents before children) from its end,
     releasing each op result but ``root`` as it goes.  Leaf gradients go
     into ``leaf_grads`` (leaf -> array) when it is given, else into each
-    leaf's ``.grad``."""
+    leaf's ``.grad``.  Each op result but ``root`` is handed its cotangent
+    with the node's reference taken off it (see ``make_node``)."""
     # popping drops the walk's own reference to each node
     while order:
         node = order.pop()
         if node._backward is None:
             continue
         if node.grad is not None:
-            for parent, g in zip(node._parents, node._backward(node.grad)):
-                if g is None or not parent.requires_grad:
-                    continue
-                if leaf_grads is not None and parent._op == "leaf":
-                    held = leaf_grads.get(parent)
-                    leaf_grads[parent] = g if held is None else held + g
-                else:
-                    parent.grad = g if parent.grad is None else parent.grad + g
-        if node is not root:
-            node.grad = None
+            _accumulate(node._parents,
+                        node._backward(node.grad if node is root else _take_grad(node)),
+                        leaf_grads)
         node._backward = None
         node._parents = ()
 
@@ -339,10 +371,11 @@ def backward(loss):
     """Accumulate d(loss)/d(node) into ``.grad`` of every leaf reachable from
     ``loss`` that requires grad, walking the graph once.
 
-    Each op result is released as soon as its closure has run: its ``grad``
-    is set to None (``loss`` keeps its own), and its closure and parents are
-    dropped, so the walk frees the tape as it goes.  Leaf grads, such as
-    those of ``Parameter``s, keep accumulating across walks until reset.
+    Each op result is released as the walk passes it: its ``grad`` is taken
+    off it and handed to its closure (``loss`` keeps its own), and once the
+    closure has run, the node drops its closure and parents, so the walk
+    frees the tape as it goes.  Leaf grads, such as those of
+    ``Parameter``s, keep accumulating across walks until reset.
     Walking a graph a second time raises ``ValueError``.
 
     When ``loss`` has two or more parents, each an op result, and no op

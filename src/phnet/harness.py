@@ -37,6 +37,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import autograd as ag
 from .data import (
@@ -81,6 +82,7 @@ __all__ = [
     "train",
     "evaluate",
     "bench",
+    "environment",
     "grad_check_suite",
     "BLOCK_GRAD_TOL",
     "E2E_GRAD_TOL",
@@ -344,6 +346,31 @@ def _peak_rss_bytes():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
+def _blas_of(package):
+    """'<name> <version>' of the BLAS that ``package`` (numpy or scipy) was
+    built against, from its build configuration; None where that
+    configuration is not readable (NumPy < 1.26, SciPy < 1.11)."""
+    try:
+        blas = package.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (AttributeError, TypeError, KeyError):
+        return None
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
+def environment():
+    """The library and machine facts that a run's losses, times and memory
+    depend on: the NumPy and SciPy versions, the BLAS each was built against
+    (the convolutions call SciPy's), the CPUs this process may run on, and
+    how many loaded OpenBLAS libraries export the thread setter that
+    ``autograd.backward``'s branch walks use.  With none, those walks run on
+    BLAS's default thread count, so a run on one CPU and one on all CPUs
+    need not give bitwise the same gradients."""
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "numpy_blas": _blas_of(np), "scipy_blas": _blas_of(scipy),
+            "usable_cpus": ag.usable_cpus(),
+            "openblas_thread_setters": len(ag._openblas_thread_setters())}
+
+
 def train(cfg):
     """Full training run; returns a summary dict with the checkpoint path,
     best validation Dice, and total step count.
@@ -359,7 +386,8 @@ def train(cfg):
     ``forward_s`` (forward and loss), ``backward_s`` and ``optim_s`` on the
     run log's clock, the global ``grad_norm``, the ``peak_rss_mb`` so far,
     and the step's ``minor_faults`` and system time ``sys_s`` (``getrusage``
-    deltas from the forward to the end of the optimizer step)."""
+    deltas from the forward to the end of the optimizer step).  The meta
+    record holds the run's ``environment()``."""
     for name in ("batch_size", "epochs", "patches_per_case", "val_interval"):
         if getattr(cfg, name) < 1:
             raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
@@ -409,7 +437,7 @@ def train(cfg):
                      steps_per_epoch=steps_per_epoch,
                      lr=opt.lr, param_count=count_params(net),
                      train_cases=len(train_cases), val_cases=len(val_cases),
-                     config=asdict(cfg))
+                     config=asdict(cfg), environment=environment())
         for epoch in range(1, cfg.epochs + 1):
             rng = np.random.default_rng([cfg.seed, 9973, epoch])
             pool = []
@@ -695,7 +723,8 @@ def bench(model_cfg, batch_size=1, repeats=3, seed=0):
 
     FLOPs come from the model's own accounting (multiply-accumulate based);
     throughput excludes one warmup forward; peak resident memory is
-    best-effort from the OS accounting of this process.
+    best-effort from the OS accounting of this process.  The report ends
+    with the ``environment()`` record.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -720,4 +749,5 @@ def bench(model_cfg, batch_size=1, repeats=3, seed=0):
         "seconds_per_forward": elapsed / repeats,
         "voxels_per_second": voxels / elapsed if elapsed > 0 else float("inf"),
         "peak_rss_bytes": _peak_rss_bytes(),
+        "environment": environment(),
     }

@@ -43,6 +43,21 @@ node anyway).  The backward takes the ReLU mask from that output, and its
 last pass writes the norm's input gradient straight into the embedded
 output of zero-filled cotangent rows (``_framed_rows``, which ``_to_rows``
 fills too), ready for the adjoint and kernel-gradient GEMMs.
+
+Each backward closure frees its large buffers at their last use.  On
+CPython >= 3.11 the walk hands a closure the only reference to its
+cotangent (see ``autograd``), so a closure that drops the cotangent frees
+it.  The fused norm conv masks the cotangent with the ReLU into a copy of
+its own and drops the cotangent; once the statistics are read it writes the
+norm's input gradient into the cotangent rows and drops the masked copy
+(unless it is the skip's gradient) and ``xhat``.  The plain conv (which
+first sums the cotangent for its bias) and the transpose conv drop the
+cotangent once its rows exist.  Both ``conv_nd`` closures then run the
+kernel gradient, whose input rows die when it returns, and then the
+adjoint, which frees the cotangent rows after its GEMMs and before it
+builds the input gradient.  So a full-resolution norm conv's backward
+holds at most two row buffers at once: the cotangent rows, and either the
+kernel gradient's input rows or the adjoint's output rows.
 """
 
 import ctypes
@@ -407,6 +422,9 @@ def _conv_adjoint(gr, k, stride, padding, q, taps, nch, L, shape):
     kt = np.ascontiguousarray(k.reshape(co, ci, -1).transpose(2, 1, 0), dtype=gr.dtype)
     acc = _tap_gemms(gr, kt, [(0, maxoff - off, ph) for ph, off in taps],
                      math.prod(stride), nch, L)
+    # a caller that passes ``gr`` as a temporary holds it no longer (CPython
+    # >= 3.11), so the rows die here, before the input gradient is allocated
+    del gr
     return _from_rows(acc, stride, padding, q, shape)
 
 
@@ -505,14 +523,19 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None, norm=None, skip=None, rel
     input_grad = any(t.requires_grad for t in inputs)
     splits = np.cumsum([t.shape[1] for t in inputs])[:-1]
 
-    def conv_grads(gr):
+    def conv_grads(rows):
         """One gradient per input (views of one array, split along C), then
-        dkernel, from the cotangent's rows ``gr`` (see ``_conv_adjoint``)."""
-        dxs = (np.split(_conv_adjoint(gr, kd, stride, padding, q, taps, nch, L, in_shape),
-                        splits, axis=1)
-               if input_grad else [None] * len(inputs))
-        return (*dxs, _conv_kernel_grad(_to_rows(xs, stride, padding, q, width),
-                                        gr[0, :, maxoff:], k_shape, taps, nch, L))
+        dkernel, from the cotangent's rows (see ``_conv_adjoint``), the one
+        item of the list ``rows``.  The kernel gradient runs first, while its
+        input rows and the cotangent rows are the only row buffers; the
+        adjoint then takes the cotangent rows out of ``rows`` and frees them
+        before it builds the input gradient."""
+        gk = _conv_kernel_grad(_to_rows(xs, stride, padding, q, width),
+                               rows[0][0, :, maxoff:], k_shape, taps, nch, L)
+        if not input_grad:
+            return (None,) * len(inputs) + (gk,)
+        return (*np.split(_conv_adjoint(rows.pop(), kd, stride, padding, q, taps, nch, L,
+                                        in_shape), splits, axis=1), gk)
 
     if norm is None:
         out = _from_rows(acc, (1, 1, 1), (0, 0, 0), q, out_shape)
@@ -522,10 +545,10 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None, norm=None, skip=None, rel
             parents += (bias,)
 
         def bk(g):
-            grads = conv_grads(_to_rows((g,), (1, 1, 1), (0, 0, 0), q, width, lead=maxoff))
-            if bias is not None:
-                grads += (g.sum(axis=(0, 2, 3, 4)),)
-            return grads
+            rows = [_to_rows((g,), (1, 1, 1), (0, 0, 0), q, width, lead=maxoff)]
+            dbias = () if bias is None else (g.sum(axis=(0, 2, 3, 4)),)
+            del g                   # its rows hold the cotangent from here
+            return conv_grads(rows) + dbias
 
         return make_node(out, parents, "conv_nd", bk)
 
@@ -554,8 +577,10 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None, norm=None, skip=None, rel
         np.maximum(out, 0, out=out)
 
     def bk(g):
+        nonlocal xhat
         # subgradient of the ReLU at exactly 0 is 0
         gm = g * (out > 0) if relu else g
+        del g                       # masked, the cotangent is read no more
         # per (batch, channel): the sums of gm and of gm * xhat, which give
         # the closed form of ``affine_norm``'s backward with h = gamma * gm,
         # dx = (h - mean(h) - xhat * mean(h * xhat)) * inv_std, and the
@@ -571,13 +596,15 @@ def conv_nd(x, kernel, stride=1, padding=0, bias=None, norm=None, skip=None, rel
         np.multiply(xhat, s1 * scale / count, out=xhat)
         # the last pass writes dx straight into the embedded output of the
         # zero-filled cotangent rows that the conv backward reads
-        gr, ((grid, _),) = _framed_rows(out_shape, g.dtype, (1, 1, 1), (0, 0, 0), q, width,
+        gr, ((grid, _),) = _framed_rows(out_shape, dx.dtype, (1, 1, 1), (0, 0, 0), q, width,
                                         lead=maxoff)
         np.subtract(dx, xhat, out=grid.transpose(1, 0, 2, 3, 4))
         grads = ((s1.sum(axis=0).reshape(-1), s0.sum(axis=0).reshape(-1))
                  + (() if skip is None else (gm,)))
-        del dx, gm
-        return conv_grads(gr) + grads
+        rows = [gr]
+        del dx, gm, gr, grid
+        xhat = None
+        return conv_grads(rows) + grads
 
     return make_node(out, parents, "conv_nd", bk)
 
@@ -609,6 +636,7 @@ def conv_transpose_nd(x, kernel):
 
     def bk(g):
         gr = _to_rows((g,), stride, padding, q, width)
+        del g                       # its rows hold the cotangent from here
         return (_from_rows(_conv_rows(gr, kd, taps, nch, L), (1, 1, 1), (0, 0, 0), q,
                            xd.shape),
                 _conv_kernel_grad(gr, _to_rows((xd,), (1, 1, 1), (0, 0, 0), q, width)[0],

@@ -173,6 +173,63 @@ def test_walk_frees_each_op_result_before_reaching_its_inputs():
     np.testing.assert_allclose(x.grad, 4 * x.data ** 3, rtol=1e-14)
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before CPython 3.11 a caller keeps each argument alive until "
+                           "the call returns, so a closure cannot free its cotangent")
+def test_a_closure_frees_its_cotangent_when_it_drops_its_name():
+    x = Tensor(rand((5,), seed=34), requires_grad=True)
+    freed = []
+
+    def bk(g):
+        ref = weakref.ref(g)
+        twice = 2.0 * g
+        del g
+        freed.append(ref() is None)
+        return (twice,)
+
+    h = make_node(x.data * 2.0, (x,), "probe", bk)
+    loss = (h * Tensor(np.full(5, 3.0))).sum()
+    backward(loss)
+    assert freed == [True]
+    assert h.grad is None
+    np.testing.assert_array_equal(loss.grad, np.ones(()))
+    np.testing.assert_array_equal(x.grad, np.full(5, 6.0))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_loss_keeps_its_grad_after_a_branch_walk(monkeypatch, cpus):
+    monkeypatch.setattr(ag, "usable_cpus", lambda: cpus)
+    x, y = (Tensor(rand((3,), seed=s), requires_grad=True) for s in (35, 36))
+    loss = add((x * x).sum(), (y * y).sum())
+    backward(loss)
+    np.testing.assert_array_equal(loss.grad, np.ones(()))
+    np.testing.assert_array_equal(x.grad, 2 * x.data)
+    np.testing.assert_array_equal(y.grad, 2 * y.data)
+
+
+def test_one_cotangent_handed_to_two_parents_reaches_both():
+    # as ``mlpp.mix`` hands one array to every map it sums: each parent's
+    # closure takes the same array, and the first one's reading it leaves
+    # it intact for the second
+    x, w = Tensor(rand((4,), seed=37), requires_grad=True), rand((4,), seed=38)
+    seen = []
+
+    def scaled(factor):
+        def bk(g):
+            seen.append(g)
+            out = factor * g
+            del g
+            return (out,)
+        return make_node(x.data * factor, (x,), f"scale{factor}", bk)
+
+    a, b = scaled(2.0), scaled(3.0)
+    top = make_node(a.data + b.data, (a, b), "shared", lambda g: (g * 1.0,) * 2)
+    backward((top * Tensor(w)).sum())
+    assert len(seen) == 2 and seen[0] is seen[1]
+    np.testing.assert_array_equal(seen[0], w)
+    np.testing.assert_array_equal(x.grad, 3.0 * w + 2.0 * w)
+
+
 def test_second_walk_of_a_graph_raises():
     x = Tensor(rand((4,), seed=31), requires_grad=True)
     y = x * x

@@ -17,6 +17,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, strategies as st
 
 from phnet import autograd as ag
@@ -36,6 +37,7 @@ from phnet.harness import (
     RunLog,
     TrainConfig,
     bench,
+    environment,
     evaluate,
     load_dataset,
     predict_label_volume,
@@ -127,6 +129,10 @@ class TestWindowStarts:
 
     def test_tail_clamped(self):
         assert window_starts(11, 4) == [0, 2, 4, 6, 7]
+
+    def test_odd_patch_steps_by_its_floor_half(self):
+        # a step of (patch + 1) // 2 would give [0, 3, 6, 7]
+        assert window_starts(12, 5) == [0, 2, 4, 6, 7]
 
     def test_window_too_large(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -480,6 +486,11 @@ class TestTrain:
         result = train(tiny_config(dataset, tmp_path / "run", lr=0.01, epochs=1))
         meta = [r for r in read_runlog(result["runlog"]) if r["kind"] == "meta"][0]
         assert meta["lr"] == 0.01
+
+    def test_meta_records_the_environment(self, dataset, tmp_path):
+        result = train(tiny_config(dataset, tmp_path / "run", epochs=1))
+        meta = [r for r in read_runlog(result["runlog"]) if r["kind"] == "meta"][0]
+        assert meta["environment"] == environment()
 
     def test_deterministic_given_seed(self, dataset, tmp_path):
         r1 = train(tiny_config(dataset, tmp_path / "a", epochs=1))
@@ -1096,6 +1107,33 @@ class TestBench:
         assert report["peak_rss_bytes"] > 0
         assert report["params"] > 0
 
+    def test_reports_the_environment(self):
+        assert bench(tiny_model_config(), batch_size=1, repeats=1)["environment"] == environment()
+
     def test_bad_repeats_rejected(self):
         with pytest.raises(ValueError, match="repeats"):
             bench(tiny_model_config(), repeats=0)
+
+
+# ---------------------------------------------------------------------------
+# environment record
+# ---------------------------------------------------------------------------
+
+def test_environment_records_libraries_cpus_and_blas_thread_setters(monkeypatch):
+    env = environment()
+    assert env["numpy"] == np.__version__
+    assert env["scipy"] == scipy.__version__
+    assert env["usable_cpus"] == ag.usable_cpus()
+    assert env["openblas_thread_setters"] == len(ag._openblas_thread_setters())
+    assert all(v is None or isinstance(v, str) for v in (env["numpy_blas"], env["scipy_blas"]))
+    json.dumps(env)
+    monkeypatch.setattr(ag, "_openblas_thread_setters", lambda: [])
+    monkeypatch.setattr(ag, "usable_cpus", lambda: 1)
+    env = environment()
+    assert env["openblas_thread_setters"] == 0 and env["usable_cpus"] == 1
+
+
+def test_environment_blas_is_none_without_a_readable_build_configuration(monkeypatch):
+    # NumPy < 1.26 has a show_config that takes no mode and prints
+    monkeypatch.setattr(np, "show_config", lambda: None)
+    assert environment()["numpy_blas"] is None

@@ -2,6 +2,8 @@ import itertools
 import math
 import re
 import sys
+import tracemalloc
+import weakref
 from functools import partial
 
 import numpy as np
@@ -1113,6 +1115,84 @@ def test_conv_norm_epilogue_rejects_bad_arguments():
         conv_nd(x, k, (1, 2, 2), (0, 1, 1), norm=(gamma, beta), skip=skip)
     with pytest.raises(ValueError, match="gamma and beta"):
         conv_nd(x, k, 1, (0, 1, 1), norm=(Tensor(arrays[2][:2]), beta))
+
+
+# besides its row buffers, the fused norm conv's backward allocates per-channel
+# statistics, tap matrices, the kernel gradient and small Python objects
+# (about 12 kB on the map below, against row buffers of 8.9 MB)
+BACKWARD_SLACK_BYTES = 64 * 1024
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before CPython 3.11 a caller keeps each argument alive until "
+                           "the call returns, so the adjoint cannot free the cotangent rows")
+def test_fused_norm_conv_backward_holds_at_most_two_row_buffers():
+    # a half-batch of the README demo's full-resolution (1, 3, 3) norm conv:
+    # each buffer the backward allocates is freed at its last use, so the
+    # cotangent rows meet at most one other row buffer (the input rows of the
+    # kernel gradient, then the adjoint's rows) and the input gradient is
+    # built after the cotangent rows are gone
+    shape, padding = (2, 8, 32, 64, 64), (0, 1, 1)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+    kernel = Parameter(rng.normal(size=(8, 8, 1, 3, 3)).astype(np.float32))
+    gamma = Parameter(np.ones(8, dtype=np.float32))
+    beta = Parameter(np.zeros(8, dtype=np.float32))
+    out = conv_nd(x, kernel, 1, padding, norm=(gamma, beta), relu=True)
+    g = rng.normal(size=out.shape).astype(np.float32)
+    loss = make_node(np.zeros((), dtype=np.float32), (out,), "probe", lambda _: (g,))
+    _, taps, nch, L = layers._phase_layout(shape, kernel.shape, (1, 1, 1), padding)
+    row_bytes = shape[1] * (nch * L + taps[-1][1]) * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == shape
+    assert peak <= 2 * row_bytes + BACKWARD_SLACK_BYTES, (peak, row_bytes)
+
+
+def conv_closure_case(case):
+    """The output of a recorded conv node of kind ``case`` and a cotangent
+    for it: the fused norm conv with or without its ReLU, the plain conv
+    with or without a bias, or the transpose conv."""
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.normal(size=(2, 3, 4, 6, 5)), requires_grad=True)
+    if case == "transpose":
+        out = conv_transpose_nd(x, Parameter(rng.normal(size=(3, 2, 1, 2, 2))))
+    else:
+        kernel = Parameter(rng.normal(size=(4, 3, 1, 3, 3)))
+        channels = [Parameter(rng.normal(size=4)) for _ in range(2)]
+        kwargs = ({"norm": tuple(channels), "relu": case == "norm-relu"}
+                  if case.startswith("norm")
+                  else {"bias": channels[0]} if case == "plain-bias" else {})
+        out = conv_nd(x, kernel, 1, (0, 1, 1), **kwargs)
+    return out, rng.normal(size=out.shape)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before CPython 3.11 a caller keeps each argument alive until "
+                           "the call returns, so the closure cannot free its cotangent")
+@pytest.mark.parametrize("case", ["norm", "norm-relu", "plain", "plain-bias", "transpose"])
+def test_conv_closures_free_their_cotangent_and_xhat_before_the_kernel_grad(monkeypatch, case):
+    out, g = conv_closure_case(case)
+    refs = {"cotangent": weakref.ref(g)}
+    if case.startswith("norm"):
+        closure = out._backward
+        cells = dict(zip(closure.__code__.co_freevars,
+                         (c.cell_contents for c in closure.__closure__)))
+        refs["xhat"] = weakref.ref(cells["xhat"])
+        del closure, cells
+    handed = [g]
+    del g
+    loss = make_node(np.zeros((), dtype=out.dtype), (out,), "probe", lambda _: (handed.pop(),))
+    alive = []
+    kernel_grad = layers._conv_kernel_grad
+    monkeypatch.setattr(layers, "_conv_kernel_grad", lambda *args: alive.append(
+        sorted(name for name, ref in refs.items() if ref() is not None)) or kernel_grad(*args))
+    backward(loss)
+    assert alive == [[]]
 
 
 # ---------------------------------------------------------------------------
