@@ -333,15 +333,20 @@ def write_manifest(path, cases, extra=None):
 
 def read_manifest(path):
     """Read a dataset manifest; raises ``ValueError`` unless it is an object
-    with a 'cases' list of objects with a string 'id' and an optional string
-    'split', and its optional 'spacing_mm' and 'num_classes' are valid."""
+    with a 'cases' list of objects with a string 'id', each id listed once,
+    and an optional string 'split', and its optional 'spacing_mm' and
+    'num_classes' are valid."""
     doc = read_json(path)
     if not (isinstance(doc, dict) and isinstance(doc.get("cases"), list)):
         raise ValueError(f"{path}: manifest has no 'cases' list")
+    seen = set()
     for e in doc["cases"]:
         if not (isinstance(e, dict) and isinstance(e.get("id"), str)
                 and isinstance(e.get("split", ""), str)):
             raise ValueError(f"{path}: malformed case entry {e!r}")
+        if e["id"] in seen:
+            raise ValueError(f"{path}: case id {e['id']!r} is listed more than once")
+        seen.add(e["id"])
     for key, valid, want in (("spacing_mm", _is_spacing, "3 positive finite numbers"),
                              ("num_classes", lambda n: type(n) is int and 2 <= n <= MAX_CLASSES,
                               f"an int in [2, {MAX_CLASSES}]")):

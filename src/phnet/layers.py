@@ -25,12 +25,14 @@ rows where it lies, with the row length as BLAS's leading dimension, and adds
 into the output rows in place, so no operand is copied (see ``_bound_gemm``).
 The GEMM routines are scipy's own ``sgemm`` and ``dgemm``, whose addresses
 the public Cython module ``scipy.linalg.cython_blas`` exports; that one
-module is loaded from its file, without the ``scipy.linalg`` package
-(``_cython_blas``).  The adjoint is the same gather run on the cotangent's
-rows with mirrored offsets.  Rows near the end of a grid line read past it
-into the next line (or batch item); those rows only feed output positions
-that the forward crops, and in the adjoint and kernel gradient they meet the
-zeros that surround the embedded output, so they change nothing.
+module is loaded from its file, without the ``scipy.linalg`` package, by
+``_scipy_extension``, the one loader of a named SciPy extension module
+(``metrics`` loads SciPy's KD-tree module through it too).  The adjoint is
+the same gather run on the cotangent's rows with mirrored offsets.  Rows
+near the end of a grid line read past it into the next line (or batch
+item); those rows only feed output positions that the forward crops, and in
+the adjoint and kernel gradient they meet the zeros that surround the
+embedded output, so they change nothing.
 
 A conv that feeds an instance norm runs the norm, an optional residual add
 and an optional ReLU as its epilogue, in the same tape node
@@ -67,6 +69,8 @@ import itertools
 import math
 import os
 import sys
+import threading
+from functools import partial
 
 import numpy as np
 import scipy
@@ -193,23 +197,39 @@ def _check_conv_geometry(x_shape, k_shape, stride, padding):
 _SMALL_GEMM_MNK = 10 ** 6
 
 
-def _cython_blas():
-    """SciPy's public Cython module ``scipy.linalg.cython_blas``, loaded from
-    its own file in scipy's ``linalg`` directory without running
-    ``scipy/linalg/__init__.py``, which imports the whole package (about
-    25 MB of RSS and 0.2 s per process on a 2-vCPU VM with SciPy 1.17).  It
-    is the same extension either way, so it exports the same routine
-    addresses.  An already imported one is reused."""
-    name = "scipy.linalg.cython_blas"
+_EXTENSION_LOCK = threading.Lock()
+
+
+def _scipy_extension(name):
+    """SciPy's compiled module ``name`` (such as ``scipy.linalg.cython_blas``),
+    loaded from its own file in its package's directory without running the
+    package's ``__init__.py``, which imports far more: ``scipy/linalg``'s
+    costs about 25 MB of RSS and 0.2 s per process on a 2-vCPU VM with SciPy
+    1.17, and ``scipy/spatial``'s (which also imports ``scipy.linalg`` and
+    ``scipy.special``) about 32 MB.  An already imported module is reused.
+    A loaded one is registered in ``sys.modules``, so a later import of its
+    package finds the very same module, and a lock makes two threads that
+    ask for it first load it once.  A missing file raises ``ImportError``
+    naming the directory searched."""
     module = sys.modules.get(name)
-    if module is None:
-        linalg_dir = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-        spec = importlib.machinery.PathFinder.find_spec(name, [linalg_dir])
-        if spec is None:
-            raise ImportError(f"no {name} extension module in {linalg_dir}", name=name)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+    if module is not None:
+        return module
+    with _EXTENSION_LOCK:
+        module = sys.modules.get(name)
+        if module is None:
+            package_dir = os.path.join(os.path.dirname(scipy.__file__),
+                                       *name.split(".")[1:-1])
+            spec = importlib.machinery.PathFinder.find_spec(name, [package_dir])
+            if spec is None:
+                raise ImportError(f"no {name} extension module in {package_dir}", name=name)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
     return module
+
+
+# the BLAS module of scipy.linalg, which exports the GEMM routines' addresses
+_cython_blas = partial(_scipy_extension, "scipy.linalg.cython_blas")
 
 
 def _blas_function(name):
@@ -218,7 +238,7 @@ def _blas_function(name):
     argument by reference).  ``scipy.linalg.blas`` cannot pass a leading
     dimension, so it copies every strided operand; the pointer exported by
     ``scipy.linalg.cython_blas`` reaches the same routine without that
-    copy.  That module is read through ``_cython_blas``, so the
+    copy.  That module is read through ``_scipy_extension``, so the
     ``scipy.linalg`` package is never imported."""
     capsule = _cython_blas().__pyx_capi__[name]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(

@@ -15,8 +15,11 @@ the same order.  Nearest distances come from a KD-tree of midpoint splits
 with leaves of up to 32 points, which is quicker to build and to query than
 the default median-split tree; an exact nearest-neighbour search returns the
 same minimum whatever the splits and leaf size.  The tree is SciPy's
-``cKDTree``, and ``scipy.spatial`` is imported by the first distance query,
-not with this module, so training and inference never load it.
+``cKDTree``, taken from its compiled module ``scipy.spatial._ckdtree``,
+which the first distance query loads from its own file
+(``layers._scipy_extension``).  So no process imports the ``scipy.spatial``
+package, nor the ``scipy.linalg`` and ``scipy.special`` packages that it
+pulls in; training and inference do not even load the KD-tree module.
 ``score_case`` splits each directed query into chunks of ``QUERY_CHUNK``
 query points that each fill their own slice of one distance array, so
 several threads may run them (the tree's build and query release the GIL)
@@ -35,6 +38,7 @@ import numpy as np
 
 from . import autograd as ag
 from .data import LabelVolume, atomic_write
+from .layers import _scipy_extension
 
 __all__ = [
     "surface_mask",
@@ -114,11 +118,13 @@ def _kd_tree(pts):
     rule, with no median search and no shrinking of the node boxes to their
     points, which builds faster; an exact search finds the same nearest
     distance however the tree is split.  Leaves of up to 32 points make a
-    shallower tree that queries faster.  ``scipy.spatial`` is imported here,
-    on the first call, so that a process that never scores a case does not
-    load it."""
-    from scipy.spatial import cKDTree
-
+    shallower tree that queries faster.  The tree is ``cKDTree`` of SciPy's
+    compiled module ``scipy.spatial._ckdtree``, loaded on the first call
+    without the ``scipy.spatial`` package, which would import
+    ``scipy.linalg`` and ``scipy.special`` as well; the module imports
+    ``scipy.sparse`` itself.  A later ``import scipy.spatial`` finds the
+    loaded module, so it exposes this very class."""
+    cKDTree = _scipy_extension("scipy.spatial._ckdtree").cKDTree
     return cKDTree(pts, leafsize=32, compact_nodes=False, balanced_tree=False)
 
 

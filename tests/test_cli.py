@@ -553,6 +553,45 @@ class TestMalformedManifest:
         assert "error:" in err and "Traceback" not in err
 
 
+class TestRepeatedCaseId:
+    """A manifest that lists its validation case twice: eval would score it
+    twice and count it twice in the mean row, and train would validate on it
+    twice, so both exit 2 naming the id and the manifest."""
+
+    @pytest.fixture
+    def repeated(self, dataset, tmp_path):
+        root = tmp_path / "data"
+        shutil.copytree(dataset, root)
+        doc = read_manifest(root / "manifest.json")
+        doc["cases"].append(dict(doc["cases"][-1]))
+        (root / "manifest.json").write_text(json.dumps(doc))
+        return root, doc["cases"][-1]["id"]
+
+    def _check(self, code, root, cid, capsys):
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert (f"error: {root / 'manifest.json'}: case id {cid!r} is listed more than once"
+                in captured.err)
+        assert "Traceback" not in captured.err
+
+    def test_train_exits_2(self, repeated, tmp_path, capsys):
+        root, cid = repeated
+        out = tmp_path / "run"
+        code = main(["train", "--data-dir", str(root), "--out-dir", str(out),
+                     "--epochs", "1", "--batch-size", "2",
+                     "--patches-per-case", "2"] + TINY_MODEL)
+        self._check(code, root, cid, capsys)
+        assert not out.exists()
+
+    def test_eval_exits_2(self, repeated, trained, tmp_path, capsys):
+        root, cid = repeated
+        out_csv = tmp_path / "report.csv"
+        code = main(["eval", "--checkpoint", str(trained / "best.ckpt"),
+                     "--data-dir", str(root), "--split", "val", "--out", str(out_csv)])
+        self._check(code, root, cid, capsys)
+        assert not out_csv.exists()
+
+
 BAD_DATASET_FIELDS = {
     "spacing_of_strings": ("spacing_mm", ["1", "1", "4"]),
     "zero_spacing": ("spacing_mm", [1.0, 0.0, 4.0]),

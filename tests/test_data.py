@@ -525,6 +525,15 @@ class TestVolumeIO:
         write_manifest(path, [("case_000", "train")], extra={"num_classes": 256})
         assert read_manifest(path)["num_classes"] == 256
 
+    @pytest.mark.parametrize("splits", [("train", "train"), ("train", "val")])
+    def test_manifest_repeated_id_rejected_naming_the_id_and_file(self, tmp_path, splits):
+        path = tmp_path / "manifest.json"
+        write_manifest(path, [("case_000", splits[0]), ("case_001", "train"),
+                              ("case_000", splits[1])])
+        with pytest.raises(ValueError) as info:
+            read_manifest(path)
+        assert str(info.value) == f"{path}: case id 'case_000' is listed more than once"
+
     def test_manifest_missing_cases_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("{}")

@@ -20,15 +20,27 @@ def heavy():
 out = {"after_import": heavy()}
 
 import numpy as np
-from phnet import layers
+from phnet import layers, metrics
 from phnet.data import LabelVolume
-from phnet.metrics import evaluate_case
+
+tree_types = set()
+build_tree = metrics._kd_tree
+def recording_kd_tree(pts):
+    tree = build_tree(pts)
+    tree_types.add(type(tree))
+    return tree
+metrics._kd_tree = recording_kd_tree
 
 grid = np.zeros((6, 8, 8), np.uint8)
 grid[1:5, 2:6, 2:6] = 1
 case = LabelVolume(grid, (0.8, 0.8, 2.0))
-out["rows"] = evaluate_case(case, case, num_classes=2)
-out["spatial_after_scoring"] = "scipy.spatial" in sys.modules
+out["rows"] = metrics.evaluate_case(case, case, num_classes=2)
+out["loaded_after_scoring"] = {
+    m: m in sys.modules for m in ("scipy.spatial._ckdtree", "scipy.spatial",
+                                  "scipy.linalg", "scipy.special")}
+
+import scipy.spatial
+out["tree_types_are_scipy_spatial_cKDTree"] = [t is scipy.spatial.cKDTree for t in tree_types]
 
 import scipy.linalg
 from scipy.linalg import cython_blas
@@ -50,7 +62,10 @@ print(json.dumps(out))
 def test_train_and_infer_imports_leave_scipy_linalg_spatial_and_sparse_unloaded():
     """``import phnet.harness`` and the CLI load only the Cython BLAS module of
     ``scipy.linalg`` and nothing of ``scipy.spatial`` or ``scipy.sparse``;
-    scoring still works, importing ``scipy.spatial`` itself; and a later
+    scoring still works, loading the KD-tree module ``scipy.spatial._ckdtree``
+    but not the ``scipy.spatial`` or ``scipy.linalg`` packages, nor
+    ``scipy.special``; a later ``import scipy.spatial`` exposes the very
+    ``cKDTree`` class the scorer built its trees with; and a later
     ``import scipy.linalg`` exports the very GEMM addresses ``layers`` calls."""
     proc = subprocess.run([sys.executable, "-c", FRESH_IMPORT, str(ROOT / "src")],
                           capture_output=True, text=True, timeout=120)
@@ -60,6 +75,8 @@ def test_train_and_infer_imports_leave_scipy_linalg_spatial_and_sparse_unloaded(
     [row] = out["rows"]
     assert row["dice"] == row["surface_dice"] == 1.0
     assert row["hausdorff_mm"] == 0.0
-    assert out["spatial_after_scoring"]
+    assert out["loaded_after_scoring"] == {"scipy.spatial._ckdtree": True, "scipy.spatial": False,
+                                           "scipy.linalg": False, "scipy.special": False}
+    assert out["tree_types_are_scipy_spatial_cKDTree"] == [True]
     for name, (exported, called) in out["addresses"].items():
         assert exported == called and exported, name

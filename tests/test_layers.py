@@ -2,8 +2,11 @@ import itertools
 import math
 import re
 import sys
+import threading
+import time
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -702,6 +705,63 @@ def test_cython_blas_missing_file_raises_naming_the_directory(tmp_path, monkeypa
     monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
     with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
         layers._cython_blas()
+
+
+KD_TREE_MODULE = "scipy.spatial._ckdtree"
+
+
+def test_kd_tree_module_reuses_the_imported_module(monkeypatch):
+    assert layers._scipy_extension(KD_TREE_MODULE) is sys.modules[KD_TREE_MODULE]
+    stand_in = object()
+    monkeypatch.setitem(sys.modules, KD_TREE_MODULE, stand_in)
+    assert layers._scipy_extension(KD_TREE_MODULE) is stand_in
+
+
+def test_kd_tree_module_missing_file_raises_naming_the_directory(tmp_path, monkeypatch):
+    layers._scipy_extension(KD_TREE_MODULE)
+    monkeypatch.delitem(sys.modules, KD_TREE_MODULE)
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "spatial"))):
+        layers._scipy_extension(KD_TREE_MODULE)
+
+
+def test_kd_tree_module_is_registered_when_loaded(monkeypatch):
+    """A module loaded from its file goes into ``sys.modules``, so a later
+    ``import scipy.spatial`` finds the same ``cKDTree`` class.  The
+    extension is already in the process here, and loading it again hands
+    back the same module without registering it."""
+    tree_class = layers._scipy_extension(KD_TREE_MODULE).cKDTree
+    monkeypatch.delitem(sys.modules, KD_TREE_MODULE)
+    module = layers._scipy_extension(KD_TREE_MODULE)
+    assert sys.modules[KD_TREE_MODULE] is module
+    assert module.cKDTree is tree_class
+
+
+def test_threads_asking_first_load_the_module_once(monkeypatch):
+    """Four threads (more than a 2-CPU runner has) ask for an unloaded
+    module at once; the slowed module creation lets them all pass the
+    unlocked ``sys.modules`` check before the first one registers it."""
+    layers._scipy_extension(KD_TREE_MODULE)
+    monkeypatch.delitem(sys.modules, KD_TREE_MODULE)
+    made = []
+    module_from_spec = layers.importlib.util.module_from_spec
+
+    def slow_module_from_spec(spec):
+        made.append(spec.name)
+        time.sleep(0.05)
+        return module_from_spec(spec)
+
+    monkeypatch.setattr(layers.importlib.util, "module_from_spec", slow_module_from_spec)
+    start = threading.Barrier(4, timeout=30)
+
+    def load(_):
+        start.wait()
+        return layers._scipy_extension(KD_TREE_MODULE)
+
+    with ThreadPoolExecutor(4) as pool:
+        loaded = list(pool.map(load, range(4), timeout=60))
+    assert made == [KD_TREE_MODULE]
+    assert all(module is sys.modules[KD_TREE_MODULE] for module in loaded)
 
 
 def test_gemm_operands_pass_the_checks_as_built():
