@@ -11,8 +11,8 @@ A graph is walked once.  As the walk passes a node it takes the node's
 releases the node's closure and parents, so the arrays the closures
 captured are freed during the walk rather than after it.  Leaves
 (``Parameter``s and inputs made with ``requires_grad``) have no closure;
-they keep their ``grad`` and accumulate into it across walks until it is
-reset.
+they keep their ``grad``, None until a walk reaches them, and accumulate
+into it across walks until it is set back to None (``AdamW.zero_grad``).
 
 The walk keeps no reference to the cotangent it hands a closure.  On
 CPython >= 3.11 a call moves its arguments into the callee's frame, so the
@@ -101,9 +101,10 @@ class Tensor:
 
     ``data`` is treated as immutable once the tensor participates in an op.
     ``grad`` is populated by ``backward``.  On a leaf it accumulates across
-    consumers and across successive backward calls until reset.  An op
-    result keeps its ``grad``, closure and parents only until ``backward``
-    has walked it (the loss keeps its ``grad``); it cannot be walked again.
+    consumers and across successive backward calls until it is set back to
+    None.  An op result keeps its ``grad``, closure and parents only until
+    ``backward`` has walked it (the loss keeps its ``grad``); it cannot be
+    walked again.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_op", "_backward")
@@ -151,14 +152,10 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable leaf tensor with an always-present grad."""
+    """Trainable leaf tensor; its ``grad`` is None until a walk reaches it."""
 
     def __init__(self, data, dtype=None):
         super().__init__(data, requires_grad=True, dtype=dtype)
-        self.grad = np.zeros_like(self.data)
-
-    def reset_grad(self):
-        self.grad = np.zeros_like(self.data)
 
 
 def will_record(parents):
@@ -375,7 +372,8 @@ def backward(loss):
     off it and handed to its closure (``loss`` keeps its own), and once the
     closure has run, the node drops its closure and parents, so the walk
     frees the tape as it goes.  Leaf grads, such as those of
-    ``Parameter``s, keep accumulating across walks until reset.
+    ``Parameter``s, keep accumulating across walks until they are set back
+    to None.
     Walking a graph a second time raises ``ValueError``.
 
     When ``loss`` has two or more parents, each an op result, and no op

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import typing
-from dataclasses import fields as dataclass_fields
+from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
 from .data import (
@@ -81,28 +81,25 @@ def _model_config_from_args(args):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args):
+    for flag, n in (("--cases", args.cases), ("--val-cases", args.val_cases)):
+        if n < 0:
+            raise ValueError(f"{flag} must be >= 0, got {n}")
     x, y, z = args.shape
-    # every spec is checked before the output directory is made
-    specs = [SyntheticSpec(
+    # the spec is checked before the output directory is made
+    spec = SyntheticSpec(
         shape=(z, y, x),                           # (X,Y,Z) flag -> (D,H,W) grid
         spacing_mm=tuple(args.spacing),
         num_classes=args.classes,
         blobs_per_class=tuple(args.blobs),
         radius_range_mm=tuple(args.radius),
         noise_sigma=args.noise,
-        seed=args.seed + i,
-    ) for i in range(args.cases + args.val_cases)]
-    # a blob of the largest radius must fit every axis, or generation could
-    # fail after the output directory is made
-    extent = tuple(float(n * s) for n, s in zip(args.shape, args.spacing))
-    if specs and args.blobs[1] > 0 and 2 * args.radius[1] > min(extent):
-        raise ValueError(f"radius_range_mm: blobs of radius up to {float(args.radius[1])} mm "
-                         f"do not fit the volume extent {extent} mm (x, y, z)")
+        seed=args.seed,
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cases = []
-    for i, spec in enumerate(specs):
-        vol, lab = generate_synthetic_case(spec)
+    for i in range(args.cases + args.val_cases):
+        vol, lab = generate_synthetic_case(replace(spec, seed=args.seed + i))
         cid = f"case_{i:03d}"
         write_volume(out / f"{cid}_img", vol)
         write_volume(out / f"{cid}_lbl", lab)

@@ -86,7 +86,8 @@ class SyntheticSpec:
     intensity is their class id, on a noisy background of mean 0.  Blob
     radii are in millimetres, so anisotropic spacing renders them as
     voxel-space ellipsoids.  Later classes overwrite earlier ones where
-    blobs overlap."""
+    blobs overlap.  Every field is checked here, including that a blob of
+    the largest radius fits every axis of the volume."""
 
     shape: tuple = (32, 64, 64)               # (D, H, W)
     spacing_mm: tuple = (1.0, 1.0, 4.0)       # (x, y, z)
@@ -108,7 +109,19 @@ class SyntheticSpec:
                              f"got {self.radius_range_mm}")
         if not self.noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         _check_spacing(self.spacing_mm)
+        if not (len(self.shape) == 3
+                and all(isinstance(n, (int, np.integer)) and n >= 1 for n in self.shape)):
+            raise ValueError(f"shape must be 3 ints >= 1 (D, H, W), got {self.shape}")
+        # radii are drawn from [lo, hi], so a blob of the largest radius
+        # fitting every axis means that every blob fits
+        extent = tuple(float(n * s) for n, s in zip(self.shape[::-1], self.spacing_mm))
+        if self.blobs_per_class[1] > 0 and 2 * self.radius_range_mm[1] > min(extent):
+            raise ValueError(f"radius_range_mm: blobs of radius up to "
+                             f"{float(self.radius_range_mm[1])} mm do not fit the volume "
+                             f"extent {extent} mm (x, y, z)")
 
 
 def generate_synthetic_case(spec):
@@ -128,10 +141,6 @@ def generate_synthetic_case(spec):
         count = int(rng.integers(spec.blobs_per_class[0], spec.blobs_per_class[1] + 1))
         for _ in range(count):
             radii = rng.uniform(r_lo, r_hi, size=3)  # (z, y, x) mm
-            if any(2 * r > e for r, e in zip(radii, extent)):
-                raise ValueError(
-                    f"class {cls}: blob radii {tuple(round(float(r), 3) for r in radii)} mm "
-                    f"do not fit the volume extent {extent} mm")
             center = tuple(rng.uniform(r, e - r) for r, e in zip(radii, extent))
             dist2 = (((zc - center[0]) / radii[0])[:, None, None] ** 2
                      + ((yc - center[1]) / radii[1])[None, :, None] ** 2
@@ -203,11 +212,17 @@ def resample_to_grid(v, dst_dims, dst_spacing):
     return Volume(out.astype(np.float32), dst_spacing)
 
 
+def _resampled_dims(shape, spacing_mm, target_spacing):
+    """The (D, H, W) dims that ``resample_to_spacing`` gives a grid of
+    ``shape`` at ``spacing_mm``: round(n * s/t) per axis."""
+    return tuple(int(round(shape[a] * spacing_mm[2 - a] / target_spacing[2 - a]))
+                 for a in range(3))
+
+
 def resample_to_spacing(v, target_spacing):
     """Resample to a new (x,y,z) spacing; output dims round(n * s/t) per axis."""
     _check_spacing(target_spacing)
-    dims = tuple(int(round(v.grid.shape[a] * v.spacing_mm[2 - a] / target_spacing[2 - a]))
-                 for a in range(3))
+    dims = _resampled_dims(v.grid.shape, v.spacing_mm, target_spacing)
     if any(n < 1 for n in dims):
         raise ValueError(
             f"degenerate output dims {dims} for target spacing {tuple(target_spacing)}")

@@ -21,16 +21,16 @@ Evaluation segments every case with ``predict_label_volume``, the one path
 from a case to its labels.  It scores case k (``metrics.score_case``:
 boundary extraction and KD-tree distance queries, which run no tape and no
 conv) beside the read and segmentation of case k+1, through
-``autograd.overlap``.  Case k's distance queries are queued in chunks, and
-the calling thread runs them beside the worker once case k+1 is segmented;
-both threads run the last case's chunks.
+``autograd.overlap``.  Case k's distance queries are queued in chunks on one
+queue, followed by a stop mark for each thread, and the calling thread runs
+them beside the worker once case k+1 is segmented; both threads run the last
+case's chunks.
 """
 
 import json
 import math
 import queue
 import resource
-import threading
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -43,6 +43,7 @@ from . import autograd as ag
 from .data import (
     LabelVolume,
     Volume,
+    _resampled_dims,
     parse_json,
     read_manifest,
     read_volume,
@@ -417,6 +418,17 @@ def train(cfg):
     opt = AdamW(net.parameters(), batch_size=cfg.batch_size, lr=cfg.lr,
                 betas=(cfg.beta1, cfg.beta2), eps=cfg.eps,
                 weight_decay=cfg.weight_decay)
+    # the patch is cropped from each train case's own grid, and the window
+    # slides over each val case's grid at the model spacing
+    patch_dhw = hwd_to_dhw(cfg.patch_size)
+    for c in train_cases + val_cases:
+        image = c["image"]
+        spacing = image.spacing_mm if c["split"] == "train" else model_cfg.voxel_spacing_mm
+        grid = _resampled_dims(image.grid.shape, image.spacing_mm, spacing)
+        if any(p > n for p, n in zip(patch_dhw, grid)):
+            image_hdr = Path(cfg.data_dir) / f"{c['id']}_img.hdr"
+            raise ValueError(f"{c['split']} case {c['id']!r} ({image_hdr}): patch {patch_dhw} "
+                             f"larger than its grid {grid} at spacing {spacing} mm")
     # made only once the data and the net are known to be good
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -431,7 +443,6 @@ def train(cfg):
     ckpt_path = out_dir / "best.ckpt"
     best = None
     step = 0
-    patch_dhw = hwd_to_dhw(cfg.patch_size)
     with RunLog(out_dir / "runlog.jsonl") as log:
         log.log_meta(planned_steps=planned_steps,
                      steps_per_epoch=steps_per_epoch,
@@ -497,30 +508,6 @@ def train(cfg):
 # evaluation
 # ---------------------------------------------------------------------------
 
-class _SharedChunks:
-    """The distance-query chunks of one case, queued by the thread that
-    scores it and run by every thread that calls ``drain``."""
-
-    def __init__(self):
-        self._chunks = queue.SimpleQueue()
-        self._queued = threading.Event()
-
-    def put_all(self, chunks):
-        for run in chunks:
-            self._chunks.put(run)
-        self._queued.set()
-
-    def drain(self):
-        """Once the chunks are queued, run them until none is left."""
-        self._queued.wait()
-        while True:
-            try:
-                run = self._chunks.get_nowait()
-            except queue.Empty:
-                return
-            run()
-
-
 def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
              tolerance_mm=1.0, percentile=95):
     """Segment every case in ``split`` with ``predict_label_volume`` and
@@ -533,14 +520,15 @@ def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
     at a time, through ``autograd.overlap``.  The worker builds case k's
     masks, voxel counts, surface points and KD-trees (``score_case``) and
     queues its distance queries as chunks of ``metrics.QUERY_CHUNK`` query
-    points; the calling thread segments case k+1 and then runs chunks
-    beside the worker until none is left.  Both threads run the last case's
-    chunks.  Each chunk writes its own slice of the distances, so the rows,
-    and the error of the first failing case in case order, are the
-    sequential loop's.  On one CPU ``overlap`` runs the scoring of case k
-    and then the segmentation of case k+1, in turn.  Case k's scoring error
-    is raised before case k+2 is read.  A bad ``tolerance_mm`` or
-    ``percentile`` is raised before the checkpoint is opened."""
+    points on one queue, then one stop mark for each thread; the calling
+    thread segments case k+1 and then runs chunks beside the worker until it
+    takes a stop mark.  Both threads run the last case's chunks.  Each chunk
+    writes its own slice of the distances, so the rows, and the error of the
+    first failing case in case order, are the sequential loop's.  On one
+    CPU ``overlap`` runs the scoring of case k and then the segmentation of
+    case k+1, in turn.  Case k's scoring error is raised before case k+2 is
+    read.  A bad ``tolerance_mm`` or ``percentile`` is raised before the
+    checkpoint is opened."""
     # the metrics' own checks: a split of error rows never reaches score_case
     _surface_dice_of(None, tolerance_mm)
     _hausdorff_of(None, percentile)
@@ -563,10 +551,10 @@ def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
             return case["id"], case["labels"], None, str(e)
         return case["id"], case["labels"], pred, None
 
-    def score(shared, cid, labels, pred, problem):
-        """Queue the case's chunks on ``shared`` and run them with the
-        other thread; returns the call that makes the case's rows once both
-        threads are done."""
+    def score(q, cid, labels, pred, problem):
+        """Queue the case's chunks on ``q``, then a stop mark for each
+        thread, and run them with the other thread; returns the call that
+        makes the case's rows once both threads are done."""
         chunks, rows = [], lambda: [{"class": "", "error": problem}]
         try:
             if not problem:
@@ -574,21 +562,24 @@ def evaluate(checkpoint_path, data_dir, out_csv=None, split="val",
                                           tolerance_mm=tolerance_mm, percentile=percentile)
         finally:
             # also when scoring fails, so that the other thread stops waiting
-            shared.put_all(chunks)
-        shared.drain()
+            for run in [*chunks, None, None]:
+                q.put(run)
+        for run in iter(q.get, None):
+            run()
         return lambda: [{"case": cid, **r} for r in rows()]
 
-    def segment_and_help(shared, entry):
+    def segment_and_help(q, entry):
         segmented = None if entry is None else segment(entry)
-        shared.drain()
+        for run in iter(q.get, None):
+            run()
         return segmented
 
     rows = []
     segmented = segment(chosen[0])
     for entry in [*chosen[1:], None]:
-        shared = _SharedChunks()
-        case_rows, segmented = ag.overlap(partial(score, shared, *segmented),
-                                          partial(segment_and_help, shared, entry))
+        q = queue.SimpleQueue()
+        case_rows, segmented = ag.overlap(partial(score, q, *segmented),
+                                          partial(segment_and_help, q, entry))
         rows.extend(case_rows())
     if out_csv is not None:
         write_report_csv(out_csv, rows)

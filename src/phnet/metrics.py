@@ -195,20 +195,12 @@ def _distance_queries(p, g, spacing_mm):
     return (d_pg, d_gp), pg_chunks + gp_chunks
 
 
-def _run_all(chunks):
-    for run in chunks:
-        run()
-
-
-def _surface_distances_of(p, g, spacing_mm):
-    dists, chunks = _distance_queries(p, g, spacing_mm)
-    _run_all(chunks)
-    return dists
-
-
 def _surface_distances(pred, gt, class_id):
     _check_pair(pred, gt, physical=True)
-    return _surface_distances_of(*_class_masks(pred, gt, class_id), gt.spacing_mm)
+    dists, chunks = _distance_queries(*_class_masks(pred, gt, class_id), gt.spacing_mm)
+    for run in chunks:
+        run()
+    return dists
 
 
 def _hausdorff_of(dists, percentile):
@@ -288,7 +280,8 @@ def evaluate_case(pred, gt, num_classes, tolerance_mm=1.0, percentile=95):
     """All metrics for every foreground class; one dict per class: the
     chunks of ``score_case`` run in turn on the calling thread."""
     chunks, rows = score_case(pred, gt, num_classes, tolerance_mm, percentile)
-    _run_all(chunks)
+    for run in chunks:
+        run()
     return rows()
 
 

@@ -425,8 +425,9 @@ def _read_checkpoint_header(f, path):
     """Parse and validate the manifest line of checkpoint file ``f``, leaving
     ``f`` at the start of the payload.  Raises ``ValueError`` for a foreign
     or malformed header (bools are not ints here), for entries that do not
-    tile the payload in the order ``save_checkpoint`` writes them, and for a
-    payload of another length (a truncated file or trailing bytes)."""
+    tile the payload in the order ``save_checkpoint`` writes them or repeat a
+    name, and for a payload of another length (a truncated file or trailing
+    bytes)."""
     try:
         manifest = json.loads(f.readline().decode("utf-8"))
     except ValueError:                 # UnicodeDecodeError or JSONDecodeError
@@ -436,12 +437,15 @@ def _read_checkpoint_header(f, path):
     if not (isinstance(manifest.get("meta"), dict)
             and isinstance(manifest.get("params"), list)):
         raise ValueError(f"{path}: header needs a 'meta' object and a 'params' list")
-    declared = 0
+    declared, names = 0, set()
     for e in manifest["params"]:
         if not (isinstance(e, dict) and {"name", "shape", "offset"} <= e.keys()
-                and isinstance(e["shape"], list)
+                and isinstance(e["name"], str) and isinstance(e["shape"], list)
                 and all(type(n) is int and n >= 0 for n in [e["offset"], *e["shape"]])):
             raise ValueError(f"{path}: malformed parameter entry {e!r}")
+        if e["name"] in names:
+            raise ValueError(f"{path}: parameter {e['name']!r} is listed more than once")
+        names.add(e["name"])
         if e["offset"] != declared:
             raise ValueError(f"{path}: parameter {e['name']!r} starts at byte {e['offset']}, "
                              f"but the entries before it end at byte {declared}")

@@ -70,8 +70,9 @@ class AdamW:
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def zero_grad(self):
+        """Drop every gradient; ``step`` counts a missing one as zero."""
         for p in self.params:
-            p.reset_grad()
+            p.grad = None
 
     def step(self):
         """Apply one update using each parameter's accumulated ``.grad``

@@ -18,6 +18,7 @@ from phnet.autograd import (
     no_grad,
     trace,
 )
+from phnet.optim import AdamW
 
 
 def rand(shape, seed=0, dtype=np.float64):
@@ -560,16 +561,21 @@ def test_branch_walks_run_blas_on_one_thread_and_restore_its_count(monkeypatch):
 
 def test_a_raising_closure_on_the_worker_branch_is_raised_here(monkeypatch):
     _cpus(monkeypatch, 2)
-    params, log = _branch_params(41), []
-    before = [p.grad.copy() for p in params]
-    loss = _branch_loss(params, _branch_inputs(41), log, fail=0)
-    with pytest.raises(RuntimeError, match="branch 0 failed"):
-        backward(loss)
-    assert dict(log)[0] == "phnet-overlap"
-    assert not any(t.name == "phnet-overlap" for t in threading.enumerate())
-    # branch 1 finished, but no leaf gradient was added
-    for p, g in zip(params, before):
-        assert np.array_equal(p.grad, g)
+    # leaves with no gradient yet, then leaves holding one from an earlier walk
+    for held in (False, True):
+        params, log = _branch_params(41), []
+        if held:
+            for i, p in enumerate(params):
+                p.grad = rand(p.shape, seed=i)
+        before = [None if p.grad is None else p.grad.copy() for p in params]
+        loss = _branch_loss(params, _branch_inputs(41), log, fail=0)
+        with pytest.raises(RuntimeError, match="branch 0 failed"):
+            backward(loss)
+        assert dict(log)[0] == "phnet-overlap"
+        assert not any(t.name == "phnet-overlap" for t in threading.enumerate())
+        # branch 1 finished, but no leaf gradient was added
+        for p, g in zip(params, before):
+            assert p.grad is None if g is None else np.array_equal(p.grad, g)
 
 
 def test_branches_that_share_an_op_result_are_walked_as_one_graph(monkeypatch):
@@ -645,9 +651,16 @@ def test_grad_check_rejects_nonscalar():
 
 
 def test_parameter_reset():
+    # a Parameter has no gradient until a walk reaches it, accumulates
+    # across walks, and starts again from none once zero_grad drops it
     p = Parameter(rand((3,), seed=26))
+    assert p.grad is None
     backward((p * p).sum())
-    assert np.any(p.grad != 0)
-    p.reset_grad()
-    np.testing.assert_array_equal(p.grad, np.zeros(3))
-    assert p.grad.shape == p.data.shape
+    np.testing.assert_array_equal(p.grad, 2 * p.data)
+    backward((p * p).sum())
+    np.testing.assert_array_equal(p.grad, 4 * p.data)
+    opt = AdamW([p], lr=0.1)
+    opt.zero_grad()
+    assert p.grad is None
+    backward((p * p).sum())
+    np.testing.assert_array_equal(p.grad, 2 * p.data)

@@ -163,7 +163,15 @@ class TestGenData:
         (["--blobs", "-1", "0"], "blobs_per_class"),
         (["--radius", "5", "3"], "radius_range_mm"),
         (["--noise", "-1"], "noise_sigma"),
-    ], ids=["blobs_reversed", "blobs_negative", "radius_reversed", "noise_negative"])
+        (["--cases", "-1", "--val-cases", "4"], "--cases"),
+        (["--val-cases", "-2"], "--val-cases"),
+        (["--shape", "0", "4", "4", "--blobs", "0", "0"], "shape"),
+        (["--shape", "-4", "8", "8"], "shape"),
+        (["--shape", "0", "4", "4", "--cases", "0", "--val-cases", "0"], "shape"),
+        (["--seed", "-1"], "seed"),
+    ], ids=["blobs_reversed", "blobs_negative", "radius_reversed", "noise_negative",
+            "negative_cases", "negative_val_cases", "zero_shape", "negative_shape",
+            "zero_shape_no_cases", "negative_seed"])
     def test_bad_range_exits_2_naming_the_field_before_writing(self, flags, field,
                                                                tmp_path, capsys):
         out = tmp_path / "d"
@@ -305,6 +313,47 @@ class TestTrainCLI:
         assert message in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_patch_larger_than_a_train_case_exits_2_before_making_the_output_directory(
+            self, dataset, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["train", "--data-dir", str(dataset), "--out-dir", str(out),
+                     "--epochs", "1", "--batch-size", "2", "--patches-per-case", "2"]
+                    + TINY_MODEL + ["--patch-size", "32", "32", "8"])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert (f"error: train case 'case_000' ({dataset / 'case_000_img.hdr'}): patch "
+                f"(8, 32, 32) larger than its grid (8, 16, 16) at spacing (1.0, 1.0, 4.0) mm"
+                in err)
+        assert "Traceback" not in err
+
+    def test_window_larger_than_a_val_case_at_the_model_spacing_exits_2_before_training(
+            self, tmp_path, capsys):
+        # the val case's native grid is the patch size, but at the model
+        # spacing of 1 x 1 x 4 mm its 0.5 mm axes hold 16 voxels
+        root, fine = tmp_path / "data", tmp_path / "fine"
+        common = ["--radius", "3", "5", "--val-cases", "0"]
+        assert main(["gen-data", "--out", str(root), "--shape", "32", "32", "8",
+                     "--cases", "2"] + common) == 0
+        assert main(["gen-data", "--out", str(fine), "--shape", "32", "32", "8",
+                     "--spacing", "0.5", "0.5", "4", "--cases", "1"] + common) == 0
+        for kind in ("img", "lbl"):
+            for ext in ("hdr", "raw"):
+                shutil.copy(fine / f"case_000_{kind}.{ext}", root / f"case_002_{kind}.{ext}")
+        doc = read_manifest(root / "manifest.json")
+        doc["cases"].append({"id": "case_002", "split": "val"})
+        (root / "manifest.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "run"
+        code = main(["train", "--data-dir", str(root), "--out-dir", str(out),
+                     "--epochs", "1", "--batch-size", "2", "--patches-per-case", "1"]
+                    + TINY_MODEL + ["--patch-size", "32", "32", "8"])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert (f"error: val case 'case_002' ({root / 'case_002_img.hdr'}): patch "
+                f"(8, 32, 32) larger than its grid (8, 16, 16) at spacing (1.0, 1.0, 4.0) mm"
+                in err)
+        assert "Traceback" not in err
+
     def test_config_not_an_object_exits_1(self, dataset, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("5")
@@ -401,6 +450,15 @@ def _model_config(edit):
     return apply
 
 
+def _repeat_first_entry(header, payload):
+    """The header with its first parameter listed again at the end, and that
+    parameter's bytes appended to the payload, so the entries still tile it."""
+    first = header["params"][0]
+    size = 4 * int(np.prod(first["shape"]))
+    header = {**header, "params": header["params"] + [{**first, "offset": len(payload)}]}
+    return header, payload + payload[first["offset"]:first["offset"] + size]
+
+
 MALFORMED = {
     "header_not_object": lambda h, p: ([1, 2], p),
     "format_only": lambda h, p: ({"format": h["format"]}, p),
@@ -416,6 +474,9 @@ MALFORMED = {
         p),
     "bool_offset": lambda h, p: (
         {**h, "params": [{**h["params"][0], "offset": False}] + h["params"][1:]}, p),
+    "list_valued_name": lambda h, p: (
+        {**h, "params": [{**h["params"][0], "name": ["stages", 0]}] + h["params"][1:]}, p),
+    "repeated_name": lambda h, p: _repeat_first_entry(h, p),
     "truncated_payload": lambda h, p: (h, p[:-4]),
     "trailing_bytes": lambda h, p: (h, p + bytes(4)),
     "model_config_not_object": _model_config(lambda c: 2),
@@ -451,6 +512,25 @@ class TestMalformedCheckpoint:
         assert main(["bench", "--checkpoint", str(bad_checkpoint), "--repeats", "1"]) == 2
         err = capsys.readouterr().err
         assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit,message", [
+    ("list_valued_name", "malformed parameter entry {'name': ['stages', 0]"),
+    ("repeated_name", "parameter 'stages.0.down.conv.kernel' is listed more than once"),
+], ids=["list_valued_name", "repeated_name"])
+@pytest.mark.parametrize("command", ["eval", "flops"])
+def test_a_bad_parameter_name_exits_2_naming_the_file(command, edit, message, trained,
+                                                      dataset, tmp_path, capsys):
+    line, payload = (trained / "best.ckpt").read_bytes().split(b"\n", 1)
+    header, payload = MALFORMED[edit](json.loads(line), payload)
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    args = ["--data-dir", str(dataset)] if command == "eval" else []
+    code = main([command, "--checkpoint", str(path)] + args)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"error: {path}: {message}" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def _truncated(raw):

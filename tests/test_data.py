@@ -7,6 +7,7 @@ anisotropic rendering (physical second moments survive isotropic resampling).
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,11 +101,12 @@ class TestSynthetic:
             frac = float((lab.grid > 0).mean())
             assert 0.005 <= frac <= 0.30, f"seed {seed}: fg fraction {frac:.4f}"
 
-    def test_blob_too_large_raises_naming_class(self):
-        spec = SyntheticSpec(shape=(8, 16, 16), spacing_mm=(1.0, 1.0, 1.0),
-                             radius_range_mm=(30.0, 40.0), seed=0)
-        with pytest.raises(ValueError, match="class 1"):
-            generate_synthetic_case(spec)
+    def test_blob_too_large_is_refused_by_the_spec(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "radius_range_mm: blobs of radius up to 40.0 mm do not fit the volume "
+                "extent (16.0, 16.0, 8.0) mm (x, y, z)")):
+            SyntheticSpec(shape=(8, 16, 16), spacing_mm=(1.0, 1.0, 1.0),
+                          radius_range_mm=(30.0, 40.0), seed=0)
 
     def test_intensity_means_separate_classes(self):
         spec = SyntheticSpec(noise_sigma=0.01, seed=2)
@@ -151,6 +153,11 @@ class TestSynthetic:
         ("radius_range_mm", (5.0, 3.0)),
         ("noise_sigma", -1.0),
         ("noise_sigma", float("nan")),
+        ("seed", -1),
+        ("shape", (0, 4, 4)),
+        ("shape", (4, -4, 8)),
+        ("shape", (8, 16)),
+        ("shape", (8, 16, 16.0)),
     ])
     def test_bad_range_rejected_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
@@ -699,8 +706,9 @@ def test_generated_gather_is_bitwise_the_ix_form(data):
 
 
 def test_blob_misfit_message_prints_plain_floats():
-    spec = SyntheticSpec(shape=(8, 16, 16), spacing_mm=(1.0, 1.0, 1.0),
-                         radius_range_mm=(30.0, 40.0), seed=0)
-    with pytest.raises(ValueError) as info:
-        generate_synthetic_case(spec)
+    # NumPy scalars in the spec, as a caller computing the fields would pass
+    with pytest.raises(ValueError, match="radius_range_mm") as info:
+        SyntheticSpec(shape=tuple(np.int64(n) for n in (8, 16, 16)),
+                      spacing_mm=(1.0, 1.0, 1.0),
+                      radius_range_mm=(np.float64(30.0), np.float64(40.0)), seed=0)
     assert "np." not in str(info.value)
